@@ -210,8 +210,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
     solver_cfg = SolverConfig(
         rank=int(cfg["rank"]), outer_iters=int(cfg["iters"]),
-        power_iters=int(cfg["power_iters"]), tol=float(cfg["tol"]),
-        seed=int(cfg["seed"]), deterministic=bool(cfg["deterministic"]),
+        power_iters=int(cfg["power_iters"]), tol=float(cfg["tol"]), seed=int(cfg["seed"]),
     )
     timings: dict = {}
     t0 = time.perf_counter()
@@ -222,7 +221,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     serialize.save_model(out / "model.nutf", model)
     serialize.save_block_sparse(out / "x.nutf", x)
     serialize.write_trace_jsonl(out / "trace.jsonl", trace,
-                                zero_seconds=solver_cfg.deterministic)
+                                zero_seconds=bool(cfg["deterministic"]))
     _write_manifest(out, "fit", cfg)
     timings["fit_total_s"] = total
     timings["per_iteration_s"] = trace.seconds

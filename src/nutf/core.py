@@ -9,7 +9,7 @@ rest are zero by representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -44,22 +44,6 @@ class ProblemDims:
         return self.n_slots * self.n_categories
 
 
-def col_index(j: int, k: int, dims: ProblemDims) -> int:
-    """Unfolded column index of (slot j, category k): ``j*C + k``."""
-    if not 0 <= j < dims.n_slots:
-        raise ValueError(f"slot index {j} out of range [0, {dims.n_slots})")
-    if not 0 <= k < dims.n_categories:
-        raise ValueError(f"category index {k} out of range [0, {dims.n_categories})")
-    return j * dims.n_categories + k
-
-
-def col_to_slot_cat(col: int, dims: ProblemDims) -> tuple[int, int]:
-    """Inverse of :func:`col_index`."""
-    if not 0 <= col < dims.n_cols:
-        raise ValueError(f"column index {col} out of range [0, {dims.n_cols})")
-    return divmod(col, dims.n_categories)
-
-
 class CandidateSets:
     """Per-(user, slot) sets of admissible category indices.
 
@@ -76,8 +60,7 @@ class CandidateSets:
         cats: int64 array of category indices, concatenated per block.
     """
 
-    __slots__ = ("block_users", "block_slots", "block_ptr", "cats",
-                 "_csr_cache", "_block_lookup")
+    __slots__ = ("block_users", "block_slots", "block_ptr", "cats", "_csr_cache")
 
     def __init__(self, block_users, block_slots, block_ptr, cats):
         self.block_users = np.ascontiguousarray(block_users, dtype=np.int64)
@@ -85,7 +68,6 @@ class CandidateSets:
         self.block_ptr = np.ascontiguousarray(block_ptr, dtype=np.int64)
         self.cats = np.ascontiguousarray(cats, dtype=np.int64)
         self._csr_cache: tuple | None = None
-        self._block_lookup: dict[tuple[int, int], int] | None = None
         self._check_structure()
 
     def _check_structure(self) -> None:
@@ -158,21 +140,6 @@ class CandidateSets:
     def to_dict(self) -> dict[tuple[int, int], list[int]]:
         return {key: cats.tolist() for key, cats in self.items()}
 
-    def block_id(self, i: int, j: int) -> int | None:
-        """Index of block (i, j), or None when absent."""
-        if self._block_lookup is None:
-            self._block_lookup = {
-                (int(u), int(s)): b
-                for b, (u, s) in enumerate(zip(self.block_users, self.block_slots))
-            }
-        return self._block_lookup.get((i, j))
-
-    def get(self, i: int, j: int) -> np.ndarray | None:
-        b = self.block_id(i, j)
-        if b is None:
-            return None
-        return self.cats[self.block_ptr[b]:self.block_ptr[b + 1]]
-
     def validate_dims(self, dims: ProblemDims) -> None:
         if self.n_blocks == 0:
             return
@@ -240,13 +207,6 @@ class BlockSparseMatrix:
             shape=(self.dims.n_users, self.dims.n_cols),
         )
 
-    def block_values(self, i: int, j: int) -> np.ndarray | None:
-        b = self.support.block_id(i, j)
-        if b is None:
-            return None
-        ptr = self.support.block_ptr
-        return self.values[ptr[b]:ptr[b + 1]]
-
     def block_sums(self) -> np.ndarray:
         if self.support.n_blocks == 0:
             return np.empty(0, dtype=np.float64)
@@ -258,9 +218,6 @@ class BlockSparseMatrix:
             return 0.0
         return float(np.abs(self.block_sums() - 1.0).max())
 
-    def frob_sq(self) -> float:
-        return float(self.values @ self.values)
-
     def to_dense(self, max_entries: int = 10_000_000) -> np.ndarray:
         """Materialize the full matrix; guarded against large instances."""
         if self.dims.n_users * self.dims.n_cols > max_entries:
@@ -270,10 +227,6 @@ class BlockSparseMatrix:
         out[rows, cols] = self.values
         return out
 
-    def with_values(self, values: np.ndarray) -> "BlockSparseMatrix":
-        """New matrix on the same support (shares the cached structure)."""
-        return BlockSparseMatrix(self.dims, self.support, values)
-
 
 @dataclass
 class LowRankModel:
@@ -282,12 +235,18 @@ class LowRankModel:
     In normal orientation Q is N x r and C is r x (T*C). When the solve
     ran on the transposed unfolding (N < T*C), ``transposed`` is set, Q
     is (T*C) x r, C is r x N, and the completion is Y = (Q @ C)^T.
+
+    Either way Y = user_factor @ col_factor^T, with user_factor N x r and
+    col_factor (T*C) x r. Readers of Y go through these two views (or the
+    methods below), so they need not know the orientation.
     """
 
     dims: ProblemDims
     q: np.ndarray
     c: np.ndarray
     transposed: bool = False
+    user_factor: np.ndarray = field(init=False, repr=False, compare=False)
+    col_factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.q = np.ascontiguousarray(self.q, dtype=np.float64)
@@ -301,6 +260,9 @@ class LowRankModel:
             raise ValueError(f"c must be {r} x {n_cols}, got {self.c.shape}")
         if r > min(self.dims.n_users, self.dims.n_cols):
             raise ValueError("rank exceeds min(N, T*C)")
+        # the solver puts C on the smaller side, so this copy is O(min(N, T*C) * r)
+        c_t = np.ascontiguousarray(self.c.T)
+        self.user_factor, self.col_factor = (c_t, self.q) if self.transposed else (self.q, c_t)
 
     @property
     def rank(self) -> int:
@@ -318,19 +280,17 @@ class LowRankModel:
         if err > tol:
             raise ValueError(f"Q columns are not orthonormal: max deviation {err:.3e}")
 
+    def slot_scores(self, users, slots) -> np.ndarray:
+        """Completion values of every category at each (user, slot) pair.
 
-def model_value(model: LowRankModel, i: int, col: int) -> float:
-    """Entry (i, col) of the completion, Q_i: . C_:col."""
-    dims = model.dims
-    if not 0 <= i < dims.n_users:
-        raise ValueError(f"user index {i} out of range [0, {dims.n_users})")
-    if not 0 <= col < dims.n_cols:
-        raise ValueError(f"column index {col} out of range [0, {dims.n_cols})")
-    if model.rank == 0:
-        return 0.0
-    if model.transposed:
-        return float(model.q[col] @ model.c[:, i])
-    return float(model.q[i] @ model.c[:, col])
+        ``users`` and ``slots`` are equal-length index arrays, or two
+        scalars. The result has shape (len(users), C), or (C,) for
+        scalars; entry k is Y at column ``slot*C + k``. Indices are not
+        range-checked.
+        """
+        dims = self.dims
+        by_slot = self.col_factor.reshape(dims.n_slots, dims.n_categories, self.rank)
+        return (by_slot[slots] @ self.user_factor[users][..., None])[..., 0]
 
 
 def model_support_values(model: LowRankModel, support: CandidateSets) -> np.ndarray:
@@ -342,16 +302,12 @@ def model_support_values(model: LowRankModel, support: CandidateSets) -> np.ndar
     _, cols, rows = support.csr_structure(model.dims)
     n = len(cols)
     out = np.empty(n, dtype=np.float64)
-    if model.rank == 0:
-        out[:] = 0.0
-        return out
-    left, right = (cols, rows) if model.transposed else (rows, cols)
+    u, v = model.user_factor, model.col_factor
     for start in range(0, n, _ENTRY_CHUNK):
         sl = slice(start, min(start + _ENTRY_CHUNK, n))
-        np.einsum(
-            "er,re->e", model.q[left[sl]], model.c[:, right[sl]],
-            out=out[sl], optimize=True,
-        )
+        # without optimize=True the low bits of the sums change, and with
+        # them the bytes fit writes
+        np.einsum("er,er->e", u[rows[sl]], v[cols[sl]], out=out[sl], optimize=True)
     return out
 
 

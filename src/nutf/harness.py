@@ -270,18 +270,7 @@ def score_topk(
     cat_range = np.arange(c, dtype=np.int64)
     for start in range(0, n, chunk):
         sl = slice(start, min(start + chunk, n))
-        cols = slots[sl, None] * c + cat_range[None, :]
-        if model.rank == 0:
-            scores = np.zeros((sl.stop - sl.start, c))
-        elif model.transposed:
-            # (rows, C, r) gather is the transposed-mode analogue of q[i] @ c
-            scores = np.einsum(
-                "bcr,rb->bc", model.q[cols], model.c[:, users[sl]], optimize=True
-            )
-        else:
-            scores = np.einsum(
-                "br,rbc->bc", model.q[users[sl]], model.c[:, cols], optimize=True
-            )
+        scores = model.slot_scores(users[sl], slots[sl])
         true_scores = scores[np.arange(sl.stop - sl.start), truths[sl]]
         better = (scores > true_scores[:, None]).sum(axis=1)
         tied_before = (

@@ -48,26 +48,6 @@ def _record(timings: dict | None, key: str, t0: float) -> None:
         timings[key] = timings.get(key, 0.0) + (time.perf_counter() - t0)
 
 
-def spmm(x: BlockSparseMatrix, dense: np.ndarray) -> np.ndarray:
-    """X @ dense for a (T*C) x p dense block; returns N x p."""
-    dense = np.asarray(dense, dtype=np.float64)
-    if dense.ndim != 2 or dense.shape[0] != x.dims.n_cols:
-        raise ValueError(
-            f"dense operand must be {x.dims.n_cols} x p, got {dense.shape}"
-        )
-    return np.asarray(x.to_csr() @ dense)
-
-
-def spmm_t(x: BlockSparseMatrix, dense: np.ndarray) -> np.ndarray:
-    """X^T @ dense for an N x p dense block; returns (T*C) x p."""
-    dense = np.asarray(dense, dtype=np.float64)
-    if dense.ndim != 2 or dense.shape[0] != x.dims.n_users:
-        raise ValueError(
-            f"dense operand must be {x.dims.n_users} x p, got {dense.shape}"
-        )
-    return np.asarray(x.to_csr().T @ dense)
-
-
 def _fix_column_signs(q: np.ndarray) -> np.ndarray:
     """Flip columns so each column's first largest-magnitude entry is positive."""
     if q.shape[1] == 0:
@@ -142,7 +122,7 @@ def sparse_lowrank_approx(
     transposed = dims.n_users < dims.n_cols
 
     csr = x.to_csr()
-    a = csr.T.tocsc() if transposed else csr
+    a = csr.T if transposed else csr
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     fill_rng = np.random.Generator(np.random.Philox(key=cfg.seed ^ _FILL_SALT))
     r_test = rng.standard_normal((min_side, cfg.rank))

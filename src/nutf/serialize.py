@@ -10,6 +10,7 @@ for the byte-level layout.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -36,6 +37,15 @@ def _read_array(fh, count: int, dtype: str) -> np.ndarray:
     if len(buf) != count * itemsize:
         raise ValueError("snapshot truncated")
     return np.frombuffer(buf, dtype=dtype).copy()
+
+
+def _check_payload(fh, nbytes: int) -> None:
+    """Reject a snapshot whose bytes after the current position are not exactly nbytes."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if left < nbytes:
+        raise ValueError("snapshot truncated")
+    if left > nbytes:
+        raise ValueError(f"snapshot has {left - nbytes} trailing bytes")
 
 
 def _write_header(fh, kind: int, dims: ProblemDims, rank: int, transposed: bool) -> None:
@@ -77,7 +87,8 @@ def save_block_sparse(path, x: BlockSparseMatrix) -> None:
 def load_block_sparse(path) -> BlockSparseMatrix:
     with open(path, "rb") as fh:
         dims, _, _ = _read_header(fh, KIND_BLOCK_SPARSE)
-        n_blocks, total = struct.unpack("<QQ", fh.read(16))
+        n_blocks, total = (int(v) for v in _read_array(fh, 2, "<u8"))
+        _check_payload(fh, 8 * (3 * n_blocks + 1 + 2 * total))
         users = _read_array(fh, n_blocks, "<i8")
         slots = _read_array(fh, n_blocks, "<i8")
         ptr = _read_array(fh, n_blocks + 1, "<i8")
@@ -96,11 +107,17 @@ def save_model(path, model: LowRankModel) -> None:
 def load_model(path) -> LowRankModel:
     with open(path, "rb") as fh:
         dims, rank, transposed = _read_header(fh, KIND_MODEL)
+        if rank > min(dims.n_users, dims.n_cols):
+            raise ValueError(f"snapshot rank {rank} exceeds min(N, T*C)")
+        _check_payload(fh, 8 * rank * (dims.n_users + dims.n_cols))
         n_rows = dims.n_cols if transposed else dims.n_users
         n_cols = dims.n_users if transposed else dims.n_cols
         q = _read_array(fh, n_rows * rank, "<f8").reshape(n_rows, rank)
         c = _read_array(fh, rank * n_cols, "<f8").reshape(rank, n_cols)
-    return LowRankModel(dims, q=q, c=c, transposed=transposed)
+    model = LowRankModel(dims, q=q, c=c, transposed=transposed)
+    # the payload size is the same in both orientations; a wrong flag shows here
+    model.validate()
+    return model
 
 
 # -- JSON-lines formats ---------------------------------------------------

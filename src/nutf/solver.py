@@ -36,7 +36,6 @@ class SolverConfig:
     power_iters: int = 8
     tol: float = 1e-6
     seed: int = 0
-    deterministic: bool = False
 
     def __post_init__(self) -> None:
         if self.rank < 1:
@@ -205,9 +204,9 @@ def predict_topk(
 ) -> np.ndarray:
     """Top-k categories for user i at slot j, highest score first.
 
-    Scores every category (or only ``restrict``) through the completion;
-    ties are broken by ascending category index so evaluation metrics are
-    deterministic.
+    Scores every category of the slot through the completion and keeps
+    only ``restrict`` when given; ties are broken by ascending category
+    index so evaluation metrics are deterministic.
     """
     dims = model.dims
     if not 0 <= i < dims.n_users:
@@ -224,12 +223,6 @@ def predict_topk(
             raise ValueError("restrict contains out-of-range categories")
     if not 1 <= k_top <= len(cats):
         raise ValueError(f"k_top {k_top} out of range [1, {len(cats)}]")
-    cols = j * dims.n_categories + cats
-    if model.rank == 0:
-        scores = np.zeros(len(cats))
-    elif model.transposed:
-        scores = model.q[cols] @ model.c[:, i]
-    else:
-        scores = model.q[i] @ model.c[:, cols]
+    scores = model.slot_scores(i, j)[cats]
     order = np.argsort(-scores, kind="stable")
     return cats[order[:k_top]]

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from nutf.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
+from nutf.core import LowRankModel, ProblemDims
+from nutf.serialize import save_model, write_pairs_jsonl
 
 
 def run(argv):
@@ -166,6 +168,26 @@ class TestPredictAndEval:
         assert rc == EXIT_OK
         payload = json.loads(capsys.readouterr().out.strip())
         assert payload["topk"] == [5]
+
+    @pytest.mark.parametrize("corrupt", ["huge_rank", "trailing_bytes", "flipped_orientation"])
+    def test_eval_corrupt_model_is_input_error(self, tmp_path, corrupt):
+        rng = np.random.default_rng(0)
+        q, _ = np.linalg.qr(rng.standard_normal((5, 2)))
+        path = tmp_path / "model.nutf"
+        save_model(path, LowRankModel(ProblemDims(5, 4, 3), q=q, c=rng.standard_normal((2, 12))))
+        pairs = tmp_path / "pairs.jsonl"
+        write_pairs_jsonl(pairs, [(0, 1, 2)])
+        argv = ["eval", "--model", str(path), "--validation", str(pairs), "--k", "1"]
+        assert run(argv) == EXIT_OK
+        raw = bytearray(path.read_bytes())
+        if corrupt == "huge_rank":
+            raw[31:39] = (2**40).to_bytes(8, "little")
+        elif corrupt == "trailing_bytes":
+            raw += bytes(16)
+        else:
+            raw[39] = 1
+        path.write_bytes(raw)
+        assert run(argv) == EXIT_INPUT
 
     def test_eval_missing_model(self, tmp_path):
         rc = run(["eval", "--model", str(tmp_path / "nope.nutf"),

@@ -7,11 +7,8 @@ from nutf.core import (
     CandidateSets,
     LowRankModel,
     ProblemDims,
-    col_index,
-    col_to_slot_cat,
     frobenius_gap,
     model_support_values,
-    model_value,
 )
 
 from conftest import full_support, random_omega
@@ -35,6 +32,11 @@ class TestProblemDims:
         assert d.n_cols == 100_000
 
 
+def col_index(j, k, dims):
+    """Unfolded column that csr_structure assigns to (slot j, category k)."""
+    return int(CandidateSets.from_blocks([(0, j, [k])]).csr_structure(dims)[1][0])
+
+
 class TestColIndex:
     def test_first_cell(self):
         assert col_index(0, 0, ProblemDims(1, 2, 42)) == 0
@@ -48,13 +50,12 @@ class TestColIndex:
 
     def test_bijective_with_inverse(self):
         dims = ProblemDims(1, 5, 10)
-        seen = set()
-        for j in range(dims.n_slots):
-            for k in range(dims.n_categories):
-                col = col_index(j, k, dims)
-                assert col_to_slot_cat(col, dims) == (j, k)
-                seen.add(col)
-        assert seen == set(range(dims.n_cols))
+        omega = full_support(1, 5, 10)
+        _, cols, _ = omega.csr_structure(dims)
+        slots = np.repeat(omega.block_slots, omega.block_sizes)
+        assert np.array_equal(cols // dims.n_categories, slots)
+        assert np.array_equal(cols % dims.n_categories, omega.cats)
+        assert sorted(cols.tolist()) == list(range(dims.n_cols))
 
     def test_out_of_range(self):
         dims = ProblemDims(1, 5, 10)
@@ -62,8 +63,6 @@ class TestColIndex:
             col_index(5, 0, dims)
         with pytest.raises(ValueError):
             col_index(0, 10, dims)
-        with pytest.raises(ValueError):
-            col_to_slot_cat(50, dims)
 
     @given(st.integers(1, 50), st.integers(1, 50), st.data())
     def test_injective_property(self, t, c, data):
@@ -80,9 +79,10 @@ class TestCandidateSets:
     def test_basic_accessors(self, small_omega):
         assert small_omega.n_blocks == 7
         assert small_omega.total_size == 12
-        assert small_omega.get(0, 0).tolist() == [0, 2]
-        assert small_omega.get(0, 1) is None
-        assert small_omega.to_dict()[(4, 3)] == [0, 1]
+        blocks = small_omega.to_dict()
+        assert blocks[(0, 0)] == [0, 2]
+        assert (0, 1) not in blocks
+        assert blocks[(4, 3)] == [0, 1]
 
     def test_rejects_duplicate_blocks(self):
         with pytest.raises(ValueError):
@@ -111,7 +111,7 @@ class TestCandidateSets:
         omega = CandidateSets.from_blocks([(2, 1, [2, 0]), (0, 3, [1]), (2, 0, [1])])
         assert list(omega.block_users) == [0, 2, 2]
         assert list(omega.block_slots) == [3, 0, 1]
-        assert omega.get(2, 1).tolist() == [0, 2]
+        assert omega.to_dict()[(2, 1)] == [0, 2]
 
     def test_csr_structure(self, small_omega, small_dims):
         indptr, cols, rows = small_omega.csr_structure(small_dims)
@@ -164,40 +164,66 @@ def _random_model(rng, dims, rank, transposed=False):
     return LowRankModel(dims, q=q, c=c, transposed=transposed)
 
 
+def _dense(model):
+    """The completion as an N x (T*C) matrix, straight from the stored factors."""
+    return (model.q @ model.c).T if model.transposed else model.q @ model.c
+
+
+def _all_slot_scores(model):
+    """slot_scores for every (user, slot), laid out as an N x (T*C) matrix."""
+    dims = model.dims
+    users = np.repeat(np.arange(dims.n_users), dims.n_slots)
+    slots = np.tile(np.arange(dims.n_slots), dims.n_users)
+    return model.slot_scores(users, slots).reshape(dims.n_users, dims.n_cols)
+
+
 class TestLowRankModel:
     def test_rank_zero_value(self, small_dims):
         model = LowRankModel(
             small_dims, q=np.empty((small_dims.n_users, 0)), c=np.empty((0, small_dims.n_cols))
         )
         assert model.rank == 0
-        assert model_value(model, 2, 5) == 0.0
+        assert model.slot_scores([2], [1]).tolist() == [[0.0, 0.0, 0.0]]
 
     def test_constant_rank_one(self):
         dims = ProblemDims(4, 2, 3)
         q = np.full((4, 1), 1.0 / 2.0)  # ones / sqrt(N)
         c = np.ones((1, 6))
         model = LowRankModel(dims, q=q, c=c)
-        for i in range(4):
-            for col in range(6):
-                assert model_value(model, i, col) == pytest.approx(0.5, abs=1e-15)
+        assert np.allclose(_all_slot_scores(model), 0.5, rtol=0, atol=1e-15)
 
     def test_matches_naive_triple_loop(self):
         dims = ProblemDims(5, 4, 2)
         rng = np.random.default_rng(42)
         model = _random_model(rng, dims, 3)
+        scores = _all_slot_scores(model)
         for i in range(dims.n_users):
             for col in range(dims.n_cols):
                 naive = sum(model.q[i, r] * model.c[r, col] for r in range(3))
-                assert abs(model_value(model, i, col) - naive) <= 1e-12
+                assert abs(scores[i, col] - naive) <= 1e-12
 
     def test_transposed_orientation(self):
         dims = ProblemDims(3, 2, 4)  # N=3 < TC=8
         rng = np.random.default_rng(1)
         model = _random_model(rng, dims, 2, transposed=True)
         full = (model.q @ model.c).T  # N x TC
-        for i in range(3):
-            for col in range(8):
-                assert model_value(model, i, col) == pytest.approx(full[i, col], abs=1e-12)
+        assert np.allclose(_all_slot_scores(model), full, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    @pytest.mark.parametrize("rank", [0, 1, 3])
+    def test_slot_scores_match_dense(self, transposed, rank):
+        rng = np.random.default_rng(10 * rank + transposed)
+        dims = ProblemDims(6, 4, 5)
+        model = _random_model(rng, dims, rank, transposed=transposed)
+        y = _dense(model)
+        assert np.allclose(model.user_factor @ model.col_factor.T, y, rtol=0, atol=1e-12)
+        users = rng.integers(0, dims.n_users, size=30)
+        slots = rng.integers(0, dims.n_slots, size=30)
+        expected = y.reshape(dims.n_users, dims.n_slots, dims.n_categories)[users, slots]
+        assert np.allclose(model.slot_scores(users, slots), expected, rtol=0, atol=1e-12)
+        # scalar indices, as predict_topk passes them, give one row
+        assert np.allclose(model.slot_scores(int(users[0]), int(slots[0])), expected[0],
+                           rtol=0, atol=1e-12)
 
     def test_shape_validation(self, small_dims):
         with pytest.raises(ValueError):
@@ -223,11 +249,12 @@ class TestLowRankModel:
         rng = np.random.default_rng(7)
         for transposed in (False, True):
             model = _random_model(rng, small_dims, 2, transposed=transposed)
+            y = _dense(model)
             vals = model_support_values(model, small_omega)
             k = 0
             for (i, j), cats in small_omega.items():
                 for cat in cats:
-                    expected = model_value(model, i, j * small_dims.n_categories + int(cat))
+                    expected = y[i, j * small_dims.n_categories + int(cat)]
                     assert vals[k] == pytest.approx(expected, abs=1e-12)
                     k += 1
 
@@ -265,8 +292,7 @@ class TestFrobeniusGap:
             rank = int(rng.integers(1, min(dims.n_users, dims.n_cols) + 1))
             transposed = bool(rng.integers(0, 2)) and dims.n_users != dims.n_cols
             model = _random_model(rng, dims, rank, transposed=transposed)
-            y_dense = (model.q @ model.c).T if transposed else model.q @ model.c
-            oracle = float(np.linalg.norm(x.to_dense() - y_dense) ** 2)
+            oracle = float(np.linalg.norm(x.to_dense() - _dense(model)) ** 2)
             assert frobenius_gap(x, model) == pytest.approx(oracle, abs=1e-8, rel=1e-8)
 
     def test_dimension_mismatch_rejected(self, small_dims):

@@ -127,9 +127,10 @@ class TestMaskValidation:
         masked_keys = {(u, j) for u, j, _ in val}
         assert np.array_equal(masked.block_users, omega.block_users)
         assert np.array_equal(masked.block_slots, omega.block_slots)
+        masked_blocks = masked.to_dict()
         for (u, j), cats in omega.items():
             if (u, j) not in masked_keys:
-                assert np.array_equal(masked.get(u, j), cats)
+                assert masked_blocks[(u, j)] == cats.tolist()
 
     def test_truth_in_masked_range_and_recorded(self):
         omega, truth, dims = self._instance()
@@ -164,8 +165,7 @@ class TestCertainValidation:
         dims = ProblemDims(2, 2, 3)
         out, val = certain_validation(omega, dims)
         assert val == [(0, 0, 2)]
-        assert out.get(0, 0).tolist() == [0, 1, 2]
-        assert out.get(1, 1).tolist() == [1, 2]
+        assert out.to_dict() == {(0, 0): [0, 1, 2], (1, 1): [1, 2]}
 
     def test_count_matches_singletons(self):
         rng = np.random.default_rng(8)
@@ -242,19 +242,25 @@ class TestScoreTopk:
         rng = np.random.default_rng(77)
         dims = ProblemDims(8, 3, 6)
         q, _ = np.linalg.qr(rng.standard_normal((8, 3)))
-        model = LowRankModel(dims, q=q, c=rng.standard_normal((3, 18)))
+        qt, _ = np.linalg.qr(rng.standard_normal((18, 3)))
+        models = [
+            LowRankModel(dims, q=q, c=rng.standard_normal((3, 18))),
+            LowRankModel(dims, q=qt, c=rng.standard_normal((3, 8)), transposed=True),
+            LowRankModel(dims, q=np.empty((8, 0)), c=np.empty((0, 18))),
+        ]
         pairs = [
             (int(rng.integers(0, 8)), int(rng.integers(0, 3)), int(rng.integers(0, 6)))
             for _ in range(40)
         ]
         k_max = 4
-        rep = score_topk(model, pairs, k_max)
-        hits = np.zeros(k_max)
-        for u, j, truth in pairs:
-            preds = predict_topk(model, u, j, k_max).tolist()
-            for k in range(1, k_max + 1):
-                hits[k - 1] += truth in preds[:k]
-        assert np.allclose(rep.accuracies, hits / len(pairs))
+        for model in models:
+            rep = score_topk(model, pairs, k_max)
+            hits = np.zeros(k_max)
+            for u, j, truth in pairs:
+                preds = predict_topk(model, u, j, k_max).tolist()
+                for k in range(1, k_max + 1):
+                    hits[k - 1] += truth in preds[:k]
+            assert np.allclose(rep.accuracies, hits / len(pairs))
 
     def test_empty_rejected(self):
         model, _ = self._ranked_model()

@@ -87,6 +87,50 @@ class TestBinarySnapshots:
             load_block_sparse(path)
 
 
+    def _saved_model(self, tmp_path, small_dims):
+        rng = np.random.default_rng(4)
+        q, _ = np.linalg.qr(rng.standard_normal((small_dims.n_users, 2)))
+        path = tmp_path / "m.nutf"
+        save_model(path, LowRankModel(small_dims, q=q, c=rng.standard_normal((2, 12))))
+        return path, bytearray(path.read_bytes())
+
+    def test_model_huge_rank_rejected(self, tmp_path, small_dims):
+        path, raw = self._saved_model(tmp_path, small_dims)
+        raw[31:39] = (2**40).to_bytes(8, "little")
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="rank"):
+            load_model(path)
+
+    def test_model_trailing_bytes_rejected(self, tmp_path, small_dims):
+        path, raw = self._saved_model(tmp_path, small_dims)
+        path.write_bytes(raw + bytes(16))
+        with pytest.raises(ValueError, match="trailing"):
+            load_model(path)
+
+    def test_model_flipped_orientation_rejected(self, tmp_path, small_dims):
+        path, raw = self._saved_model(tmp_path, small_dims)
+        raw[39] = 1
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="orthonormal"):
+            load_model(path)
+
+    def test_block_sparse_truncated_counts_rejected(self, tmp_path, small_dims, small_omega):
+        x = BlockSparseMatrix(small_dims, small_omega, np.ones(small_omega.total_size))
+        path = tmp_path / "x.nutf"
+        save_block_sparse(path, x)
+        path.write_bytes(path.read_bytes()[:45])  # header plus 5 of the 16 count bytes
+        with pytest.raises(ValueError, match="truncated"):
+            load_block_sparse(path)
+
+    def test_block_sparse_trailing_bytes_rejected(self, tmp_path, small_dims, small_omega):
+        x = BlockSparseMatrix(small_dims, small_omega, np.ones(small_omega.total_size))
+        path = tmp_path / "x.nutf"
+        save_block_sparse(path, x)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(ValueError, match="trailing"):
+            load_block_sparse(path)
+
+
 class TestJsonl:
     def test_candidate_sets_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -46,8 +46,9 @@ class TestSolverConfig:
 class TestInitX:
     def test_uniform_blocks(self, small_omega, small_dims):
         x = init_x(small_omega, small_dims)
-        assert x.block_values(0, 3).tolist() == [1.0]  # singleton
-        assert np.allclose(x.block_values(1, 1), 1.0 / 3.0)
+        blocks = dict(zip(small_omega.to_dict(), np.split(x.values, small_omega.block_ptr[1:-1])))
+        assert blocks[(0, 3)].tolist() == [1.0]  # singleton
+        assert np.allclose(blocks[(1, 1)], 1.0 / 3.0)
 
     def test_size_four_block(self):
         omega = CandidateSets.from_dict({(0, 0): [0, 1, 2, 3]})
@@ -146,7 +147,7 @@ class TestFit:
 
     def test_deterministic_reruns(self):
         omega, dims = planted_instance(5, n=12, t=5, c=4, classes=3)
-        cfg = SolverConfig(rank=3, outer_iters=6, tol=0.0, seed=9, deterministic=True)
+        cfg = SolverConfig(rank=3, outer_iters=6, tol=0.0, seed=9)
         x1, m1, t1 = fit(omega, dims, cfg)
         x2, m2, t2 = fit(omega, dims, cfg)
         assert np.array_equal(x1.values, x2.values)
@@ -247,10 +248,18 @@ class TestPredictTopk:
         rng = np.random.default_rng(13)
         dims = ProblemDims(6, 3, 5)
         q, _ = np.linalg.qr(rng.standard_normal((6, 2)))
-        model = LowRankModel(dims, q=q, c=rng.standard_normal((2, 15)))
-        cats = predict_topk(model, 2, 1, 5)
-        scores = [model.q[2] @ model.c[:, 1 * 5 + k] for k in cats]
-        assert all(s1 >= s2 - 1e-15 for s1, s2 in zip(scores, scores[1:]))
+        qt, _ = np.linalg.qr(rng.standard_normal((15, 2)))
+        models = [
+            LowRankModel(dims, q=q, c=rng.standard_normal((2, 15))),
+            LowRankModel(dims, q=qt, c=rng.standard_normal((2, 6)), transposed=True),
+            LowRankModel(dims, q=np.empty((6, 0)), c=np.empty((0, 15))),
+        ]
+        for model in models:
+            y = (model.q @ model.c).T if model.transposed else model.q @ model.c
+            cats = predict_topk(model, 2, 1, 5)
+            assert sorted(cats.tolist()) == list(range(5))
+            scores = [y[2, 1 * 5 + k] for k in cats]
+            assert all(s1 >= s2 - 1e-15 for s1, s2 in zip(scores, scores[1:]))
 
     def test_index_validation(self):
         model, _, _ = self._one_hot_model()
