@@ -45,6 +45,8 @@ class LocationUpdate:
     utc_offset_minutes: int
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.timestamp_utc):
+            raise ValueError(f"timestamp {self.timestamp_utc} must be finite")
         if not -90.0 <= self.lat <= 90.0:
             raise ValueError(f"latitude {self.lat} out of bounds")
         if not -180.0 <= self.lon <= 180.0:
@@ -66,8 +68,8 @@ class Venue:
             raise ValueError(f"latitude {self.lat} out of bounds")
         if not -180.0 <= self.lon <= 180.0:
             raise ValueError(f"longitude {self.lon} out of bounds")
-        if not self.radius_m > 0:
-            raise ValueError(f"venue radius {self.radius_m} must be > 0")
+        if not (math.isfinite(self.radius_m) and self.radius_m > 0):
+            raise ValueError(f"venue radius {self.radius_m} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -128,51 +130,50 @@ def dwell_filter(
     return [(upd, dwell) for _, upd, dwell in kept]
 
 
+def _unit_vectors(lat, lon) -> np.ndarray:
+    """Points on the unit sphere, shape (..., 3), for degree coordinates."""
+    phi, lam = np.radians(lat), np.radians(lon)
+    return np.stack([np.cos(phi) * np.cos(lam), np.cos(phi) * np.sin(lam), np.sin(phi)],
+                    axis=-1)
+
+
 class VenueIndex:
-    """Fixed geographic grid over the venue catalog (~0.01 degree cells).
+    """Venue catalog sorted by latitude, with each venue's unit vector.
 
-    Queries scan the neighbor cells out to the requested radius plus the
-    largest venue radius, then confirm each hit with the exact haversine
-    test, so results match a brute-force scan.
+    A query's reach is its radius plus the largest venue radius. It
+    scans the latitude band that reach allows (a great-circle distance is
+    never less than the meridian distance), keeps the venues within the
+    matching unit-sphere chord, and confirms each with the exact haversine
+    test. Both filters only over-include, so results match a brute-force
+    scan everywhere, poles and antimeridian included.
     """
-
-    CELL_DEG = 0.01
-    _M_PER_DEG = EARTH_RADIUS_M * math.pi / 180.0
 
     def __init__(self, venues: Sequence[Venue]):
         self.venues = list(venues)
         self.max_radius_m = max((v.radius_m for v in self.venues), default=0.0)
-        self._cells: dict[tuple[int, int], list[int]] = {}
-        self._lon_cells = int(round(360.0 / self.CELL_DEG))
-        for idx, v in enumerate(self.venues):
-            self._cells.setdefault(self._cell_of(v.lat, v.lon), []).append(idx)
-
-    def _cell_of(self, lat: float, lon: float) -> tuple[int, int]:
-        return (
-            int(math.floor(lat / self.CELL_DEG)),
-            int(math.floor(lon / self.CELL_DEG)) % self._lon_cells,
-        )
+        lat = np.array([v.lat for v in self.venues], dtype=float)
+        lon = np.array([v.lon for v in self.venues], dtype=float)
+        self._order = np.argsort(lat, kind="stable")
+        self._lats = lat[self._order]
+        self._xyz = _unit_vectors(self._lats, lon[self._order])
 
     def query(self, lat: float, lon: float, radius_m: float) -> list[int]:
         """Indices of venues whose circle intersects the query circle."""
-        if not self.venues:
-            return []
-        reach = radius_m + self.max_radius_m
-        dlat_cells = int(math.ceil(reach / self._M_PER_DEG / self.CELL_DEG)) + 1
-        cos_lat = math.cos(math.radians(min(89.99, abs(lat))))
-        dlon_deg = reach / (self._M_PER_DEG * max(cos_lat, 1e-9))
-        dlon_cells = int(math.ceil(dlon_deg / self.CELL_DEG)) + 1
-        dlon_cells = min(dlon_cells, self._lon_cells // 2 + 1)
-        lat0, lon0 = self._cell_of(lat, lon)
-        hits = []
-        for dl in range(-dlat_cells, dlat_cells + 1):
-            for dn in range(-dlon_cells, dlon_cells + 1):
-                cell = (lat0 + dl, (lon0 + dn) % self._lon_cells)
-                for idx in self._cells.get(cell, ()):
-                    v = self.venues[idx]
-                    if haversine_m(lat, lon, v.lat, v.lon) <= radius_m + v.radius_m:
-                        hits.append(idx)
-        return sorted(set(hits))
+        angle = min(math.pi, (radius_m + self.max_radius_m) / EARTH_RADIUS_M)
+        # Unit chord plus 1e-9 (~6 mm), far above its ~1e-16 rounding. The
+        # band comes from this chord, not from the angle: near antipodes the
+        # haversine angle is off by up to ~1e-8 rad, its chord by ~1e-16.
+        chord = 2.0 * math.sin(angle / 2.0) + 1e-9
+        band = math.degrees(2.0 * math.asin(min(1.0, chord / 2.0)))
+        lo = np.searchsorted(self._lats, lat - band, side="left")
+        hi = np.searchsorted(self._lats, lat + band, side="right")
+        diff = self._xyz[lo:hi] - _unit_vectors(lat, lon)
+        near = self._order[lo:hi][np.einsum("ij,ij->i", diff, diff) <= chord * chord]
+        venues = self.venues
+        return sorted(
+            i for i in near.tolist()
+            if haversine_m(lat, lon, venues[i].lat, venues[i].lon) <= radius_m + venues[i].radius_m
+        )
 
 
 def candidate_venues(update: LocationUpdate, index: VenueIndex) -> list[Venue]:

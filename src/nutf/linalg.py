@@ -20,7 +20,7 @@ from .core import BlockSparseMatrix, LowRankModel, model_support_values
 _FILL_SALT = 0x9E3779B97F4A7C15
 
 
-class NumericalError(RuntimeError):
+class NumericalError(ArithmeticError):
     """Raised when a kernel produces non-finite results."""
 
 

@@ -110,6 +110,19 @@ class TestFit:
         assert len(recs) == 3
         assert all(r["seconds"] > 0.0 for r in recs)
 
+    def test_numerical_error_exit_code(self, tmp_path, monkeypatch, capsys):
+        import nutf.solver
+        from nutf.linalg import NumericalError
+
+        def diverge(*args, **kwargs):
+            raise NumericalError("objective diverged at iteration 0")
+
+        monkeypatch.setattr(nutf.solver, "fit", diverge)
+        src = self._fixture(tmp_path)
+        rc = run(["fit", "--omega", str(src), "--out", str(tmp_path / "f")])
+        assert rc == EXIT_NUMERIC
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_rank_too_large_is_input_error(self, tmp_path):
         src = self._fixture(tmp_path)
         rc = run(["fit", "--omega", str(src), "--rank", "1000",
@@ -246,6 +259,31 @@ class TestPreprocess:
                   "--catmap", str(catmap), "--out", str(out)])
         assert rc == EXIT_INPUT
         assert "line 2" in capsys.readouterr().err
+
+    def test_nan_timestamp_names_line(self, tmp_path, capsys):
+        updates, venues, catmap = self._write_inputs(tmp_path, "v1,Bank,40.7582,-73.9860,25\n")
+        updates.write_text(updates.read_text().replace("90000", "nan"))
+        rc = run(["preprocess", "--updates", str(updates), "--venues", str(venues),
+                  "--catmap", str(catmap), "--out", str(tmp_path / "p")])
+        assert rc == EXIT_INPUT
+        assert f"{updates} line 3" in capsys.readouterr().err
+
+    def test_infinite_venue_radius_flag_is_input_error(self, tmp_path, capsys):
+        updates, venues, catmap = self._write_inputs(tmp_path, "v1,Bank,40.7582,-73.9860,25\n")
+        rc = run(["preprocess", "--updates", str(updates), "--venues", str(venues),
+                  "--catmap", str(catmap), "--venue-radius-m", "inf",
+                  "--out", str(tmp_path / "p")])
+        assert rc == EXIT_INPUT
+        assert "venue radius inf" in capsys.readouterr().err
+
+    def test_timings_cover_reads(self, tmp_path):
+        updates, venues, catmap = self._write_inputs(tmp_path, "v1,Bank,40.7582,-73.9860,25\n")
+        out = tmp_path / "p"
+        assert run(["preprocess", "--updates", str(updates), "--venues", str(venues),
+                    "--catmap", str(catmap), "--out", str(out)]) == EXIT_OK
+        timings = json.loads((out / "timings.json").read_text())
+        assert set(timings) == {"read_s", "preprocess_s"}
+        assert timings["read_s"] > 0.0
 
 
 class TestBench:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nutf.ingest import (
     EARTH_RADIUS_M,
@@ -79,6 +79,32 @@ class TestDwellFilter:
         assert [k.timestamp_utc for k, _ in kept] == [0]
 
 
+LATITUDES = st.one_of(st.sampled_from([-90.0, 90.0]), st.floats(-90.0, 90.0))
+LONGITUDES = st.one_of(st.sampled_from([-180.0, 180.0]), st.floats(179.99, 180.0),
+                       st.floats(-180.0, -179.99), st.floats(-180.0, 180.0))
+
+
+@st.composite
+def sphere_queries(draw):
+    """(lat, lon, radius_m, venues) anywhere on the sphere: poles, the
+    antimeridian, venues clustered around the query, duplicate coordinates,
+    zero query radius, radii up to beyond half the circumference, and the
+    empty catalog."""
+    lat, lon = draw(LATITUDES), draw(LONGITUDES)
+    step = st.floats(-0.01, 0.01)
+    nearby = st.tuples(step, step).map(lambda d: (
+        min(90.0, max(-90.0, lat + d[0])), (lon + d[1] + 180.0) % 360.0 - 180.0,
+    ))
+    coords = draw(st.lists(st.one_of(st.tuples(LATITUDES, LONGITUDES), nearby), max_size=12))
+    if coords:
+        coords += draw(st.lists(st.sampled_from(coords), max_size=4))
+    radii = st.one_of(st.floats(1e-3, 500.0), st.floats(1e-3, 2.5e7))
+    venues = [Venue(f"v{i}", "c", vlat, vlon, draw(radii))
+              for i, (vlat, vlon) in enumerate(coords)]
+    radius = draw(st.one_of(st.just(0.0), st.floats(0.0, 5e3), st.floats(0.0, 2.5e7)))
+    return lat, lon, radius, venues
+
+
 class TestCandidateVenues:
     def test_venue_at_exact_coordinates(self):
         v = Venue("v", "cafe", 10.0, 20.0, 5.0)
@@ -121,6 +147,31 @@ class TestCandidateVenues:
                 if haversine_m(lat, lon, v.lat, v.lon) <= err + v.radius_m
             ]
             assert got == expect
+
+    def test_polar_neighbour_across_meridians(self):
+        # 222.4 m apart across the pole; the old 0.01-degree grid's polar
+        # clamp kept its longitude scan too narrow and missed this venue
+        v = Venue("v", "c", 89.999, 170.0, 10.0)
+        assert haversine_m(89.999, -10.0, 89.999, 170.0) == pytest.approx(222.39, abs=0.01)
+        assert VenueIndex([v]).query(89.999, -10.0, 300.0) == [0]
+
+    @settings(max_examples=300)
+    @given(sphere_queries())
+    @example((0.0, 0.0, 2.5e7, []))
+    @example((90.0, 180.0, 0.0, [Venue("a", "c", 90.0, -180.0, 1.0),
+                                 Venue("b", "c", 90.0, 0.0, 1.0)]))
+    # near-antipodal boundary: the query radius equals the haversine
+    # distance minus the venue radius, where the haversine angle is
+    # ill-conditioned and a latitude band taken from it alone is too narrow
+    @example((89.99999999976397, -92.07811695512129, 19531679.37359643,
+              [Venue("v", "c", -89.9999959411595, 126.6379556341588, 483406.95733806404)]))
+    def test_query_matches_brute_force_on_sphere(self, case):
+        lat, lon, radius, venues = case
+        expect = [
+            i for i, v in enumerate(venues)
+            if haversine_m(lat, lon, v.lat, v.lon) <= radius + v.radius_m
+        ]
+        assert VenueIndex(venues).query(lat, lon, radius) == expect
 
 
 class TestSlotOf:
@@ -323,6 +374,25 @@ class TestCsvReaders:
         m.write_text("raw_category,canonical_category\nBank,Bank\nBank,Food\n")
         with pytest.raises(InputDataError, match="line 3"):
             read_category_map_csv(m)
+
+    @pytest.mark.parametrize("stamp", ["nan", "inf"])
+    def test_updates_non_finite_timestamp_names_line(self, tmp_path, stamp):
+        # a nan stamp used to drop itself and its predecessor from the dwell
+        # filter; an inf stamp gave its predecessor an infinite dwell
+        p = tmp_path / "u.csv"
+        p.write_text(
+            "user_id,timestamp_utc,lat,lon,error_radius_m,utc_offset_minutes\n"
+            "a,100,40.0,-73.5,50,0\n"
+            f"a,{stamp},40.0,-73.5,50,0\n"
+        )
+        with pytest.raises(InputDataError, match="line 3"):
+            read_updates_csv(p)
+
+    def test_venue_radius_must_be_finite(self, tmp_path):
+        v = tmp_path / "v.csv"
+        v.write_text("venue_id,category,lat,lon,radius_m\nv1,Bank,40,-73,25\nv2,Bank,40,-73,inf\n")
+        with pytest.raises(InputDataError, match="line 3"):
+            read_venues_csv(v)
 
     def test_venue_radius_must_be_positive(self, tmp_path):
         v = tmp_path / "v.csv"
