@@ -166,6 +166,9 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         min_dwell_s=float(cfg["min_dwell_min"]) * 60.0,
         other_category=cfg["other_category"],
     )
+    if result.before_window:
+        print(f"warning: dropped {result.before_window} update(s) before the window start "
+              f"{scheme.epoch_day}", file=sys.stderr)
     out = _out_dir(cfg)
     serialize.write_candidate_sets_jsonl(out / "omega.jsonl", result.omega)
     if result.dims is None:

@@ -14,11 +14,13 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .parallel import run_chunks
+
 _I64_MAX = np.iinfo(np.int64).max
 
-# Chunk length for streaming per-entry inner products; bounds temp memory
-# to ~chunk * rank * 8 bytes.
-_ENTRY_CHUNK = 1 << 20
+# Entries per materialization chunk: the chunk's two (entries x rank)
+# gathers are still in cache when the inner products read them.
+_ENTRY_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -296,18 +298,22 @@ class LowRankModel:
 def model_support_values(model: LowRankModel, support: CandidateSets) -> np.ndarray:
     """Completion values at every support entry, in support order.
 
-    Streams in chunks so the (entries x rank) gather never exceeds a few
-    hundred MB even at millions of entries.
+    Works in chunks of ``_ENTRY_CHUNK`` entries on
+    :func:`nutf.parallel.run_chunks`; each entry is one inner product, so
+    the output does not depend on the chunking.
     """
     _, cols, rows = support.csr_structure(model.dims)
     n = len(cols)
     out = np.empty(n, dtype=np.float64)
     u, v = model.user_factor, model.col_factor
-    for start in range(0, n, _ENTRY_CHUNK):
-        sl = slice(start, min(start + _ENTRY_CHUNK, n))
+
+    def materialize_chunk(lo: int, hi: int) -> None:
         # without optimize=True the low bits of the sums change, and with
         # them the bytes fit writes
-        np.einsum("er,er->e", u[rows[sl]], v[cols[sl]], out=out[sl], optimize=True)
+        np.einsum("er,er->e", np.take(u, rows[lo:hi], axis=0), np.take(v, cols[lo:hi], axis=0),
+                  out=out[lo:hi], optimize=True)
+
+    run_chunks(materialize_chunk, [*range(0, n, _ENTRY_CHUNK), n])
     return out
 
 

@@ -192,6 +192,16 @@ def slot_of(timestamp_utc: float, utc_offset_minutes: int, scheme: SlotScheme) -
     scheme's epoch day (after the midnight-straddle adjustment) are
     outside the window and rejected.
     """
+    slot = _signed_slot(timestamp_utc, utc_offset_minutes, scheme)
+    if slot < 0:
+        raise ValueError(
+            f"timestamp {timestamp_utc} falls before the window start {scheme.epoch_day}"
+        )
+    return slot
+
+
+def _signed_slot(timestamp_utc: float, utc_offset_minutes: int, scheme: SlotScheme) -> int:
+    """:func:`slot_of` without the window check: negative before the epoch day."""
     local = timestamp_utc + utc_offset_minutes * 60.0
     day = math.floor(local / 86400.0)
     sec_of_day = local - day * 86400.0
@@ -208,12 +218,7 @@ def slot_of(timestamp_utc: float, utc_offset_minutes: int, scheme: SlotScheme) -
         else:
             binned = bisect_right(_DAYPART_EDGES, hour) - 1
     epoch_days = (scheme.epoch_day - dt.date(1970, 1, 1)).days
-    slot = (day - epoch_days) * scheme.bins_per_day + binned
-    if slot < 0:
-        raise ValueError(
-            f"timestamp {timestamp_utc} falls before the window start {scheme.epoch_day}"
-        )
-    return slot
+    return (day - epoch_days) * scheme.bins_per_day + binned
 
 
 @dataclass
@@ -222,6 +227,8 @@ class IngestResult:
     dims: ProblemDims | None  # None when no update produced a candidate set
     user_ids: list[str]
     category_names: list[str]
+    # updates dropped because their local time falls before the epoch day
+    before_window: int = 0
 
 
 def build_candidate_sets(
@@ -235,8 +242,10 @@ def build_candidate_sets(
     """Run the full ingestion pipeline.
 
     Updates are sorted per user by timestamp, dwell-filtered, assigned to
-    slots, deduplicated per (user, slot) by keeping the longest dwell
-    (ties keep the earliest), and intersected with the venue catalog.
+    slots (those before the window are dropped and counted in
+    ``before_window``), deduplicated per (user, slot) by keeping the
+    longest dwell (ties keep the earliest), and intersected with the venue
+    catalog.
     Venue categories map through ``category_map``; unknown raw categories
     raise unless ``other_category`` provides a fallback canonical name.
 
@@ -253,8 +262,12 @@ def build_candidate_sets(
 
     # longest dwell wins each (user, slot); ties keep the earlier update
     best: dict[tuple[str, int], tuple[LocationUpdate, float]] = {}
+    before_window = 0
     for upd, dwell in with_dwell:
-        slot = slot_of(upd.timestamp_utc, upd.utc_offset_minutes, scheme)
+        slot = _signed_slot(upd.timestamp_utc, upd.utc_offset_minutes, scheme)
+        if slot < 0:
+            before_window += 1
+            continue
         key = (upd.user_id, slot)
         cur = best.get(key)
         if cur is None or dwell > cur[1]:
@@ -282,6 +295,7 @@ def build_candidate_sets(
             dims=None,
             user_ids=[],
             category_names=canonical,
+            before_window=before_window,
         )
 
     user_ids = sorted({uid for uid, _ in blocks})
@@ -291,7 +305,8 @@ def build_candidate_sets(
         (user_index[uid], slot, sorted(cats)) for (uid, slot), cats in blocks.items()
     )
     dims = ProblemDims(len(user_ids), n_slots, len(canonical))
-    return IngestResult(omega=omega, dims=dims, user_ids=user_ids, category_names=canonical)
+    return IngestResult(omega=omega, dims=dims, user_ids=user_ids, category_names=canonical,
+                        before_window=before_window)
 
 
 # -- CSV readers ---------------------------------------------------------

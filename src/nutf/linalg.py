@@ -121,13 +121,13 @@ def sparse_lowrank_approx(
         raise ValueError(f"rank {cfg.rank} exceeds min(N, T*C) = {min_side}")
     transposed = dims.n_users < dims.n_cols
 
-    csr = x.to_csr()
-    a = csr.T if transposed else csr
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     fill_rng = np.random.Generator(np.random.Philox(key=cfg.seed ^ _FILL_SALT))
     r_test = rng.standard_normal((min_side, cfg.rank))
 
     t0 = time.perf_counter()
+    csr = x.to_csr()
+    a = csr.T if transposed else csr
     b = np.asarray(a @ r_test)
     _record(timings, "spmm", t0)
     t0 = time.perf_counter()

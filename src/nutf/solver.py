@@ -124,7 +124,10 @@ def fit(
     ``on_iteration(iter, x, model, objective)`` is invoked after every
     completed iteration (instrumentation, e.g. feasibility audits).
     """
+    t0 = time.perf_counter()
     x = init_x(omega, dims)
+    if timings is not None:
+        timings["init"] = timings.get("init", 0.0) + (time.perf_counter() - t0)
     trace = SolverTrace()
     prev_obj: float | None = None
     for it in range(1, cfg.outer_iters + 1):
@@ -137,12 +140,14 @@ def fit(
         new_x = update_x(y_support, omega, dims)
         t2 = time.perf_counter()
         objective = frobenius_gap(new_x, model, y_support=y_support)
+        t3 = time.perf_counter()
         x_delta = float(np.linalg.norm(new_x.values - x.values))
         x = new_x
-        trace.append(objective, time.perf_counter() - t0, x_delta)
+        t4 = time.perf_counter()
+        trace.append(objective, t4 - t0, x_delta)
         if timings is not None:
-            timings["project"] = timings.get("project", 0.0) + (t2 - t1)
-            timings["gap"] = timings.get("gap", 0.0) + (time.perf_counter() - t2)
+            for key, seconds in (("project", t2 - t1), ("gap", t3 - t2), ("delta", t4 - t3)):
+                timings[key] = timings.get(key, 0.0) + seconds
         if not np.isfinite(objective):
             raise NumericalError(f"objective diverged at iteration {it}")
         if on_iteration is not None:

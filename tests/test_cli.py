@@ -110,6 +110,17 @@ class TestFit:
         assert len(recs) == 3
         assert all(r["seconds"] > 0.0 for r in recs)
 
+    def test_timings_cover_solver_steps(self, tmp_path):
+        src = self._fixture(tmp_path)
+        out = tmp_path / "f"
+        assert run(["fit", "--omega", str(src), "--rank", "4", "--iters", "3",
+                    "--seed", "2", "--out", str(out)]) == EXIT_OK
+        timings = json.loads((out / "timings.json").read_text())
+        assert set(timings) == {"init", "spmm", "qr", "materialize", "project", "gap",
+                                "delta", "fit_total_s", "per_iteration_s"}
+        steps = sum(v for k, v in timings.items() if k not in ("fit_total_s", "per_iteration_s"))
+        assert 0.0 < steps <= timings["fit_total_s"]
+
     def test_numerical_error_exit_code(self, tmp_path, monkeypatch, capsys):
         import nutf.solver
         from nutf.linalg import NumericalError
@@ -284,6 +295,23 @@ class TestPreprocess:
         timings = json.loads((out / "timings.json").read_text())
         assert set(timings) == {"read_s", "preprocess_s"}
         assert timings["read_s"] > 0.0
+
+
+    def test_update_before_window_dropped_with_warning(self, tmp_path, capsys):
+        updates, venues, catmap = self._write_inputs(
+            tmp_path, "v1,Pizza Place,40.7580,-73.9850,30\nv2,Bank,40.7582,-73.9860,25\n",
+        )
+        # 00:30 local on the epoch day belongs to the previous day's last daypart
+        updates.write_text(updates.read_text().replace(
+            "alice,86400,40.7580,-73.9855,100,-300", "alice,1800,40.7580,-73.9855,100,0"))
+        out = tmp_path / "p"
+        rc = run(["preprocess", "--updates", str(updates), "--venues", str(venues),
+                  "--catmap", str(catmap), "--epoch-day", "1970-01-01",
+                  "--out", str(out)])
+        assert rc == EXIT_OK
+        assert ("warning: dropped 1 update(s) before the window start 1970-01-01"
+                in capsys.readouterr().err)
+        assert (out / "omega.jsonl").read_text().splitlines() == ['{"u":0,"j":7,"cats":[0,1]}']
 
 
 class TestBench:

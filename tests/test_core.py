@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from nutf import core
 from nutf.core import (
     BlockSparseMatrix,
     CandidateSets,
@@ -257,6 +258,22 @@ class TestLowRankModel:
                     expected = y[i, j * small_dims.n_categories + int(cat)]
                     assert vals[k] == pytest.approx(expected, abs=1e-12)
                     k += 1
+
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_support_values_over_chunks_match_dot_bytes(self, monkeypatch, transposed):
+        # 7-entry chunks: the support spans dozens of them, run on the pool
+        monkeypatch.setattr(core, "_ENTRY_CHUNK", 7)
+        dims = ProblemDims(12 if transposed else 40, 6, 5)
+        rng = np.random.default_rng(17)
+        omega = random_omega(rng, dims.n_users, dims.n_slots, dims.n_categories, p_block=0.7)
+        model = _random_model(rng, dims, 3, transposed=transposed)
+        assert model.transposed == (dims.n_users < dims.n_cols)
+        _, cols, rows = omega.csr_structure(dims)
+        assert len(cols) > 20 * core._ENTRY_CHUNK
+        expected = np.array([np.dot(model.col_factor[c], model.user_factor[r])
+                             for r, c in zip(rows, cols)])
+        assert model_support_values(model, omega).tobytes() == expected.tobytes()
 
 
 class TestFrobeniusGap:

@@ -315,6 +315,21 @@ class TestBuildCandidateSets:
         assert res.category_names == ["Bank", "Food", "Other", "Work"]
         assert res.omega.to_dict() == {(0, 1): [2]}
 
+    def test_updates_before_window_dropped_and_counted(self):
+        updates = [
+            upd("u", 1800, 0, 0, 500, 0),      # 00:30 on the epoch day: slot -1
+            upd("u", 7 * 3600, 0, 0, 500, 0),
+            upd("u", 10 * 3600, 0, 0, 10, 0),
+        ]
+        venues = [Venue("b1", "Bank", 0.0, 0.0, 30)]
+        with pytest.raises(ValueError, match="before the window start"):
+            slot_of(1800, 0, self.SCHEME)
+        res = build_candidate_sets(updates, venues, self.SCHEME, CATMAP, 60)
+        assert res.before_window == 1
+        assert res.omega.to_dict() == {(0, 1): [0]}
+        only_early = build_candidate_sets(updates[:2], venues, self.SCHEME, CATMAP, 60)
+        assert only_early.before_window == 1 and only_early.dims is None
+
     def test_pipeline_deterministic(self):
         updates, venues = nyc_fixture()
         a = build_candidate_sets(updates, venues, self.SCHEME, CATMAP, 20 * 60)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nutf import simplex
 from nutf.simplex import project_blocks, project_simplex
 
 
@@ -156,3 +157,75 @@ class TestProjectBlocks:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             project_blocks(np.array([1.0, np.nan]), np.array([0, 2]))
+
+    @pytest.mark.parametrize("ptr", [[], [0, 2], [1, 3], [0, 4]])
+    def test_rejects_ptr_not_covering_values(self, ptr):
+        # an uncovered entry would be returned uninitialized
+        with pytest.raises(ValueError, match="block_ptr"):
+            project_blocks(np.full(3, 0.5), np.array(ptr, dtype=np.int64))
+
+
+def per_block_reference(values, ptr):
+    """project_simplex applied block by block: the byte-level oracle."""
+    return np.concatenate([project_simplex(values[ptr[b]:ptr[b + 1]])
+                           for b in range(len(ptr) - 1)])
+
+
+def with_edge_blocks(values, ptr, rng):
+    """Plant already-feasible blocks, signed zeros and negatives."""
+    values = values.copy()
+    for b in range(0, len(ptr) - 1, 3):
+        blk = slice(ptr[b], ptr[b + 1])
+        kind = b // 3 % 4
+        if kind == 0:  # feasible: kept as is
+            values[blk] = rng.dirichlet(np.ones(ptr[b + 1] - ptr[b]))
+        elif kind == 1:  # feasible with a -0.0 that must survive
+            values[blk] = 0.0
+            values[ptr[b]] = 1.0
+            values[ptr[b + 1] - 1] = -0.0 if ptr[b + 1] - ptr[b] > 1 else 1.0
+        elif kind == 2:  # infeasible with signed zeros
+            values[blk] = np.where(rng.random(ptr[b + 1] - ptr[b]) < 0.5, -0.0, 0.0)
+        else:  # all negative
+            values[blk] = -rng.uniform(0.1, 3.0, ptr[b + 1] - ptr[b])
+    return values
+
+
+class TestProjectBlocksChunked:
+    """Chunked, threaded projection equals the per-block loop byte for byte."""
+
+    def test_uniform_blocks_over_several_chunks(self, monkeypatch):
+        # 64-entry chunks: 16 blocks of 4 each, so 2,001 blocks span 126 chunks
+        monkeypatch.setattr(simplex, "_PROJECT_CHUNK", 64)
+        rng = np.random.default_rng(41)
+        ptr = np.arange(0, 4 * 2001 + 1, 4, dtype=np.int64)
+        values = with_edge_blocks(rng.uniform(-1.0, 1.5, size=int(ptr[-1])), ptr, rng)
+        out = project_blocks(values, ptr)
+        assert out.tobytes() == per_block_reference(values, ptr).tobytes()
+        assert np.signbit(out).any()  # a planted feasible -0.0 came through
+
+    def test_mixed_sizes_over_several_chunks(self, monkeypatch):
+        # 50-entry chunks whose edges fall inside blocks of up to 12 entries
+        monkeypatch.setattr(simplex, "_PROJECT_CHUNK", 50)
+        rng = np.random.default_rng(42)
+        sizes = rng.integers(1, 13, size=1500)
+        ptr = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=ptr[1:])
+        values = with_edge_blocks(rng.uniform(-2.0, 2.0, size=int(ptr[-1])), ptr, rng)
+        assert (sizes == 1).sum() > 50
+        out = project_blocks(values, ptr)
+        assert out.tobytes() == per_block_reference(values, ptr).tobytes()
+
+    def test_uniform_blocks_at_default_chunk_size(self):
+        rng = np.random.default_rng(43)
+        n_blocks = 2 * simplex._PROJECT_CHUNK // 4 + 7
+        ptr = np.arange(0, 4 * n_blocks + 1, 4, dtype=np.int64)
+        values = with_edge_blocks(rng.uniform(-1.0, 1.5, size=int(ptr[-1])), ptr, rng)
+        out = project_blocks(values, ptr)
+        assert out.tobytes() == per_block_reference(values, ptr).tobytes()
+
+    def test_nonfinite_in_a_later_chunk_rejected(self, monkeypatch):
+        monkeypatch.setattr(simplex, "_PROJECT_CHUNK", 8)
+        values = np.full(40, 0.25)
+        values[37] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            project_blocks(values, np.arange(0, 41, 4))

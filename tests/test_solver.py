@@ -1,6 +1,11 @@
+import math
+import os
+import sys
+
 import numpy as np
 import pytest
 
+from nutf import core, parallel
 from nutf.core import BlockSparseMatrix, CandidateSets, LowRankModel, ProblemDims
 from nutf.solver import (
     SolverConfig,
@@ -267,3 +272,52 @@ class TestPredictTopk:
             predict_topk(model, 4, 0, 1)
         with pytest.raises(ValueError):
             predict_topk(model, 0, 2, 1)
+
+
+def multi_chunk_instance(seed, n=5000, t=8, c=6):
+    """Every (user, slot) with 1..c random categories: |Omega| ~ 140k, which
+    spans several projection and materialization chunks."""
+    rng = np.random.default_rng(seed)
+    nb = n * t
+    sizes = rng.integers(1, c + 1, size=nb)
+    taken = np.arange(c)[None, :] < sizes[:, None]
+    perm = np.argsort(rng.random((nb, c)), axis=1)
+    chosen = np.sort(np.where(taken, perm, c), axis=1)  # picks first, ascending
+    ptr = np.zeros(nb + 1, dtype=np.int64)
+    np.cumsum(sizes, out=ptr[1:])
+    omega = CandidateSets(np.repeat(np.arange(n), t), np.tile(np.arange(t), n), ptr,
+                          chosen[taken])
+    return omega, ProblemDims(n, t, c)
+
+
+class TestThreadedKernels:
+    def test_fit_bytes_independent_of_cpu_count(self, monkeypatch):
+        omega, dims = multi_chunk_instance(5)
+        cfg = SolverConfig(rank=4, outer_iters=3, power_iters=2, tol=0.0, seed=9)
+        pools = []
+
+        class RecordingPool(parallel.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", RecordingPool)
+
+        def fit_bytes(cpus):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            x, model, _ = fit(omega, dims, cfg)
+            return x.values.tobytes(), model.q.tobytes(), model.c.tobytes()
+
+        one_cpu = fit_bytes(1)
+        assert pools == []  # one usable CPU: every chunk ran inline
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            eight_cpus = fit_bytes(8)  # more workers than this machine has cores
+        finally:
+            sys.setswitchinterval(interval)
+        assert one_cpu == eight_cpus
+        materialize_chunks = math.ceil(omega.total_size / core._ENTRY_CHUNK)
+        assert min(8, materialize_chunks) in pools
+        assert max(pools) <= 8
