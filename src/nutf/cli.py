@@ -171,27 +171,21 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
               f"{scheme.epoch_day}", file=sys.stderr)
     out = _out_dir(cfg)
     serialize.write_candidate_sets_jsonl(out / "omega.jsonl", result.omega)
-    if result.dims is None:
-        serialize.write_index_maps(out / "index_maps.json", 0, 0,
-                                   len(result.category_names),
-                                   user_ids=[], category_names=result.category_names)
-        _write_manifest(out, "preprocess", cfg)
-        _write_timings(out, {"read_s": read_s, "preprocess_s": time.perf_counter() - t0})
-        print("warning: no update produced a candidate set; omega is empty",
-              file=sys.stderr)
-        return EXIT_OK
     dims = result.dims
+    n_users, n_slots = (dims.n_users, dims.n_slots) if dims else (0, 0)
     serialize.write_index_maps(
-        out / "index_maps.json", dims.n_users, dims.n_slots, dims.n_categories,
+        out / "index_maps.json", n_users, n_slots, len(result.category_names),
         user_ids=result.user_ids, category_names=result.category_names,
     )
     _write_manifest(out, "preprocess", cfg)
     _write_timings(out, {"read_s": read_s, "preprocess_s": time.perf_counter() - t0})
-    sizes = result.omega.block_sizes
-    print(
-        f"N={dims.n_users} T={dims.n_slots} C={dims.n_categories} "
-        f"|Omega|={result.omega.total_size} mean|Omega_ij|={sizes.mean():.2f}"
-    )
+    if dims is None:
+        print("warning: no update produced a candidate set; omega is empty", file=sys.stderr)
+    else:
+        print(
+            f"N={n_users} T={n_slots} C={dims.n_categories} |Omega|={result.omega.total_size} "
+            f"mean|Omega_ij|={result.omega.block_sizes.mean():.2f}"
+        )
     return EXIT_OK
 
 

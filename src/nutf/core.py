@@ -17,6 +17,7 @@ import numpy as np
 from .parallel import run_chunks
 
 _I64_MAX = np.iinfo(np.int64).max
+_I32_MAX = np.iinfo(np.int32).max
 
 # Entries per materialization chunk: the chunk's two (entries x rank)
 # gathers are still in cache when the inner products read them.
@@ -60,16 +61,17 @@ class CandidateSets:
         block_ptr: int64 array of length n_blocks+1; block b owns
             ``cats[block_ptr[b]:block_ptr[b+1]]``.
         cats: int64 array of category indices, concatenated per block.
+        block_sizes: int64 array, candidate count per block.
     """
 
-    __slots__ = ("block_users", "block_slots", "block_ptr", "cats", "_csr_cache")
+    __slots__ = ("block_users", "block_slots", "block_ptr", "cats", "block_sizes", "_csr_cache")
 
     def __init__(self, block_users, block_slots, block_ptr, cats):
         self.block_users = np.ascontiguousarray(block_users, dtype=np.int64)
         self.block_slots = np.ascontiguousarray(block_slots, dtype=np.int64)
         self.block_ptr = np.ascontiguousarray(block_ptr, dtype=np.int64)
         self.cats = np.ascontiguousarray(cats, dtype=np.int64)
-        self._csr_cache: tuple | None = None
+        self._csr_cache: tuple = (None,)  # (dims, indptr, cols, rows) once built
         self._check_structure()
 
     def _check_structure(self) -> None:
@@ -78,7 +80,7 @@ class CandidateSets:
             raise ValueError("block index arrays have inconsistent lengths")
         if self.block_ptr[0] != 0 or self.block_ptr[-1] != len(self.cats):
             raise ValueError("block_ptr does not cover the category array")
-        sizes = np.diff(self.block_ptr)
+        self.block_sizes = sizes = np.diff(self.block_ptr)
         if nb and sizes.min() < 1:
             raise ValueError("empty candidate sets are not representable; drop the block")
         if nb:
@@ -127,10 +129,6 @@ class CandidateSets:
         """Total number of candidate entries, |Omega|."""
         return len(self.cats)
 
-    @property
-    def block_sizes(self) -> np.ndarray:
-        return np.diff(self.block_ptr)
-
     def items(self) -> Iterator[tuple[tuple[int, int], np.ndarray]]:
         """Yield ((user, slot), categories) per block, in storage order."""
         for b in range(self.n_blocks):
@@ -143,13 +141,18 @@ class CandidateSets:
         return {key: cats.tolist() for key, cats in self.items()}
 
     def validate_dims(self, dims: ProblemDims) -> None:
-        if self.n_blocks == 0:
+        """Raise ValueError if an index falls outside dims.
+
+        Free for the dims of the cached layout, which were checked when it
+        was built.
+        """
+        if self._csr_cache[0] == dims:
             return
-        if self.block_users.max() >= dims.n_users:
+        if self.block_users.max(initial=-1) >= dims.n_users:
             raise ValueError("user index exceeds n_users")
-        if self.block_slots.max() >= dims.n_slots:
+        if self.block_slots.max(initial=-1) >= dims.n_slots:
             raise ValueError("slot index exceeds n_slots")
-        if len(self.cats) and self.cats.max() >= dims.n_categories:
+        if self.cats.max(initial=-1) >= dims.n_categories:
             raise ValueError("category index exceeds n_categories")
 
     # -- flattened views ------------------------------------------------
@@ -157,21 +160,23 @@ class CandidateSets:
     def csr_structure(self, dims: ProblemDims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(indptr, unfolded column indices, row index per entry).
 
-        Cached: the support is shared by every iterate of a solve, so the
-        expensive expansion happens once.
+        Built and checked against dims once, then cached: the support is
+        shared by every iterate of a solve. The arrays are int32 when N,
+        T*C and |Omega| all fit, else int64, the index dtype scipy keeps
+        as-is, so CSR views over them copy nothing.
         """
-        key = (dims.n_users, dims.n_cols)
-        if self._csr_cache is not None and self._csr_cache[0] == key:
-            return self._csr_cache[1], self._csr_cache[2], self._csr_cache[3]
+        if self._csr_cache[0] == dims:
+            return self._csr_cache[1:]
         self.validate_dims(dims)
+        idx = np.int32 if max(dims.n_users, dims.n_cols, self.total_size) <= _I32_MAX \
+            else np.int64
         sizes = self.block_sizes
-        entry_rows = np.repeat(self.block_users, sizes)
-        entry_cols = np.repeat(self.block_slots * dims.n_categories, sizes) + self.cats
-        counts = np.bincount(entry_rows, minlength=dims.n_users) if self.n_blocks else \
-            np.zeros(dims.n_users, dtype=np.int64)
-        indptr = np.zeros(dims.n_users + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        self._csr_cache = (key, indptr, entry_cols, entry_rows)
+        entry_rows = np.repeat(self.block_users.astype(idx), sizes)
+        entry_cols = np.repeat((self.block_slots * dims.n_categories).astype(idx), sizes)
+        entry_cols += self.cats
+        indptr = np.zeros(dims.n_users + 1, dtype=idx)
+        np.cumsum(np.bincount(entry_rows, minlength=dims.n_users), out=indptr[1:])
+        self._csr_cache = (dims, indptr, entry_cols, entry_rows)
         return indptr, entry_cols, entry_rows
 
 
@@ -196,8 +201,9 @@ class BlockSparseMatrix:
                 f"{self.support.total_size}"
             )
         self.support.validate_dims(self.dims)
-        if len(self.values) and self.values.min() < 0.0:
-            raise ValueError("negative entries violate the non-negativity constraint")
+        # written so that a NaN fails it too
+        if not self.values.min(initial=0.0) >= 0.0:
+            raise ValueError("negative or NaN entries violate the non-negativity constraint")
 
     def to_csr(self):
         """Zero-copy scipy CSR view over (dims, support, values)."""
@@ -210,15 +216,11 @@ class BlockSparseMatrix:
         )
 
     def block_sums(self) -> np.ndarray:
-        if self.support.n_blocks == 0:
-            return np.empty(0, dtype=np.float64)
         return np.add.reduceat(self.values, self.support.block_ptr[:-1])
 
     def max_block_sum_error(self) -> float:
         """max_b |sum(block b) - 1|; 0.0 when there are no blocks."""
-        if self.support.n_blocks == 0:
-            return 0.0
-        return float(np.abs(self.block_sums() - 1.0).max())
+        return float(np.abs(self.block_sums() - 1.0).max(initial=0.0))
 
     def to_dense(self, max_entries: int = 10_000_000) -> np.ndarray:
         """Materialize the full matrix; guarded against large instances."""
@@ -278,6 +280,8 @@ class LowRankModel:
         return float(np.abs(g - np.eye(self.rank)).max())
 
     def validate(self, tol: float = 1e-8) -> None:
+        if not (np.isfinite(self.q).all() and np.isfinite(self.c).all()):
+            raise ValueError("model factors hold non-finite values")
         err = self.orthonormality_error()
         if err > tol:
             raise ValueError(f"Q columns are not orthonormal: max deviation {err:.3e}")

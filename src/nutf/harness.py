@@ -161,19 +161,16 @@ def _replace_blocks_with_full(
 ) -> CandidateSets:
     """Copy omega with the given blocks' candidate sets widened to [0, C)."""
     c = dims.n_categories
-    full = np.arange(c, dtype=np.int64)
     masked = np.zeros(omega.n_blocks, dtype=bool)
     masked[block_ids] = True
-    pieces = []
-    for b in range(omega.n_blocks):
-        if masked[b]:
-            pieces.append(full)
-        else:
-            pieces.append(omega.cats[omega.block_ptr[b]:omega.block_ptr[b + 1]])
-    sizes = np.fromiter((len(p) for p in pieces), dtype=np.int64, count=len(pieces))
+    sizes = np.where(masked, c, omega.block_sizes)
     ptr = np.zeros(omega.n_blocks + 1, dtype=np.int64)
     np.cumsum(sizes, out=ptr[1:])
-    cats = np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
+    widened = np.repeat(masked, sizes)
+    cats = np.empty(ptr[-1], dtype=np.int64)
+    # a widened block's entries are its positions 0..C-1; the others keep theirs
+    cats[widened] = np.tile(np.arange(c, dtype=np.int64), np.count_nonzero(masked))
+    cats[~widened] = omega.cats[np.repeat(~masked, omega.block_sizes)]
     return CandidateSets(omega.block_users.copy(), omega.block_slots.copy(), ptr, cats)
 
 

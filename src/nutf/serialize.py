@@ -94,6 +94,8 @@ def load_block_sparse(path) -> BlockSparseMatrix:
         ptr = _read_array(fh, n_blocks + 1, "<i8")
         cats = _read_array(fh, total, "<i8")
         values = _read_array(fh, total, "<f8")
+    if not np.isfinite(values).all():
+        raise ValueError("snapshot holds non-finite values")
     return BlockSparseMatrix(dims, CandidateSets(users, slots, ptr, cats), values)
 
 

@@ -82,10 +82,8 @@ class SolverTrace:
 
 def init_x(omega: CandidateSets, dims: ProblemDims) -> BlockSparseMatrix:
     """Uniform-on-support start: each block gets 1/|Omega_ij| per entry."""
-    omega.validate_dims(dims)
     sizes = omega.block_sizes
-    values = np.repeat(1.0 / sizes, sizes) if omega.n_blocks else np.empty(0)
-    return BlockSparseMatrix(dims, omega, values)
+    return BlockSparseMatrix(dims, omega, np.repeat(1.0 / sizes, sizes))
 
 
 def update_x(
@@ -171,16 +169,11 @@ def dense_reference_fit(
     """
     if dims.n_users * dims.n_slots * dims.n_categories > 100_000:
         raise ValueError("instance too large for the dense reference solver")
-    omega.validate_dims(dims)
+    x = init_x(omega, dims).to_dense()
     if cfg.rank > min(dims.n_users, dims.n_cols):
         raise ValueError("rank exceeds min(N, T*C)")
 
     _, cols, rows = omega.csr_structure(dims)
-    x = np.zeros((dims.n_users, dims.n_cols))
-    sizes = omega.block_sizes
-    if omega.n_blocks:
-        x[rows, cols] = np.repeat(1.0 / sizes, sizes)
-
     trace = SolverTrace()
     prev_obj: float | None = None
     for _ in range(cfg.outer_iters):
@@ -188,8 +181,7 @@ def dense_reference_fit(
         u, s, vt = np.linalg.svd(x, full_matrices=False)
         y = (u[:, :cfg.rank] * s[:cfg.rank]) @ vt[:cfg.rank]
         new_x = np.zeros_like(x)
-        if omega.n_blocks:
-            new_x[rows, cols] = project_blocks(y[rows, cols], omega.block_ptr)
+        new_x[rows, cols] = project_blocks(y[rows, cols], omega.block_ptr)
         objective = float(np.linalg.norm(new_x - y) ** 2)
         x_delta = float(np.linalg.norm(new_x - x))
         x = new_x

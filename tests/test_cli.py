@@ -193,7 +193,8 @@ class TestPredictAndEval:
         payload = json.loads(capsys.readouterr().out.strip())
         assert payload["topk"] == [5]
 
-    @pytest.mark.parametrize("corrupt", ["huge_rank", "trailing_bytes", "flipped_orientation"])
+    @pytest.mark.parametrize(
+        "corrupt", ["huge_rank", "trailing_bytes", "flipped_orientation", "nan_q", "nan_c"])
     def test_eval_corrupt_model_is_input_error(self, tmp_path, corrupt):
         rng = np.random.default_rng(0)
         q, _ = np.linalg.qr(rng.standard_normal((5, 2)))
@@ -208,8 +209,12 @@ class TestPredictAndEval:
             raw[31:39] = (2**40).to_bytes(8, "little")
         elif corrupt == "trailing_bytes":
             raw += bytes(16)
-        else:
+        elif corrupt == "flipped_orientation":
             raw[39] = 1
+        else:
+            # q's payload starts after the 40-byte header, c's after q's 5 x 2 floats
+            offset = 40 if corrupt == "nan_q" else 120
+            raw[offset:offset + 8] = np.float64(np.nan).tobytes()
         path.write_bytes(raw)
         assert run(argv) == EXIT_INPUT
 
@@ -260,6 +265,19 @@ class TestPreprocess:
         assert rc == EXIT_OK
         assert "warning" in capsys.readouterr().err
         assert (out / "omega.jsonl").read_text() == ""
+
+    @pytest.mark.parametrize("venues_rows", ["", "v1,Pizza Place,40.7580,-73.9850,30\n"])
+    def test_index_maps_bytes(self, tmp_path, capsys, venues_rows):
+        updates, venues, catmap = self._write_inputs(tmp_path, venues_rows)
+        out = tmp_path / "p"
+        rc = run(["preprocess", "--updates", str(updates), "--venues", str(venues),
+                  "--catmap", str(catmap), "--epoch-day", "1970-01-01", "--out", str(out)])
+        assert rc == EXIT_OK
+        n_users, n_slots, user_ids = (1, 8, '[\n    "alice"\n  ]') if venues_rows else (0, 0, "[]")
+        assert (out / "index_maps.json").read_text() == (
+            f'{{\n  "n_users": {n_users},\n  "n_slots": {n_slots},\n  "n_categories": 2,\n'
+            f'  "user_ids": {user_ids},\n  "category_names": [\n    "Bank",\n    "Food"\n  ]\n}}\n'
+        )
 
     def test_malformed_row_names_line(self, tmp_path, capsys):
         updates, venues, catmap = self._write_inputs(

@@ -125,6 +125,48 @@ class TestCandidateSets:
         assert again[0] is indptr
 
 
+class TestSupportLayout:
+    def test_cache_keyed_on_whole_dims(self):
+        # both dims have N = 2 and T*C = 12, but C differs
+        omega = CandidateSets.from_blocks([(0, 1, [0, 1]), (1, 3, [1])])
+        assert omega.csr_structure(ProblemDims(2, 4, 3))[1].tolist() == [3, 4, 10]
+        assert omega.csr_structure(ProblemDims(2, 6, 2))[1].tolist() == [2, 3, 7]
+        wide = CandidateSets.from_blocks([(0, 1, [0, 2])])
+        wide.csr_structure(ProblemDims(2, 4, 3))
+        with pytest.raises(ValueError, match="category"):
+            wide.csr_structure(ProblemDims(2, 6, 2))
+        with pytest.raises(ValueError, match="category"):
+            wide.validate_dims(ProblemDims(2, 6, 2))
+
+    def test_to_csr_is_a_view_of_the_layout(self, small_omega, small_dims):
+        x = BlockSparseMatrix(small_dims, small_omega, np.ones(small_omega.total_size))
+        indptr, cols, _ = small_omega.csr_structure(small_dims)
+        csr = x.to_csr()
+        assert indptr.dtype == cols.dtype == np.int32
+        assert np.shares_memory(csr.indptr, indptr)
+        assert np.shares_memory(csr.indices, cols)
+        assert np.shares_memory(csr.data, x.values)
+
+    def test_int64_layout_when_columns_exceed_int32(self):
+        dims = ProblemDims(1, 2**31 + 1, 1)
+        omega = CandidateSets.from_blocks([(0, 2**31, [0])])
+        x = BlockSparseMatrix(dims, omega, np.ones(1))
+        indptr, cols, rows = omega.csr_structure(dims)
+        assert indptr.dtype == cols.dtype == rows.dtype == np.int64
+        assert cols.tolist() == [2**31]
+        assert np.shares_memory(x.to_csr().indices, cols)
+
+    def test_empty_support(self):
+        omega = CandidateSets.from_blocks([])
+        dims = ProblemDims(3, 2, 2)
+        indptr, cols, rows = omega.csr_structure(dims)
+        assert indptr.tolist() == [0, 0, 0, 0]
+        assert len(cols) == len(rows) == 0
+        x = BlockSparseMatrix(dims, omega, np.empty(0))
+        assert x.max_block_sum_error() == 0.0
+        assert np.array_equal(x.to_dense(), np.zeros((3, 4)))
+
+
 class TestBlockSparseMatrix:
     def test_value_alignment_enforced(self, small_omega, small_dims):
         with pytest.raises(ValueError):
@@ -149,6 +191,12 @@ class TestBlockSparseMatrix:
         sizes = small_omega.block_sizes
         x = BlockSparseMatrix(small_dims, small_omega, np.repeat(1.0 / sizes, sizes))
         assert x.max_block_sum_error() <= 1e-9
+
+    def test_nan_rejected(self, small_omega, small_dims):
+        vals = np.ones(small_omega.total_size)
+        vals[3] = np.nan
+        with pytest.raises(ValueError):
+            BlockSparseMatrix(small_dims, small_omega, vals)
 
     def test_csr_round_trip(self, small_omega, small_dims):
         rng = np.random.default_rng(0)
@@ -245,6 +293,13 @@ class TestLowRankModel:
                            c=np.zeros((2, small_dims.n_cols)))
         with pytest.raises(ValueError):
             bad.validate()
+
+    @pytest.mark.parametrize("factor,value", [("q", np.nan), ("c", np.nan), ("c", np.inf)])
+    def test_validate_rejects_non_finite(self, small_dims, factor, value):
+        model = _random_model(np.random.default_rng(3), small_dims, 2)
+        getattr(model, factor)[0, 1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            model.validate()
 
     def test_support_values_match_scalar_op(self, small_omega, small_dims):
         rng = np.random.default_rng(7)

@@ -5,12 +5,15 @@ from nutf.core import CandidateSets, LowRankModel, ProblemDims
 from nutf.harness import (
     EvalReport,
     SynthConfig,
+    _replace_blocks_with_full,
     certain_validation,
     generate,
     mask_validation,
     score_topk,
 )
 from nutf.solver import predict_topk
+
+from conftest import random_omega
 
 
 class TestSynthConfig:
@@ -150,6 +153,35 @@ class TestMaskValidation:
             mask_validation(omega, truth, 1.0, dims)
         with pytest.raises(ValueError):
             mask_validation(omega, truth, 0.1, dims, mode="something_else")
+
+
+class TestReplaceBlocksWithFull:
+    @staticmethod
+    def _loop_oracle(omega, c, block_ids):
+        """The per-block loop: widened blocks get [0, C), the others keep theirs."""
+        masked = set(np.asarray(block_ids).tolist())
+        pieces = [np.arange(c) if b in masked else cats
+                  for b, (_, cats) in enumerate(omega.items())]
+        ptr = np.concatenate(([0], np.cumsum([len(p) for p in pieces])))
+        return ptr, np.concatenate(pieces)
+
+    @pytest.mark.parametrize("which", ["none", "some", "all"])
+    def test_matches_per_block_loop(self, which):
+        rng = np.random.default_rng(11)
+        dims = ProblemDims(30, 6, 7)
+        omega = random_omega(rng, dims.n_users, dims.n_slots, dims.n_categories)
+        assert len(np.unique(omega.block_sizes)) == dims.n_categories  # mixed sizes
+        block_ids = {
+            "none": np.empty(0, dtype=np.int64),
+            "some": np.array([0, 3, 3, 17, omega.n_blocks - 1]),
+            "all": np.arange(omega.n_blocks),
+        }[which]
+        out = _replace_blocks_with_full(omega, dims, block_ids)
+        ptr, cats = self._loop_oracle(omega, dims.n_categories, block_ids)
+        assert out.block_ptr.tobytes() == ptr.astype(np.int64).tobytes()
+        assert out.cats.tobytes() == cats.astype(np.int64).tobytes()
+        assert out.block_users.tobytes() == omega.block_users.tobytes()
+        assert out.block_slots.tobytes() == omega.block_slots.tobytes()
 
 
 class TestCertainValidation:

@@ -130,6 +130,42 @@ class TestBinarySnapshots:
         with pytest.raises(ValueError, match="trailing"):
             load_block_sparse(path)
 
+    # a flip to a huge q entry overflows q^T q, which the orthonormality check rejects
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["model", "block_sparse"])
+    def test_every_truncation_and_bit_flip(self, tmp_path, small_dims, small_omega, kind):
+        """A cut or single-bit-flipped snapshot raises ValueError or loads finite arrays.
+
+        c's entries lie in [1, 2) and X holds singleton blocks (value 1.0):
+        one flip of the top exponent bit turns such a float into inf or NaN.
+        """
+        path = tmp_path / "s.nutf"
+        if kind == "model":
+            rng = np.random.default_rng(5)
+            q, _ = np.linalg.qr(rng.standard_normal((small_dims.n_users, 1)))
+            c = np.linspace(1.0, 1.75, small_dims.n_cols)[None, :]
+            save_model(path, LowRankModel(small_dims, q=q, c=c))
+            load, arrays = load_model, lambda m: (m.q, m.c)
+        else:
+            sizes = small_omega.block_sizes
+            x = BlockSparseMatrix(small_dims, small_omega, np.repeat(1.0 / sizes, sizes))
+            save_block_sparse(path, x)
+            load, arrays = load_block_sparse, lambda x: (x.values,)
+        raw = path.read_bytes()
+        mutants = [(f"cut at {n}", raw[:n]) for n in range(len(raw))]
+        for i in range(len(raw)):
+            for bit in range(8):
+                flipped = bytearray(raw)
+                flipped[i] ^= 1 << bit
+                mutants.append((f"bit {bit} of byte {i} flipped", bytes(flipped)))
+        for label, mutant in mutants:
+            path.write_bytes(mutant)
+            try:
+                loaded = load(path)
+            except ValueError:
+                continue
+            assert all(np.isfinite(a).all() for a in arrays(loaded)), label
+
 
 class TestJsonl:
     def test_candidate_sets_round_trip(self, tmp_path):

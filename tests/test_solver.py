@@ -160,6 +160,37 @@ class TestFit:
         assert t1.objectives == t2.objectives
 
 
+    def test_support_checked_against_dims_once(self):
+        def dims_scans(outer_iters):
+            omega, dims = planted_instance(6, n=12, t=5, c=4, classes=3)
+            omega.block_users = omega.block_users.view(_CountingMax)
+            _CountingMax.calls = 0
+            fit(omega, dims, SolverConfig(rank=2, outer_iters=outer_iters, tol=0.0))
+            return _CountingMax.calls
+
+        once = dims_scans(1)
+        assert once >= 1
+        assert dims_scans(5) <= once
+
+    def test_empty_support(self):
+        omega, dims = CandidateSets.from_blocks([]), ProblemDims(3, 2, 2)
+        cfg = SolverConfig(rank=1, outer_iters=2, tol=0.0)
+        x, _, trace = fit(omega, dims, cfg)
+        assert len(x.values) == 0 and trace.objectives == [0.0, 0.0]
+        dense, _ = dense_reference_fit(omega, dims, cfg)
+        assert np.array_equal(dense, np.zeros((3, 4)))
+
+
+class _CountingMax(np.ndarray):
+    """Index array counting calls of its max(), the scan of a dims check."""
+
+    calls = 0
+
+    def max(self, *args, **kwargs):
+        _CountingMax.calls += 1
+        return super().max(*args, **kwargs)
+
+
 class TestDenseReferenceFit:
     def test_guard_on_large_instances(self):
         omega = CandidateSets.from_dict({(0, 0): [0]})
