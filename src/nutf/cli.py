@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: synth, preprocess, fit, predict, eval, bench. Every run
+Subcommands: synth, preprocess, fit, predict, eval. Every run
 writes its resolved configuration into the output directory so runs are
 diffable; wall-clock numbers go to a separate timings.json, which is the
 only output file allowed to differ between identical runs.
@@ -41,12 +41,6 @@ _DEFAULTS = {
     },
     "predict": {"k": 5, "restrict": None},
     "eval": {"k": 5, "out": None},
-    "bench": {
-        "scales": "50000,100000", "slots": 100, "categories": 50,
-        "classes": 10, "density": 0.2, "cands": 4, "rank": 10,
-        "power_iters": 8, "iters": 5, "seed": 0, "check_band": None,
-        "out": "bench_out",
-    },
 }
 
 
@@ -262,66 +256,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, "bench")
-    import numpy as np
-
-    from .harness import SynthConfig, generate
-    from .solver import SolverConfig, fit
-
-    scales = [int(s) for s in str(cfg["scales"]).split(",") if s != ""]
-    if len(scales) < 1:
-        raise ValueError("need at least one scale")
-    rows = []
-    for n_users in scales:
-        synth = SynthConfig(
-            n_users=n_users, n_slots=int(cfg["slots"]),
-            n_categories=int(cfg["categories"]), n_classes=int(cfg["classes"]),
-            slot_density=float(cfg["density"]), candidates_per_update=int(cfg["cands"]),
-            seed=int(cfg["seed"]),
-        )
-        omega, _, dims = generate(synth)
-        solver_cfg = SolverConfig(
-            rank=int(cfg["rank"]), outer_iters=int(cfg["iters"]),
-            power_iters=int(cfg["power_iters"]), tol=0.0, seed=int(cfg["seed"]),
-        )
-        # untimed warmup iteration absorbs cache/allocator effects
-        fit(omega, dims, SolverConfig(rank=solver_cfg.rank, outer_iters=1,
-                                      power_iters=solver_cfg.power_iters,
-                                      tol=0.0, seed=solver_cfg.seed))
-        kernel_timings: dict = {}
-        _, _, trace = fit(omega, dims, solver_cfg, timings=kernel_timings)
-        rows.append({
-            "n_users": n_users,
-            "omega_size": omega.total_size,
-            "iterations": trace.n_iterations,
-            "median_iter_s": float(np.median(trace.seconds)),
-            "kernel_seconds": {k: round(v, 4) for k, v in kernel_timings.items()},
-        })
-
-    print(f"{'N':>10} {'|Omega|':>12} {'s/iter':>10} {'ratio':>7}")
-    ratios = []
-    for idx, row in enumerate(rows):
-        ratio = (row["median_iter_s"] / rows[idx - 1]["median_iter_s"]) if idx else float("nan")
-        if idx:
-            ratios.append(ratio)
-        print(f"{row['n_users']:>10} {row['omega_size']:>12} "
-              f"{row['median_iter_s']:>10.3f} {ratio:>7.2f}")
-        print(f"           kernels: {row['kernel_seconds']}")
-    out = _out_dir(cfg)
-    _write_manifest(out, "bench", {k: v for k, v in cfg.items()})
-    _write_timings(out, {"rows": rows})
-    if cfg["check_band"]:
-        lo, hi = (float(s) for s in str(cfg["check_band"]).split(","))
-        bad = [r for r in ratios if not lo <= r <= hi]
-        if bad:
-            print(f"scaling band violated: ratios {bad} outside [{lo}, {hi}]",
-                  file=sys.stderr)
-            return EXIT_NUMERIC
-        print(f"scaling ok: ratios within [{lo}, {hi}]")
-    return EXIT_OK
-
-
 # -- parser ---------------------------------------------------------------
 
 
@@ -393,23 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("bench", help="per-iteration timing across a user-count ladder")
-    add_config(p)
-    p.add_argument("--scales", help="comma-separated user counts")
-    p.add_argument("--slots", type=int)
-    p.add_argument("--categories", type=int)
-    p.add_argument("--classes", type=int)
-    p.add_argument("--density", type=float)
-    p.add_argument("--cands", type=int)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--power-iters", dest="power_iters", type=int)
-    p.add_argument("--iters", type=int, help="timed iterations per scale")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--check-band", dest="check_band",
-                   help="lo,hi bounds for consecutive time ratios; exit 4 on violation")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

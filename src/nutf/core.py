@@ -23,6 +23,9 @@ _I32_MAX = np.iinfo(np.int32).max
 # gathers are still in cache when the inner products read them.
 _ENTRY_CHUNK = 1 << 15
 
+# Largest matrix, in entries, that BlockSparseMatrix.to_dense materializes.
+_MAX_DENSE_ENTRIES = 10_000_000
+
 
 @dataclass(frozen=True)
 class ProblemDims:
@@ -222,9 +225,9 @@ class BlockSparseMatrix:
         """max_b |sum(block b) - 1|; 0.0 when there are no blocks."""
         return float(np.abs(self.block_sums() - 1.0).max(initial=0.0))
 
-    def to_dense(self, max_entries: int = 10_000_000) -> np.ndarray:
+    def to_dense(self) -> np.ndarray:
         """Materialize the full matrix; guarded against large instances."""
-        if self.dims.n_users * self.dims.n_cols > max_entries:
+        if self.dims.n_users * self.dims.n_cols > _MAX_DENSE_ENTRIES:
             raise ValueError("instance too large to densify")
         out = np.zeros((self.dims.n_users, self.dims.n_cols))
         _, cols, rows = self.support.csr_structure(self.dims)
@@ -282,6 +285,9 @@ class LowRankModel:
     def validate(self, tol: float = 1e-8) -> None:
         if not (np.isfinite(self.q).all() and np.isfinite(self.c).all()):
             raise ValueError("model factors hold non-finite values")
+        # orthonormal columns hold no entry above 1; a larger one could overflow Q^T Q
+        if np.abs(self.q).max(initial=0.0) > 1.0 + tol:
+            raise ValueError("Q columns are not orthonormal: an entry exceeds 1 in magnitude")
         err = self.orthonormality_error()
         if err > tol:
             raise ValueError(f"Q columns are not orthonormal: max deviation {err:.3e}")

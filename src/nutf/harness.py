@@ -179,7 +179,6 @@ def mask_validation(
     truth: GroundTruth,
     fraction: float,
     dims: ProblemDims,
-    mode: str = "all_categories",
     seed: int = 0,
 ) -> tuple[CandidateSets, list[ValidationPair]]:
     """Hide a random fraction of observations behind all-C candidate sets.
@@ -189,8 +188,6 @@ def mask_validation(
     as maximally uncertain; their true categories move to the returned
     validation list. The sample size is round-half-up(fraction * n_obs).
     """
-    if mode != "all_categories":
-        raise ValueError(f"unsupported masking mode {mode!r}")
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must be in (0, 1)")
     if truth.n_observations != omega.n_blocks:

@@ -82,6 +82,8 @@ class SolverTrace:
 
 def init_x(omega: CandidateSets, dims: ProblemDims) -> BlockSparseMatrix:
     """Uniform-on-support start: each block gets 1/|Omega_ij| per entry."""
+    # builds the cached layout first, so the dims check scans the support once
+    omega.csr_structure(dims)
     sizes = omega.block_sizes
     return BlockSparseMatrix(dims, omega, np.repeat(1.0 / sizes, sizes))
 
@@ -154,42 +156,6 @@ def fit(
             break
         prev_obj = objective
     return x, model, trace
-
-
-def dense_reference_fit(
-    omega: CandidateSets,
-    dims: ProblemDims,
-    cfg: SolverConfig,
-) -> tuple[np.ndarray, SolverTrace]:
-    """Exact-SVD reference for small instances (N*T*C <= 1e5).
-
-    Identical update rules, but the Y half-step is the exact best rank-r
-    truncation U_r S_r V_r^T of a dense copy, and objectives are computed
-    densely. Returns the final feasible X as a dense matrix.
-    """
-    if dims.n_users * dims.n_slots * dims.n_categories > 100_000:
-        raise ValueError("instance too large for the dense reference solver")
-    x = init_x(omega, dims).to_dense()
-    if cfg.rank > min(dims.n_users, dims.n_cols):
-        raise ValueError("rank exceeds min(N, T*C)")
-
-    _, cols, rows = omega.csr_structure(dims)
-    trace = SolverTrace()
-    prev_obj: float | None = None
-    for _ in range(cfg.outer_iters):
-        t0 = time.perf_counter()
-        u, s, vt = np.linalg.svd(x, full_matrices=False)
-        y = (u[:, :cfg.rank] * s[:cfg.rank]) @ vt[:cfg.rank]
-        new_x = np.zeros_like(x)
-        new_x[rows, cols] = project_blocks(y[rows, cols], omega.block_ptr)
-        objective = float(np.linalg.norm(new_x - y) ** 2)
-        x_delta = float(np.linalg.norm(new_x - x))
-        x = new_x
-        trace.append(objective, time.perf_counter() - t0, x_delta)
-        if prev_obj is not None and _relative_change(prev_obj, objective) < cfg.tol:
-            break
-        prev_obj = objective
-    return x, trace
 
 
 def predict_topk(

@@ -16,9 +16,9 @@ from nutf.harness import SynthConfig, generate, mask_validation, score_topk
 from nutf.ingest import SlotScheme, Venue, VenueIndex, haversine_m, slot_of
 from nutf.linalg import PowerIterConfig, sparse_lowrank_approx
 from nutf.simplex import project_simplex
-from nutf.solver import SolverConfig, dense_reference_fit, fit
+from nutf.solver import SolverConfig, fit
 
-from conftest import full_support
+from conftest import dense_reference_fit, full_support
 
 
 def report(criterion: int, passed: bool, detail: str) -> None:

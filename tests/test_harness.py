@@ -151,8 +151,6 @@ class TestMaskValidation:
             mask_validation(omega, truth, 0.0, dims)
         with pytest.raises(ValueError):
             mask_validation(omega, truth, 1.0, dims)
-        with pytest.raises(ValueError):
-            mask_validation(omega, truth, 0.1, dims, mode="something_else")
 
 
 class TestReplaceBlocksWithFull:

@@ -130,8 +130,8 @@ class TestBinarySnapshots:
         with pytest.raises(ValueError, match="trailing"):
             load_block_sparse(path)
 
-    # a flip to a huge q entry overflows q^T q, which the orthonormality check rejects
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    # a flip to a huge q entry is rejected before q^T q could overflow
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("kind", ["model", "block_sparse"])
     def test_every_truncation_and_bit_flip(self, tmp_path, small_dims, small_omega, kind):
         """A cut or single-bit-flipped snapshot raises ValueError or loads finite arrays.
