@@ -205,9 +205,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
         rank=int(cfg["rank"]), outer_iters=int(cfg["iters"]),
         power_iters=int(cfg["power_iters"]), tol=float(cfg["tol"]), seed=int(cfg["seed"]),
     )
-    timings: dict = {}
     t0 = time.perf_counter()
-    x, model, trace = fit(omega, dims, solver_cfg, timings=timings)
+    x, model, trace = fit(omega, dims, solver_cfg)
     total = time.perf_counter() - t0
 
     out = _out_dir(cfg)
@@ -216,6 +215,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
     serialize.write_trace_jsonl(out / "trace.jsonl", trace,
                                 zero_seconds=bool(cfg["deterministic"]))
     _write_manifest(out, "fit", cfg)
+    timings = {"init": trace.init_seconds}
+    for kernels in trace.kernel_seconds:
+        for key, seconds in kernels.items():
+            timings[key] = timings.get(key, 0.0) + seconds
     timings["fit_total_s"] = total
     timings["per_iteration_s"] = trace.seconds
     _write_timings(out, timings)

@@ -330,22 +330,19 @@ def model_support_values(model: LowRankModel, support: CandidateSets) -> np.ndar
 def frobenius_gap(
     x: BlockSparseMatrix,
     model: LowRankModel,
-    y_support: np.ndarray | None = None,
+    y_support: np.ndarray,
 ) -> float:
     """Exact squared Frobenius distance ||X - Y||_F^2 over the full matrix.
 
     Splits the sum into on-support and off-support parts; the latter is
     ||C||_F^2 - ||Y_support||^2 because Q has orthonormal columns, so the
-    off-support entries of Y are never materialized.
-
-    ``y_support`` may pass in precomputed completion values (same order
-    as the support) to avoid recomputing them.
+    off-support entries of Y are never materialized. ``y_support`` holds
+    the completion's values on x's support, in support order (see
+    :func:`model_support_values`).
     """
     if model.dims != x.dims:
         raise ValueError("model and matrix dimensions do not match")
-    if y_support is None:
-        y_support = model_support_values(model, x.support)
-    elif y_support.shape != x.values.shape:
+    if y_support.shape != x.values.shape:
         raise ValueError("y_support misaligned with the matrix support")
     diff = x.values - y_support
     on_support = float(diff @ diff)

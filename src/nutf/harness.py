@@ -203,31 +203,6 @@ def mask_validation(
     return masked, validation
 
 
-def certain_validation(
-    omega: CandidateSets,
-    dims: ProblemDims,
-) -> tuple[CandidateSets, list[ValidationPair]]:
-    """Turn every singleton block into a hidden validation pair.
-
-    Blocks with exactly one candidate are the certain observations; their
-    single category becomes the ground truth and the block is widened to
-    all C categories so the solver must rediscover it.
-    """
-    sizes = omega.block_sizes
-    singles = np.nonzero(sizes == 1)[0]
-    validation = [
-        (
-            int(omega.block_users[b]),
-            int(omega.block_slots[b]),
-            int(omega.cats[omega.block_ptr[b]]),
-        )
-        for b in singles
-    ]
-    if len(singles) == 0:
-        return omega, []
-    return _replace_blocks_with_full(omega, dims, singles), validation
-
-
 def score_topk(
     model: LowRankModel,
     validation: Sequence[ValidationPair],

@@ -188,20 +188,11 @@ def candidate_venues(update: LocationUpdate, index: VenueIndex) -> list[Venue]:
 def slot_of(timestamp_utc: float, utc_offset_minutes: int, scheme: SlotScheme) -> int:
     """Slot index of the update's local time under the scheme.
 
-    Local time is UTC plus the per-record offset. Timestamps before the
-    scheme's epoch day (after the midnight-straddle adjustment) are
-    outside the window and rejected.
+    Local time is UTC plus the per-record offset. The index is signed:
+    a timestamp before the scheme's epoch day (after the midnight-straddle
+    adjustment) gets a negative slot, which callers treat as outside the
+    window.
     """
-    slot = _signed_slot(timestamp_utc, utc_offset_minutes, scheme)
-    if slot < 0:
-        raise ValueError(
-            f"timestamp {timestamp_utc} falls before the window start {scheme.epoch_day}"
-        )
-    return slot
-
-
-def _signed_slot(timestamp_utc: float, utc_offset_minutes: int, scheme: SlotScheme) -> int:
-    """:func:`slot_of` without the window check: negative before the epoch day."""
     local = timestamp_utc + utc_offset_minutes * 60.0
     day = math.floor(local / 86400.0)
     sec_of_day = local - day * 86400.0
@@ -264,7 +255,7 @@ def build_candidate_sets(
     best: dict[tuple[str, int], tuple[LocationUpdate, float]] = {}
     before_window = 0
     for upd, dwell in with_dwell:
-        slot = _signed_slot(upd.timestamp_utc, upd.utc_offset_minutes, scheme)
+        slot = slot_of(upd.timestamp_utc, upd.utc_offset_minutes, scheme)
         if slot < 0:
             before_window += 1
             continue

@@ -10,11 +10,14 @@ O(|Omega| * r) plus the O(rows * r^2) QR.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import BlockSparseMatrix, LowRankModel, model_support_values
+
+if TYPE_CHECKING:
+    from .solver import SolverConfig
 
 # Salt separating the rank-deficiency fill stream from the test matrix stream.
 _FILL_SALT = 0x9E3779B97F4A7C15
@@ -22,30 +25,6 @@ _FILL_SALT = 0x9E3779B97F4A7C15
 
 class NumericalError(ArithmeticError):
     """Raised when a kernel produces non-finite results."""
-
-
-@dataclass(frozen=True)
-class PowerIterConfig:
-    """Knobs for the randomized subspace iteration.
-
-    power_iters counts the re-multiplication passes after the initial
-    range sketch; 0 means sketch + QR only.
-    """
-
-    rank: int
-    power_iters: int = 8
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-        if self.power_iters < 0:
-            raise ValueError("power_iters must be >= 0")
-
-
-def _record(timings: dict | None, key: str, t0: float) -> None:
-    if timings is not None:
-        timings[key] = timings.get(key, 0.0) + (time.perf_counter() - t0)
 
 
 def _fix_column_signs(q: np.ndarray) -> np.ndarray:
@@ -104,16 +83,18 @@ def reduced_qr(b: np.ndarray, fill_rng: np.random.Generator | None = None) -> np
 
 def sparse_lowrank_approx(
     x: BlockSparseMatrix,
-    cfg: PowerIterConfig,
-    timings: dict | None = None,
-) -> tuple[LowRankModel, np.ndarray]:
+    cfg: SolverConfig,
+) -> tuple[LowRankModel, np.ndarray, dict[str, float]]:
     """Rank-r approximation of x, materialized only on its support.
 
     Runs the sketch-and-iterate loop (Gaussian R, B = A R, Q = QR(B),
     then power_iters rounds of B = A (A^T Q), Q = QR(B), finally
     C = Q^T A) where A is x's unfolding, transposed when N < T*C so the
-    test matrix always has min(N, T*C) rows. Returns the model and the
-    completion values on x's support, aligned with the support order.
+    test matrix always has min(N, T*C) rows. Uses cfg's rank,
+    power_iters and seed. Returns the model, the completion values on
+    x's support (aligned with the support order), and the seconds spent
+    in its steps: ``spmm`` (the sparse products, including the CSR view
+    of x), ``qr`` and ``materialize`` (the values on the support).
     """
     dims = x.dims
     min_side = min(dims.n_users, dims.n_cols)
@@ -125,29 +106,30 @@ def sparse_lowrank_approx(
     fill_rng = np.random.Generator(np.random.Philox(key=cfg.seed ^ _FILL_SALT))
     r_test = rng.standard_normal((min_side, cfg.rank))
 
+    seconds = {"spmm": 0.0, "qr": 0.0}
     t0 = time.perf_counter()
     csr = x.to_csr()
     a = csr.T if transposed else csr
     b = np.asarray(a @ r_test)
-    _record(timings, "spmm", t0)
+    seconds["spmm"] += time.perf_counter() - t0
     t0 = time.perf_counter()
     q = reduced_qr(b, fill_rng)
-    _record(timings, "qr", t0)
+    seconds["qr"] += time.perf_counter() - t0
     for _ in range(cfg.power_iters):
         t0 = time.perf_counter()
         b = np.asarray(a @ np.asarray(a.T @ q))
-        _record(timings, "spmm", t0)
+        seconds["spmm"] += time.perf_counter() - t0
         t0 = time.perf_counter()
         q = reduced_qr(b, fill_rng)
-        _record(timings, "qr", t0)
+        seconds["qr"] += time.perf_counter() - t0
     t0 = time.perf_counter()
     c = np.ascontiguousarray(np.asarray(a.T @ q).T)
-    _record(timings, "spmm", t0)
+    seconds["spmm"] += time.perf_counter() - t0
 
     model = LowRankModel(dims, q=q, c=c, transposed=transposed)
     t0 = time.perf_counter()
     y_support = model_support_values(model, x.support)
-    _record(timings, "materialize", t0)
+    seconds["materialize"] = time.perf_counter() - t0
     if not np.all(np.isfinite(y_support)):
         raise NumericalError("non-finite completion values")
-    return model, y_support
+    return model, y_support, seconds

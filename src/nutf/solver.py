@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,7 +23,7 @@ from .core import (
     ProblemDims,
     frobenius_gap,
 )
-from .linalg import NumericalError, PowerIterConfig, sparse_lowrank_approx
+from .linalg import NumericalError, sparse_lowrank_approx
 from .simplex import project_blocks
 
 IterationCallback = Callable[[int, BlockSparseMatrix, LowRankModel, float], None]
@@ -50,20 +50,35 @@ class SolverConfig:
 
 @dataclass
 class SolverTrace:
-    """One record per completed outer iteration."""
+    """One record per completed outer iteration.
 
+    Each record holds the objective, the iteration's wall seconds, the
+    norm of the change in X, and in ``kernel_seconds`` the seconds of each
+    of its kernels: ``spmm``, ``qr`` and ``materialize`` from the low-rank
+    half-step, then ``project``, ``gap`` (the objective) and ``delta``.
+    ``init_seconds`` is the uniform start, run once before the first
+    iteration. ``trace.jsonl`` gets only the objective, the seconds and
+    the change in X; ``nutf fit`` writes the split, summed over the
+    iterations, to its wall-clock file.
+    """
+
+    init_seconds: float = 0.0
     objectives: list[float] = field(default_factory=list)
     seconds: list[float] = field(default_factory=list)
     x_deltas: list[float] = field(default_factory=list)
+    kernel_seconds: list[dict[str, float]] = field(default_factory=list)
 
     @property
     def n_iterations(self) -> int:
         return len(self.objectives)
 
-    def append(self, objective: float, seconds: float, x_delta: float) -> None:
+    def append(
+        self, objective: float, seconds: float, x_delta: float, kernels: dict[str, float]
+    ) -> None:
         self.objectives.append(float(objective))
         self.seconds.append(float(seconds))
         self.x_deltas.append(float(x_delta))
+        self.kernel_seconds.append(kernels)
 
     def to_records(self, zero_seconds: bool = False) -> list[dict]:
         return [
@@ -111,7 +126,6 @@ def fit(
     dims: ProblemDims,
     cfg: SolverConfig,
     on_iteration: IterationCallback | None = None,
-    timings: dict | None = None,
 ) -> tuple[BlockSparseMatrix, LowRankModel, SolverTrace]:
     """Run the alternation from the uniform start.
 
@@ -126,28 +140,21 @@ def fit(
     """
     t0 = time.perf_counter()
     x = init_x(omega, dims)
-    if timings is not None:
-        timings["init"] = timings.get("init", 0.0) + (time.perf_counter() - t0)
-    trace = SolverTrace()
+    trace = SolverTrace(init_seconds=time.perf_counter() - t0)
     prev_obj: float | None = None
     for it in range(1, cfg.outer_iters + 1):
         t0 = time.perf_counter()
-        lr_cfg = PowerIterConfig(
-            rank=cfg.rank, power_iters=cfg.power_iters, seed=cfg.seed ^ it
-        )
-        model, y_support = sparse_lowrank_approx(x, lr_cfg, timings)
+        model, y_support, kernels = sparse_lowrank_approx(x, replace(cfg, seed=cfg.seed ^ it))
         t1 = time.perf_counter()
         new_x = update_x(y_support, omega, dims)
         t2 = time.perf_counter()
-        objective = frobenius_gap(new_x, model, y_support=y_support)
+        objective = frobenius_gap(new_x, model, y_support)
         t3 = time.perf_counter()
         x_delta = float(np.linalg.norm(new_x.values - x.values))
         x = new_x
         t4 = time.perf_counter()
-        trace.append(objective, t4 - t0, x_delta)
-        if timings is not None:
-            for key, seconds in (("project", t2 - t1), ("gap", t3 - t2), ("delta", t4 - t3)):
-                timings[key] = timings.get(key, 0.0) + seconds
+        kernels.update(project=t2 - t1, gap=t3 - t2, delta=t4 - t3)
+        trace.append(objective, t4 - t0, x_delta, kernels)
         if not np.isfinite(objective):
             raise NumericalError(f"objective diverged at iteration {it}")
         if on_iteration is not None:

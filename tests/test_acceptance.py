@@ -14,7 +14,7 @@ import pytest
 from nutf.core import BlockSparseMatrix, CandidateSets, ProblemDims
 from nutf.harness import SynthConfig, generate, mask_validation, score_topk
 from nutf.ingest import SlotScheme, Venue, VenueIndex, haversine_m, slot_of
-from nutf.linalg import PowerIterConfig, sparse_lowrank_approx
+from nutf.linalg import sparse_lowrank_approx
 from nutf.simplex import project_simplex
 from nutf.solver import SolverConfig, fit
 
@@ -226,8 +226,8 @@ def test_criterion_5_lowrank_approximation_optimality():
             dense = (rng.random((20, 5)) @ rng.random((5, 30))
                      + 0.01 * rng.random((20, 30)))
             x = BlockSparseMatrix(dims, omega, dense.ravel())
-            model, _ = sparse_lowrank_approx(
-                x, PowerIterConfig(rank=5, power_iters=20, seed=trial)
+            model, _, _ = sparse_lowrank_approx(
+                x, SolverConfig(rank=5, power_iters=20, seed=trial)
             )
             y = (model.q @ model.c).T if model.transposed else model.q @ model.c
             res = float(np.linalg.norm(dense - y))

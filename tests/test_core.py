@@ -343,14 +343,16 @@ class TestFrobeniusGap:
         u, s, vt = np.linalg.svd(dense, full_matrices=False)
         r = int((s > 1e-12).sum())
         model = LowRankModel(dims, q=u[:, :r], c=(s[:r, None] * vt[:r]))
-        assert frobenius_gap(x, model) <= 1e-8
+        ys = model_support_values(model, x.support)
+        assert frobenius_gap(x, model, ys) <= 1e-8
 
     def test_zero_rank_model_gives_frob_sq(self):
         dims = ProblemDims(4, 3, 2)
         omega = CandidateSets.from_dict({(0, 0): [0], (1, 2): [1], (3, 1): [0]})
         x = BlockSparseMatrix(dims, omega, np.ones(3))
         model = LowRankModel(dims, q=np.empty((4, 0)), c=np.empty((0, 6)))
-        assert frobenius_gap(x, model) == pytest.approx(3.0, abs=1e-12)
+        ys = model_support_values(model, x.support)
+        assert frobenius_gap(x, model, ys) == pytest.approx(3.0, abs=1e-12)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(11)
@@ -365,7 +367,8 @@ class TestFrobeniusGap:
             transposed = bool(rng.integers(0, 2)) and dims.n_users != dims.n_cols
             model = _random_model(rng, dims, rank, transposed=transposed)
             oracle = float(np.linalg.norm(x.to_dense() - _dense(model)) ** 2)
-            assert frobenius_gap(x, model) == pytest.approx(oracle, abs=1e-8, rel=1e-8)
+            ys = model_support_values(model, x.support)
+            assert frobenius_gap(x, model, ys) == pytest.approx(oracle, abs=1e-8, rel=1e-8)
 
     def test_dimension_mismatch_rejected(self, small_dims):
         omega = CandidateSets.from_dict({(0, 0): [0]})
@@ -373,15 +376,14 @@ class TestFrobeniusGap:
         other = ProblemDims(5, 4, 4)
         model = LowRankModel(other, q=np.ones((5, 1)), c=np.ones((1, 16)))
         with pytest.raises(ValueError):
-            frobenius_gap(x, model)
+            frobenius_gap(x, model, model_support_values(model, x.support))
 
     def test_precomputed_support_values(self, small_omega, small_dims):
         rng = np.random.default_rng(5)
         x = BlockSparseMatrix(small_dims, small_omega, rng.random(small_omega.total_size))
         model = _random_model(rng, small_dims, 2)
         ys = model_support_values(model, small_omega)
-        assert frobenius_gap(x, model, y_support=ys) == pytest.approx(
-            frobenius_gap(x, model), abs=1e-12
-        )
+        oracle = float(np.linalg.norm(x.to_dense() - _dense(model)) ** 2)
+        assert frobenius_gap(x, model, ys) == pytest.approx(oracle, abs=1e-12)
         with pytest.raises(ValueError):
-            frobenius_gap(x, model, y_support=ys[:-1])
+            frobenius_gap(x, model, ys[:-1])

@@ -6,7 +6,6 @@ from nutf.harness import (
     EvalReport,
     SynthConfig,
     _replace_blocks_with_full,
-    certain_validation,
     generate,
     mask_validation,
     score_topk,
@@ -180,37 +179,6 @@ class TestReplaceBlocksWithFull:
         assert out.cats.tobytes() == cats.astype(np.int64).tobytes()
         assert out.block_users.tobytes() == omega.block_users.tobytes()
         assert out.block_slots.tobytes() == omega.block_slots.tobytes()
-
-
-class TestCertainValidation:
-    def test_no_singletons_is_identity(self):
-        omega = CandidateSets.from_dict({(0, 0): [0, 1], (1, 1): [1, 2]})
-        dims = ProblemDims(2, 2, 3)
-        out, val = certain_validation(omega, dims)
-        assert val == []
-        assert np.array_equal(out.cats, omega.cats)
-
-    def test_single_singleton(self):
-        omega = CandidateSets.from_dict({(0, 0): [2], (1, 1): [1, 2]})
-        dims = ProblemDims(2, 2, 3)
-        out, val = certain_validation(omega, dims)
-        assert val == [(0, 0, 2)]
-        assert out.to_dict() == {(0, 0): [0, 1, 2], (1, 1): [1, 2]}
-
-    def test_count_matches_singletons(self):
-        rng = np.random.default_rng(8)
-        blocks = []
-        singles = 0
-        for i in range(15):
-            for j in range(6):
-                if rng.random() < 0.5:
-                    size = int(rng.integers(1, 5))
-                    singles += size == 1
-                    cats = sorted(int(c) for c in rng.choice(5, size=size, replace=False))
-                    blocks.append((i, j, cats))
-        omega = CandidateSets.from_blocks(blocks)
-        _, val = certain_validation(omega, ProblemDims(15, 6, 5))
-        assert len(val) == singles
 
 
 class TestScoreTopk:

@@ -206,11 +206,10 @@ class TestSlotOf:
         assert slot_of(6.5 * 3600, -300, self.SCHEME) == 0
 
     def test_before_window_rejected(self):
-        with pytest.raises(ValueError):
-            slot_of(0.5 * 3600, 0, self.SCHEME)  # 00:30 of epoch day -> previous day
+        # 00:30 of the epoch day belongs to the previous day's last bin
+        assert slot_of(0.5 * 3600, 0, self.SCHEME) == -1
         scheme = SlotScheme(mode="daypart", epoch_day=dt.date(1970, 1, 2))
-        with pytest.raises(ValueError):
-            slot_of(12 * 3600, 0, scheme)
+        assert slot_of(12 * 3600, 0, scheme) == -7
 
     def test_hourly_mode(self):
         scheme = SlotScheme(mode="hourly", epoch_day=dt.date(1970, 1, 1))
@@ -322,8 +321,7 @@ class TestBuildCandidateSets:
             upd("u", 10 * 3600, 0, 0, 10, 0),
         ]
         venues = [Venue("b1", "Bank", 0.0, 0.0, 30)]
-        with pytest.raises(ValueError, match="before the window start"):
-            slot_of(1800, 0, self.SCHEME)
+        assert slot_of(1800, 0, self.SCHEME) == -1
         res = build_candidate_sets(updates, venues, self.SCHEME, CATMAP, 60)
         assert res.before_window == 1
         assert res.omega.to_dict() == {(0, 1): [0]}

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from nutf.core import BlockSparseMatrix, CandidateSets, ProblemDims
-from nutf.linalg import PowerIterConfig, reduced_qr, sparse_lowrank_approx
+from nutf.linalg import reduced_qr, sparse_lowrank_approx
+from nutf.solver import SolverConfig
 
 from conftest import full_support, random_omega
 
@@ -132,14 +133,14 @@ class TestSparseLowRankApprox:
         omega = full_support(7, 2, 3)
         dense = np.outer(rng.random(7) + 0.1, rng.random(6) + 0.1)
         x = make_x(dims, omega, dense.ravel())
-        model, ys = sparse_lowrank_approx(x, PowerIterConfig(rank=1, power_iters=3, seed=0))
+        model, ys, _ = sparse_lowrank_approx(x, SolverConfig(rank=1, power_iters=3, seed=0))
         assert np.linalg.norm(ys - x.values) <= 1e-8 * np.linalg.norm(x.values)
 
     def test_zero_matrix(self):
         dims = ProblemDims(5, 2, 2)
         omega = full_support(5, 2, 2)
         x = make_x(dims, omega, np.zeros(omega.total_size))
-        model, ys = sparse_lowrank_approx(x, PowerIterConfig(rank=2, power_iters=2, seed=1))
+        model, ys, _ = sparse_lowrank_approx(x, SolverConfig(rank=2, power_iters=2, seed=1))
         assert np.all(ys == 0.0)
         assert np.all(model.c == 0.0)
         model.validate()
@@ -147,7 +148,7 @@ class TestSparseLowRankApprox:
     def test_residual_matches_svd_optimum(self):
         rng = np.random.default_rng(8)
         x, dense = gapped_instance(rng)
-        model, _ = sparse_lowrank_approx(x, PowerIterConfig(rank=5, power_iters=20, seed=2))
+        model, _, _ = sparse_lowrank_approx(x, SolverConfig(rank=5, power_iters=20, seed=2))
         y = (model.q @ model.c).T if model.transposed else model.q @ model.c
         res = np.linalg.norm(dense - y)
         s = np.linalg.svd(dense, compute_uv=False)
@@ -159,7 +160,7 @@ class TestSparseLowRankApprox:
         dims = ProblemDims(3, 2, 2)
         x = make_x(dims, full_support(3, 2, 2), np.ones(12))
         with pytest.raises(ValueError):
-            sparse_lowrank_approx(x, PowerIterConfig(rank=4, power_iters=1, seed=0))
+            sparse_lowrank_approx(x, SolverConfig(rank=4, power_iters=1, seed=0))
 
     def test_monotone_residual_in_power_iters(self):
         rng = np.random.default_rng(9)
@@ -168,7 +169,7 @@ class TestSparseLowRankApprox:
             seed = 100 + trial
             residuals = []
             for m in (1, 6, 11):
-                _, ys = sparse_lowrank_approx(x, PowerIterConfig(rank=3, power_iters=m, seed=seed))
+                _, ys, _ = sparse_lowrank_approx(x, SolverConfig(rank=3, power_iters=m, seed=seed))
                 residuals.append(float(((x.values - ys) ** 2).sum()))
             assert residuals[1] <= residuals[0] + 1e-9
             assert residuals[2] <= residuals[1] + 1e-9
@@ -176,8 +177,8 @@ class TestSparseLowRankApprox:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(10)
         x, _ = gapped_instance(rng)
-        m1, y1 = sparse_lowrank_approx(x, PowerIterConfig(rank=4, power_iters=5, seed=33))
-        m2, y2 = sparse_lowrank_approx(x, PowerIterConfig(rank=4, power_iters=5, seed=33))
+        m1, y1, _ = sparse_lowrank_approx(x, SolverConfig(rank=4, power_iters=5, seed=33))
+        m2, y2, _ = sparse_lowrank_approx(x, SolverConfig(rank=4, power_iters=5, seed=33))
         assert np.array_equal(m1.q, m2.q)
         assert np.array_equal(m1.c, m2.c)
         assert np.array_equal(y1, y2)
@@ -187,7 +188,7 @@ class TestSparseLowRankApprox:
         dims = ProblemDims(4, 3, 4)  # N=4 < TC=12
         omega = full_support(4, 3, 4)
         x = make_x(dims, omega, rng.random(omega.total_size))
-        model, _ = sparse_lowrank_approx(x, PowerIterConfig(rank=2, power_iters=4, seed=0))
+        model, _, _ = sparse_lowrank_approx(x, SolverConfig(rank=2, power_iters=4, seed=0))
         assert model.transposed
         assert model.q.shape == (12, 2)
         assert model.c.shape == (2, 4)
@@ -207,9 +208,9 @@ class TestSparseLowRankApprox:
         dense_a = xa.to_dense()
         xb = make_x(dims_b, omega_b, dense_a.T.ravel())
 
-        cfg = PowerIterConfig(rank=3, power_iters=4, seed=77)
-        model_a, ys_a = sparse_lowrank_approx(xa, cfg)
-        model_b, ys_b = sparse_lowrank_approx(xb, cfg)
+        cfg = SolverConfig(rank=3, power_iters=4, seed=77)
+        model_a, ys_a, _ = sparse_lowrank_approx(xa, cfg)
+        model_b, ys_b, _ = sparse_lowrank_approx(xb, cfg)
         assert not model_a.transposed and model_b.transposed
 
         ya = np.empty((12, 6))

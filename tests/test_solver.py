@@ -45,6 +45,8 @@ class TestSolverConfig:
             SolverConfig(rank=1, outer_iters=0)
         with pytest.raises(ValueError):
             SolverConfig(rank=1, tol=-1.0)
+        with pytest.raises(ValueError):
+            SolverConfig(rank=1, power_iters=-1)
 
 
 class TestInitX:
@@ -142,6 +144,16 @@ class TestFit:
         assert all(set(r) == {"iter", "objective", "seconds", "x_delta"} for r in recs)
         zeroed = trace.to_records(zero_seconds=True)
         assert all(r["seconds"] == 0.0 for r in zeroed)
+
+    def test_trace_records_kernel_split(self):
+        omega, dims = planted_instance(2)
+        _, _, trace = fit(omega, dims, SolverConfig(rank=2, outer_iters=4, tol=0.0, seed=0))
+        assert trace.init_seconds > 0.0
+        assert len(trace.kernel_seconds) == trace.n_iterations == 4
+        for kernels, seconds in zip(trace.kernel_seconds, trace.seconds):
+            assert set(kernels) == {"spmm", "qr", "materialize", "project", "gap", "delta"}
+            assert all(v >= 0.0 for v in kernels.values())
+            assert sum(kernels.values()) <= seconds
 
     def test_rank_error_propagates(self):
         omega = CandidateSets.from_dict({(0, 0): [0]})
