@@ -26,10 +26,14 @@ _ENTRY_CHUNK = 1 << 15
 # Largest matrix, in entries, that BlockSparseMatrix.to_dense materializes.
 _MAX_DENSE_ENTRIES = 10_000_000
 
+# Largest deviation from orthonormality that LowRankModel.validate accepts.
+_ORTHONORMAL_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class ProblemDims:
-    """Problem sizes: N users, T time slots, C location categories."""
+    """Problem sizes: N users, T time slots, C location categories. They
+    also fix the orientation of the low-rank solve (:attr:`transposed`)."""
 
     n_users: int
     n_slots: int
@@ -48,6 +52,12 @@ class ProblemDims:
     def n_cols(self) -> int:
         """Column count of the unfolded matrix, T*C."""
         return self.n_slots * self.n_categories
+
+    @property
+    def transposed(self) -> bool:
+        """True when N < T*C: the solver then factors the transposed unfolding,
+        so its test matrix and its C factor sit on the shorter side."""
+        return self.n_users < self.n_cols
 
 
 class CandidateSets:
@@ -208,16 +218,6 @@ class BlockSparseMatrix:
         if not self.values.min(initial=0.0) >= 0.0:
             raise ValueError("negative or NaN entries violate the non-negativity constraint")
 
-    def to_csr(self):
-        """Zero-copy scipy CSR view over (dims, support, values)."""
-        from scipy.sparse import csr_matrix
-
-        indptr, indices, _ = self.support.csr_structure(self.dims)
-        return csr_matrix(
-            (self.values, indices, indptr),
-            shape=(self.dims.n_users, self.dims.n_cols),
-        )
-
     def block_sums(self) -> np.ndarray:
         return np.add.reduceat(self.values, self.support.block_ptr[:-1])
 
@@ -237,11 +237,11 @@ class BlockSparseMatrix:
 
 @dataclass
 class LowRankModel:
-    """Rank-r completion Y = Q @ C with orthonormal Q.
+    """Rank-r completion Y = Q @ C with orthonormal Q, 1 <= r <= min(N, T*C).
 
-    In normal orientation Q is N x r and C is r x (T*C). When the solve
-    ran on the transposed unfolding (N < T*C), ``transposed`` is set, Q
-    is (T*C) x r, C is r x N, and the completion is Y = (Q @ C)^T.
+    Q is max(N, T*C) x r and C is r x min(N, T*C), the shapes the solver
+    produces. When ``dims.transposed`` (N < T*C) the solve ran on the
+    transposed unfolding and Y = (Q @ C)^T; otherwise Y = Q @ C.
 
     Either way Y = user_factor @ col_factor^T, with user_factor N x r and
     col_factor (T*C) x r. Readers of Y go through these two views (or the
@@ -251,45 +251,40 @@ class LowRankModel:
     dims: ProblemDims
     q: np.ndarray
     c: np.ndarray
-    transposed: bool = False
     user_factor: np.ndarray = field(init=False, repr=False, compare=False)
     col_factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.q = np.ascontiguousarray(self.q, dtype=np.float64)
         self.c = np.ascontiguousarray(self.c, dtype=np.float64)
-        n_rows = self.dims.n_cols if self.transposed else self.dims.n_users
-        n_cols = self.dims.n_users if self.transposed else self.dims.n_cols
-        r = self.q.shape[1] if self.q.ndim == 2 else -1
-        if self.q.ndim != 2 or self.q.shape[0] != n_rows:
-            raise ValueError(f"q must be {n_rows} x r, got {self.q.shape}")
-        if self.c.shape != (r, n_cols):
-            raise ValueError(f"c must be {r} x {n_cols}, got {self.c.shape}")
-        if r > min(self.dims.n_users, self.dims.n_cols):
-            raise ValueError("rank exceeds min(N, T*C)")
-        # the solver puts C on the smaller side, so this copy is O(min(N, T*C) * r)
+        short_side, long_side = sorted((self.dims.n_users, self.dims.n_cols))
+        if self.q.ndim != 2 or self.q.shape[0] != long_side:
+            raise ValueError(f"q must be {long_side} x r, got {self.q.shape}")
+        if not 1 <= self.rank <= short_side:
+            raise ValueError(f"rank {self.rank} outside [1, min(N, T*C) = {short_side}]")
+        if self.c.shape != (self.rank, short_side):
+            raise ValueError(f"c must be {self.rank} x {short_side}, got {self.c.shape}")
+        # C is on the shorter side, so this copy is O(min(N, T*C) * r)
         c_t = np.ascontiguousarray(self.c.T)
-        self.user_factor, self.col_factor = (c_t, self.q) if self.transposed else (self.q, c_t)
+        self.user_factor, self.col_factor = (c_t, self.q) if self.dims.transposed else (self.q, c_t)
 
     @property
     def rank(self) -> int:
         return self.q.shape[1]
 
     def orthonormality_error(self) -> float:
-        """max |Q^T Q - I|; 0.0 for rank 0."""
-        if self.rank == 0:
-            return 0.0
+        """max |Q^T Q - I|."""
         g = self.q.T @ self.q
         return float(np.abs(g - np.eye(self.rank)).max())
 
-    def validate(self, tol: float = 1e-8) -> None:
+    def validate(self) -> None:
         if not (np.isfinite(self.q).all() and np.isfinite(self.c).all()):
             raise ValueError("model factors hold non-finite values")
         # orthonormal columns hold no entry above 1; a larger one could overflow Q^T Q
-        if np.abs(self.q).max(initial=0.0) > 1.0 + tol:
+        if np.abs(self.q).max() > 1.0 + _ORTHONORMAL_TOL:
             raise ValueError("Q columns are not orthonormal: an entry exceeds 1 in magnitude")
         err = self.orthonormality_error()
-        if err > tol:
+        if err > _ORTHONORMAL_TOL:
             raise ValueError(f"Q columns are not orthonormal: max deviation {err:.3e}")
 
     def slot_scores(self, users, slots) -> np.ndarray:

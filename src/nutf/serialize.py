@@ -1,9 +1,9 @@
 """On-disk formats: binary snapshots and JSON-lines data files.
 
 Binary snapshots share one little-endian header (magic "NUTF", format
-version, record kind, dims, rank, transposed flag) followed by int64 /
-float64 array payloads. The JSON-lines formats carry candidate sets,
-ground-truth / validation pairs, and solver traces. See docs/formats.md
+version, record kind, dims, rank, orientation flag derived from the dims)
+followed by int64 / float64 array payloads. The JSON-lines formats carry
+candidate sets, ground-truth / validation pairs, and solver traces. See docs/formats.md
 for the byte-level layout.
 """
 
@@ -23,7 +23,7 @@ FORMAT_VERSION = 1
 KIND_BLOCK_SPARSE = 1
 KIND_MODEL = 2
 
-# magic, version u16, kind u8, N u64, T u64, C u64, rank u64, transposed u8
+# magic, version u16, kind u8, N u64, T u64, C u64, rank u64, orientation flag u8
 _HEADER = struct.Struct("<4sHBQQQQB")
 
 
@@ -48,33 +48,40 @@ def _check_payload(fh, nbytes: int) -> None:
         raise ValueError(f"snapshot has {left - nbytes} trailing bytes")
 
 
-def _write_header(fh, kind: int, dims: ProblemDims, rank: int, transposed: bool) -> None:
+def _write_header(fh, kind: int, dims: ProblemDims, rank: int) -> None:
     fh.write(
         _HEADER.pack(
             MAGIC, FORMAT_VERSION, kind,
             dims.n_users, dims.n_slots, dims.n_categories,
-            rank, int(transposed),
+            rank, int(kind == KIND_MODEL and dims.transposed),
         )
     )
 
 
-def _read_header(fh, expect_kind: int) -> tuple[ProblemDims, int, bool]:
+def _read_header(fh, expect_kind: int) -> tuple[ProblemDims, int]:
     buf = fh.read(_HEADER.size)
     if len(buf) != _HEADER.size:
         raise ValueError("snapshot truncated")
-    magic, version, kind, n, t, c, rank, transposed = _HEADER.unpack(buf)
+    magic, version, kind, n, t, c, rank, flag = _HEADER.unpack(buf)
     if magic != MAGIC:
         raise ValueError("not a NUTF snapshot (bad magic bytes)")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported snapshot version {version}")
     if kind != expect_kind:
         raise ValueError(f"snapshot holds record kind {kind}, expected {expect_kind}")
-    return ProblemDims(n, t, c), rank, bool(transposed)
+    dims = ProblemDims(n, t, c)
+    if kind == KIND_BLOCK_SPARSE and (rank or flag):
+        raise ValueError(f"block-sparse header holds rank {rank} and flag {flag}; both must be 0")
+    if kind == KIND_MODEL and flag != dims.transposed:
+        raise ValueError(f"header orientation flag {flag} disagrees with N={n}, T*C={t * c}")
+    if kind == KIND_MODEL and not 1 <= rank <= min(n, t * c):
+        raise ValueError(f"snapshot rank {rank} outside [1, min(N, T*C) = {min(n, t * c)}]")
+    return dims, rank
 
 
 def save_block_sparse(path, x: BlockSparseMatrix) -> None:
     with open(path, "wb") as fh:
-        _write_header(fh, KIND_BLOCK_SPARSE, x.dims, 0, False)
+        _write_header(fh, KIND_BLOCK_SPARSE, x.dims, 0)
         s = x.support
         fh.write(struct.pack("<QQ", s.n_blocks, s.total_size))
         _write_array(fh, s.block_users, "<i8")
@@ -86,7 +93,7 @@ def save_block_sparse(path, x: BlockSparseMatrix) -> None:
 
 def load_block_sparse(path) -> BlockSparseMatrix:
     with open(path, "rb") as fh:
-        dims, _, _ = _read_header(fh, KIND_BLOCK_SPARSE)
+        dims, _ = _read_header(fh, KIND_BLOCK_SPARSE)
         n_blocks, total = (int(v) for v in _read_array(fh, 2, "<u8"))
         _check_payload(fh, 8 * (3 * n_blocks + 1 + 2 * total))
         users = _read_array(fh, n_blocks, "<i8")
@@ -101,23 +108,19 @@ def load_block_sparse(path) -> BlockSparseMatrix:
 
 def save_model(path, model: LowRankModel) -> None:
     with open(path, "wb") as fh:
-        _write_header(fh, KIND_MODEL, model.dims, model.rank, model.transposed)
+        _write_header(fh, KIND_MODEL, model.dims, model.rank)
         _write_array(fh, model.q, "<f8")
         _write_array(fh, model.c, "<f8")
 
 
 def load_model(path) -> LowRankModel:
     with open(path, "rb") as fh:
-        dims, rank, transposed = _read_header(fh, KIND_MODEL)
-        if rank > min(dims.n_users, dims.n_cols):
-            raise ValueError(f"snapshot rank {rank} exceeds min(N, T*C)")
+        dims, rank = _read_header(fh, KIND_MODEL)
+        short_side, long_side = sorted((dims.n_users, dims.n_cols))
         _check_payload(fh, 8 * rank * (dims.n_users + dims.n_cols))
-        n_rows = dims.n_cols if transposed else dims.n_users
-        n_cols = dims.n_users if transposed else dims.n_cols
-        q = _read_array(fh, n_rows * rank, "<f8").reshape(n_rows, rank)
-        c = _read_array(fh, rank * n_cols, "<f8").reshape(rank, n_cols)
-    model = LowRankModel(dims, q=q, c=c, transposed=transposed)
-    # the payload size is the same in both orientations; a wrong flag shows here
+        q = _read_array(fh, long_side * rank, "<f8").reshape(long_side, rank)
+        c = _read_array(fh, rank * short_side, "<f8").reshape(rank, short_side)
+    model = LowRankModel(dims, q=q, c=c)
     model.validate()
     return model
 

@@ -4,7 +4,7 @@ import hypothesis
 import numpy as np
 import pytest
 
-from nutf.core import CandidateSets, ProblemDims
+from nutf.core import CandidateSets, LowRankModel, ProblemDims
 from nutf.simplex import project_blocks
 from nutf.solver import SolverConfig, SolverTrace, _relative_change, init_x
 
@@ -89,3 +89,32 @@ def random_omega(rng, n_users, n_slots, n_categories, p_block=0.5):
                 cats = rng.choice(n_categories, size=size, replace=False)
                 blocks.append((i, j, sorted(int(c) for c in cats)))
     return CandidateSets.from_blocks(blocks)
+
+
+def random_model(rng, dims, rank):
+    """Random orthonormal Q and Gaussian C, shaped as the solver shapes them for dims."""
+    short_side, long_side = sorted((dims.n_users, dims.n_cols))
+    q, _ = np.linalg.qr(rng.standard_normal((long_side, rank)))
+    return LowRankModel(dims, q=q, c=rng.standard_normal((rank, short_side)))
+
+
+def zero_model(dims):
+    """Rank-1 model with C = 0: every score is 0, so every ranking is a tie."""
+    short_side, long_side = sorted((dims.n_users, dims.n_cols))
+    q = np.zeros((long_side, 1))
+    q[0, 0] = 1.0
+    return LowRankModel(dims, q=q, c=np.zeros((1, short_side)))
+
+
+def exact_model(dims, dense):
+    """Model whose completion is dense (N x T*C), up to rounding: its SVD
+    truncated at the numerical rank, in the solver's orientation."""
+    u, s, vt = np.linalg.svd(dense.T if dims.transposed else dense, full_matrices=False)
+    r = int((s > 1e-12).sum())
+    return LowRankModel(dims, q=u[:, :r], c=s[:r, None] * vt[:r])
+
+
+def dense_completion(model):
+    """The completion as an N x (T*C) matrix, straight from the stored factors."""
+    y = model.q @ model.c
+    return y.T if model.dims.transposed else y

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from nutf.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, build_parser, main
-from nutf.core import LowRankModel, ProblemDims
+from nutf.core import ProblemDims
 from nutf.serialize import save_model, write_pairs_jsonl
+
+from conftest import random_model
 
 
 def run(argv):
@@ -203,9 +205,8 @@ class TestPredictAndEval:
         ["huge_rank", "trailing_bytes", "flipped_orientation", "nan_q", "nan_c", "huge_q"])
     def test_eval_corrupt_model_is_input_error(self, tmp_path, capsys, corrupt):
         rng = np.random.default_rng(0)
-        q, _ = np.linalg.qr(rng.standard_normal((5, 2)))
         path = tmp_path / "model.nutf"
-        save_model(path, LowRankModel(ProblemDims(5, 4, 3), q=q, c=rng.standard_normal((2, 12))))
+        save_model(path, random_model(rng, ProblemDims(5, 4, 3), 2))
         pairs = tmp_path / "pairs.jsonl"
         write_pairs_jsonl(pairs, [(0, 1, 2)])
         argv = ["eval", "--model", str(path), "--validation", str(pairs), "--k", "1"]
@@ -216,10 +217,10 @@ class TestPredictAndEval:
         elif corrupt == "trailing_bytes":
             raw += bytes(16)
         elif corrupt == "flipped_orientation":
-            raw[39] = 1
+            raw[39] ^= 1
         else:
-            # q's payload starts after the 40-byte header, c's after q's 5 x 2 floats
-            offset = 120 if corrupt == "nan_c" else 40
+            # q's payload starts after the 40-byte header, c's after q's 12 x 2 floats
+            offset = 232 if corrupt == "nan_c" else 40
             value = 1e300 if corrupt == "huge_q" else np.nan
             raw[offset:offset + 8] = np.float64(value).tobytes()
         path.write_bytes(raw)

@@ -11,8 +11,9 @@ from nutf.core import (
     frobenius_gap,
     model_support_values,
 )
+from nutf.linalg import to_csr
 
-from conftest import full_support, random_omega
+from conftest import dense_completion, exact_model, full_support, random_model, random_omega
 
 
 class TestProblemDims:
@@ -31,6 +32,13 @@ class TestProblemDims:
     def test_large_but_valid(self):
         d = ProblemDims(3_000_000, 500, 200)
         assert d.n_cols == 100_000
+
+    def test_transposed_iff_fewer_users_than_columns(self):
+        assert ProblemDims(11, 4, 3).transposed
+        assert not ProblemDims(12, 4, 3).transposed  # square: normal orientation
+        assert not ProblemDims(13, 4, 3).transposed
+        with pytest.raises(AttributeError):
+            ProblemDims(11, 4, 3).transposed = False
 
 
 def col_index(j, k, dims):
@@ -141,7 +149,7 @@ class TestSupportLayout:
     def test_to_csr_is_a_view_of_the_layout(self, small_omega, small_dims):
         x = BlockSparseMatrix(small_dims, small_omega, np.ones(small_omega.total_size))
         indptr, cols, _ = small_omega.csr_structure(small_dims)
-        csr = x.to_csr()
+        csr = to_csr(x)
         assert indptr.dtype == cols.dtype == np.int32
         assert np.shares_memory(csr.indptr, indptr)
         assert np.shares_memory(csr.indices, cols)
@@ -154,7 +162,7 @@ class TestSupportLayout:
         indptr, cols, rows = omega.csr_structure(dims)
         assert indptr.dtype == cols.dtype == rows.dtype == np.int64
         assert cols.tolist() == [2**31]
-        assert np.shares_memory(x.to_csr().indices, cols)
+        assert np.shares_memory(to_csr(x).indices, cols)
 
     def test_empty_support(self):
         omega = CandidateSets.from_blocks([])
@@ -202,20 +210,7 @@ class TestBlockSparseMatrix:
         rng = np.random.default_rng(0)
         vals = rng.random(small_omega.total_size)
         x = BlockSparseMatrix(small_dims, small_omega, vals)
-        assert np.allclose(x.to_csr().toarray(), x.to_dense())
-
-
-def _random_model(rng, dims, rank, transposed=False):
-    n_rows = dims.n_cols if transposed else dims.n_users
-    n_cols = dims.n_users if transposed else dims.n_cols
-    q, _ = np.linalg.qr(rng.standard_normal((n_rows, rank)))
-    c = rng.standard_normal((rank, n_cols))
-    return LowRankModel(dims, q=q, c=c, transposed=transposed)
-
-
-def _dense(model):
-    """The completion as an N x (T*C) matrix, straight from the stored factors."""
-    return (model.q @ model.c).T if model.transposed else model.q @ model.c
+        assert np.allclose(to_csr(x).toarray(), x.to_dense())
 
 
 def _all_slot_scores(model):
@@ -227,24 +222,17 @@ def _all_slot_scores(model):
 
 
 class TestLowRankModel:
-    def test_rank_zero_value(self, small_dims):
-        model = LowRankModel(
-            small_dims, q=np.empty((small_dims.n_users, 0)), c=np.empty((0, small_dims.n_cols))
-        )
-        assert model.rank == 0
-        assert model.slot_scores([2], [1]).tolist() == [[0.0, 0.0, 0.0]]
-
     def test_constant_rank_one(self):
-        dims = ProblemDims(4, 2, 3)
+        dims = ProblemDims(4, 2, 2)
         q = np.full((4, 1), 1.0 / 2.0)  # ones / sqrt(N)
-        c = np.ones((1, 6))
+        c = np.ones((1, 4))
         model = LowRankModel(dims, q=q, c=c)
         assert np.allclose(_all_slot_scores(model), 0.5, rtol=0, atol=1e-15)
 
     def test_matches_naive_triple_loop(self):
-        dims = ProblemDims(5, 4, 2)
+        dims = ProblemDims(9, 4, 2)  # N >= T*C: Y = Q @ C
         rng = np.random.default_rng(42)
-        model = _random_model(rng, dims, 3)
+        model = random_model(rng, dims, 3)
         scores = _all_slot_scores(model)
         for i in range(dims.n_users):
             for col in range(dims.n_cols):
@@ -254,17 +242,19 @@ class TestLowRankModel:
     def test_transposed_orientation(self):
         dims = ProblemDims(3, 2, 4)  # N=3 < TC=8
         rng = np.random.default_rng(1)
-        model = _random_model(rng, dims, 2, transposed=True)
+        model = random_model(rng, dims, 2)
+        assert model.q.shape == (8, 2) and model.c.shape == (2, 3)
         full = (model.q @ model.c).T  # N x TC
         assert np.allclose(_all_slot_scores(model), full, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("transposed", [False, True])
-    @pytest.mark.parametrize("rank", [0, 1, 3])
+    @pytest.mark.parametrize("rank", [1, 3])
     def test_slot_scores_match_dense(self, transposed, rank):
         rng = np.random.default_rng(10 * rank + transposed)
-        dims = ProblemDims(6, 4, 5)
-        model = _random_model(rng, dims, rank, transposed=transposed)
-        y = _dense(model)
+        dims = ProblemDims(6 if transposed else 26, 4, 5)
+        assert dims.transposed == transposed
+        model = random_model(rng, dims, rank)
+        y = dense_completion(model)
         assert np.allclose(model.user_factor @ model.col_factor.T, y, rtol=0, atol=1e-12)
         users = rng.integers(0, dims.n_users, size=30)
         slots = rng.integers(0, dims.n_slots, size=30)
@@ -275,42 +265,49 @@ class TestLowRankModel:
                            rtol=0, atol=1e-12)
 
     def test_shape_validation(self, small_dims):
-        with pytest.raises(ValueError):
-            LowRankModel(small_dims, q=np.ones((small_dims.n_users, 2)), c=np.ones((3, small_dims.n_cols)))
-        with pytest.raises(ValueError):
-            LowRankModel(small_dims, q=np.ones((2, 2)), c=np.ones((2, small_dims.n_cols)))
+        # small_dims has N=5 < T*C=12, so Q is 12 x r and C is r x 5
+        LowRankModel(small_dims, q=np.ones((12, 2)), c=np.ones((2, 5)))
+        with pytest.raises(ValueError, match="c must be"):
+            LowRankModel(small_dims, q=np.ones((12, 2)), c=np.ones((3, 5)))
+        with pytest.raises(ValueError, match="q must be"):
+            LowRankModel(small_dims, q=np.ones((2, 2)), c=np.ones((2, 5)))
+        # the other orientation's shapes do not fit these dims
+        with pytest.raises(ValueError, match="q must be"):
+            LowRankModel(small_dims, q=np.ones((5, 2)), c=np.ones((2, 12)))
 
     def test_rank_cap(self):
         dims = ProblemDims(3, 2, 2)
-        with pytest.raises(ValueError):
-            LowRankModel(dims, q=np.ones((3, 4)), c=np.ones((4, 4)))
+        with pytest.raises(ValueError, match="rank"):
+            LowRankModel(dims, q=np.ones((4, 4)), c=np.ones((4, 3)))
+        with pytest.raises(ValueError, match="rank"):
+            LowRankModel(dims, q=np.ones((4, 0)), c=np.ones((0, 3)))
 
     def test_orthonormality_check(self, small_dims):
         rng = np.random.default_rng(3)
-        model = _random_model(rng, small_dims, 2)
+        model = random_model(rng, small_dims, 2)
         model.validate()
-        bad = LowRankModel(small_dims, q=np.ones((small_dims.n_users, 2)),
-                           c=np.zeros((2, small_dims.n_cols)))
+        bad = LowRankModel(small_dims, q=np.ones((12, 2)), c=np.zeros((2, 5)))
         with pytest.raises(ValueError):
             bad.validate()
 
     @pytest.mark.parametrize("factor,value", [("q", np.nan), ("c", np.nan), ("c", np.inf)])
     def test_validate_rejects_non_finite(self, small_dims, factor, value):
-        model = _random_model(np.random.default_rng(3), small_dims, 2)
+        model = random_model(np.random.default_rng(3), small_dims, 2)
         getattr(model, factor)[0, 1] = value
         with pytest.raises(ValueError, match="non-finite"):
             model.validate()
 
     def test_support_values_match_scalar_op(self, small_omega, small_dims):
         rng = np.random.default_rng(7)
-        for transposed in (False, True):
-            model = _random_model(rng, small_dims, 2, transposed=transposed)
-            y = _dense(model)
+        # small_omega fits both: N=5 < T*C=12 and N=15 > T*C
+        for dims in (small_dims, ProblemDims(15, 4, 3)):
+            model = random_model(rng, dims, 2)
+            y = dense_completion(model)
             vals = model_support_values(model, small_omega)
             k = 0
             for (i, j), cats in small_omega.items():
                 for cat in cats:
-                    expected = y[i, j * small_dims.n_categories + int(cat)]
+                    expected = y[i, j * dims.n_categories + int(cat)]
                     assert vals[k] == pytest.approx(expected, abs=1e-12)
                     k += 1
 
@@ -322,8 +319,8 @@ class TestLowRankModel:
         dims = ProblemDims(12 if transposed else 40, 6, 5)
         rng = np.random.default_rng(17)
         omega = random_omega(rng, dims.n_users, dims.n_slots, dims.n_categories, p_block=0.7)
-        model = _random_model(rng, dims, 3, transposed=transposed)
-        assert model.transposed == (dims.n_users < dims.n_cols)
+        model = random_model(rng, dims, 3)
+        assert dims.transposed == transposed
         _, cols, rows = omega.csr_structure(dims)
         assert len(cols) > 20 * core._ENTRY_CHUNK
         expected = np.array([np.dot(model.col_factor[c], model.user_factor[r])
@@ -339,20 +336,9 @@ class TestFrobeniusGap:
             (0, 0): [0], (0, 2): [1], (1, 0): [0], (2, 1): [1], (3, 2): [0],
         })
         x = BlockSparseMatrix(dims, omega, np.ones(omega.total_size))
-        dense = x.to_dense()
-        u, s, vt = np.linalg.svd(dense, full_matrices=False)
-        r = int((s > 1e-12).sum())
-        model = LowRankModel(dims, q=u[:, :r], c=(s[:r, None] * vt[:r]))
+        model = exact_model(dims, x.to_dense())
         ys = model_support_values(model, x.support)
         assert frobenius_gap(x, model, ys) <= 1e-8
-
-    def test_zero_rank_model_gives_frob_sq(self):
-        dims = ProblemDims(4, 3, 2)
-        omega = CandidateSets.from_dict({(0, 0): [0], (1, 2): [1], (3, 1): [0]})
-        x = BlockSparseMatrix(dims, omega, np.ones(3))
-        model = LowRankModel(dims, q=np.empty((4, 0)), c=np.empty((0, 6)))
-        ys = model_support_values(model, x.support)
-        assert frobenius_gap(x, model, ys) == pytest.approx(3.0, abs=1e-12)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(11)
@@ -364,9 +350,8 @@ class TestFrobeniusGap:
                 continue
             x = BlockSparseMatrix(dims, omega, rng.random(omega.total_size))
             rank = int(rng.integers(1, min(dims.n_users, dims.n_cols) + 1))
-            transposed = bool(rng.integers(0, 2)) and dims.n_users != dims.n_cols
-            model = _random_model(rng, dims, rank, transposed=transposed)
-            oracle = float(np.linalg.norm(x.to_dense() - _dense(model)) ** 2)
+            model = random_model(rng, dims, rank)
+            oracle = float(np.linalg.norm(x.to_dense() - dense_completion(model)) ** 2)
             ys = model_support_values(model, x.support)
             assert frobenius_gap(x, model, ys) == pytest.approx(oracle, abs=1e-8, rel=1e-8)
 
@@ -374,16 +359,16 @@ class TestFrobeniusGap:
         omega = CandidateSets.from_dict({(0, 0): [0]})
         x = BlockSparseMatrix(small_dims, omega, np.ones(1))
         other = ProblemDims(5, 4, 4)
-        model = LowRankModel(other, q=np.ones((5, 1)), c=np.ones((1, 16)))
+        model = LowRankModel(other, q=np.ones((16, 1)), c=np.ones((1, 5)))
         with pytest.raises(ValueError):
             frobenius_gap(x, model, model_support_values(model, x.support))
 
     def test_precomputed_support_values(self, small_omega, small_dims):
         rng = np.random.default_rng(5)
         x = BlockSparseMatrix(small_dims, small_omega, rng.random(small_omega.total_size))
-        model = _random_model(rng, small_dims, 2)
+        model = random_model(rng, small_dims, 2)
         ys = model_support_values(model, small_omega)
-        oracle = float(np.linalg.norm(x.to_dense() - _dense(model)) ** 2)
+        oracle = float(np.linalg.norm(x.to_dense() - dense_completion(model)) ** 2)
         assert frobenius_gap(x, model, ys) == pytest.approx(oracle, abs=1e-12)
         with pytest.raises(ValueError):
             frobenius_gap(x, model, ys[:-1])

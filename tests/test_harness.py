@@ -12,7 +12,7 @@ from nutf.harness import (
 )
 from nutf.solver import predict_topk
 
-from conftest import random_omega
+from conftest import exact_model, random_model, random_omega, zero_model
 
 
 class TestSynthConfig:
@@ -183,10 +183,10 @@ class TestReplaceBlocksWithFull:
 
 class TestScoreTopk:
     def _ranked_model(self):
-        """q = I so scores for user i are just row i of c; truths at
-        positions giving ranks 1, 3, 7."""
-        dims = ProblemDims(3, 1, 10)
-        q = np.eye(3)
+        """q holds the first 3 columns of I, so scores for user i < 3 are
+        just row i of c; truths at positions giving ranks 1, 3, 7."""
+        dims = ProblemDims(10, 1, 10)  # N = T*C: normal orientation
+        q = np.eye(10, 3)
         c = np.zeros((3, 10))
         c[0] = np.linspace(1.0, 0.1, 10)          # truth cat 0 -> rank 1
         c[1] = np.linspace(1.0, 0.1, 10)          # truth cat 2 -> rank 3
@@ -210,19 +210,15 @@ class TestScoreTopk:
         from nutf.core import BlockSparseMatrix
 
         x = BlockSparseMatrix(dims, omega, np.ones(4))
-        dense = x.to_dense()
-        u, s, vt = np.linalg.svd(dense, full_matrices=False)
-        r = int((s > 1e-12).sum())
-        model = LowRankModel(dims, q=u[:, :r], c=s[:r, None] * vt[:r])
+        model = exact_model(dims, x.to_dense())
         pairs = [(0, 0, 2), (1, 0, 1), (2, 1, 0), (3, 1, 2)]
         rep = score_topk(model, pairs, 3)
         assert np.allclose(rep.accuracies, 1.0)
 
-    def test_rank_zero_tie_rule_expectation(self):
+    def test_zero_scores_tie_rule_expectation(self):
         # all scores zero: prediction is always category 0, so accuracy at
         # k equals the fraction of truths below k
-        dims = ProblemDims(50, 2, 42)
-        model = LowRankModel(dims, q=np.empty((50, 0)), c=np.empty((0, 84)))
+        model = zero_model(ProblemDims(50, 2, 42))
         rng = np.random.default_rng(123)
         truths = rng.integers(0, 42, size=500)
         pairs = [(int(i % 50), int(i % 2), int(t)) for i, t in enumerate(truths)]
@@ -238,14 +234,9 @@ class TestScoreTopk:
 
     def test_agrees_with_predict_topk_loop(self):
         rng = np.random.default_rng(77)
-        dims = ProblemDims(8, 3, 6)
-        q, _ = np.linalg.qr(rng.standard_normal((8, 3)))
-        qt, _ = np.linalg.qr(rng.standard_normal((18, 3)))
-        models = [
-            LowRankModel(dims, q=q, c=rng.standard_normal((3, 18))),
-            LowRankModel(dims, q=qt, c=rng.standard_normal((3, 8)), transposed=True),
-            LowRankModel(dims, q=np.empty((8, 0)), c=np.empty((0, 18))),
-        ]
+        models = []
+        for dims in (ProblemDims(8, 3, 6), ProblemDims(20, 3, 6)):  # N < T*C, N > T*C
+            models += [random_model(rng, dims, 3), zero_model(dims)]
         pairs = [
             (int(rng.integers(0, 8)), int(rng.integers(0, 3)), int(rng.integers(0, 6)))
             for _ in range(40)

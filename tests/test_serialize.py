@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from nutf.core import BlockSparseMatrix, CandidateSets, LowRankModel, ProblemDims
 from nutf.serialize import (
@@ -15,7 +16,7 @@ from nutf.serialize import (
     write_pairs_jsonl,
 )
 
-from conftest import random_omega
+from conftest import random_model, random_omega
 
 
 class TestBinarySnapshots:
@@ -30,39 +31,36 @@ class TestBinarySnapshots:
         assert np.array_equal(back.support.block_users, x.support.block_users)
         assert np.array_equal(back.values, x.values)
 
-    def test_model_round_trip(self, tmp_path, small_dims):
-        rng = np.random.default_rng(1)
-        q, _ = np.linalg.qr(rng.standard_normal((small_dims.n_users, 2)))
-        model = LowRankModel(small_dims, q=q, c=rng.standard_normal((2, small_dims.n_cols)))
+    def test_model_round_trip(self, tmp_path):
+        dims = ProblemDims(14, 4, 3)  # N=14 > TC=12
+        model = random_model(np.random.default_rng(1), dims, 2)
         path = tmp_path / "m.nutf"
         save_model(path, model)
+        assert path.read_bytes()[39] == 0
         back = load_model(path)
         assert back.dims == model.dims
-        assert back.transposed == model.transposed
+        assert back.q.shape == (14, 2)
         assert np.array_equal(back.q, model.q)
         assert np.array_equal(back.c, model.c)
 
     def test_transposed_model_round_trip(self, tmp_path):
         dims = ProblemDims(3, 2, 4)  # N=3 < TC=8
-        rng = np.random.default_rng(2)
-        q, _ = np.linalg.qr(rng.standard_normal((8, 2)))
-        model = LowRankModel(dims, q=q, c=rng.standard_normal((2, 3)), transposed=True)
+        model = random_model(np.random.default_rng(2), dims, 2)
         path = tmp_path / "m.nutf"
         save_model(path, model)
+        assert path.read_bytes()[39] == 1
         back = load_model(path)
-        assert back.transposed
         assert back.q.shape == (8, 2)
+        assert np.array_equal(back.q, model.q)
         assert np.array_equal(back.c, model.c)
 
     def test_magic_bytes(self, tmp_path, small_dims):
-        model = LowRankModel(small_dims, q=np.empty((small_dims.n_users, 0)),
-                             c=np.empty((0, small_dims.n_cols)))
         path = tmp_path / "m.nutf"
-        save_model(path, model)
+        save_model(path, random_model(np.random.default_rng(0), small_dims, 1))
         raw = path.read_bytes()
         assert raw[:4] == b"NUTF"
         back = load_model(path)
-        assert back.rank == 0
+        assert back.rank == 1
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.nutf"
@@ -87,11 +85,9 @@ class TestBinarySnapshots:
             load_block_sparse(path)
 
 
-    def _saved_model(self, tmp_path, small_dims):
-        rng = np.random.default_rng(4)
-        q, _ = np.linalg.qr(rng.standard_normal((small_dims.n_users, 2)))
+    def _saved_model(self, tmp_path, dims):
         path = tmp_path / "m.nutf"
-        save_model(path, LowRankModel(small_dims, q=q, c=rng.standard_normal((2, 12))))
+        save_model(path, random_model(np.random.default_rng(4), dims, 2))
         return path, bytearray(path.read_bytes())
 
     def test_model_huge_rank_rejected(self, tmp_path, small_dims):
@@ -107,12 +103,43 @@ class TestBinarySnapshots:
         with pytest.raises(ValueError, match="trailing"):
             load_model(path)
 
+    def test_model_zero_rank_rejected(self, tmp_path, small_dims):
+        path, raw = self._saved_model(tmp_path, small_dims)
+        raw[31:39] = bytes(8)
+        path.write_bytes(raw[:40])  # a rank-0 model has no payload
+        with pytest.raises(ValueError, match="rank 0 outside"):
+            load_model(path)
+
     def test_model_flipped_orientation_rejected(self, tmp_path, small_dims):
         path, raw = self._saved_model(tmp_path, small_dims)
+        raw[39] ^= 1
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="orientation flag 0 disagrees"):
+            load_model(path)
+
+    def test_square_model_flipped_orientation_rejected(self, tmp_path):
+        # N = T*C: both orientations have the same shapes, so only the
+        # header check tells them apart
+        path, raw = self._saved_model(tmp_path, ProblemDims(6, 2, 3))
+        assert raw[39] == 0
         raw[39] = 1
         path.write_bytes(raw)
-        with pytest.raises(ValueError, match="orthonormal"):
+        with pytest.raises(ValueError, match="orientation flag 1 disagrees"):
             load_model(path)
+
+    @pytest.mark.parametrize("field", ["rank", "flag"])
+    def test_block_sparse_rank_or_flag_rejected(self, tmp_path, small_dims, small_omega, field):
+        x = BlockSparseMatrix(small_dims, small_omega, np.ones(small_omega.total_size))
+        path = tmp_path / "x.nutf"
+        save_block_sparse(path, x)
+        raw = bytearray(path.read_bytes())
+        if field == "rank":
+            raw[31:39] = (7).to_bytes(8, "little")
+        else:
+            raw[39] = 1
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="block-sparse header"):
+            load_block_sparse(path)
 
     def test_block_sparse_truncated_counts_rejected(self, tmp_path, small_dims, small_omega):
         x = BlockSparseMatrix(small_dims, small_omega, np.ones(small_omega.total_size))
@@ -142,8 +169,8 @@ class TestBinarySnapshots:
         path = tmp_path / "s.nutf"
         if kind == "model":
             rng = np.random.default_rng(5)
-            q, _ = np.linalg.qr(rng.standard_normal((small_dims.n_users, 1)))
-            c = np.linspace(1.0, 1.75, small_dims.n_cols)[None, :]
+            q, _ = np.linalg.qr(rng.standard_normal((small_dims.n_cols, 1)))
+            c = np.linspace(1.0, 1.75, small_dims.n_users)[None, :]
             save_model(path, LowRankModel(small_dims, q=q, c=c))
             load, arrays = load_model, lambda m: (m.q, m.c)
         else:
@@ -165,6 +192,46 @@ class TestBinarySnapshots:
             except ValueError:
                 continue
             assert all(np.isfinite(a).all() for a in arrays(loaded)), label
+
+
+@st.composite
+def dims_around_square(draw):
+    """Dims with N below, at or above T*C."""
+    t, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    offset = draw(st.one_of(st.just(0), st.integers(1 - t * c, 6)))
+    return ProblemDims(t * c + offset, t, c)
+
+
+class TestSnapshotRoundTrips:
+    @given(dims=dims_around_square(), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_model(self, tmp_path_factory, dims, seed, data):
+        rank = data.draw(st.integers(1, min(dims.n_users, dims.n_cols)))
+        model = random_model(np.random.default_rng(seed), dims, rank)
+        path = tmp_path_factory.mktemp("model") / "m.nutf"
+        save_model(path, model)
+        raw = path.read_bytes()
+        assert raw[39] == dims.transposed
+        back = load_model(path)
+        assert back.dims == dims
+        assert back.q.tobytes() == model.q.tobytes()
+        assert back.c.tobytes() == model.c.tobytes()
+        save_model(path, back)
+        assert path.read_bytes() == raw
+
+    @given(dims=dims_around_square(), seed=st.integers(0, 2**32 - 1))
+    def test_block_sparse(self, tmp_path_factory, dims, seed):
+        rng = np.random.default_rng(seed)
+        omega = random_omega(rng, dims.n_users, dims.n_slots, dims.n_categories)
+        x = BlockSparseMatrix(dims, omega, rng.random(omega.total_size))
+        path = tmp_path_factory.mktemp("x") / "x.nutf"
+        save_block_sparse(path, x)
+        raw = path.read_bytes()
+        back = load_block_sparse(path)
+        assert back.dims == dims
+        assert back.support.to_dict() == omega.to_dict()
+        assert back.values.tobytes() == x.values.tobytes()
+        save_block_sparse(path, back)
+        assert path.read_bytes() == raw
 
 
 class TestJsonl:

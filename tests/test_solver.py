@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nutf import core, parallel
-from nutf.core import BlockSparseMatrix, CandidateSets, LowRankModel, ProblemDims
+from nutf.core import BlockSparseMatrix, CandidateSets, ProblemDims
 from nutf.solver import (
     SolverConfig,
     SolverTrace,
@@ -16,7 +16,14 @@ from nutf.solver import (
     update_x,
 )
 
-from conftest import dense_reference_fit, random_omega
+from conftest import (
+    dense_completion,
+    dense_reference_fit,
+    exact_model,
+    random_model,
+    random_omega,
+    zero_model,
+)
 
 
 def planted_instance(seed, n=6, t=4, c=3, classes=2, p_single=0.5):
@@ -256,15 +263,10 @@ class TestPredictTopk:
             (0, 0): [2], (1, 0): [2], (2, 0): [1], (3, 1): [0],
         })
         x = BlockSparseMatrix(dims, omega, np.ones(4))
-        dense = x.to_dense()
-        u, s, vt = np.linalg.svd(dense, full_matrices=False)
-        r = int((s > 1e-12).sum())
-        model = LowRankModel(dims, q=u[:, :r], c=s[:r, None] * vt[:r])
-        return model, omega, x
+        return exact_model(dims, x.to_dense()), omega, x
 
-    def test_rank_zero_tie_rule(self):
-        dims = ProblemDims(2, 2, 5)
-        model = LowRankModel(dims, q=np.empty((2, 0)), c=np.empty((0, 10)))
+    def test_zero_scores_tie_rule(self):
+        model = zero_model(ProblemDims(2, 2, 5))
         assert predict_topk(model, 0, 1, 3).tolist() == [0, 1, 2]
 
     def test_one_hot_recovery(self):
@@ -292,16 +294,11 @@ class TestPredictTopk:
 
     def test_descending_scores(self):
         rng = np.random.default_rng(13)
-        dims = ProblemDims(6, 3, 5)
-        q, _ = np.linalg.qr(rng.standard_normal((6, 2)))
-        qt, _ = np.linalg.qr(rng.standard_normal((15, 2)))
-        models = [
-            LowRankModel(dims, q=q, c=rng.standard_normal((2, 15))),
-            LowRankModel(dims, q=qt, c=rng.standard_normal((2, 6)), transposed=True),
-            LowRankModel(dims, q=np.empty((6, 0)), c=np.empty((0, 15))),
-        ]
+        models = []
+        for dims in (ProblemDims(6, 3, 5), ProblemDims(20, 3, 5)):  # N < T*C, N > T*C
+            models += [random_model(rng, dims, 2), zero_model(dims)]
         for model in models:
-            y = (model.q @ model.c).T if model.transposed else model.q @ model.c
+            y = dense_completion(model)
             cats = predict_topk(model, 2, 1, 5)
             assert sorted(cats.tolist()) == list(range(5))
             scores = [y[2, 1 * 5 + k] for k in cats]
