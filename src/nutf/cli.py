@@ -305,7 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="omega.jsonl file or a directory containing it")
     p.add_argument("--rank", type=int)
     p.add_argument("--iters", type=int)
-    p.add_argument("--power-iters", dest="power_iters", type=int)
+    p.add_argument("--power-iters", dest="power_iters", type=int,
+                   help="subspace-iteration passes of the first outer iteration, and "
+                        "the most passes of each later, warm-started one")
     p.add_argument("--tol", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--deterministic", action=argparse.BooleanOptionalAction)

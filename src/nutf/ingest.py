@@ -93,12 +93,18 @@ class SlotScheme:
 
 
 def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
-    """Great-circle distance in meters (mean Earth radius 6371 km)."""
+    """Great-circle distance in meters (mean Earth radius 6371 km).
+
+    Uses the spherical Vincenty form, atan2 of the sine and cosine of the
+    central angle, which is well conditioned at every range; the haversine
+    form's asin loses about half the digits near antipodes.
+    """
     p1, p2 = math.radians(lat1), math.radians(lat2)
-    dphi = math.radians(lat2 - lat1)
     dlam = math.radians(lon2 - lon1)
-    a = math.sin(dphi / 2) ** 2 + math.cos(p1) * math.cos(p2) * math.sin(dlam / 2) ** 2
-    return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(a)))
+    s1, c1, s2, c2 = math.sin(p1), math.cos(p1), math.sin(p2), math.cos(p2)
+    sin_angle = math.hypot(c2 * math.sin(dlam), c1 * s2 - s1 * c2 * math.cos(dlam))
+    cos_angle = s1 * s2 + c1 * c2 * math.cos(dlam)
+    return EARTH_RADIUS_M * math.atan2(sin_angle, cos_angle)
 
 
 def dwell_filter(
@@ -160,9 +166,9 @@ class VenueIndex:
     def query(self, lat: float, lon: float, radius_m: float) -> list[int]:
         """Indices of venues whose circle intersects the query circle."""
         angle = min(math.pi, (radius_m + self.max_radius_m) / EARTH_RADIUS_M)
-        # Unit chord plus 1e-9 (~6 mm), far above its ~1e-16 rounding. The
-        # band comes from this chord, not from the angle: near antipodes the
-        # haversine angle is off by up to ~1e-8 rad, its chord by ~1e-16.
+        # Unit chord plus 1e-9 (~6 mm), far above its ~1e-16 rounding and
+        # above the ~1e-15 rad rounding of the atan2 distance that confirms
+        # each venue, so both filters only over-include.
         chord = 2.0 * math.sin(angle / 2.0) + 1e-9
         band = math.degrees(2.0 * math.asin(min(1.0, chord / 2.0)))
         lo = np.searchsorted(self._lats, lat - band, side="left")

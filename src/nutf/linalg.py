@@ -1,10 +1,12 @@
 """Randomized sparse low-rank approximation.
 
-Subspace iteration against the block-sparse unfolding: multiply a seeded
-Gaussian test matrix through X, re-orthonormalize with a reduced QR after
-every pass, then read off the coefficient factor C = Q^T X. The result is
-materialized only on the candidate support, so the cost per pass stays
-O(|Omega| * r) plus the O(rows * r^2) QR.
+Subspace iteration against the block-sparse unfolding: start from a
+seeded Gaussian test matrix multiplied through X, or from a given basis
+(the solver passes the previous outer iteration's Q), re-orthonormalize
+with a reduced QR after every pass, then read off the coefficient factor
+C = Q^T X. A warm start stops as soon as the basis stops turning. The
+result is materialized only on the candidate support, so the cost per
+pass stays O(|Omega| * r) plus the O(rows * r^2) QR.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ if TYPE_CHECKING:
 
 # Salt separating the rank-deficiency fill stream from the test matrix stream.
 _FILL_SALT = 0x9E3779B97F4A7C15
+# A warm-started iteration stops at the first pass whose basis lies within
+# this sine of the largest principal angle of the previous pass's basis.
+_SUBSPACE_TOL = 1e-5
 
 
 class NumericalError(ArithmeticError):
@@ -83,46 +88,79 @@ def reduced_qr(b: np.ndarray, fill_rng: np.random.Generator) -> np.ndarray:
     return _fix_column_signs(q)
 
 
+def _principal_sine(q_old: np.ndarray, q_new: np.ndarray) -> float:
+    """Sine of the largest principal angle between two orthonormal bases."""
+    cos_min = np.linalg.svd(q_old.T @ q_new, compute_uv=False)[-1]
+    return float(np.sqrt(max(0.0, 1.0 - cos_min * cos_min)))
+
+
 def sparse_lowrank_approx(
     x: BlockSparseMatrix,
     cfg: SolverConfig,
-) -> tuple[LowRankModel, np.ndarray, dict[str, float]]:
+    start: np.ndarray | None = None,
+) -> tuple[LowRankModel, np.ndarray, dict[str, float], int, float | None]:
     """Rank-r approximation of x, materialized only on its support.
 
-    Runs the sketch-and-iterate loop (Gaussian R, B = A R, Q = QR(B),
-    then power_iters rounds of B = A (A^T Q), Q = QR(B), finally
-    C = Q^T A) where A is x's unfolding, transposed when dims.transposed
-    (N < T*C) so that the test matrix and C sit on the shorter side. Uses
-    cfg's rank, power_iters and seed. Returns the model, the completion values on
-    x's support (aligned with the support order), and the seconds spent
-    in its steps: ``spmm`` (the sparse products, including the CSR view
-    of x), ``qr`` and ``materialize`` (the values on the support).
+    Runs subspace iteration on A, x's unfolding, transposed when
+    dims.transposed (N < T*C) so that the test matrix and C sit on the
+    shorter side. Each pass is B = A (A^T Q), Q = QR(B); finally C = Q^T A.
+
+    - Cold (``start`` is None): Q = QR(A R) for a Gaussian R drawn from
+      cfg.seed, then exactly cfg.power_iters passes.
+    - Warm: Q starts as ``start``, an orthonormal max(N, T*C) x r basis
+      such as the previous model's ``q``; no Gaussian is drawn. Passes
+      stop at the first whose new Q is within the module's subspace
+      tolerance of the one before (the sine of the largest principal
+      angle between them), after 1 to max(1, cfg.power_iters) passes.
+
+    Returns the model; the completion values on x's support (aligned with
+    the support order); the seconds spent in its steps, ``spmm`` (the
+    sparse products, including the CSR view of x), ``qr`` and
+    ``materialize`` (the values on the support); the number of passes
+    run; and the sine of the last pass's principal angle, None when no
+    pass ran.
     """
     dims = x.dims
     min_side = min(dims.n_users, dims.n_cols)
     if cfg.rank > min_side:
         raise ValueError(f"rank {cfg.rank} exceeds min(N, T*C) = {min_side}")
-
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    if start is not None:
+        shape = (max(dims.n_users, dims.n_cols), cfg.rank)
+        if start.shape != shape:
+            raise ValueError(f"start basis has shape {start.shape}, expected {shape}")
+        if not np.all(np.isfinite(start)):
+            raise ValueError("start basis has non-finite entries")
     fill_rng = np.random.Generator(np.random.Philox(key=cfg.seed ^ _FILL_SALT))
-    r_test = rng.standard_normal((min_side, cfg.rank))
 
     seconds = {"spmm": 0.0, "qr": 0.0}
     t0 = time.perf_counter()
     csr = to_csr(x)
     a = csr.T if dims.transposed else csr
-    b = np.asarray(a @ r_test)
-    seconds["spmm"] += time.perf_counter() - t0
-    t0 = time.perf_counter()
-    q = reduced_qr(b, fill_rng)
-    seconds["qr"] += time.perf_counter() - t0
-    for _ in range(cfg.power_iters):
-        t0 = time.perf_counter()
-        b = np.asarray(a @ np.asarray(a.T @ q))
+    if start is None:
+        rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+        b = np.asarray(a @ rng.standard_normal((min_side, cfg.rank)))
         seconds["spmm"] += time.perf_counter() - t0
         t0 = time.perf_counter()
         q = reduced_qr(b, fill_rng)
         seconds["qr"] += time.perf_counter() - t0
+        max_passes = cfg.power_iters
+    else:
+        seconds["spmm"] += time.perf_counter() - t0
+        q, max_passes = start, max(1, cfg.power_iters)
+    passes, angle = 0, None
+    while passes < max_passes:
+        t0 = time.perf_counter()
+        b = np.asarray(a @ np.asarray(a.T @ q))
+        seconds["spmm"] += time.perf_counter() - t0
+        t0 = time.perf_counter()
+        q_prev, q = q, reduced_qr(b, fill_rng)
+        seconds["qr"] += time.perf_counter() - t0
+        passes += 1
+        # a cold call runs all its passes, so only its last angle is read
+        if start is not None or passes == max_passes:
+            angle = _principal_sine(q_prev, q)
+            if start is not None and angle <= _SUBSPACE_TOL:
+                break
     t0 = time.perf_counter()
     c = np.ascontiguousarray(np.asarray(a.T @ q).T)
     seconds["spmm"] += time.perf_counter() - t0
@@ -133,4 +171,4 @@ def sparse_lowrank_approx(
     seconds["materialize"] = time.perf_counter() - t0
     if not np.all(np.isfinite(y_support)):
         raise NumericalError("non-finite completion values")
-    return model, y_support, seconds
+    return model, y_support, seconds, passes, angle

@@ -53,19 +53,23 @@ class SolverTrace:
     """One record per completed outer iteration.
 
     Each record holds the objective, the iteration's wall seconds, the
-    norm of the change in X, and in ``kernel_seconds`` the seconds of each
-    of its kernels: ``spmm``, ``qr`` and ``materialize`` from the low-rank
-    half-step, then ``project``, ``gap`` (the objective) and ``delta``.
-    ``init_seconds`` is the uniform start, run once before the first
-    iteration. ``trace.jsonl`` gets only the objective, the seconds and
-    the change in X; ``nutf fit`` writes the split, summed over the
-    iterations, to its wall-clock file.
+    norm of the change in X, the number of subspace-iteration passes of
+    its low-rank half-step, the sine of the largest principal angle its
+    last pass turned the basis by (None when it ran no pass), and in
+    ``kernel_seconds`` the seconds of each of its kernels: ``spmm``,
+    ``qr`` and ``materialize`` from the low-rank half-step, then
+    ``project``, ``gap`` (the objective) and ``delta``. ``init_seconds``
+    is the uniform start, run once before the first iteration.
+    ``trace.jsonl`` gets every field but the kernel split; ``nutf fit``
+    writes the split, summed over the iterations, to its wall-clock file.
     """
 
     init_seconds: float = 0.0
     objectives: list[float] = field(default_factory=list)
     seconds: list[float] = field(default_factory=list)
     x_deltas: list[float] = field(default_factory=list)
+    passes: list[int] = field(default_factory=list)
+    subspace_angles: list[float | None] = field(default_factory=list)
     kernel_seconds: list[dict[str, float]] = field(default_factory=list)
 
     @property
@@ -73,11 +77,19 @@ class SolverTrace:
         return len(self.objectives)
 
     def append(
-        self, objective: float, seconds: float, x_delta: float, kernels: dict[str, float]
+        self,
+        objective: float,
+        seconds: float,
+        x_delta: float,
+        passes: int,
+        subspace_angle: float | None,
+        kernels: dict[str, float],
     ) -> None:
         self.objectives.append(float(objective))
         self.seconds.append(float(seconds))
         self.x_deltas.append(float(x_delta))
+        self.passes.append(int(passes))
+        self.subspace_angles.append(None if subspace_angle is None else float(subspace_angle))
         self.kernel_seconds.append(kernels)
 
     def to_records(self, zero_seconds: bool = False) -> list[dict]:
@@ -87,6 +99,8 @@ class SolverTrace:
                 "objective": self.objectives[t],
                 "seconds": 0.0 if zero_seconds else self.seconds[t],
                 "x_delta": self.x_deltas[t],
+                "passes": self.passes[t],
+                "subspace_angle": self.subspace_angles[t],
             }
             for t in range(self.n_iterations)
         ]
@@ -131,9 +145,13 @@ def fit(
 
     Stops after cfg.outer_iters iterations or as soon as the relative
     objective change drops below cfg.tol. The returned X is always
-    feasible: zero off support, non-negative, block sums 1. The Gaussian
-    test matrix is re-drawn each outer iteration from seed XOR the
-    1-based iteration counter.
+    feasible: zero off support, non-negative, block sums 1. Iteration 1
+    starts its subspace iteration cold, from a Gaussian test matrix drawn
+    from seed XOR 1, and runs cfg.power_iters passes. Every later
+    iteration starts from the previous iteration's basis ``model.q``,
+    draws no Gaussian, and stops once the basis stops turning, after 1
+    to max(1, cfg.power_iters) passes. Rank-deficiency fills in the QR
+    come from a stream keyed by seed XOR the 1-based iteration counter.
 
     ``on_iteration(iter, x, model, objective)`` is invoked after every
     completed iteration (instrumentation, e.g. feasibility audits).
@@ -142,9 +160,13 @@ def fit(
     x = init_x(omega, dims)
     trace = SolverTrace(init_seconds=time.perf_counter() - t0)
     prev_obj: float | None = None
+    start: np.ndarray | None = None
     for it in range(1, cfg.outer_iters + 1):
         t0 = time.perf_counter()
-        model, y_support, kernels = sparse_lowrank_approx(x, replace(cfg, seed=cfg.seed ^ it))
+        model, y_support, kernels, passes, angle = sparse_lowrank_approx(
+            x, replace(cfg, seed=cfg.seed ^ it), start=start
+        )
+        start = model.q
         t1 = time.perf_counter()
         new_x = update_x(y_support, omega, dims)
         t2 = time.perf_counter()
@@ -154,7 +176,7 @@ def fit(
         x = new_x
         t4 = time.perf_counter()
         kernels.update(project=t2 - t1, gap=t3 - t2, delta=t4 - t3)
-        trace.append(objective, t4 - t0, x_delta, kernels)
+        trace.append(objective, t4 - t0, x_delta, passes, angle, kernels)
         if not np.isfinite(objective):
             raise NumericalError(f"objective diverged at iteration {it}")
         if on_iteration is not None:

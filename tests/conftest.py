@@ -71,8 +71,8 @@ def dense_reference_fit(
         objective = float(np.linalg.norm(new_x - y) ** 2)
         x_delta = float(np.linalg.norm(new_x - x))
         x = new_x
-        # none of fit's kernels run here, so the kernel split stays empty
-        trace.append(objective, time.perf_counter() - t0, x_delta, {})
+        # none of fit's kernels run here: no passes, no angle, an empty kernel split
+        trace.append(objective, time.perf_counter() - t0, x_delta, 0, None, {})
         if prev_obj is not None and _relative_change(prev_obj, objective) < cfg.tol:
             break
         prev_obj = objective

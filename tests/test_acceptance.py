@@ -231,7 +231,7 @@ def test_criterion_5_lowrank_approximation_optimality():
             dense = (rng.random((20, 5)) @ rng.random((5, 30))
                      + 0.01 * rng.random((20, 30)))
             x = BlockSparseMatrix(dims, omega, dense.ravel())
-            model, _, _ = sparse_lowrank_approx(
+            model, *_ = sparse_lowrank_approx(
                 x, SolverConfig(rank=5, power_iters=20, seed=trial)
             )
             res = float(np.linalg.norm(dense - dense_completion(model)))

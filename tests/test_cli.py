@@ -103,8 +103,22 @@ class TestFit:
         assert (a / "model.nutf").read_bytes() == (b / "model.nutf").read_bytes()
         assert (a / "x.nutf").read_bytes() == (b / "x.nutf").read_bytes()
         rec = json.loads((a / "trace.jsonl").read_text().splitlines()[0])
-        assert set(rec) == {"iter", "objective", "seconds", "x_delta"}
+        assert set(rec) == {"iter", "objective", "seconds", "x_delta", "passes", "subspace_angle"}
         assert rec["seconds"] == 0.0
+
+    def test_single_thread_deterministic_reruns_identical(self, tmp_path):
+        src = self._fixture(tmp_path)
+        outs = [tmp_path / "fa", tmp_path / "fb"]
+        for out in outs:
+            assert run(["fit", "--omega", str(src), "--rank", "4", "--iters", "6",
+                        "--tol", "0", "--power-iters", "3", "--seed", "4",
+                        "--deterministic", "--threads", "1", "--out", str(out)]) == EXIT_OK
+        names = ["trace.jsonl", "model.nutf", "x.nutf"]
+        assert file_bytes(outs[0], names) == file_bytes(outs[1], names)
+        recs = [json.loads(l) for l in (outs[0] / "trace.jsonl").read_text().splitlines()]
+        assert [r["iter"] for r in recs] == [1, 2, 3, 4, 5, 6]
+        assert recs[0]["passes"] == 3
+        assert all(1 <= r["passes"] <= 3 for r in recs[1:])
 
     def test_trace_has_wallclock_without_deterministic(self, tmp_path):
         src = self._fixture(tmp_path)

@@ -44,6 +44,17 @@ class TestHaversine:
         a, b = (48.85, 2.35), (51.5, -0.12)
         assert haversine_m(*a, *b) == pytest.approx(haversine_m(*b, *a), abs=1e-9)
 
+    def test_near_antipodal_across_pole(self):
+        # (lat, lon) and (d - lat, lon - 180) lie on one meridian circle, and
+        # the short way between them crosses the north pole: its exact
+        # length is the meridian arc 180 - d degrees, d up to ~100 m of arc
+        rng = np.random.default_rng(17)
+        for _ in range(2000):
+            lat, lon = rng.uniform(-89.0, 89.0), rng.uniform(0.0, 180.0)
+            d = rng.uniform(0.0, 1e-3)
+            arc = EARTH_RADIUS_M * math.radians(180.0 - d)
+            assert haversine_m(lat, lon, d - lat, lon - 180.0) == pytest.approx(arc, abs=1e-6)
+
 
 class TestDwellFilter:
     def test_single_update_removed(self):

@@ -161,14 +161,14 @@ class TestSparseLowRankApprox:
         omega = full_support(7, 2, 3)
         dense = np.outer(rng.random(7) + 0.1, rng.random(6) + 0.1)
         x = make_x(dims, omega, dense.ravel())
-        model, ys, _ = sparse_lowrank_approx(x, SolverConfig(rank=1, power_iters=3, seed=0))
+        model, ys, *_ = sparse_lowrank_approx(x, SolverConfig(rank=1, power_iters=3, seed=0))
         assert np.linalg.norm(ys - x.values) <= 1e-8 * np.linalg.norm(x.values)
 
     def test_zero_matrix(self):
         dims = ProblemDims(5, 2, 2)
         omega = full_support(5, 2, 2)
         x = make_x(dims, omega, np.zeros(omega.total_size))
-        model, ys, _ = sparse_lowrank_approx(x, SolverConfig(rank=2, power_iters=2, seed=1))
+        model, ys, *_ = sparse_lowrank_approx(x, SolverConfig(rank=2, power_iters=2, seed=1))
         assert np.all(ys == 0.0)
         assert np.all(model.c == 0.0)
         model.validate()
@@ -176,7 +176,7 @@ class TestSparseLowRankApprox:
     def test_residual_matches_svd_optimum(self):
         rng = np.random.default_rng(8)
         x, dense = gapped_instance(rng)
-        model, _, _ = sparse_lowrank_approx(x, SolverConfig(rank=5, power_iters=20, seed=2))
+        model, *_ = sparse_lowrank_approx(x, SolverConfig(rank=5, power_iters=20, seed=2))
         res = np.linalg.norm(dense - dense_completion(model))
         s = np.linalg.svd(dense, compute_uv=False)
         res_opt = float(np.sqrt((s[5:] ** 2).sum()))
@@ -196,7 +196,7 @@ class TestSparseLowRankApprox:
             seed = 100 + trial
             residuals = []
             for m in (1, 6, 11):
-                _, ys, _ = sparse_lowrank_approx(x, SolverConfig(rank=3, power_iters=m, seed=seed))
+                _, ys, *_ = sparse_lowrank_approx(x, SolverConfig(rank=3, power_iters=m, seed=seed))
                 residuals.append(float(((x.values - ys) ** 2).sum()))
             assert residuals[1] <= residuals[0] + 1e-9
             assert residuals[2] <= residuals[1] + 1e-9
@@ -204,8 +204,8 @@ class TestSparseLowRankApprox:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(10)
         x, _ = gapped_instance(rng)
-        m1, y1, _ = sparse_lowrank_approx(x, SolverConfig(rank=4, power_iters=5, seed=33))
-        m2, y2, _ = sparse_lowrank_approx(x, SolverConfig(rank=4, power_iters=5, seed=33))
+        m1, y1, *_ = sparse_lowrank_approx(x, SolverConfig(rank=4, power_iters=5, seed=33))
+        m2, y2, *_ = sparse_lowrank_approx(x, SolverConfig(rank=4, power_iters=5, seed=33))
         assert np.array_equal(m1.q, m2.q)
         assert np.array_equal(m1.c, m2.c)
         assert np.array_equal(y1, y2)
@@ -215,7 +215,7 @@ class TestSparseLowRankApprox:
         dims = ProblemDims(4, 3, 4)  # N=4 < TC=12
         omega = full_support(4, 3, 4)
         x = make_x(dims, omega, rng.random(omega.total_size))
-        model, _, _ = sparse_lowrank_approx(x, SolverConfig(rank=2, power_iters=4, seed=0))
+        model, *_ = sparse_lowrank_approx(x, SolverConfig(rank=2, power_iters=4, seed=0))
         assert dims.transposed
         assert model.q.shape == (12, 2)
         assert model.c.shape == (2, 4)
@@ -237,8 +237,8 @@ class TestSparseLowRankApprox:
         xb = make_x(dims_b, omega_b, dense_a.T.ravel())
 
         cfg = SolverConfig(rank=3, power_iters=4, seed=77)
-        model_a, ys_a, _ = sparse_lowrank_approx(xa, cfg)
-        model_b, ys_b, _ = sparse_lowrank_approx(xb, cfg)
+        model_a, ys_a, *_ = sparse_lowrank_approx(xa, cfg)
+        model_b, ys_b, *_ = sparse_lowrank_approx(xb, cfg)
         assert not dims_a.transposed and dims_b.transposed
         assert model_a.q.shape == model_b.q.shape == (12, 3)
 
@@ -247,3 +247,61 @@ class TestSparseLowRankApprox:
         yb = np.empty((6, 12))
         yb.ravel()[:] = ys_b
         assert np.abs(ya - yb.T).max() <= 1e-8
+
+
+def low_rank_instance(rng, dims, rank):
+    """Full-support x whose unfolding has rank exactly `rank`."""
+    dense = rng.random((dims.n_users, rank)) @ rng.random((rank, dims.n_cols))
+    omega = full_support(dims.n_users, dims.n_slots, dims.n_categories)
+    return make_x(dims, omega, dense.ravel()), dense
+
+
+class TestWarmStart:
+    def test_bad_start_rejected(self):
+        rng = np.random.default_rng(13)
+        x, _ = gapped_instance(rng)  # 20 x 30, transposed: q is 30 x r
+        cfg = SolverConfig(rank=3, power_iters=2, seed=0)
+        good, _ = np.linalg.qr(rng.standard_normal((30, 3)))
+        for bad_shape in ((20, 3), (30, 2), (30, 4), (30,)):
+            with pytest.raises(ValueError, match="shape"):
+                sparse_lowrank_approx(x, cfg, start=np.ones(bad_shape))
+        for bad in (np.nan, np.inf):
+            start = good.copy()
+            start[4, 1] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                sparse_lowrank_approx(x, cfg, start=start)
+
+    @pytest.mark.parametrize("dims", [ProblemDims(20, 3, 4), ProblemDims(6, 4, 3)])
+    def test_exact_subspace_stops_after_one_pass(self, dims):
+        rng = np.random.default_rng(14)
+        x, dense = low_rank_instance(rng, dims, 3)
+        u, _, vt = np.linalg.svd(dense, full_matrices=False)
+        start = np.ascontiguousarray(vt[:3].T if dims.transposed else u[:, :3])
+        cfg = SolverConfig(rank=3, power_iters=8, seed=5)
+        _, y_warm, _, passes, angle = sparse_lowrank_approx(x, cfg, start=start)
+        _, y_cold, *_ = sparse_lowrank_approx(x, cfg)
+        # sqrt(1 - cos^2) resolves no angle below about sqrt(eps) = 1.5e-8
+        assert passes == 1 and angle <= 1e-7
+        assert np.abs(y_warm - y_cold).max() <= 1e-10
+        assert np.abs(y_warm - x.values).max() <= 1e-10
+
+    def test_passes_capped_by_power_iters(self):
+        rng = np.random.default_rng(15)
+        x, _ = gapped_instance(rng, noise=0.5)
+        start, _ = np.linalg.qr(rng.standard_normal((30, 4)))  # far from the top subspace
+        for m, cap in ((0, 1), (1, 1), (3, 3)):
+            cfg = SolverConfig(rank=4, power_iters=m, seed=0)
+            _, _, _, passes, angle = sparse_lowrank_approx(x, cfg, start=start)
+            assert passes == cap
+            assert angle > 1e-5
+
+    def test_warm_start_draws_no_gaussian(self):
+        rng = np.random.default_rng(16)
+        x, _ = gapped_instance(rng)
+        start, _ = np.linalg.qr(rng.standard_normal((30, 4)))
+        m1, y1, *_ = sparse_lowrank_approx(x, SolverConfig(rank=4, power_iters=5, seed=1),
+                                           start=start)
+        m2, y2, *_ = sparse_lowrank_approx(x, SolverConfig(rank=4, power_iters=5, seed=2),
+                                           start=start)
+        assert m1.q.tobytes() == m2.q.tobytes()
+        assert y1.tobytes() == y2.tobytes()

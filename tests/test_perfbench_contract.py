@@ -37,6 +37,8 @@ def test_traced_fit_reports_solver_shape(tracing):
     assert m["solver.rank"] == 3
     assert m["solver.power_iters"] == 2
     assert m["solver.outer_iters"] == 2
-    # one QR after the sketch and one per power iteration, in each iteration
-    assert m["linalg.reduced_qr_calls"] == 6
+    # iteration 1: one QR after the sketch and one per power iteration (1 + 2);
+    # iteration 2 starts from iteration 1's basis, with no sketch, and on this
+    # instance runs all 2 passes its cap allows before the basis settles
+    assert m["linalg.reduced_qr_calls"] == 5
     assert m["simplex.entries_projected"] == 2 * omega.total_size == 4800

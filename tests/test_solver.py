@@ -1,12 +1,14 @@
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from nutf import core, parallel
 from nutf.core import BlockSparseMatrix, CandidateSets, ProblemDims
+from nutf.linalg import sparse_lowrank_approx
 from nutf.solver import (
     SolverConfig,
     SolverTrace,
@@ -148,7 +150,8 @@ class TestFit:
         assert trace.n_iterations == 5
         recs = trace.to_records()
         assert [r["iter"] for r in recs] == [1, 2, 3, 4, 5]
-        assert all(set(r) == {"iter", "objective", "seconds", "x_delta"} for r in recs)
+        fields = {"iter", "objective", "seconds", "x_delta", "passes", "subspace_angle"}
+        assert all(set(r) == fields for r in recs)
         zeroed = trace.to_records(zero_seconds=True)
         assert all(r["seconds"] == 0.0 for r in zeroed)
 
@@ -161,6 +164,25 @@ class TestFit:
             assert set(kernels) == {"spmm", "qr", "materialize", "project", "gap", "delta"}
             assert all(v >= 0.0 for v in kernels.values())
             assert sum(kernels.values()) <= seconds
+
+    def test_warm_passes_within_cap(self):
+        omega, dims = planted_instance(4, n=12, t=5, c=4, classes=3)
+        for m in (0, 1, 8):
+            _, _, trace = fit(omega, dims,
+                              SolverConfig(rank=3, outer_iters=6, power_iters=m, tol=0.0))
+            assert trace.passes[0] == m
+            assert (trace.subspace_angles[0] is None) == (m == 0)
+            assert all(1 <= p <= max(1, m) for p in trace.passes[1:])
+            assert all(0.0 <= a <= 1.0 for a in trace.subspace_angles[1:])
+
+    def test_one_iteration_is_a_cold_approximation(self):
+        omega, dims = planted_instance(7, n=12, t=5, c=4, classes=3)
+        cfg = SolverConfig(rank=3, outer_iters=1, power_iters=4, seed=11)
+        _, model, trace = fit(omega, dims, cfg)
+        cold, *_ = sparse_lowrank_approx(init_x(omega, dims), replace(cfg, seed=cfg.seed ^ 1))
+        assert model.q.tobytes() == cold.q.tobytes()
+        assert model.c.tobytes() == cold.c.tobytes()
+        assert trace.passes == [4]
 
     def test_rank_error_propagates(self):
         omega = CandidateSets.from_dict({(0, 0): [0]})
