@@ -9,6 +9,7 @@ negative-unlabeled observation structure the solver consumes.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -205,27 +206,38 @@ def mask_validation(
 
 def score_topk(
     model: LowRankModel,
-    validation: Sequence[ValidationPair],
+    validation: Sequence[ValidationPair] | np.ndarray,
     k_max: int,
 ) -> EvalReport:
     """Top-k accuracy of the model on (user, slot, true category) pairs.
 
-    Equivalent to calling predict_topk per pair with k = k_max and
+    ``validation`` is a sequence of triples or an aligned (n, 3) integer
+    array. Equivalent to calling predict_topk per pair with k = k_max and
     checking membership of the truth among the first k predictions, with
-    the same tie rule (equal scores rank by ascending category index);
-    implemented as a vectorized rank computation.
+    the same tie rule (equal scores rank by ascending category index).
+    The pairs are grouped by slot and scored with one matrix product per
+    slot (:meth:`LowRankModel.slot_scores`), so the scores agree with
+    predict_topk's up to rounding; the report does not depend on the
+    order of the pairs.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    if len(validation) == 0:
+    if isinstance(validation, np.ndarray):
+        if validation.ndim != 2 or validation.shape[1] != 3:
+            raise ValueError(f"validation array must be (n, 3), got {validation.shape}")
+        if not np.issubdtype(validation.dtype, np.integer):
+            raise ValueError(f"validation array must hold integers, got {validation.dtype}")
+        triples = validation.astype(np.int64, copy=False)
+    else:
+        triples = np.fromiter(itertools.chain.from_iterable(validation), np.int64,
+                              count=3 * len(validation)).reshape(-1, 3)
+    if len(triples) == 0:
         raise ValueError("validation list is empty")
     dims = model.dims
     c = dims.n_categories
     if k_max > c:
         raise ValueError("k_max exceeds the category count")
-    users = np.asarray([p[0] for p in validation], dtype=np.int64)
-    slots = np.asarray([p[1] for p in validation], dtype=np.int64)
-    truths = np.asarray([p[2] for p in validation], dtype=np.int64)
+    users, slots, truths = triples.T
     if users.min() < 0 or users.max() >= dims.n_users:
         raise ValueError("validation user index out of range")
     if slots.min() < 0 or slots.max() >= dims.n_slots:
@@ -233,18 +245,22 @@ def score_topk(
     if truths.min() < 0 or truths.max() >= c:
         raise ValueError("validation category out of range")
 
-    n = len(users)
+    # ranks are kept in slot order; the accuracies do not depend on it
+    order = np.argsort(slots, kind="stable")
+    n = len(order)
     ranks = np.empty(n, dtype=np.int64)
-    chunk = max(1, _OBS_CHUNK // max(c, 1))
+    chunk = max(1, _OBS_CHUNK // c)
     cat_range = np.arange(c, dtype=np.int64)
     for start in range(0, n, chunk):
-        sl = slice(start, min(start + chunk, n))
-        scores = model.slot_scores(users[sl], slots[sl])
-        true_scores = scores[np.arange(sl.stop - sl.start), truths[sl]]
-        better = (scores > true_scores[:, None]).sum(axis=1)
-        tied_before = (
-            (scores == true_scores[:, None]) & (cat_range[None, :] < truths[sl, None])
-        ).sum(axis=1)
-        ranks[sl] = better + tied_before
+        idx = order[start:start + chunk]
+        scores = model.slot_scores(users[idx], slots[idx])
+        truth = truths[idx]
+        true_scores = scores[np.arange(len(idx)), truth][:, None]
+        rank = np.count_nonzero(scores > true_scores, axis=1)
+        # equal scores rank by ascending category; the truth always ties itself
+        tied = np.flatnonzero(np.count_nonzero(scores == true_scores, axis=1) > 1)
+        rank[tied] += np.count_nonzero(
+            (scores[tied] == true_scores[tied]) & (cat_range < truth[tied, None]), axis=1)
+        ranks[start:start + len(idx)] = rank
     accuracies = np.array([(ranks < k).mean() for k in range(1, k_max + 1)])
     return EvalReport(accuracies=accuracies, n_pairs=n)

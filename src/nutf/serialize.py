@@ -128,6 +128,14 @@ def load_model(path) -> LowRankModel:
 # -- JSON-lines formats ---------------------------------------------------
 
 
+def _json_int(rec: dict, key: str) -> int:
+    """rec[key], which must be a JSON integer: a float, bool or string is an error."""
+    value = rec[key]
+    if type(value) is not int:
+        raise ValueError(f"{key} must be a JSON integer, got {value!r}")
+    return value
+
+
 def write_candidate_sets_jsonl(path, omega: CandidateSets) -> None:
     """One line per block: {"u": user, "j": slot, "cats": [...]}."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -145,7 +153,10 @@ def read_candidate_sets_jsonl(path) -> CandidateSets:
                 continue
             try:
                 rec = json.loads(line)
-                blocks.append((int(rec["u"]), int(rec["j"]), [int(k) for k in rec["cats"]]))
+                cats = rec["cats"]
+                if type(cats) is not list or not all(type(k) is int for k in cats):
+                    raise ValueError(f"cats must be a list of JSON integers, got {cats!r}")
+                blocks.append((_json_int(rec, "u"), _json_int(rec, "j"), cats))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path} line {lineno}: {exc}") from None
     return CandidateSets.from_blocks(blocks)
@@ -188,7 +199,7 @@ def read_pairs_jsonl(path) -> list[tuple[int, int, int]]:
                 continue
             try:
                 rec = json.loads(line)
-                pairs.append((int(rec["u"]), int(rec["j"]), int(rec["cat"])))
+                pairs.append((_json_int(rec, "u"), _json_int(rec, "j"), _json_int(rec, "cat")))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path} line {lineno}: {exc}") from None
     return pairs

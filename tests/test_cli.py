@@ -1,6 +1,7 @@
 import json
 import re
 import shlex
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -242,6 +243,26 @@ class TestPredictAndEval:
         assert run(argv) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_non_integer_jsonl_is_input_error(self, tmp_path, capsys):
+        src = tmp_path / "s"
+        assert run(["synth", "--users", "12", "--slots", "4", "--categories", "6",
+             "--classes", "2", "--seed", "4", "--out", str(src)]) == EXIT_OK
+        fit_out = tmp_path / "f"
+        assert run(["fit", "--omega", str(src), "--rank", "2", "--iters", "2",
+                    "--out", str(fit_out)]) == EXIT_OK
+        bad_pairs = tmp_path / "pairs.jsonl"
+        bad_pairs.write_text('{"u":0,"j":0,"cat":1.9}\n')
+        bad_omega = tmp_path / "bad"
+        shutil.copytree(src, bad_omega)
+        (bad_omega / "omega.jsonl").write_text('{"u":0,"j":0,"cats":[1,2.7]}\n')
+        capsys.readouterr()
+        assert run(["eval", "--model", str(fit_out / "model.nutf"),
+                    "--validation", str(bad_pairs)]) == EXIT_INPUT
+        assert "pairs.jsonl line 1" in capsys.readouterr().err
+        assert run(["fit", "--omega", str(bad_omega), "--rank", "2",
+                    "--out", str(tmp_path / "f2")]) == EXIT_INPUT
+        assert "omega.jsonl line 1" in capsys.readouterr().err
 
     def test_eval_missing_model(self, tmp_path):
         rc = run(["eval", "--model", str(tmp_path / "nope.nutf"),

@@ -264,6 +264,20 @@ class TestLowRankModel:
         assert np.allclose(model.slot_scores(int(users[0]), int(slots[0])), expected[0],
                            rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_slot_scores_unsorted_array_matches_scalar(self, transposed):
+        rng = np.random.default_rng(20 + transposed)
+        dims = ProblemDims(6 if transposed else 26, 4, 5)
+        assert dims.transposed == transposed
+        model = random_model(rng, dims, 3)
+        # unsorted slots with repeats, so runs of equal slots are short and scattered
+        users = rng.integers(0, dims.n_users, size=60)
+        slots = rng.integers(0, dims.n_slots, size=60)
+        scores = model.slot_scores(users, slots)
+        assert scores.shape == (60, dims.n_categories)
+        for row, u, j in zip(scores, users.tolist(), slots.tolist()):
+            assert np.allclose(row, model.slot_scores(u, j), rtol=0, atol=1e-12)
+
     def test_shape_validation(self, small_dims):
         # small_dims has N=5 < T*C=12, so Q is 12 x r and C is r x 5
         LowRankModel(small_dims, q=np.ones((12, 2)), c=np.ones((2, 5)))

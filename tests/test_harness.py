@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nutf import harness
 from nutf.core import CandidateSets, LowRankModel, ProblemDims
 from nutf.harness import (
     EvalReport,
@@ -251,10 +252,96 @@ class TestScoreTopk:
                     hits[k - 1] += truth in preds[:k]
             assert np.allclose(rep.accuracies, hits / len(pairs))
 
+    @staticmethod
+    def _predict_loop_report(model, pairs, k_max):
+        """Accuracies from one predict_topk call per pair."""
+        hits = np.zeros(k_max)
+        for u, j, truth in pairs:
+            preds = predict_topk(model, u, j, k_max).tolist()
+            for k in range(1, k_max + 1):
+                hits[k - 1] += truth in preds[:k]
+        return hits / len(pairs)
+
+    @staticmethod
+    def _shuffled_pairs(rng, dims, n):
+        return [(int(rng.integers(dims.n_users)), int(rng.integers(dims.n_slots)),
+                 int(rng.integers(dims.n_categories))) for _ in range(n)]
+
+    # N < T*C (transposed) and N > T*C
+    @pytest.mark.parametrize("dims", [ProblemDims(8, 20, 6), ProblemDims(200, 20, 6)])
+    def test_slot_runs_across_chunks_match_predict_topk(self, dims, monkeypatch):
+        # 7-pair chunks, so most slot runs are cut by a chunk edge
+        monkeypatch.setattr(harness, "_OBS_CHUNK", 7 * dims.n_categories)
+        rng = np.random.default_rng(5)
+        pairs = self._shuffled_pairs(rng, dims, 400)
+        for model in (random_model(rng, dims, 3), zero_model(dims)):
+            rep = score_topk(model, pairs, 4)
+            assert np.array_equal(rep.accuracies, self._predict_loop_report(model, pairs, 4))
+
+    @pytest.mark.parametrize("dims", [ProblemDims(8, 20, 6), ProblemDims(200, 20, 6)])
+    def test_permuted_validation_same_report(self, dims):
+        rng = np.random.default_rng(6)
+        pairs = self._shuffled_pairs(rng, dims, 300)
+        permuted = [pairs[i] for i in rng.permutation(len(pairs))]
+        for model in (random_model(rng, dims, 3), zero_model(dims)):
+            rep, rep_permuted = score_topk(model, pairs, 5), score_topk(model, permuted, 5)
+            assert np.array_equal(rep.accuracies, rep_permuted.accuracies)
+            assert rep.n_pairs == rep_permuted.n_pairs == 300
+
+    @pytest.mark.parametrize("dims", [ProblemDims(8, 20, 6), ProblemDims(200, 20, 6)])
+    def test_exact_tie_ranks_lower_category_first(self, dims):
+        rng = np.random.default_rng(7)
+        r, (i1, i2), j, (k1, k2) = 3, (2, 5), 4, (1, 4)
+        user_factor = rng.standard_normal((dims.n_users, r))
+        col_factor = rng.standard_normal((dims.n_cols, r))
+        user_factor[i2] = user_factor[i1]
+        col_factor[j * dims.n_categories + k2] = col_factor[j * dims.n_categories + k1]
+        q, c = (col_factor, user_factor.T) if dims.transposed else (user_factor, col_factor.T)
+        model = LowRankModel(dims, q=q, c=c)
+        # other users at slot j make the product for slot j many rows tall
+        pairs = [(i1, j, k1), (i2, j, k2)] + [(u, j, 0) for u in range(dims.n_users)]
+        scores = model.slot_scores(np.array([p[0] for p in pairs]), np.full(len(pairs), j))
+        assert scores[0, k1] == scores[0, k2] == scores[1, k1] == scores[1, k2]
+        preds = predict_topk(model, i1, j, dims.n_categories).tolist()
+        assert preds.index(k2) == preds.index(k1) + 1
+        k_max = dims.n_categories
+        truths = [(i1, j, k1), (i2, j, k2)]
+        rep = score_topk(model, truths, k_max)
+        assert np.array_equal(rep.accuracies, self._predict_loop_report(model, truths, k_max))
+        assert rep.accuracy_at(preds.index(k1) + 1) == 0.5
+        assert rep.accuracy_at(preds.index(k2) + 1) == 1.0
+        assert np.array_equal(score_topk(model, pairs, k_max).accuracies,
+                              self._predict_loop_report(model, pairs, k_max))
+
+    def test_array_input_matches_list(self):
+        rng = np.random.default_rng(8)
+        dims = ProblemDims(30, 10, 6)
+        model = random_model(rng, dims, 3)
+        pairs = self._shuffled_pairs(rng, dims, 200)
+        rep = score_topk(model, pairs, 4)
+        for dtype in (np.int64, np.int32):
+            rep_array = score_topk(model, np.array(pairs, dtype=dtype), 4)
+            assert np.array_equal(rep.accuracies, rep_array.accuracies)
+            assert rep.n_pairs == rep_array.n_pairs
+
+    @pytest.mark.parametrize("bad", [
+        np.zeros((4, 2), dtype=np.int64),
+        np.zeros((4, 3, 1), dtype=np.int64),
+        np.zeros(3, dtype=np.int64),
+        np.zeros((4, 3)),
+        np.zeros((4, 3), dtype=bool),
+    ])
+    def test_bad_array_rejected(self, bad):
+        model, _ = self._ranked_model()
+        with pytest.raises(ValueError, match="validation array"):
+            score_topk(model, bad, 3)
+
     def test_empty_rejected(self):
         model, _ = self._ranked_model()
         with pytest.raises(ValueError):
             score_topk(model, [], 3)
+        with pytest.raises(ValueError):
+            score_topk(model, np.empty((0, 3), dtype=np.int64), 3)
 
     def test_report_serialization(self):
         model, validation = self._ranked_model()

@@ -255,11 +255,41 @@ class TestJsonl:
         with pytest.raises(ValueError, match="line 2"):
             read_candidate_sets_jsonl(path)
 
+    # floats, bools and strings were once coerced by int(); each must name its line
+    @pytest.mark.parametrize("bad", [
+        '{"u":0.5,"j":0,"cats":[1]}',
+        '{"u":0,"j":"1","cats":[1]}',
+        '{"u":0,"j":true,"cats":[1]}',
+        '{"u":0,"j":0,"cats":[1,2.7]}',
+        '{"u":0,"j":0,"cats":[false]}',
+        '{"u":0,"j":0,"cats":"12"}',
+        '{"u":0,"j":0,"cats":null}',
+    ])
+    def test_candidate_sets_non_integer_rejected(self, tmp_path, bad):
+        path = tmp_path / "omega.jsonl"
+        path.write_text('{"u":0,"j":0,"cats":[1]}\n' + bad + "\n")
+        with pytest.raises(ValueError, match=r"omega\.jsonl line 2: .*JSON integers?"):
+            read_candidate_sets_jsonl(path)
+
     def test_pairs_round_trip(self, tmp_path):
         pairs = [(0, 1, 2), (3, 4, 5)]
         path = tmp_path / "pairs.jsonl"
         write_pairs_jsonl(path, pairs)
         assert read_pairs_jsonl(path) == pairs
+
+    @pytest.mark.parametrize("bad", [
+        '{"u":0,"j":0,"cat":1.9}',
+        '{"u":0,"j":0,"cat":1.0}',
+        '{"u":"1","j":0,"cat":0}',
+        '{"u":0,"j":true,"cat":0}',
+        '{"u":0,"j":0,"cat":null}',
+        '{"u":0,"j":0,"cat":[1]}',
+    ])
+    def test_pairs_non_integer_rejected(self, tmp_path, bad):
+        path = tmp_path / "pairs.jsonl"
+        path.write_text('{"u":0,"j":0,"cat":1}\n' + bad + "\n")
+        with pytest.raises(ValueError, match=r"pairs\.jsonl line 2: .* must be a JSON integer"):
+            read_pairs_jsonl(path)
 
     def test_index_maps_round_trip(self, tmp_path):
         path = tmp_path / "maps.json"
