@@ -128,11 +128,16 @@ def load_model(path) -> LowRankModel:
 # -- JSON-lines formats ---------------------------------------------------
 
 
+def _is_int64(value) -> bool:
+    """A JSON integer in int64 range: a float, bool or string is not."""
+    return type(value) is int and -(2 ** 63) <= value < 2 ** 63
+
+
 def _json_int(rec: dict, key: str) -> int:
-    """rec[key], which must be a JSON integer: a float, bool or string is an error."""
+    """rec[key], which must be a JSON integer in int64 range."""
     value = rec[key]
-    if type(value) is not int:
-        raise ValueError(f"{key} must be a JSON integer, got {value!r}")
+    if not _is_int64(value):
+        raise ValueError(f"{key} must be a JSON integer in int64 range, got {value!r}")
     return value
 
 
@@ -154,8 +159,9 @@ def read_candidate_sets_jsonl(path) -> CandidateSets:
             try:
                 rec = json.loads(line)
                 cats = rec["cats"]
-                if type(cats) is not list or not all(type(k) is int for k in cats):
-                    raise ValueError(f"cats must be a list of JSON integers, got {cats!r}")
+                if type(cats) is not list or not all(_is_int64(k) for k in cats):
+                    raise ValueError(
+                        f"cats must be a list of JSON integers in int64 range, got {cats!r}")
                 blocks.append((_json_int(rec, "u"), _json_int(rec, "j"), cats))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path} line {lineno}: {exc}") from None

@@ -55,11 +55,14 @@ class SolverTrace:
     Each record holds the objective, the iteration's wall seconds, the
     norm of the change in X, the number of subspace-iteration passes of
     its low-rank half-step, the sine of the largest principal angle its
-    last pass turned the basis by (None when it ran no pass), and in
+    last pass turned the basis by (None when it ran no pass), two audits
+    of the iterate (``q_ortho_error``, max|Q^T Q - I| of the model's basis,
+    and ``block_sum_error``, max |block sum - 1| of the new X), and in
     ``kernel_seconds`` the seconds of each of its kernels: ``spmm``,
     ``qr`` and ``materialize`` from the low-rank half-step, then
-    ``project``, ``gap`` (the objective) and ``delta``. ``init_seconds``
-    is the uniform start, run once before the first iteration.
+    ``project``, ``gap`` (the objective), ``delta`` and ``audit`` (the two
+    audits). ``init_seconds`` is the uniform start, run once before the
+    first iteration.
     ``trace.jsonl`` gets every field but the kernel split; ``nutf fit``
     writes the split, summed over the iterations, to its wall-clock file.
     """
@@ -70,6 +73,8 @@ class SolverTrace:
     x_deltas: list[float] = field(default_factory=list)
     passes: list[int] = field(default_factory=list)
     subspace_angles: list[float | None] = field(default_factory=list)
+    q_ortho_errors: list[float] = field(default_factory=list)
+    block_sum_errors: list[float] = field(default_factory=list)
     kernel_seconds: list[dict[str, float]] = field(default_factory=list)
 
     @property
@@ -83,6 +88,8 @@ class SolverTrace:
         x_delta: float,
         passes: int,
         subspace_angle: float | None,
+        q_ortho_error: float,
+        block_sum_error: float,
         kernels: dict[str, float],
     ) -> None:
         self.objectives.append(float(objective))
@@ -90,6 +97,8 @@ class SolverTrace:
         self.x_deltas.append(float(x_delta))
         self.passes.append(int(passes))
         self.subspace_angles.append(None if subspace_angle is None else float(subspace_angle))
+        self.q_ortho_errors.append(float(q_ortho_error))
+        self.block_sum_errors.append(float(block_sum_error))
         self.kernel_seconds.append(kernels)
 
     def to_records(self, zero_seconds: bool = False) -> list[dict]:
@@ -101,6 +110,8 @@ class SolverTrace:
                 "x_delta": self.x_deltas[t],
                 "passes": self.passes[t],
                 "subspace_angle": self.subspace_angles[t],
+                "q_ortho_error": self.q_ortho_errors[t],
+                "block_sum_error": self.block_sum_errors[t],
             }
             for t in range(self.n_iterations)
         ]
@@ -175,8 +186,10 @@ def fit(
         x_delta = float(np.linalg.norm(new_x.values - x.values))
         x = new_x
         t4 = time.perf_counter()
-        kernels.update(project=t2 - t1, gap=t3 - t2, delta=t4 - t3)
-        trace.append(objective, t4 - t0, x_delta, passes, angle, kernels)
+        q_error, sum_error = model.orthonormality_error(), x.max_block_sum_error()
+        t5 = time.perf_counter()
+        kernels.update(project=t2 - t1, gap=t3 - t2, delta=t4 - t3, audit=t5 - t4)
+        trace.append(objective, t5 - t0, x_delta, passes, angle, q_error, sum_error, kernels)
         if not np.isfinite(objective):
             raise NumericalError(f"objective diverged at iteration {it}")
         if on_iteration is not None:

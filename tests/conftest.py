@@ -4,7 +4,7 @@ import hypothesis
 import numpy as np
 import pytest
 
-from nutf.core import CandidateSets, LowRankModel, ProblemDims
+from nutf.core import BlockSparseMatrix, CandidateSets, LowRankModel, ProblemDims
 from nutf.simplex import project_blocks
 from nutf.solver import SolverConfig, SolverTrace, _relative_change, init_x
 
@@ -71,8 +71,11 @@ def dense_reference_fit(
         objective = float(np.linalg.norm(new_x - y) ** 2)
         x_delta = float(np.linalg.norm(new_x - x))
         x = new_x
+        basis = u[:, :cfg.rank]
+        q_error = float(np.abs(basis.T @ basis - np.eye(cfg.rank)).max())
+        sum_error = BlockSparseMatrix(dims, omega, x[rows, cols]).max_block_sum_error()
         # none of fit's kernels run here: no passes, no angle, an empty kernel split
-        trace.append(objective, time.perf_counter() - t0, x_delta, 0, None, {})
+        trace.append(objective, time.perf_counter() - t0, x_delta, 0, None, q_error, sum_error, {})
         if prev_obj is not None and _relative_change(prev_obj, objective) < cfg.tol:
             break
         prev_obj = objective

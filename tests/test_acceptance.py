@@ -15,7 +15,7 @@ from nutf.core import BlockSparseMatrix, CandidateSets, ProblemDims
 from nutf.harness import SynthConfig, generate, mask_validation, score_topk
 from nutf.ingest import SlotScheme, Venue, VenueIndex, haversine_m, slot_of
 from nutf.linalg import sparse_lowrank_approx
-from nutf.simplex import project_simplex
+from nutf.simplex import project_blocks
 from nutf.solver import SolverConfig, fit
 
 from conftest import dense_completion, dense_reference_fit, full_support
@@ -177,9 +177,9 @@ def _dykstra_batch(vectors: np.ndarray, iters: int = 20_000) -> np.ndarray:
 
 
 def test_criterion_4_simplex_projection_optimality():
-    """1000 random vectors with d in [1, 6]: within 1e-6 of the
-    alternating-projection oracle; idempotence exact; shift invariance
-    within 1e-12."""
+    """1000 random vectors with d in [1, 6], each projected as one block by
+    the solver's ``project_blocks``: within 1e-6 of the alternating-
+    projection oracle; idempotence exact; shift invariance within 1e-12."""
     state = {"worst": 0.0, "worst_shift": 0.0}
 
     def detail():
@@ -196,16 +196,17 @@ def test_criterion_4_simplex_projection_optimality():
         for d, vecs in sorted(vectors_by_d.items()):
             batch = np.vstack(vecs)
             oracle = _dykstra_batch(batch)
+            one_block = np.array([0, d])
             for row in range(batch.shape[0]):
                 v = batch[row]
-                u = project_simplex(v)
+                u = project_blocks(v, one_block)
                 state["worst"] = max(
                     state["worst"], float(np.linalg.norm(u - oracle[row]))
                 )
-                again = project_simplex(u)
+                again = project_blocks(u, one_block)
                 assert np.array_equal(u, again), "idempotence violated"
                 shift = rng.uniform(-10, 10)
-                u_shift = project_simplex(v + shift)
+                u_shift = project_blocks(v + shift, one_block)
                 state["worst_shift"] = max(
                     state["worst_shift"], float(np.abs(u - u_shift).max())
                 )

@@ -104,7 +104,8 @@ class TestFit:
         assert (a / "model.nutf").read_bytes() == (b / "model.nutf").read_bytes()
         assert (a / "x.nutf").read_bytes() == (b / "x.nutf").read_bytes()
         rec = json.loads((a / "trace.jsonl").read_text().splitlines()[0])
-        assert set(rec) == {"iter", "objective", "seconds", "x_delta", "passes", "subspace_angle"}
+        assert set(rec) == {"iter", "objective", "seconds", "x_delta", "passes", "subspace_angle",
+                            "q_ortho_error", "block_sum_error"}
         assert rec["seconds"] == 0.0
 
     def test_single_thread_deterministic_reruns_identical(self, tmp_path):
@@ -137,7 +138,7 @@ class TestFit:
                     "--seed", "2", "--out", str(out)]) == EXIT_OK
         timings = json.loads((out / "timings.json").read_text())
         assert set(timings) == {"init", "spmm", "qr", "materialize", "project", "gap",
-                                "delta", "fit_total_s", "per_iteration_s"}
+                                "delta", "audit", "fit_total_s", "per_iteration_s"}
         steps = sum(v for k, v in timings.items() if k not in ("fit_total_s", "per_iteration_s"))
         assert 0.0 < steps <= timings["fit_total_s"]
 
@@ -263,6 +264,20 @@ class TestPredictAndEval:
         assert run(["fit", "--omega", str(bad_omega), "--rank", "2",
                     "--out", str(tmp_path / "f2")]) == EXIT_INPUT
         assert "omega.jsonl line 1" in capsys.readouterr().err
+
+    def test_eval_int_outside_int64_is_input_error(self, tmp_path, capsys):
+        src = tmp_path / "s"
+        assert run(["synth", "--users", "12", "--slots", "4", "--categories", "6",
+                    "--classes", "2", "--seed", "4", "--out", str(src)]) == EXIT_OK
+        fit_out = tmp_path / "f"
+        assert run(["fit", "--omega", str(src), "--rank", "2", "--iters", "2",
+                    "--out", str(fit_out)]) == EXIT_OK
+        bad_pairs = tmp_path / "pairs.jsonl"
+        bad_pairs.write_text('{"u":0,"j":0,"cat":100000000000000000000000}\n')
+        capsys.readouterr()
+        assert run(["eval", "--model", str(fit_out / "model.nutf"),
+                    "--validation", str(bad_pairs)]) == EXIT_INPUT
+        assert "pairs.jsonl line 1" in capsys.readouterr().err
 
     def test_eval_missing_model(self, tmp_path):
         rc = run(["eval", "--model", str(tmp_path / "nope.nutf"),

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 import nutf
 from nutf.core import BlockSparseMatrix, CandidateSets, ProblemDims
-from nutf.linalg import reduced_qr, sparse_lowrank_approx, to_csr
+from nutf.linalg import NumericalError, reduced_qr, sparse_lowrank_approx, to_csr
 from nutf.solver import SolverConfig
 
 from conftest import dense_completion, full_support, random_omega
@@ -100,6 +101,61 @@ def fill_rng(key=0):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def householder_qr_reference(b, fill_rng):
+    """reduced_qr as it was before CholeskyQR2: Householder, then fill."""
+    n, r = b.shape
+    if not np.all(np.isfinite(b)):
+        raise NumericalError("non-finite entries in QR input")
+    q, rr = np.linalg.qr(b, mode="reduced")
+    diag = np.abs(np.diag(rr))
+    tol = max(n, r) * np.finfo(np.float64).eps * diag.max()
+    deficient = np.nonzero(diag <= tol)[0]
+    if len(deficient):
+        keep = np.setdiff1d(np.arange(r), deficient)
+        basis = q[:, keep]
+        for idx in deficient:
+            while True:
+                v = fill_rng.standard_normal(n)
+                for _ in range(2):
+                    v -= basis @ (basis.T @ v)
+                norm = np.linalg.norm(v)
+                if norm > np.sqrt(np.finfo(np.float64).eps):
+                    break
+            q[:, idx] = v / norm
+            basis = np.column_stack([basis, q[:, idx]])
+    lead = np.argmax(np.abs(q), axis=0)
+    signs = np.sign(q[lead, np.arange(r)])
+    signs[signs == 0] = 1.0
+    return q * signs
+
+
+def conditioned_panel(rng, n, r, kappa):
+    """n x r panel with singular values spread log-uniformly from 1 to 1/kappa."""
+    u, _ = np.linalg.qr(rng.standard_normal((n, r)))
+    v, _ = np.linalg.qr(rng.standard_normal((r, r)))
+    return (u * np.logspace(0, -np.log10(kappa), r)) @ v.T
+
+
+def assert_sign_convention(q):
+    """Each column's first largest-magnitude entry is positive."""
+    lead = np.argmax(np.abs(q), axis=0)
+    assert np.all(q[lead, np.arange(q.shape[1])] > 0)
+
+
+@pytest.fixture
+def householder_calls(monkeypatch):
+    """Counts np.linalg.qr calls, the Householder fallback of reduced_qr."""
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    return calls
+
+
 class TestReducedQr:
     def test_orthonormal_input_reproduced_up_to_sign(self):
         rng = np.random.default_rng(4)
@@ -137,6 +193,101 @@ class TestReducedQr:
     def test_zero_matrix_filled(self):
         q = reduced_qr(np.zeros((6, 2)), fill_rng())
         assert np.abs(q.T @ q - np.eye(2)).max() <= 1e-10
+
+    @pytest.mark.parametrize("kappa", [1.0, 1e4, 1e8])
+    def test_cholesky_path_up_to_kappa_1e8(self, monkeypatch, kappa):
+        rng = np.random.default_rng(20)
+        panels = [1e3 * conditioned_panel(rng, n, r, kappa) for n, r in ((2800, 10), (40, 6))]
+
+        def no_householder(*args, **kwargs):
+            raise AssertionError("fell back to Householder")
+
+        monkeypatch.setattr(np.linalg, "qr", no_householder)
+        for b in panels:
+            r = b.shape[1]
+            q = reduced_qr(b, fill_rng())
+            assert np.abs(q.T @ q - np.eye(r)).max() <= 1e-12
+            assert np.linalg.norm(b - q @ (q.T @ b)) <= 1e-13 * np.linalg.norm(b)
+            assert_sign_convention(q)
+
+    def test_orthonormal_to_1e12_across_the_fallback_boundary(self, householder_calls):
+        # past kappa ~1e9 the Cholesky can still succeed with max|Q^T Q - I| > 1e-12
+        rng = np.random.default_rng(27)
+        panels = [conditioned_panel(rng, 200, 6, kappa)
+                  for kappa in (1e9, 1e10, 3e10, 1e12) for _ in range(20)]
+        householder_calls.clear()
+        for b in panels:
+            q = reduced_qr(b, fill_rng())
+            assert np.abs(q.T @ q - np.eye(6)).max() <= 1e-12
+            assert np.linalg.norm(b - q @ (q.T @ b)) <= 1e-13 * np.linalg.norm(b)
+        assert 0 < len(householder_calls) < len(panels)
+
+    def test_fast_path_draws_no_fill(self):
+        b = np.random.default_rng(21).standard_normal((50, 4))
+        rng = fill_rng(3)
+        reduced_qr(b, rng)
+        assert rng.standard_normal(4).tobytes() == fill_rng(3).standard_normal(4).tobytes()
+
+    def test_fallback_bytes_match_householder(self, householder_calls):
+        rng = np.random.default_rng(22)
+        col = rng.standard_normal((9, 1))
+        panels = {
+            "multiples": np.hstack([col, 2 * col, -col]),
+            "repeated": np.hstack([col, col]),
+            "zero column": np.hstack([col, np.zeros((9, 1)), 3 * col + 1]),
+            "zero": np.zeros((6, 2)),
+            "kappa 1e14": conditioned_panel(rng, 40, 6, 1e14),
+        }
+        householder_calls.clear()
+        for name, b in panels.items():
+            before = len(householder_calls)
+            q = reduced_qr(b, fill_rng(5))
+            assert len(householder_calls) == before + 1, name
+            expected = householder_qr_reference(b, fill_rng(5))
+            assert q.tobytes() == expected.tobytes(), name
+            assert np.abs(q.T @ q - np.eye(b.shape[1])).max() <= 1e-10, name
+            assert_sign_convention(q)
+
+    def test_rank_deficient_up_to_rounding_falls_back(self, householder_calls):
+        # such panels can pass the Cholesky; the R diagonal test must still catch them
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            b = rng.standard_normal((60, 3)) @ rng.standard_normal((3, 5))
+            before = len(householder_calls)
+            q = reduced_qr(b, fill_rng(6))
+            assert len(householder_calls) == before + 1
+            assert q.tobytes() == householder_qr_reference(b, fill_rng(6)).tobytes()
+
+    def test_overflowing_gram_falls_back(self, householder_calls):
+        b = 1e160 * np.random.default_rng(24).standard_normal((30, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = reduced_qr(b, fill_rng())
+        assert householder_calls == [1]
+        assert np.abs(q.T @ q - np.eye(3)).max() <= 1e-12
+        assert_sign_convention(q)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises(self, bad):
+        b = np.random.default_rng(25).standard_normal((20, 3))
+        b[7, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError):
+                reduced_qr(b, fill_rng())
+
+    def test_sign_convention_both_paths(self, householder_calls):
+        rng = np.random.default_rng(26)
+        col = rng.standard_normal((12, 1))
+        q_fast = reduced_qr(-rng.standard_normal((12, 4)), fill_rng())
+        assert householder_calls == []
+        q_slow = reduced_qr(np.hstack([-col, col, rng.standard_normal((12, 2))]), fill_rng())
+        assert householder_calls == [1]
+        for q in (q_fast, q_slow):
+            assert_sign_convention(q)
+        # a tie in magnitude goes to the first entry
+        q = reduced_qr(np.array([[-1.0], [1.0], [0.0]]), fill_rng())
+        assert q[0, 0] > 0 and q[1, 0] < 0
 
     def test_wide_matrix_rejected(self):
         with pytest.raises(ValueError):

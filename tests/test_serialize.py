@@ -271,6 +271,24 @@ class TestJsonl:
         with pytest.raises(ValueError, match=r"omega\.jsonl line 2: .*JSON integers?"):
             read_candidate_sets_jsonl(path)
 
+    # numpy would raise OverflowError on these later, naming no file or line
+    @pytest.mark.parametrize("bad", [
+        '{"u":0,"j":0,"cat":100000000000000000000000}',
+        '{"u":0,"j":0,"cat":9223372036854775808}',
+        '{"u":-9223372036854775809,"j":0,"cat":0}',
+    ])
+    def test_pairs_outside_int64_rejected(self, tmp_path, bad):
+        path = tmp_path / "pairs.jsonl"
+        path.write_text('{"u":0,"j":0,"cat":9223372036854775807}\n' + bad + "\n")
+        with pytest.raises(ValueError, match=r"pairs\.jsonl line 2: .* int64 range"):
+            read_pairs_jsonl(path)
+
+    def test_candidate_sets_outside_int64_rejected(self, tmp_path):
+        path = tmp_path / "omega.jsonl"
+        path.write_text('{"u":0,"j":0,"cats":[1]}\n{"u":0,"j":0,"cats":[1,18446744073709551616]}\n')
+        with pytest.raises(ValueError, match=r"omega\.jsonl line 2: .* int64 range"):
+            read_candidate_sets_jsonl(path)
+
     def test_pairs_round_trip(self, tmp_path):
         pairs = [(0, 1, 2), (3, 4, 5)]
         path = tmp_path / "pairs.jsonl"

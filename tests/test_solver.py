@@ -150,8 +150,11 @@ class TestFit:
         assert trace.n_iterations == 5
         recs = trace.to_records()
         assert [r["iter"] for r in recs] == [1, 2, 3, 4, 5]
-        fields = {"iter", "objective", "seconds", "x_delta", "passes", "subspace_angle"}
+        fields = {"iter", "objective", "seconds", "x_delta", "passes", "subspace_angle",
+                  "q_ortho_error", "block_sum_error"}
         assert all(set(r) == fields for r in recs)
+        assert all(0.0 <= r["q_ortho_error"] <= 1e-12 for r in recs)
+        assert all(0.0 <= r["block_sum_error"] <= 1e-12 for r in recs)
         zeroed = trace.to_records(zero_seconds=True)
         assert all(r["seconds"] == 0.0 for r in zeroed)
 
@@ -161,7 +164,8 @@ class TestFit:
         assert trace.init_seconds > 0.0
         assert len(trace.kernel_seconds) == trace.n_iterations == 4
         for kernels, seconds in zip(trace.kernel_seconds, trace.seconds):
-            assert set(kernels) == {"spmm", "qr", "materialize", "project", "gap", "delta"}
+            assert set(kernels) == {"spmm", "qr", "materialize", "project", "gap", "delta",
+                                    "audit"}
             assert all(v >= 0.0 for v in kernels.values())
             assert sum(kernels.values()) <= seconds
 
