@@ -119,6 +119,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     )
     t0 = time.perf_counter()
     omega, truth, dims = generate(synth_cfg)
+    t1 = time.perf_counter()
     out = _out_dir(cfg)
     serialize.write_candidate_sets_jsonl(out / "omega.jsonl", omega)
     serialize.write_index_maps(
@@ -129,7 +130,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         json.dumps(truth.user_classes.tolist()) + "\n", encoding="utf-8"
     )
     _write_manifest(out, "synth", cfg)
-    _write_timings(out, {"generate_s": time.perf_counter() - t0})
+    _write_timings(out, {"generate_s": t1 - t0, "write_s": time.perf_counter() - t1})
     print(f"wrote {omega.n_blocks} observations (|Omega| = {omega.total_size}) to {out}")
     return EXIT_OK
 
@@ -197,9 +198,15 @@ def cmd_fit(args: argparse.Namespace) -> int:
         raise ValueError(f"candidate-set file {omega_path} does not exist")
     if not maps_path.exists():
         raise ValueError(f"index map sidecar {maps_path} does not exist")
+    t_read = time.perf_counter()
     omega = serialize.read_candidate_sets_jsonl(omega_path)
     maps = serialize.read_index_maps(maps_path)
     dims = ProblemDims(maps["n_users"], maps["n_slots"], maps["n_categories"])
+    read_s = time.perf_counter() - t_read
+    try:
+        omega.validate_dims(dims)
+    except ValueError as exc:
+        raise ValueError(f"{omega_path}: {exc} of {maps_path}") from None
 
     solver_cfg = SolverConfig(
         rank=int(cfg["rank"]), outer_iters=int(cfg["iters"]),
@@ -207,7 +214,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     )
     t0 = time.perf_counter()
     x, model, trace = fit(omega, dims, solver_cfg)
-    total = time.perf_counter() - t0
+    t_write = time.perf_counter()
+    total = t_write - t0
 
     out = _out_dir(cfg)
     serialize.save_model(out / "model.nutf", model)
@@ -215,7 +223,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     serialize.write_trace_jsonl(out / "trace.jsonl", trace,
                                 zero_seconds=bool(cfg["deterministic"]))
     _write_manifest(out, "fit", cfg)
-    timings = {"init": trace.init_seconds}
+    timings = {"read_s": read_s, "write_s": time.perf_counter() - t_write,
+               "init": trace.init_seconds}
     for kernels in trace.kernel_seconds:
         for key, seconds in kernels.items():
             timings[key] = timings.get(key, 0.0) + seconds
@@ -250,7 +259,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     model = serialize.load_model(args.model)
     pairs = serialize.read_pairs_jsonl(args.validation)
-    report = score_topk(model, pairs, int(cfg["k"]))
+    k, n_categories = int(cfg["k"]), model.dims.n_categories
+    if not 1 <= k <= n_categories:
+        raise ValueError(f"--k {k} outside [1, C = {n_categories}]")
+    try:
+        report = score_topk(model, pairs, k)
+    except ValueError as exc:  # k is in range, so the pairs are at fault
+        raise ValueError(f"{args.validation}: {exc}") from None
     print(report.format_table())
     print(json.dumps(report.to_dict()))
     if cfg["out"]:

@@ -10,7 +10,7 @@ rest are zero by representation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,9 +22,6 @@ _I32_MAX = np.iinfo(np.int32).max
 # Entries per materialization chunk: the chunk's two (entries x rank)
 # gathers are still in cache when the inner products read them.
 _ENTRY_CHUNK = 1 << 15
-
-# Largest matrix, in entries, that BlockSparseMatrix.to_dense materializes.
-_MAX_DENSE_ENTRIES = 10_000_000
 
 # Largest deviation from orthonormality that LowRankModel.validate accepts.
 _ORTHONORMAL_TOL = 1e-8
@@ -102,8 +99,12 @@ class CandidateSets:
             # strict (user, slot) ordering also rules out duplicate blocks
             du = np.diff(self.block_users)
             dj = np.diff(self.block_slots)
-            if not np.all((du > 0) | ((du == 0) & (dj > 0))):
-                raise ValueError("blocks must be strictly sorted by (user, slot)")
+            ordered = (du > 0) | ((du == 0) & (dj > 0))
+            if not ordered.all():
+                b = int(np.argmin(ordered))
+                pair = (int(self.block_users[b + 1]), int(self.block_slots[b + 1]))
+                fault = "is given twice" if du[b] == dj[b] == 0 else "is out of order"
+                raise ValueError(f"blocks must be strictly sorted by (user, slot): {pair} {fault}")
         if len(self.cats):
             if self.cats.min() < 0:
                 raise ValueError("negative category index")
@@ -127,10 +128,6 @@ class CandidateSets:
         cats = np.concatenate(cat_arrays) if cat_arrays else np.empty(0, dtype=np.int64)
         return cls(users, slots, ptr, cats)
 
-    @classmethod
-    def from_dict(cls, entries: Mapping[tuple[int, int], Sequence[int]]) -> "CandidateSets":
-        return cls.from_blocks((i, j, cats) for (i, j), cats in entries.items())
-
     # -- basic accessors ------------------------------------------------
 
     @property
@@ -149,9 +146,6 @@ class CandidateSets:
                 (int(self.block_users[b]), int(self.block_slots[b])),
                 self.cats[self.block_ptr[b]:self.block_ptr[b + 1]],
             )
-
-    def to_dict(self) -> dict[tuple[int, int], list[int]]:
-        return {key: cats.tolist() for key, cats in self.items()}
 
     def validate_dims(self, dims: ProblemDims) -> None:
         """Raise ValueError if an index falls outside dims.
@@ -218,21 +212,10 @@ class BlockSparseMatrix:
         if not self.values.min(initial=0.0) >= 0.0:
             raise ValueError("negative or NaN entries violate the non-negativity constraint")
 
-    def block_sums(self) -> np.ndarray:
-        return np.add.reduceat(self.values, self.support.block_ptr[:-1])
-
     def max_block_sum_error(self) -> float:
         """max_b |sum(block b) - 1|; 0.0 when there are no blocks."""
-        return float(np.abs(self.block_sums() - 1.0).max(initial=0.0))
-
-    def to_dense(self) -> np.ndarray:
-        """Materialize the full matrix; guarded against large instances."""
-        if self.dims.n_users * self.dims.n_cols > _MAX_DENSE_ENTRIES:
-            raise ValueError("instance too large to densify")
-        out = np.zeros((self.dims.n_users, self.dims.n_cols))
-        _, cols, rows = self.support.csr_structure(self.dims)
-        out[rows, cols] = self.values
-        return out
+        sums = np.add.reduceat(self.values, self.support.block_ptr[:-1])
+        return float(np.abs(sums - 1.0).max(initial=0.0))
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Synthetic data generation, validation-set construction, and scoring.
+"""Synthetic data generation and top-k scoring.
 
 The generator plants lifestyle classes: every user of a class visits the
 same category at the same slot, so the fully observed probability tensor
@@ -67,10 +67,6 @@ class GroundTruth:
     true_cats: np.ndarray
     user_classes: np.ndarray
 
-    @property
-    def n_observations(self) -> int:
-        return len(self.obs_users)
-
     def pairs(self) -> list[ValidationPair]:
         return list(
             zip(
@@ -87,10 +83,6 @@ class EvalReport:
 
     accuracies: np.ndarray
     n_pairs: int
-
-    @property
-    def k_max(self) -> int:
-        return len(self.accuracies)
 
     def accuracy_at(self, k: int) -> float:
         return float(self.accuracies[k - 1])
@@ -153,55 +145,6 @@ def generate(cfg: SynthConfig) -> tuple[CandidateSets, GroundTruth, ProblemDims]
     omega = CandidateSets(obs_users, obs_slots, ptr, cats.ravel())
     truth = GroundTruth(obs_users, obs_slots, true_cats, user_classes)
     return omega, truth, dims
-
-
-def _replace_blocks_with_full(
-    omega: CandidateSets,
-    dims: ProblemDims,
-    block_ids: np.ndarray,
-) -> CandidateSets:
-    """Copy omega with the given blocks' candidate sets widened to [0, C)."""
-    c = dims.n_categories
-    masked = np.zeros(omega.n_blocks, dtype=bool)
-    masked[block_ids] = True
-    sizes = np.where(masked, c, omega.block_sizes)
-    ptr = np.zeros(omega.n_blocks + 1, dtype=np.int64)
-    np.cumsum(sizes, out=ptr[1:])
-    widened = np.repeat(masked, sizes)
-    cats = np.empty(ptr[-1], dtype=np.int64)
-    # a widened block's entries are its positions 0..C-1; the others keep theirs
-    cats[widened] = np.tile(np.arange(c, dtype=np.int64), np.count_nonzero(masked))
-    cats[~widened] = omega.cats[np.repeat(~masked, omega.block_sizes)]
-    return CandidateSets(omega.block_users.copy(), omega.block_slots.copy(), ptr, cats)
-
-
-def mask_validation(
-    omega: CandidateSets,
-    truth: GroundTruth,
-    fraction: float,
-    dims: ProblemDims,
-    seed: int = 0,
-) -> tuple[CandidateSets, list[ValidationPair]]:
-    """Hide a random fraction of observations behind all-C candidate sets.
-
-    The selected blocks keep their (user, slot) position but their
-    candidate set becomes the full category range, so the solver sees them
-    as maximally uncertain; their true categories move to the returned
-    validation list. The sample size is round-half-up(fraction * n_obs).
-    """
-    if not 0.0 < fraction < 1.0:
-        raise ValueError("fraction must be in (0, 1)")
-    if truth.n_observations != omega.n_blocks:
-        raise ValueError("truth is not aligned with the candidate sets")
-    n_mask = int(np.floor(fraction * truth.n_observations + 0.5))
-    rng = np.random.default_rng(seed)
-    chosen = np.sort(rng.choice(truth.n_observations, size=n_mask, replace=False))
-    masked = _replace_blocks_with_full(omega, dims, chosen)
-    validation = [
-        (int(truth.obs_users[b]), int(truth.obs_slots[b]), int(truth.true_cats[b]))
-        for b in chosen
-    ]
-    return masked, validation
 
 
 def score_topk(

@@ -128,17 +128,33 @@ def load_model(path) -> LowRankModel:
 # -- JSON-lines formats ---------------------------------------------------
 
 
-def _is_int64(value) -> bool:
-    """A JSON integer in int64 range: a float, bool or string is not."""
-    return type(value) is int and -(2 ** 63) <= value < 2 ** 63
+def _is_index(value) -> bool:
+    """A non-negative JSON integer in int64 range: a float, bool or string is not."""
+    return type(value) is int and 0 <= value < 2 ** 63
 
 
-def _json_int(rec: dict, key: str) -> int:
-    """rec[key], which must be a JSON integer in int64 range."""
+def _json_index(rec: dict, key: str) -> int:
+    """rec[key], which must be a non-negative JSON integer in int64 range."""
     value = rec[key]
-    if not _is_int64(value):
-        raise ValueError(f"{key} must be a JSON integer in int64 range, got {value!r}")
+    if not _is_index(value):
+        raise ValueError(f"{key} must be a JSON integer, non-negative and in int64 range, "
+                         f"got {value!r}")
     return value
+
+
+def _read_jsonl(path, parse) -> list:
+    """parse(record) for each non-blank line; a fault names the file and line."""
+    out = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                out.append(parse(json.loads(line)))
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path} line {lineno}: {exc}") from None
+    return out
 
 
 def write_candidate_sets_jsonl(path, omega: CandidateSets) -> None:
@@ -149,23 +165,22 @@ def write_candidate_sets_jsonl(path, omega: CandidateSets) -> None:
                                 separators=(",", ":")) + "\n")
 
 
+def _candidate_block(rec: dict) -> tuple[int, int, list]:
+    cats = rec["cats"]
+    if type(cats) is not list or not cats or not all(_is_index(k) for k in cats):
+        raise ValueError("cats must be a non-empty list of non-negative JSON integers "
+                         f"in int64 range, got {cats!r}")
+    if len(set(cats)) < len(cats):
+        raise ValueError(f"cats repeats a category: {cats!r}")
+    return _json_index(rec, "u"), _json_index(rec, "j"), cats
+
+
 def read_candidate_sets_jsonl(path) -> CandidateSets:
-    blocks = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                cats = rec["cats"]
-                if type(cats) is not list or not all(_is_int64(k) for k in cats):
-                    raise ValueError(
-                        f"cats must be a list of JSON integers in int64 range, got {cats!r}")
-                blocks.append((_json_int(rec, "u"), _json_int(rec, "j"), cats))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path} line {lineno}: {exc}") from None
-    return CandidateSets.from_blocks(blocks)
+    blocks = _read_jsonl(path, _candidate_block)
+    try:
+        return CandidateSets.from_blocks(blocks)
+    except ValueError as exc:  # the records are valid one by one; a (u, j) repeats
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_index_maps(path, n_users: int, n_slots: int, n_categories: int,
@@ -197,19 +212,11 @@ def write_pairs_jsonl(path, pairs) -> None:
 
 
 def read_pairs_jsonl(path) -> list[tuple[int, int, int]]:
-    pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                pairs.append((_json_int(rec, "u"), _json_int(rec, "j"), _json_int(rec, "cat")))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path} line {lineno}: {exc}") from None
-    return pairs
+    return _read_jsonl(path, lambda rec: (
+        _json_index(rec, "u"), _json_index(rec, "j"), _json_index(rec, "cat")))
 
 
 def write_trace_jsonl(path, trace, zero_seconds: bool = False) -> None:
-    Path(path).write_text(trace.to_jsonl(zero_seconds=zero_seconds), encoding="utf-8")
+    """One line per iteration, from trace.to_records()."""
+    records = trace.to_records(zero_seconds=zero_seconds)
+    Path(path).write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")

@@ -22,42 +22,11 @@ _PROJECT_CHUNK = 1 << 16
 _FEAS_TOL = 1e-12
 
 
-def _feasible(v: np.ndarray) -> bool:
-    return bool(v.min() >= 0.0 and abs(v.sum() - 1.0) <= _FEAS_TOL * v.size)
-
-
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Project a real vector onto {u : u >= 0, sum(u) = 1}.
-
-    Returns the unique Euclidean-nearest point of the simplex. The input
-    must be non-empty with all entries finite. Output entries are >= 0
-    and sum to 1 up to roundoff (~1e-12 * d).
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("expected a non-empty 1-D vector")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("entries must be finite")
-    d = v.size
-    if d == 1:
-        return np.ones(1)
-    # feasible points are fixed points; returning them unchanged makes the
-    # projection exactly idempotent instead of drifting by roundoff
-    if _feasible(v):
-        return v.copy()
-    s = np.sort(v)[::-1]
-    prefix = np.cumsum(s)
-    j = np.arange(1, d + 1)
-    positive = s - (prefix - 1.0) / j > 0.0
-    k = np.nonzero(positive)[0][-1]  # position 0 is always positive
-    theta = (prefix[k] - 1.0) / (k + 1)
-    return np.maximum(v - theta, 0.0)
-
-
 def _project_rows(block: np.ndarray, out: np.ndarray) -> None:
     """Write the projection of each row of ``block`` (n x d) into ``out``.
 
-    The arithmetic per row is that of :func:`project_simplex`.
+    A row already on the simplex is copied unchanged, so the projection is
+    exactly idempotent instead of drifting by roundoff.
     """
     d = block.shape[1]
     if d == 1:
@@ -99,8 +68,9 @@ def project_blocks(values: np.ndarray, block_ptr: np.ndarray) -> np.ndarray:
     :func:`nutf.parallel.run_chunks`. When all blocks share one size d, a
     chunk is a (blocks x d) view of ``values``; otherwise its blocks are
     gathered per size. Each group of rows runs as one vectorized
-    sort/cumsum pass, with the arithmetic of :func:`project_simplex`, so
-    the output does not depend on the chunking.
+    sort/cumsum pass, and each row's arithmetic is its own, so the output
+    does not depend on the chunking. Entries must be finite; output
+    entries are >= 0 and each block sums to 1 up to roundoff (~1e-12 * d).
     """
     values = np.asarray(values, dtype=np.float64)
     block_ptr = np.asarray(block_ptr)

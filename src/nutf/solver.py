@@ -9,7 +9,6 @@ so no step sizes or learning rates are involved.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -115,9 +114,6 @@ class SolverTrace:
             }
             for t in range(self.n_iterations)
         ]
-
-    def to_jsonl(self, zero_seconds: bool = False) -> str:
-        return "".join(json.dumps(r) + "\n" for r in self.to_records(zero_seconds))
 
 
 def init_x(omega: CandidateSets, dims: ProblemDims) -> BlockSparseMatrix:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from nutf.core import BlockSparseMatrix, CandidateSets, LowRankModel, ProblemDims
-from nutf.simplex import project_blocks
+from nutf.harness import GroundTruth
+from nutf.simplex import _FEAS_TOL, project_blocks
 from nutf.solver import SolverConfig, SolverTrace, _relative_change, init_x
 
 hypothesis.settings.register_profile(
@@ -22,15 +23,105 @@ def small_dims():
 @pytest.fixture
 def small_omega():
     # hand-picked blocks on the 5 x (4*3) instance, all sizes represented
-    return CandidateSets.from_dict({
-        (0, 0): [0, 2],
-        (0, 3): [1],
-        (1, 1): [0, 1, 2],
-        (2, 0): [1, 2],
-        (3, 2): [0],
-        (4, 1): [2],
-        (4, 3): [0, 1],
-    })
+    return CandidateSets.from_blocks([
+        (0, 0, [0, 2]),
+        (0, 3, [1]),
+        (1, 1, [0, 1, 2]),
+        (2, 0, [1, 2]),
+        (3, 2, [0]),
+        (4, 1, [2]),
+        (4, 3, [0, 1]),
+    ])
+
+
+def block_dict(omega: CandidateSets) -> dict[tuple[int, int], list[int]]:
+    """{(user, slot): categories} of every block."""
+    return {key: cats.tolist() for key, cats in omega.items()}
+
+
+def to_dense(x: BlockSparseMatrix) -> np.ndarray:
+    """The full N x (T*C) matrix of a small instance; zero off the support."""
+    out = np.zeros((x.dims.n_users, x.dims.n_cols))
+    _, cols, rows = x.support.csr_structure(x.dims)
+    out[rows, cols] = x.values
+    return out
+
+
+def project_simplex(v) -> np.ndarray:
+    """Project one vector onto {u : u >= 0, sum(u) = 1}, by the sort-based
+    algorithm of nutf.simplex: the byte-level oracle for project_blocks.
+
+    The input must be non-empty with all entries finite.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError("expected a non-empty 1-D vector")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("entries must be finite")
+    d = v.size
+    if d == 1:
+        return np.ones(1)
+    # feasible points are fixed points; returning them unchanged makes the
+    # projection exactly idempotent instead of drifting by roundoff
+    if v.min() >= 0.0 and abs(v.sum() - 1.0) <= _FEAS_TOL * d:
+        return v.copy()
+    s = np.sort(v)[::-1]
+    prefix = np.cumsum(s)
+    j = np.arange(1, d + 1)
+    positive = s - (prefix - 1.0) / j > 0.0
+    k = np.nonzero(positive)[0][-1]  # position 0 is always positive
+    theta = (prefix[k] - 1.0) / (k + 1)
+    return np.maximum(v - theta, 0.0)
+
+
+def replace_blocks_with_full(
+    omega: CandidateSets,
+    dims: ProblemDims,
+    block_ids: np.ndarray,
+) -> CandidateSets:
+    """Copy omega with the given blocks' candidate sets widened to [0, C)."""
+    c = dims.n_categories
+    masked = np.zeros(omega.n_blocks, dtype=bool)
+    masked[block_ids] = True
+    sizes = np.where(masked, c, omega.block_sizes)
+    ptr = np.zeros(omega.n_blocks + 1, dtype=np.int64)
+    np.cumsum(sizes, out=ptr[1:])
+    widened = np.repeat(masked, sizes)
+    cats = np.empty(ptr[-1], dtype=np.int64)
+    # a widened block's entries are its positions 0..C-1; the others keep theirs
+    cats[widened] = np.tile(np.arange(c, dtype=np.int64), np.count_nonzero(masked))
+    cats[~widened] = omega.cats[np.repeat(~masked, omega.block_sizes)]
+    return CandidateSets(omega.block_users.copy(), omega.block_slots.copy(), ptr, cats)
+
+
+def mask_validation(
+    omega: CandidateSets,
+    truth: GroundTruth,
+    fraction: float,
+    dims: ProblemDims,
+    seed: int = 0,
+) -> tuple[CandidateSets, list[tuple[int, int, int]]]:
+    """Hide a random fraction of observations behind all-C candidate sets.
+
+    The selected blocks keep their (user, slot) position but their
+    candidate set becomes the full category range, so the solver sees them
+    as maximally uncertain; their true categories move to the returned
+    validation list. The sample size is round-half-up(fraction * n_obs).
+    """
+    if not 0.0 < fraction < 1.0:
+        raise ValueError("fraction must be in (0, 1)")
+    n_obs = len(truth.obs_users)
+    if n_obs != omega.n_blocks:
+        raise ValueError("truth is not aligned with the candidate sets")
+    n_mask = int(np.floor(fraction * n_obs + 0.5))
+    rng = np.random.default_rng(seed)
+    chosen = np.sort(rng.choice(n_obs, size=n_mask, replace=False))
+    masked = replace_blocks_with_full(omega, dims, chosen)
+    validation = [
+        (int(truth.obs_users[b]), int(truth.obs_slots[b]), int(truth.true_cats[b]))
+        for b in chosen
+    ]
+    return masked, validation
 
 
 def full_support(n_users: int, n_slots: int, n_categories: int) -> CandidateSets:
@@ -55,7 +146,7 @@ def dense_reference_fit(
     """
     if dims.n_users * dims.n_slots * dims.n_categories > 100_000:
         raise ValueError("instance too large for the dense reference solver")
-    x = init_x(omega, dims).to_dense()
+    x = to_dense(init_x(omega, dims))
     if cfg.rank > min(dims.n_users, dims.n_cols):
         raise ValueError("rank exceeds min(N, T*C)")
 

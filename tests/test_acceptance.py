@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from nutf.core import BlockSparseMatrix, CandidateSets, ProblemDims
-from nutf.harness import SynthConfig, generate, mask_validation, score_topk
+from nutf.harness import SynthConfig, generate, score_topk
 from nutf.ingest import SlotScheme, Venue, VenueIndex, haversine_m, slot_of
 from nutf.linalg import sparse_lowrank_approx
 from nutf.simplex import project_blocks
 from nutf.solver import SolverConfig, fit
 
-from conftest import dense_completion, dense_reference_fit, full_support
+from conftest import dense_completion, dense_reference_fit, full_support, mask_validation
 
 
 def report(criterion: int, passed: bool, detail: str) -> None:

@@ -38,6 +38,9 @@ class TestSynth:
         first = json.loads((out / "omega.jsonl").read_text().splitlines()[0])
         assert set(first) == {"u", "j", "cats"}
         assert len(first["cats"]) == 4
+        timings = json.loads((out / "timings.json").read_text())
+        assert set(timings) == {"generate_s", "write_s"}
+        assert timings["generate_s"] > 0.0 and timings["write_s"] > 0.0
 
     def test_rerun_byte_identical(self, tmp_path):
         out = tmp_path / "s"
@@ -137,10 +140,13 @@ class TestFit:
         assert run(["fit", "--omega", str(src), "--rank", "4", "--iters", "3",
                     "--seed", "2", "--out", str(out)]) == EXIT_OK
         timings = json.loads((out / "timings.json").read_text())
-        assert set(timings) == {"init", "spmm", "qr", "materialize", "project", "gap",
-                                "delta", "audit", "fit_total_s", "per_iteration_s"}
-        steps = sum(v for k, v in timings.items() if k not in ("fit_total_s", "per_iteration_s"))
+        assert set(timings) == {"read_s", "write_s", "init", "spmm", "qr", "materialize",
+                                "project", "gap", "delta", "audit", "fit_total_s",
+                                "per_iteration_s"}
+        steps = sum(v for k, v in timings.items()
+                    if k not in ("read_s", "write_s", "fit_total_s", "per_iteration_s"))
         assert 0.0 < steps <= timings["fit_total_s"]
+        assert timings["read_s"] > 0.0 and timings["write_s"] > 0.0
 
     def test_numerical_error_exit_code(self, tmp_path, monkeypatch, capsys):
         import nutf.solver
@@ -283,6 +289,68 @@ class TestPredictAndEval:
         rc = run(["eval", "--model", str(tmp_path / "nope.nutf"),
                   "--validation", str(tmp_path / "nope.jsonl")])
         assert rc == EXIT_INPUT
+
+
+@pytest.fixture(scope="module")
+def synth_and_model(tmp_path_factory):
+    """A 20-user synth instance (C = 5) and a model fitted on it."""
+    root = tmp_path_factory.mktemp("inputs")
+    src, fit_out = root / "s", root / "f"
+    assert run(["synth", "--users", "20", "--slots", "6", "--categories", "5",
+                "--classes", "2", "--seed", "3", "--out", str(src)]) == EXIT_OK
+    assert run(["fit", "--omega", str(src), "--rank", "2", "--iters", "2",
+                "--out", str(fit_out)]) == EXIT_OK
+    return src, fit_out / "model.nutf"
+
+
+def _with_line(text, lineno, **fields):
+    """text with the record on line lineno updated by fields."""
+    lines = text.splitlines()
+    lines[lineno - 1] = json.dumps({**json.loads(lines[lineno - 1]), **fields})
+    return "\n".join(lines) + "\n"
+
+
+def _first_pair(text):
+    rec = json.loads(text.splitlines()[0])
+    return f"({rec['u']}, {rec['j']})"
+
+
+# file, edit of its text, and what stderr must name besides the path
+@pytest.mark.parametrize("name, edit, names", [
+    pytest.param("omega.jsonl", lambda t: _with_line(t, 3, cats=[]), lambda t: "line 3:",
+                 id="empty-cats"),
+    pytest.param("omega.jsonl", lambda t: _with_line(t, 3, cats=[1, 1]), lambda t: "line 3:",
+                 id="repeated-category"),
+    pytest.param("omega.jsonl", lambda t: _with_line(t, 3, cats=[0, 5]),
+                 lambda t: "index_maps.json", id="category-beyond-index-maps"),
+    pytest.param("omega.jsonl", lambda t: _with_line(t, 3, u=-1), lambda t: "line 3:",
+                 id="negative-user"),
+    pytest.param("omega.jsonl", lambda t: t + t.splitlines()[0] + "\n", _first_pair,
+                 id="repeated-pair"),
+    pytest.param("truth.jsonl", lambda t: _with_line(t, 3, u=20), lambda t: "user",
+                 id="truth-user-out-of-range"),
+    pytest.param("truth.jsonl", lambda t: _with_line(t, 3, cat=5), lambda t: "category",
+                 id="truth-category-out-of-range"),
+    pytest.param("truth.jsonl", lambda t: _with_line(t, 3, j=-1), lambda t: "line 3:",
+                 id="truth-negative-slot"),
+    pytest.param("truth.jsonl", lambda t: "", lambda t: "empty", id="truth-empty"),
+])
+def test_bad_input_names_file(synth_and_model, tmp_path, capsys, name, edit, names):
+    src, model = synth_and_model
+    bad = tmp_path / "in"
+    shutil.copytree(src, bad)
+    path = bad / name
+    text = path.read_text()
+    path.write_text(edit(text))
+    if name == "omega.jsonl":
+        argv = ["fit", "--omega", str(bad), "--rank", "2", "--out", str(tmp_path / "f")]
+    else:
+        argv = ["eval", "--model", str(model), "--validation", str(path)]
+    capsys.readouterr()
+    assert run(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and err.count("\n") == 1, err
+    assert names(text) in err, err
 
 
 class TestPreprocess:

@@ -13,7 +13,8 @@ from nutf.core import (
 )
 from nutf.linalg import to_csr
 
-from conftest import dense_completion, exact_model, full_support, random_model, random_omega
+from conftest import (block_dict, dense_completion, exact_model, full_support, random_model,
+                      random_omega, to_dense)
 
 
 class TestProblemDims:
@@ -88,7 +89,7 @@ class TestCandidateSets:
     def test_basic_accessors(self, small_omega):
         assert small_omega.n_blocks == 7
         assert small_omega.total_size == 12
-        blocks = small_omega.to_dict()
+        blocks = block_dict(small_omega)
         assert blocks[(0, 0)] == [0, 2]
         assert (0, 1) not in blocks
         assert blocks[(4, 3)] == [0, 1]
@@ -120,7 +121,7 @@ class TestCandidateSets:
         omega = CandidateSets.from_blocks([(2, 1, [2, 0]), (0, 3, [1]), (2, 0, [1])])
         assert list(omega.block_users) == [0, 2, 2]
         assert list(omega.block_slots) == [3, 0, 1]
-        assert omega.to_dict()[(2, 1)] == [0, 2]
+        assert block_dict(omega)[(2, 1)] == [0, 2]
 
     def test_csr_structure(self, small_omega, small_dims):
         indptr, cols, rows = small_omega.csr_structure(small_dims)
@@ -172,7 +173,7 @@ class TestSupportLayout:
         assert len(cols) == len(rows) == 0
         x = BlockSparseMatrix(dims, omega, np.empty(0))
         assert x.max_block_sum_error() == 0.0
-        assert np.array_equal(x.to_dense(), np.zeros((3, 4)))
+        assert np.array_equal(to_dense(x), np.zeros((3, 4)))
 
 
 class TestBlockSparseMatrix:
@@ -188,7 +189,7 @@ class TestBlockSparseMatrix:
 
     def test_off_support_zero_by_representation(self, small_omega, small_dims):
         x = BlockSparseMatrix(small_dims, small_omega, np.ones(small_omega.total_size))
-        dense = x.to_dense()
+        dense = to_dense(x)
         _, cols, rows = small_omega.csr_structure(small_dims)
         mask = np.zeros(dense.shape, dtype=bool)
         mask[rows, cols] = True
@@ -210,7 +211,7 @@ class TestBlockSparseMatrix:
         rng = np.random.default_rng(0)
         vals = rng.random(small_omega.total_size)
         x = BlockSparseMatrix(small_dims, small_omega, vals)
-        assert np.allclose(to_csr(x).toarray(), x.to_dense())
+        assert np.allclose(to_csr(x).toarray(), to_dense(x))
 
 
 def _all_slot_scores(model):
@@ -346,11 +347,11 @@ class TestFrobeniusGap:
     def test_exact_factorization_gives_zero(self):
         # one-hot blocks; model is an exact SVD factorization of the dense matrix
         dims = ProblemDims(4, 3, 2)
-        omega = CandidateSets.from_dict({
-            (0, 0): [0], (0, 2): [1], (1, 0): [0], (2, 1): [1], (3, 2): [0],
-        })
+        omega = CandidateSets.from_blocks([
+            (0, 0, [0]), (0, 2, [1]), (1, 0, [0]), (2, 1, [1]), (3, 2, [0]),
+        ])
         x = BlockSparseMatrix(dims, omega, np.ones(omega.total_size))
-        model = exact_model(dims, x.to_dense())
+        model = exact_model(dims, to_dense(x))
         ys = model_support_values(model, x.support)
         assert frobenius_gap(x, model, ys) <= 1e-8
 
@@ -365,12 +366,12 @@ class TestFrobeniusGap:
             x = BlockSparseMatrix(dims, omega, rng.random(omega.total_size))
             rank = int(rng.integers(1, min(dims.n_users, dims.n_cols) + 1))
             model = random_model(rng, dims, rank)
-            oracle = float(np.linalg.norm(x.to_dense() - dense_completion(model)) ** 2)
+            oracle = float(np.linalg.norm(to_dense(x) - dense_completion(model)) ** 2)
             ys = model_support_values(model, x.support)
             assert frobenius_gap(x, model, ys) == pytest.approx(oracle, abs=1e-8, rel=1e-8)
 
     def test_dimension_mismatch_rejected(self, small_dims):
-        omega = CandidateSets.from_dict({(0, 0): [0]})
+        omega = CandidateSets.from_blocks([(0, 0, [0])])
         x = BlockSparseMatrix(small_dims, omega, np.ones(1))
         other = ProblemDims(5, 4, 4)
         model = LowRankModel(other, q=np.ones((16, 1)), c=np.ones((1, 5)))
@@ -382,7 +383,7 @@ class TestFrobeniusGap:
         x = BlockSparseMatrix(small_dims, small_omega, rng.random(small_omega.total_size))
         model = random_model(rng, small_dims, 2)
         ys = model_support_values(model, small_omega)
-        oracle = float(np.linalg.norm(x.to_dense() - dense_completion(model)) ** 2)
+        oracle = float(np.linalg.norm(to_dense(x) - dense_completion(model)) ** 2)
         assert frobenius_gap(x, model, ys) == pytest.approx(oracle, abs=1e-12)
         with pytest.raises(ValueError):
             frobenius_gap(x, model, ys[:-1])

@@ -3,17 +3,11 @@ import pytest
 
 from nutf import harness
 from nutf.core import CandidateSets, LowRankModel, ProblemDims
-from nutf.harness import (
-    EvalReport,
-    SynthConfig,
-    _replace_blocks_with_full,
-    generate,
-    mask_validation,
-    score_topk,
-)
+from nutf.harness import EvalReport, SynthConfig, generate, score_topk
 from nutf.solver import predict_topk
 
-from conftest import exact_model, random_model, random_omega, zero_model
+from conftest import (block_dict, exact_model, mask_validation, random_model, random_omega,
+                      replace_blocks_with_full, to_dense, zero_model)
 
 
 class TestSynthConfig:
@@ -100,7 +94,7 @@ class TestMaskValidation:
 
     def test_round_half_up_count(self):
         omega, truth, dims = self._instance()
-        n = truth.n_observations
+        n = len(truth.obs_users)
         masked, val = mask_validation(omega, truth, 0.1, dims, seed=0)
         assert len(val) == int(np.floor(0.1 * n + 0.5))
         # 10 observations at fraction 0.05 -> round(0.5) -> 1
@@ -130,7 +124,7 @@ class TestMaskValidation:
         masked_keys = {(u, j) for u, j, _ in val}
         assert np.array_equal(masked.block_users, omega.block_users)
         assert np.array_equal(masked.block_slots, omega.block_slots)
-        masked_blocks = masked.to_dict()
+        masked_blocks = block_dict(masked)
         for (u, j), cats in omega.items():
             if (u, j) not in masked_keys:
                 assert masked_blocks[(u, j)] == cats.tolist()
@@ -174,7 +168,7 @@ class TestReplaceBlocksWithFull:
             "some": np.array([0, 3, 3, 17, omega.n_blocks - 1]),
             "all": np.arange(omega.n_blocks),
         }[which]
-        out = _replace_blocks_with_full(omega, dims, block_ids)
+        out = replace_blocks_with_full(omega, dims, block_ids)
         ptr, cats = self._loop_oracle(omega, dims.n_categories, block_ids)
         assert out.block_ptr.tobytes() == ptr.astype(np.int64).tobytes()
         assert out.cats.tobytes() == cats.astype(np.int64).tobytes()
@@ -205,13 +199,13 @@ class TestScoreTopk:
 
     def test_perfect_model(self):
         dims = ProblemDims(4, 2, 3)
-        omega = CandidateSets.from_dict({
-            (0, 0): [2], (1, 0): [1], (2, 1): [0], (3, 1): [2],
-        })
+        omega = CandidateSets.from_blocks([
+            (0, 0, [2]), (1, 0, [1]), (2, 1, [0]), (3, 1, [2]),
+        ])
         from nutf.core import BlockSparseMatrix
 
         x = BlockSparseMatrix(dims, omega, np.ones(4))
-        model = exact_model(dims, x.to_dense())
+        model = exact_model(dims, to_dense(x))
         pairs = [(0, 0, 2), (1, 0, 1), (2, 1, 0), (3, 1, 2)]
         rep = score_topk(model, pairs, 3)
         assert np.allclose(rep.accuracies, 1.0)

@@ -22,6 +22,8 @@ from nutf.ingest import (
     slot_of,
 )
 
+from conftest import block_dict
+
 
 def upd(uid, ts, lat=0.0, lon=0.0, err=100.0, off=0):
     return LocationUpdate(uid, float(ts), lat, lon, err, off)
@@ -280,7 +282,7 @@ class TestBuildCandidateSets:
         assert res.user_ids == ["alice"]
         assert res.category_names == ["Bank", "Food", "Work"]
         assert res.dims.n_users == 1 and res.dims.n_slots == 8 and res.dims.n_categories == 3
-        assert res.omega.to_dict() == {(0, 7): [0, 1]}
+        assert block_dict(res.omega) == {(0, 7): [0, 1]}
 
     def test_longest_dwell_wins(self):
         # two same-slot updates at different spots; the longer dwell (40 min)
@@ -295,7 +297,7 @@ class TestBuildCandidateSets:
             Venue("near_second", "Pizza Place", 0.5, 0.5, 30),
         ]
         res = build_candidate_sets(updates, venues, self.SCHEME, CATMAP, 20 * 60)
-        assert res.omega.to_dict() == {(0, 1): [1]}  # Food only
+        assert block_dict(res.omega) == {(0, 1): [1]}  # Food only
 
     def test_update_with_no_venues_absent(self):
         updates = [upd("u", 7 * 3600, 0, 0, 10, 0), upd("u", 10 * 3600, 0, 0, 10, 0)]
@@ -313,7 +315,7 @@ class TestBuildCandidateSets:
             Venue("b2", "Bank", 0.0, -0.001, 30),
         ]
         res = build_candidate_sets(updates, venues, self.SCHEME, CATMAP, 60)
-        assert res.omega.to_dict() == {(0, 1): [0, 1]}  # {Bank, Food}
+        assert block_dict(res.omega) == {(0, 1): [0, 1]}  # {Bank, Food}
 
     def test_unknown_category_rejected_or_bucketed(self):
         updates = [upd("u", 7 * 3600, 0, 0, 100, 0), upd("u", 10 * 3600, 0, 0, 10, 0)]
@@ -323,7 +325,7 @@ class TestBuildCandidateSets:
         res = build_candidate_sets(updates, venues, self.SCHEME, CATMAP, 60,
                                    other_category="Other")
         assert res.category_names == ["Bank", "Food", "Other", "Work"]
-        assert res.omega.to_dict() == {(0, 1): [2]}
+        assert block_dict(res.omega) == {(0, 1): [2]}
 
     def test_updates_before_window_dropped_and_counted(self):
         updates = [
@@ -335,7 +337,7 @@ class TestBuildCandidateSets:
         assert slot_of(1800, 0, self.SCHEME) == -1
         res = build_candidate_sets(updates, venues, self.SCHEME, CATMAP, 60)
         assert res.before_window == 1
-        assert res.omega.to_dict() == {(0, 1): [0]}
+        assert block_dict(res.omega) == {(0, 1): [0]}
         only_early = build_candidate_sets(updates[:2], venues, self.SCHEME, CATMAP, 60)
         assert only_early.before_window == 1 and only_early.dims is None
 
@@ -343,7 +345,7 @@ class TestBuildCandidateSets:
         updates, venues = nyc_fixture()
         a = build_candidate_sets(updates, venues, self.SCHEME, CATMAP, 20 * 60)
         b = build_candidate_sets(list(reversed(updates)), venues, self.SCHEME, CATMAP, 20 * 60)
-        assert a.omega.to_dict() == b.omega.to_dict()
+        assert block_dict(a.omega) == block_dict(b.omega)
         assert a.user_ids == b.user_ids
 
 

@@ -12,7 +12,7 @@ from nutf.core import BlockSparseMatrix, CandidateSets, ProblemDims
 from nutf.linalg import NumericalError, reduced_qr, sparse_lowrank_approx, to_csr
 from nutf.solver import SolverConfig
 
-from conftest import dense_completion, full_support, random_omega
+from conftest import dense_completion, full_support, random_omega, to_dense
 
 
 def make_x(dims, omega, values):
@@ -61,7 +61,7 @@ class TestSpmm:
         rng = np.random.default_rng(0)
         x = make_x(small_dims, small_omega, rng.random(small_omega.total_size))
         eye = np.eye(small_dims.n_cols)
-        assert np.array_equal(spmm(x, eye), x.to_dense())
+        assert np.array_equal(spmm(x, eye), to_dense(x))
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(1)
@@ -69,7 +69,7 @@ class TestSpmm:
         omega = random_omega(rng, 6, 4, 2, p_block=0.6)
         x = make_x(dims, omega, rng.random(omega.total_size))
         dense = rng.standard_normal((8, 3))
-        naive = x.to_dense() @ dense
+        naive = to_dense(x) @ dense
         assert np.allclose(spmm(x, dense), naive, atol=1e-12)
 
 
@@ -85,7 +85,7 @@ class TestSpmmT:
         x = make_x(small_dims, small_omega, rng.random(small_omega.total_size))
         e1 = np.zeros((small_dims.n_users, 1))
         e1[1, 0] = 1.0
-        assert np.array_equal(spmm_t(x, e1)[:, 0], x.to_dense()[1])
+        assert np.array_equal(spmm_t(x, e1)[:, 0], to_dense(x)[1])
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(3)
@@ -93,7 +93,7 @@ class TestSpmmT:
         omega = random_omega(rng, 6, 4, 2, p_block=0.6)
         x = make_x(dims, omega, rng.random(omega.total_size))
         dense = rng.standard_normal((6, 3))
-        naive = x.to_dense().T @ dense
+        naive = to_dense(x).T @ dense
         assert np.allclose(spmm_t(x, dense), naive, atol=1e-12)
 
 
@@ -384,7 +384,7 @@ class TestSparseLowRankApprox:
 
         dims_b = ProblemDims(6, 4, 3)  # 6 x 12, transposed internally
         omega_b = full_support(6, 4, 3)
-        dense_a = xa.to_dense()
+        dense_a = to_dense(xa)
         xb = make_x(dims_b, omega_b, dense_a.T.ravel())
 
         cfg = SolverConfig(rank=3, power_iters=4, seed=77)

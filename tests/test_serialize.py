@@ -16,7 +16,7 @@ from nutf.serialize import (
     write_pairs_jsonl,
 )
 
-from conftest import random_model, random_omega
+from conftest import block_dict, random_model, random_omega
 
 
 class TestBinarySnapshots:
@@ -228,7 +228,7 @@ class TestSnapshotRoundTrips:
         raw = path.read_bytes()
         back = load_block_sparse(path)
         assert back.dims == dims
-        assert back.support.to_dict() == omega.to_dict()
+        assert block_dict(back.support) == block_dict(omega)
         assert back.values.tobytes() == x.values.tobytes()
         save_block_sparse(path, back)
         assert path.read_bytes() == raw
@@ -241,10 +241,10 @@ class TestJsonl:
         path = tmp_path / "omega.jsonl"
         write_candidate_sets_jsonl(path, omega)
         back = read_candidate_sets_jsonl(path)
-        assert back.to_dict() == omega.to_dict()
+        assert block_dict(back) == block_dict(omega)
 
     def test_candidate_sets_schema(self, tmp_path):
-        omega = CandidateSets.from_dict({(3, 1): [0, 2]})
+        omega = CandidateSets.from_blocks([(3, 1, [0, 2])])
         path = tmp_path / "omega.jsonl"
         write_candidate_sets_jsonl(path, omega)
         assert path.read_text().strip() == '{"u":3,"j":1,"cats":[0,2]}'

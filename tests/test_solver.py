@@ -19,11 +19,13 @@ from nutf.solver import (
 )
 
 from conftest import (
+    block_dict,
     dense_completion,
     dense_reference_fit,
     exact_model,
     random_model,
     random_omega,
+    to_dense,
     zero_model,
 )
 
@@ -61,12 +63,13 @@ class TestSolverConfig:
 class TestInitX:
     def test_uniform_blocks(self, small_omega, small_dims):
         x = init_x(small_omega, small_dims)
-        blocks = dict(zip(small_omega.to_dict(), np.split(x.values, small_omega.block_ptr[1:-1])))
+        values = np.split(x.values, small_omega.block_ptr[1:-1])
+        blocks = dict(zip(block_dict(small_omega), values))
         assert blocks[(0, 3)].tolist() == [1.0]  # singleton
         assert np.allclose(blocks[(1, 1)], 1.0 / 3.0)
 
     def test_size_four_block(self):
-        omega = CandidateSets.from_dict({(0, 0): [0, 1, 2, 3]})
+        omega = CandidateSets.from_blocks([(0, 0, [0, 1, 2, 3])])
         x = init_x(omega, ProblemDims(1, 1, 4))
         assert x.values.tolist() == [0.25, 0.25, 0.25, 0.25]
 
@@ -77,17 +80,17 @@ class TestInitX:
 
 class TestUpdateX:
     def test_symmetric_block_projects_to_barycenter(self):
-        omega = CandidateSets.from_dict({(0, 0): [0, 1, 2]})
+        omega = CandidateSets.from_blocks([(0, 0, [0, 1, 2])])
         x = update_x(np.zeros(3), omega, ProblemDims(1, 1, 3))
         assert np.allclose(x.values, 1.0 / 3.0, atol=1e-15)
 
     def test_two_equal_candidates(self):
-        omega = CandidateSets.from_dict({(0, 0): [0, 1]})
+        omega = CandidateSets.from_blocks([(0, 0, [0, 1])])
         x = update_x(np.array([0.9, 0.9]), omega, ProblemDims(1, 1, 2))
         assert np.allclose(x.values, [0.5, 0.5], atol=1e-15)
 
     def test_one_hot_fixed_point(self):
-        omega = CandidateSets.from_dict({(0, 0): [0, 1, 2]})
+        omega = CandidateSets.from_blocks([(0, 0, [0, 1, 2])])
         x = update_x(np.array([0.0, 1.0, 0.0]), omega, ProblemDims(1, 1, 3))
         assert x.values.tolist() == [0.0, 1.0, 0.0]
 
@@ -104,9 +107,9 @@ class TestUpdateX:
 
 class TestFit:
     def test_singleton_instance_forced_one_hot(self):
-        omega = CandidateSets.from_dict({
-            (0, 0): [2], (0, 1): [0], (1, 0): [1], (2, 1): [2],
-        })
+        omega = CandidateSets.from_blocks([
+            (0, 0, [2]), (0, 1, [0]), (1, 0, [1]), (2, 1, [2]),
+        ])
         dims = ProblemDims(3, 2, 3)
         seen = []
         x, model, trace = fit(
@@ -189,7 +192,7 @@ class TestFit:
         assert trace.passes == [4]
 
     def test_rank_error_propagates(self):
-        omega = CandidateSets.from_dict({(0, 0): [0]})
+        omega = CandidateSets.from_blocks([(0, 0, [0])])
         dims = ProblemDims(1, 1, 2)
         with pytest.raises(ValueError):
             fit(omega, dims, SolverConfig(rank=2, outer_iters=1))
@@ -236,13 +239,13 @@ class _CountingMax(np.ndarray):
 
 class TestDenseReferenceFit:
     def test_guard_on_large_instances(self):
-        omega = CandidateSets.from_dict({(0, 0): [0]})
+        omega = CandidateSets.from_blocks([(0, 0, [0])])
         dims = ProblemDims(100, 100, 11)  # > 1e5 entries
         with pytest.raises(ValueError):
             dense_reference_fit(omega, dims, SolverConfig(rank=1, outer_iters=1))
 
     def test_agrees_with_fit_on_singletons(self):
-        omega = CandidateSets.from_dict({(0, 1): [1], (1, 0): [0], (2, 1): [1]})
+        omega = CandidateSets.from_blocks([(0, 1, [1]), (1, 0, [0]), (2, 1, [1])])
         dims = ProblemDims(3, 2, 2)
         cfg = SolverConfig(rank=1, outer_iters=4, tol=0.0, seed=0)
         x, _, _ = fit(omega, dims, cfg)
@@ -285,11 +288,11 @@ class TestPredictTopk:
     def _one_hot_model(self):
         # exact factorization of a one-hot X of rank <= 2
         dims = ProblemDims(4, 2, 3)
-        omega = CandidateSets.from_dict({
-            (0, 0): [2], (1, 0): [2], (2, 0): [1], (3, 1): [0],
-        })
+        omega = CandidateSets.from_blocks([
+            (0, 0, [2]), (1, 0, [2]), (2, 0, [1]), (3, 1, [0]),
+        ])
         x = BlockSparseMatrix(dims, omega, np.ones(4))
-        return exact_model(dims, x.to_dense()), omega, x
+        return exact_model(dims, to_dense(x)), omega, x
 
     def test_zero_scores_tie_rule(self):
         model = zero_model(ProblemDims(2, 2, 5))
