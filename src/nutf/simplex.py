@@ -69,16 +69,21 @@ def project_blocks(values: np.ndarray, block_ptr: np.ndarray) -> np.ndarray:
     chunk is a (blocks x d) view of ``values``; otherwise its blocks are
     gathered per size. Each group of rows runs as one vectorized
     sort/cumsum pass, and each row's arithmetic is its own, so the output
-    does not depend on the chunking. Entries must be finite; output
-    entries are >= 0 and each block sums to 1 up to roundoff (~1e-12 * d).
+    does not depend on the chunking. ``values`` must be 1-D with finite
+    entries and every block non-empty; output entries are >= 0 and each
+    block sums to 1 up to roundoff (~1e-12 * d).
     """
     values = np.asarray(values, dtype=np.float64)
     block_ptr = np.asarray(block_ptr)
+    if values.ndim != 1:
+        raise ValueError("values must be a 1-D vector")
     if len(block_ptr) == 0 or block_ptr[0] != 0 or block_ptr[-1] != len(values):
         raise ValueError("block_ptr must run from 0 to len(values)")
     out = np.empty(len(values))
     sizes = np.diff(block_ptr)
     present = np.nonzero(np.bincount(sizes))[0]
+    if len(present) and present[0] == 0:
+        raise ValueError("blocks must be non-empty")
     # each chunk starts at the first block at or past a multiple of the chunk size
     cuts = np.searchsorted(block_ptr[:-1], np.arange(_PROJECT_CHUNK, len(values), _PROJECT_CHUNK))
     bounds = np.unique(np.concatenate(([0], cuts, [len(sizes)])))

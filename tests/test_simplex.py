@@ -94,6 +94,12 @@ class TestFrozenExamples:
 
 
 class TestErrors:
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            project_one(np.empty(0))
+        with pytest.raises(ValueError, match="non-empty"):
+            project_blocks([0.5, 0.5], [0, 0, 2])
+
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             project_one([0.5, np.nan])
@@ -101,6 +107,12 @@ class TestErrors:
     def test_inf_rejected(self):
         with pytest.raises(ValueError):
             project_one([np.inf, 0.0])
+
+    def test_matrix_rejected(self):
+        with pytest.raises(ValueError, match="1-D"):
+            project_one(np.ones((2, 2)))
+        with pytest.raises(ValueError, match="1-D"):
+            project_blocks(np.ones((2, 2)), [0, 1, 2])
 
 
 class TestProperties:
