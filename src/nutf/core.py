@@ -26,6 +26,13 @@ _ENTRY_CHUNK = 1 << 15
 # Largest deviation from orthonormality that LowRankModel.validate accepts.
 _ORTHONORMAL_TOL = 1e-8
 
+# Entries per chunk of the block sums: a chunk's columns stay in cache
+# between the passes over them.
+_SUM_CHUNK = 1 << 17
+# What np.add.reduceat starts a block's tail sum from: -0.0 in recent numpy,
+# 0.0 in older releases, which turns a tail of -0.0 into 0.0.
+_TAIL_START = float(np.add.reduceat(np.array([-0.0, -0.0]), [0])[0])
+
 
 @dataclass(frozen=True)
 class ProblemDims:
@@ -214,8 +221,39 @@ class BlockSparseMatrix:
 
     def max_block_sum_error(self) -> float:
         """max_b |sum(block b) - 1|; 0.0 when there are no blocks."""
-        sums = np.add.reduceat(self.values, self.support.block_ptr[:-1])
+        sums = _block_sums(self.values, self.support.block_ptr)
         return float(np.abs(sums - 1.0).max(initial=0.0))
+
+
+def _block_sums(values: np.ndarray, block_ptr: np.ndarray) -> np.ndarray:
+    """Sum of each block of ``values``, with the bits of np.add.reduceat.
+
+    reduceat adds block [v0, ..., v(d-1)] as v0 + t, where numpy's
+    pairwise sum t of the tail adds fewer than 8 terms one at a time, from
+    a start value: v0 + ((v1 + v2) + v3) at d = 4. When all blocks share
+    one size d <= 8, the same additions run over the columns of the
+    (blocks x d) view, in cache-sized chunks, about twice as fast as
+    reduceat at d = 4. Other layouts run reduceat.
+    """
+    sizes = np.diff(block_ptr)
+    if len(sizes) == 0 or not 2 <= sizes[0] <= 8 or (sizes != sizes[0]).any():
+        return np.add.reduceat(values, block_ptr[:-1])
+    d = int(sizes[0])
+    rows = values.reshape(-1, d)
+    out = np.empty(len(rows))
+    # -0.0 + v is v bit for bit, so that start needs no pass of its own
+    first = 3 if d > 2 and np.signbit(_TAIL_START) else 2
+    step = _SUM_CHUNK // d
+    for lo in range(0, len(rows), step):
+        block, sums = rows[lo:lo + step], out[lo:lo + step]
+        if first == 3:
+            np.add(block[:, 1], block[:, 2], out=sums)
+        else:
+            np.add(_TAIL_START, block[:, 1], out=sums)
+        for k in range(first, d):
+            sums += block[:, k]
+        np.add(block[:, 0], sums, out=sums)
+    return out
 
 
 @dataclass

@@ -14,18 +14,30 @@ panel beyond the products. It is accurate while the panel's condition
 number stays below about 1e8 (Yamamoto et al., ETNA 2015). Past that,
 or on a rank-deficient or non-finite panel, the QR falls back to
 Householder reflections (LAPACK) and fills deficient columns.
+
+Both sparse products and the QR's panel products run on
+:func:`nutf.parallel.run_chunks` once their input spans more than one
+chunk. The sparse products split X's CSR into row chunks: ``X @ v``
+writes each chunk's rows of the output, so its bits are scipy's serial
+ones; ``X^T @ v`` adds the chunks' partial sums in chunk order, so its
+bits depend on the chunking but not on the CPU count. A panel product
+runs in row blocks small enough that OpenBLAS computes each on the
+calling thread: a product it threads leaves its workers spinning for
+tens of milliseconds, which takes cores from the pool's next kernels.
+Inputs of one chunk take the plain ``X @ v`` and ``q @ m``.
 """
 
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 # here, not in core (which synth loads), and not inside the first timed spmm
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix, csr_matrix
 
 from .core import BlockSparseMatrix, LowRankModel, model_support_values
+from .parallel import run_chunks
 
 if TYPE_CHECKING:
     from .solver import SolverConfig
@@ -37,6 +49,14 @@ _FILL_SALT = 0x9E3779B97F4A7C15
 _SUBSPACE_TOL = 1e-5
 # reduced_qr keeps its CholeskyQR2 result only when max|Q^T Q - I| is within this.
 _CHOLQR_TOL = 1e-12
+# Support entries per row chunk of the sparse products.
+_SPMM_CHUNK = 1 << 19
+# OpenBLAS runs a GEMM of m*n*k <= 2**18 on the calling thread, so a panel
+# product runs in row blocks of at most that size (2048 rows at r = 10).
+_GEMM_SERIAL = 1 << 18
+# Row blocks per pool chunk of a panel product. A panel of one chunk (up to
+# 8192 rows at r = 10) is one plain product.
+_PANEL_BLOCKS = 4
 
 
 class NumericalError(ArithmeticError):
@@ -47,6 +67,104 @@ def to_csr(x: BlockSparseMatrix) -> csr_matrix:
     """Zero-copy scipy CSR view over x's (dims, support, values)."""
     indptr, indices, _ = x.support.csr_structure(x.dims)
     return csr_matrix((x.values, indices, indptr), shape=(x.dims.n_users, x.dims.n_cols))
+
+
+def _view(matrix, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
+    """``matrix``, an empty CSR or CSC matrix, set to hold the given arrays.
+
+    scipy's constructor copies an array that is a view of less than half
+    of its base, which every chunk of X's layout is.
+    """
+    matrix.data, matrix.indices, matrix.indptr = data, indices, indptr
+    return matrix
+
+
+def _sparse_products(x: BlockSparseMatrix, rank: int) -> tuple[Callable, Callable]:
+    """The products ``v -> X @ v`` and ``v -> X^T @ v`` for x's CSR view.
+
+    X's rows are cut into chunks, each starting at the first row at or
+    past a multiple of max(_SPMM_CHUNK, T*C * rank) support entries; the
+    second term keeps the partial sums of X^T @ v, which hold T*C * rank
+    floats per chunk, within the size of x's values. Each chunk gets a
+    CSR view and a CSC view (its transpose) over slices of x's layout and
+    values, built once and copying nothing, and the chunks run on
+    :func:`nutf.parallel.run_chunks`. ``X @ v`` writes each
+    chunk's rows of the output, so its bits are scipy's serial product's;
+    ``X^T @ v`` sums the chunks' partial products in chunk order. A
+    support of one chunk gets scipy's plain products.
+    """
+    dims = x.dims
+    indptr, indices, _ = x.support.csr_structure(dims)
+    step = max(_SPMM_CHUNK, dims.n_cols * rank)
+    cuts = np.searchsorted(indptr[:-1], np.arange(step, len(indices), step))
+    bounds = np.unique(np.concatenate(([0], cuts, [dims.n_users]))).tolist()
+    if len(bounds) <= 2:
+        csr = to_csr(x)
+        return (lambda v: np.asarray(csr @ v)), (lambda v: np.asarray(csr.T @ v))
+    chunks, chunks_t = [], []
+    for lo, hi in zip(bounds, bounds[1:]):
+        s, e = indptr[lo], indptr[hi]
+        arrays = (x.values[s:e], indices[s:e], indptr[lo:hi + 1] - s)
+        chunks.append(_view(csr_matrix((hi - lo, dims.n_cols)), *arrays))
+        chunks_t.append(_view(csc_matrix((dims.n_cols, hi - lo)), *arrays))
+    each_chunk = range(len(chunks) + 1)
+
+    def product(v: np.ndarray) -> np.ndarray:
+        v = np.ascontiguousarray(v)
+        out = np.empty((dims.n_users, v.shape[1]))
+
+        def chunk_rows(i: int, _: int) -> None:
+            out[bounds[i]:bounds[i + 1]] = chunks[i] @ v
+
+        run_chunks(chunk_rows, each_chunk)
+        return out
+
+    def adjoint_product(v: np.ndarray) -> np.ndarray:
+        v = np.ascontiguousarray(v)
+        partials: list = [None] * len(chunks)
+
+        def chunk_sum(i: int, _: int) -> None:
+            partials[i] = chunks_t[i] @ v[bounds[i]:bounds[i + 1]]
+
+        run_chunks(chunk_sum, each_chunk)
+        out = partials[0]
+        for partial in partials[1:]:
+            out += partial
+        return out
+
+    return product, adjoint_product
+
+
+def _panel_product(q: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """q @ m for a tall panel q and a small matrix m.
+
+    The rows run in blocks of a power of two with rows * r * r within
+    _GEMM_SERIAL, so BLAS computes each block on the calling thread, and
+    _PANEL_BLOCKS blocks make a chunk of :func:`nutf.parallel.run_chunks`.
+    A one-row block would run as a matrix-vector product, whose bits
+    differ from the matrix product's, so a one-row tail joins the block
+    before it. The blocks do not depend on the CPU count, so neither do
+    the bits; they are one plain product's wherever BLAS computes a row
+    the same way at every block height (OpenBLAS 0.3.31 on x86-64 does
+    up to r = 16). A panel of one chunk is one plain product.
+    """
+    n, r = q.shape
+    per_block = _GEMM_SERIAL // (r * m.shape[1])
+    rows = 1 << (per_block.bit_length() - 1) if per_block else 0
+    if rows < 2 or n <= rows * _PANEL_BLOCKS:
+        return q @ m
+    cuts = [*range(0, n, rows), n]
+    if cuts[-1] - cuts[-2] == 1:
+        del cuts[-2]
+    out = np.empty((n, m.shape[1]))
+
+    def blocks(b0: int, b1: int) -> None:
+        for lo, hi in zip(cuts[b0:b1], cuts[b0 + 1:b1 + 1]):
+            np.matmul(q[lo:hi], m, out=out[lo:hi])
+
+    n_blocks = len(cuts) - 1
+    run_chunks(blocks, [*range(0, n_blocks, _PANEL_BLOCKS), n_blocks])
+    return out
 
 
 def _fix_column_signs(q: np.ndarray) -> np.ndarray:
@@ -84,7 +202,7 @@ def _cholesky_qr2(b: np.ndarray) -> np.ndarray | None:
                 rr = np.linalg.cholesky(g).T
             except np.linalg.LinAlgError:
                 return None
-            q = q @ np.linalg.inv(rr)
+            q = _panel_product(q, np.linalg.inv(rr))
             diag *= rr.diagonal()
         if len(_deficient(diag, n)):
             return None
@@ -165,10 +283,10 @@ def sparse_lowrank_approx(
 
     Returns the model; the completion values on x's support (aligned with
     the support order); the seconds spent in its steps, ``spmm`` (the
-    sparse products, including the CSR view of x), ``qr`` and
-    ``materialize`` (the values on the support); the number of passes
-    run; and the sine of the last pass's principal angle, None when no
-    pass ran.
+    sparse products, including the CSR views of x), ``qr`` (with the
+    principal angles) and ``materialize`` (the values on the support and
+    their finiteness check); the number of passes run; and the sine of
+    the last pass's principal angle, None when no pass ran.
     """
     dims = x.dims
     min_side = min(dims.n_users, dims.n_cols)
@@ -184,11 +302,13 @@ def sparse_lowrank_approx(
 
     seconds = {"spmm": 0.0, "qr": 0.0}
     t0 = time.perf_counter()
-    csr = to_csr(x)
-    a = csr.T if dims.transposed else csr
+    product, adjoint_product = _sparse_products(x, cfg.rank)
+    # the operator A is X, or X^T when dims.transposed
+    a_times, a_t_times = (adjoint_product, product) if dims.transposed \
+        else (product, adjoint_product)
     if start is None:
         rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-        b = np.asarray(a @ rng.standard_normal((min_side, cfg.rank)))
+        b = a_times(rng.standard_normal((min_side, cfg.rank)))
         seconds["spmm"] += time.perf_counter() - t0
         t0 = time.perf_counter()
         q = reduced_qr(b, fill_rng)
@@ -200,25 +320,24 @@ def sparse_lowrank_approx(
     passes, angle = 0, None
     while passes < max_passes:
         t0 = time.perf_counter()
-        b = np.asarray(a @ np.asarray(a.T @ q))
-        seconds["spmm"] += time.perf_counter() - t0
-        t0 = time.perf_counter()
+        b = a_times(a_t_times(q))
+        t1 = time.perf_counter()
         q_prev, q = q, reduced_qr(b, fill_rng)
-        seconds["qr"] += time.perf_counter() - t0
         passes += 1
         # a cold call runs all its passes, so only its last angle is read
         if start is not None or passes == max_passes:
             angle = _principal_sine(q_prev, q)
-            if start is not None and angle <= _SUBSPACE_TOL:
-                break
+        seconds["spmm"] += t1 - t0
+        seconds["qr"] += time.perf_counter() - t1
+        if start is not None and angle <= _SUBSPACE_TOL:
+            break
     t0 = time.perf_counter()
-    c = np.ascontiguousarray(np.asarray(a.T @ q).T)
-    seconds["spmm"] += time.perf_counter() - t0
-
+    c = np.ascontiguousarray(a_t_times(q).T)
+    t1 = time.perf_counter()
     model = LowRankModel(dims, q=q, c=c)
-    t0 = time.perf_counter()
     y_support = model_support_values(model, x.support)
-    seconds["materialize"] = time.perf_counter() - t0
     if not np.all(np.isfinite(y_support)):
         raise NumericalError("non-finite completion values")
+    seconds["spmm"] += t1 - t0
+    seconds["materialize"] = time.perf_counter() - t1
     return model, y_support, seconds, passes, angle

@@ -1,11 +1,13 @@
-"""Thread fan-out for the support kernels.
+"""Thread fan-out for the support kernels and the subspace products.
 
-The per-block projection and the per-entry materialization do
-independent work per block or entry. They split their input at chunk
-boundaries fixed by the input alone and hand the chunks to
-:func:`run_chunks`. Numpy releases the interpreter lock inside the
-sorts, gathers and products of each chunk, so threads overlap, and the
-output does not depend on the worker count.
+The per-block projection, the per-entry materialization, the row
+chunks of both sparse products and the row blocks of the QR's panel
+products split their input at chunk boundaries fixed by the input
+alone and hand the chunks to :func:`run_chunks`. Numpy and scipy's
+sparse routines release the interpreter lock inside the sorts, gathers
+and products of each chunk, so threads overlap. Each chunk writes its
+own slice of the output, or a partial sum its caller adds in chunk
+order, so the output does not depend on the worker count.
 """
 
 from __future__ import annotations

@@ -201,6 +201,30 @@ class TestBlockSparseMatrix:
         x = BlockSparseMatrix(small_dims, small_omega, np.repeat(1.0 / sizes, sizes))
         assert x.max_block_sum_error() <= 1e-9
 
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_block_sums_bytes_equal_reduceat(self, monkeypatch, d):
+        # 64-entry sum chunks, so a few hundred blocks span several of them
+        monkeypatch.setattr(core, "_SUM_CHUNK", 64)
+        rng = np.random.default_rng(d)
+        n = 300
+        values = rng.standard_normal(n * d) * 10.0 ** rng.integers(-8, 9, size=n * d)
+        values[rng.random(n * d) < 0.2] = -0.0
+        values[rng.random(n * d) < 0.1] = 0.0
+        values[:4 * d] = -0.0  # whole blocks of -0.0 and one +0.0 per block
+        values[d:4 * d:d] = 0.0
+        block_ptr = np.arange(0, n * d + 1, d)
+        expected = np.add.reduceat(values, block_ptr[:-1])
+        assert core._block_sums(values, block_ptr).tobytes() == expected.tobytes()
+
+    def test_block_sums_mixed_sizes_bytes_equal_reduceat(self):
+        rng = np.random.default_rng(30)
+        sizes = rng.integers(1, 13, size=500)
+        block_ptr = np.concatenate(([0], np.cumsum(sizes)))
+        values = rng.standard_normal(block_ptr[-1])
+        values[rng.random(len(values)) < 0.3] = -0.0
+        expected = np.add.reduceat(values, block_ptr[:-1])
+        assert core._block_sums(values, block_ptr).tobytes() == expected.tobytes()
+
     def test_nan_rejected(self, small_omega, small_dims):
         vals = np.ones(small_omega.total_size)
         vals[3] = np.nan

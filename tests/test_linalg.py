@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import nutf
-from nutf.core import BlockSparseMatrix, CandidateSets, ProblemDims
+from nutf import linalg
+from nutf.core import (BlockSparseMatrix, CandidateSets, LowRankModel, ProblemDims,
+                       model_support_values)
 from nutf.linalg import NumericalError, reduced_qr, sparse_lowrank_approx, to_csr
 from nutf.solver import SolverConfig
 
@@ -456,3 +458,175 @@ class TestWarmStart:
                                            start=start)
         assert m1.q.tobytes() == m2.q.tobytes()
         assert y1.tobytes() == y2.tobytes()
+
+
+def random_x(seed, dims, p_block=0.7):
+    rng = np.random.default_rng(seed)
+    omega = random_omega(rng, dims.n_users, dims.n_slots, dims.n_categories, p_block=p_block)
+    return make_x(dims, omega, rng.random(omega.total_size))
+
+
+def with_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+class TestChunkedProducts:
+    """The row-chunked sparse products and the row-blocked panel product."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 50, 400, 1 << 19])
+    def test_product_bytes_equal_scipy(self, monkeypatch, chunk):
+        monkeypatch.setattr(linalg, "_SPMM_CHUNK", chunk)
+        # rank 1 keeps the scatter's floor (T*C * rank = 20 entries) below most chunkings
+        x = random_x(21, ProblemDims(60, 5, 4), p_block=0.5)
+        v = np.random.default_rng(0).standard_normal((x.dims.n_cols, 3))
+        product, _ = linalg._sparse_products(x, rank=1)
+        assert product(v).tobytes() == np.asarray(to_csr(x) @ v).tobytes()
+        # a Fortran-ordered operand gives the same bytes
+        assert product(np.asfortranarray(v)).tobytes() == product(v).tobytes()
+
+    def test_chunks_start_at_multiples_of_the_chunk_size(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_SPMM_CHUNK", 50)
+        x = random_x(22, ProblemDims(60, 5, 4))
+        views = []
+        view = linalg._view
+
+        def recording(matrix, *arrays):
+            views.append(view(matrix, *arrays))
+            return views[-1]
+
+        monkeypatch.setattr(linalg, "_view", recording)
+        linalg._sparse_products(x, rank=1)
+        heights = [m.shape[0] for m in views if m.format == "csr"]
+        starts = np.cumsum([0, *heights[:-1]]).tolist()
+        indptr = x.support.csr_structure(x.dims)[0].tolist()
+        # the first row at or past each multiple of 50 entries, by a plain scan
+        expected = sorted({0} | {next(r for r in range(60) if indptr[r] >= k)
+                                 for k in range(50, indptr[-1], 50) if indptr[-2] >= k})
+        assert sum(heights) == 60 and starts == expected
+
+    def test_chunk_operators_copy_nothing(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_SPMM_CHUNK", 50)
+        x = random_x(27, ProblemDims(60, 5, 4))
+        _, cols, _ = x.support.csr_structure(x.dims)
+        views = []
+        view = linalg._view
+
+        def recording(*args):
+            views.append(view(*args))
+            return views[-1]
+
+        monkeypatch.setattr(linalg, "_view", recording)
+        product, adjoint_product = linalg._sparse_products(x, rank=1)
+        product(np.ones((x.dims.n_cols, 2)))
+        adjoint_product(np.ones((x.dims.n_users, 2)))
+        assert len(views) > 4  # a CSR and a CSC view per chunk
+        for m in views:
+            assert np.shares_memory(m.data, x.values) and np.shares_memory(m.indices, cols)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 50, 400])
+    def test_adjoint_close_to_scipy_and_same_bytes_on_any_cpu_count(self, monkeypatch, chunk):
+        monkeypatch.setattr(linalg, "_SPMM_CHUNK", chunk)
+        x = random_x(23, ProblemDims(60, 5, 4))
+        v = np.random.default_rng(1).standard_normal((x.dims.n_users, 3))
+        expected = np.asarray(to_csr(x).T @ v)
+        runs = []
+        for cpus in (1, 2, 8):
+            with_cpus(monkeypatch, cpus)
+            _, adjoint_product = linalg._sparse_products(x, rank=1)
+            runs.append(adjoint_product(v).tobytes())
+        assert runs[0] == runs[1] == runs[2]
+        got = np.frombuffer(runs[0]).reshape(expected.shape)
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_one_chunk_products_are_scipy_products(self):
+        x = random_x(24, ProblemDims(60, 5, 4))
+        rng = np.random.default_rng(2)
+        v, w = rng.standard_normal((x.dims.n_cols, 3)), rng.standard_normal((60, 3))
+        product, adjoint_product = linalg._sparse_products(x, rank=3)
+        assert product(v).tobytes() == np.asarray(to_csr(x) @ v).tobytes()
+        assert adjoint_product(w).tobytes() == np.asarray(to_csr(x).T @ w).tobytes()
+
+    def test_scatter_floor_bounds_the_partial_sums(self, monkeypatch):
+        # T*C * rank = 200 entries per chunk at least, whatever _SPMM_CHUNK says
+        monkeypatch.setattr(linalg, "_SPMM_CHUNK", 1)
+        x = random_x(25, ProblemDims(60, 5, 4))
+        chunks = []
+        monkeypatch.setattr(linalg, "run_chunks",
+                            lambda work, bounds: chunks.append(len(bounds) - 1))
+        product, _ = linalg._sparse_products(x, rank=10)
+        product(np.ones((x.dims.n_cols, 10)))
+        assert 1 < chunks[0] <= x.support.total_size // 200 + 1
+
+    @pytest.mark.parametrize("r", [1, 4, 10])
+    @pytest.mark.parametrize("extra", [0, 1, 2, 37])
+    def test_panel_product_bytes_equal_matmul(self, monkeypatch, r, extra):
+        # blocks of 8 rows, 4 blocks per chunk: 600 rows + extra span 19 or 20 chunks
+        monkeypatch.setattr(linalg, "_GEMM_SERIAL", 8 * r * r)
+        rng = np.random.default_rng(r + extra)
+        q = rng.standard_normal((600 + extra, r))
+        m = rng.standard_normal((r, r))
+        runs = []
+        for cpus in (1, 8):
+            with_cpus(monkeypatch, cpus)
+            runs.append(linalg._panel_product(q, m).tobytes())
+        assert runs[0] == runs[1] == (q @ m).tobytes()
+
+    def test_panel_blocks_stay_on_the_calling_thread(self, monkeypatch):
+        heights = []
+        matmul = np.matmul
+
+        def recording(a, b, out):
+            heights.append(len(a))
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(linalg.np, "matmul", recording)
+        q = np.random.default_rng(3).standard_normal((49 * 2048 + 1, 10))
+        m = np.eye(10)
+        assert linalg._panel_product(q, m).tobytes() == q.tobytes()
+        # blocks of 2048 rows (2048 * 10 * 10 <= 2**18), the one-row tail joined to the last
+        assert sorted(heights) == [2048] * 48 + [2049]
+
+    def test_one_chunk_panel_is_one_product(self, monkeypatch):
+        monkeypatch.setattr(linalg, "run_chunks", None)  # any pool use would fail
+        q = np.random.default_rng(4).standard_normal((2780, 10))
+        m = np.random.default_rng(5).standard_normal((10, 10))
+        assert linalg._panel_product(q, m).tobytes() == (q @ m).tobytes()
+
+
+def serial_lowrank_reference(x, cfg, start=None):
+    """sparse_lowrank_approx with scipy's plain products and one-product QR
+    panels: the code path every support and panel of one chunk takes."""
+    dims = x.dims
+    fill_rng = np.random.Generator(np.random.Philox(key=cfg.seed ^ linalg._FILL_SALT))
+    csr = to_csr(x)
+    a = csr.T if dims.transposed else csr
+    if start is None:
+        rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+        q = reduced_qr(np.asarray(a @ rng.standard_normal((min(dims.n_users, dims.n_cols),
+                                                          cfg.rank))), fill_rng)
+        max_passes = cfg.power_iters
+    else:
+        q, max_passes = start, max(1, cfg.power_iters)
+    for passes in range(1, max_passes + 1):
+        q_prev, q = q, reduced_qr(np.asarray(a @ np.asarray(a.T @ q)), fill_rng)
+        if start is not None and linalg._principal_sine(q_prev, q) <= linalg._SUBSPACE_TOL:
+            break
+    model = LowRankModel(dims, q=q, c=np.ascontiguousarray(np.asarray(a.T @ q).T))
+    return model, model_support_values(model, x.support)
+
+
+class TestOneChunkPath:
+    @pytest.mark.parametrize("dims", [ProblemDims(300, 6, 5), ProblemDims(40, 8, 6)])
+    def test_matches_plain_products(self, monkeypatch, dims):
+        x = random_x(26, dims)
+        cfg = SolverConfig(rank=4, power_iters=3, seed=8)
+        monkeypatch.setattr(linalg, "run_chunks", None)  # any pool use would fail
+        cold, y_cold, *_ = sparse_lowrank_approx(x, cfg)
+        ref_cold, y_ref = serial_lowrank_reference(x, cfg)
+        assert cold.q.tobytes() == ref_cold.q.tobytes()
+        assert cold.c.tobytes() == ref_cold.c.tobytes()
+        assert y_cold.tobytes() == y_ref.tobytes()
+        warm, y_warm, *_ = sparse_lowrank_approx(x, cfg, start=cold.q)
+        ref_warm, y_ref = serial_lowrank_reference(x, cfg, start=cold.q)
+        assert warm.q.tobytes() == ref_warm.q.tobytes()
+        assert y_warm.tobytes() == y_ref.tobytes()

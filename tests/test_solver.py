@@ -1,12 +1,13 @@
 import math
 import os
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from nutf import core, parallel
+from nutf import core, linalg, parallel
 from nutf.core import BlockSparseMatrix, CandidateSets, ProblemDims
 from nutf.linalg import sparse_lowrank_approx
 from nutf.solver import (
@@ -357,34 +358,78 @@ def multi_chunk_instance(seed, n=5000, t=8, c=6):
     return omega, ProblemDims(n, t, c)
 
 
+def shrink_linalg_chunks(monkeypatch):
+    """Cut the sparse products into 4096-entry row chunks and the QR panel
+    products into 32-row blocks (128-row chunks) at rank 4."""
+    monkeypatch.setattr(linalg, "_SPMM_CHUNK", 1 << 12)
+    monkeypatch.setattr(linalg, "_GEMM_SERIAL", 1 << 9)
+
+
+def assert_fit_bytes_independent_of_cpu_count(monkeypatch, omega, dims):
+    """One and eight usable CPUs give the same fit bytes, with every threaded
+    kernel, the sparse products and QR panels included, run in several chunks."""
+    cfg = SolverConfig(rank=4, outer_iters=3, power_iters=2, tol=0.0, seed=9)
+    shrink_linalg_chunks(monkeypatch)
+    pools, linalg_chunks = [], []
+
+    class RecordingPool(parallel.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", RecordingPool)
+    run_chunks = linalg.run_chunks
+
+    def recording_run_chunks(work, bounds):
+        linalg_chunks.append(len(bounds) - 1)
+        run_chunks(work, bounds)
+
+    monkeypatch.setattr(linalg, "run_chunks", recording_run_chunks)
+
+    def fit_bytes(cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        x, model, _ = fit(omega, dims, cfg)
+        return x.values.tobytes(), model.q.tobytes(), model.c.tobytes()
+
+    one_cpu = fit_bytes(1)
+    assert pools == []  # one usable CPU: every chunk ran inline
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        eight_cpus = fit_bytes(8)  # more workers than this machine has cores
+    finally:
+        sys.setswitchinterval(interval)
+    assert one_cpu == eight_cpus
+    materialize_chunks = math.ceil(omega.total_size / core._ENTRY_CHUNK)
+    assert min(8, materialize_chunks) in pools
+    assert max(pools) <= 8
+    # the sparse products (one chunk count) and the QR panels (another) ran split
+    panel_chunks = math.ceil(max(dims.n_users, dims.n_cols) / 128)
+    assert panel_chunks > 1 and panel_chunks in linalg_chunks
+    assert len(set(linalg_chunks) - {panel_chunks}) == 1
+    assert min(linalg_chunks) > 1
+
+
 class TestThreadedKernels:
     def test_fit_bytes_independent_of_cpu_count(self, monkeypatch):
         omega, dims = multi_chunk_instance(5)
-        cfg = SolverConfig(rank=4, outer_iters=3, power_iters=2, tol=0.0, seed=9)
-        pools = []
+        assert not dims.transposed
+        assert_fit_bytes_independent_of_cpu_count(monkeypatch, omega, dims)
 
-        class RecordingPool(parallel.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers=max_workers)
+    def test_fit_bytes_independent_of_cpu_count_transposed(self, monkeypatch):
+        omega, dims = multi_chunk_instance(5, n=300, t=60, c=8)
+        assert dims.transposed
+        assert_fit_bytes_independent_of_cpu_count(monkeypatch, omega, dims)
 
-        monkeypatch.setattr(parallel, "ThreadPoolExecutor", RecordingPool)
-
-        def fit_bytes(cpus):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                                raising=False)
-            x, model, _ = fit(omega, dims, cfg)
-            return x.values.tobytes(), model.q.tobytes(), model.c.tobytes()
-
-        one_cpu = fit_bytes(1)
-        assert pools == []  # one usable CPU: every chunk ran inline
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads as often as possible
-        try:
-            eight_cpus = fit_bytes(8)  # more workers than this machine has cores
-        finally:
-            sys.setswitchinterval(interval)
-        assert one_cpu == eight_cpus
-        materialize_chunks = math.ceil(omega.total_size / core._ENTRY_CHUNK)
-        assert min(8, materialize_chunks) in pools
-        assert max(pools) <= 8
+    def test_kernel_split_covers_the_fit(self, monkeypatch):
+        """The kernel keys plus init, as ``nutf fit`` writes them, account for
+        at least 95% of its fit_total_s, the wall time of solver.fit."""
+        omega, dims = multi_chunk_instance(6)
+        shrink_linalg_chunks(monkeypatch)
+        cfg = SolverConfig(rank=4, outer_iters=4, power_iters=4, tol=0.0, seed=3)
+        t0 = time.perf_counter()
+        _, _, trace = fit(omega, dims, cfg)
+        fit_total_s = time.perf_counter() - t0
+        covered = trace.init_seconds + sum(sum(k.values()) for k in trace.kernel_seconds)
+        assert 0.95 * fit_total_s <= covered <= fit_total_s
