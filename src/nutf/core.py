@@ -228,31 +228,46 @@ class BlockSparseMatrix:
 def _block_sums(values: np.ndarray, block_ptr: np.ndarray) -> np.ndarray:
     """Sum of each block of ``values``, with the bits of np.add.reduceat.
 
-    reduceat adds block [v0, ..., v(d-1)] as v0 + t, where numpy's
-    pairwise sum t of the tail adds fewer than 8 terms one at a time, from
-    a start value: v0 + ((v1 + v2) + v3) at d = 4. When all blocks share
-    one size d <= 8, the same additions run over the columns of the
-    (blocks x d) view, in cache-sized chunks, about twice as fast as
-    reduceat at d = 4. Other layouts run reduceat.
+    When all blocks share one size, :func:`row_sums` adds the rows of the
+    (blocks x size) view in cache-sized chunks; mixed sizes run reduceat.
     """
     sizes = np.diff(block_ptr)
-    if len(sizes) == 0 or not 2 <= sizes[0] <= 8 or (sizes != sizes[0]).any():
+    if len(sizes) == 0 or sizes[0] < 1 or (sizes != sizes[0]).any():
         return np.add.reduceat(values, block_ptr[:-1])
     d = int(sizes[0])
     rows = values.reshape(-1, d)
     out = np.empty(len(rows))
-    # -0.0 + v is v bit for bit, so that start needs no pass of its own
-    first = 3 if d > 2 and np.signbit(_TAIL_START) else 2
-    step = _SUM_CHUNK // d
+    step = max(_SUM_CHUNK // d, 1)
     for lo in range(0, len(rows), step):
-        block, sums = rows[lo:lo + step], out[lo:lo + step]
-        if first == 3:
-            np.add(block[:, 1], block[:, 2], out=sums)
-        else:
-            np.add(_TAIL_START, block[:, 1], out=sums)
-        for k in range(first, d):
-            sums += block[:, k]
-        np.add(block[:, 0], sums, out=sums)
+        row_sums(rows[lo:lo + step], out[lo:lo + step])
+    return out
+
+
+def row_sums(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Sum of each row of ``rows`` (n x d), with the bits of np.add.reduceat.
+
+    reduceat adds row [v0, ..., v(d-1)] as v0 + t, where numpy's pairwise
+    sum t of the tail adds fewer than 8 terms one at a time, from a start
+    value: v0 + ((v1 + v2) + v3) at d = 4. For 2 <= d <= 8 the same
+    additions run over whole columns, about twice as fast as reduceat at
+    d = 4; other d run reduceat. (``rows.sum(axis=1)`` adds in another
+    order: ((0 + v0) + v1) + ... for d < 8.)
+    """
+    n, d = rows.shape
+    if not 2 <= d <= 8:
+        return np.add.reduceat(rows.reshape(-1), np.arange(0, n * d, d), out=out)
+    if out is None:
+        out = np.empty(len(rows))
+    # -0.0 + v is v bit for bit, so that start needs no pass of its own
+    if d > 2 and np.signbit(_TAIL_START):
+        np.add(rows[:, 1], rows[:, 2], out=out)
+        first = 3
+    else:
+        np.add(_TAIL_START, rows[:, 1], out=out)
+        first = 2
+    for k in range(first, d):
+        out += rows[:, k]
+    np.add(rows[:, 0], out, out=out)
     return out
 
 

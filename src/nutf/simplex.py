@@ -1,20 +1,27 @@
 """Exact Euclidean projection onto the probability simplex.
 
 The projection of v is ``max(v - theta, 0)`` for the unique water level
-theta that makes the result sum to one. Sorting v descending and scanning
-prefixes finds theta in O(d log d): take the largest j such that
-``v_sorted[j] - (sum(v_sorted[:j+1]) - 1) / (j+1) > 0`` and set
-``theta = (sum(v_sorted[:k]) - 1) / k`` for that prefix length k.
+theta that makes the result sum to one (Duchi et al., ICML 2008). With v
+sorted descending into s and prefix sums p, theta is
+``(p[k] - 1) / (k+1)`` for the last k with ``s[k] - (p[k] - 1) / (k+1) > 0``.
+
+A group of same-size rows runs column by column: for d <= 8 a fixed
+comparator network of ``np.maximum``/``np.minimum`` over whole columns
+sorts the rows (Batcher's odd-even merge sort, 5 comparators at d = 4),
+beyond that ``np.sort`` of the rows does; the prefix sums and the test
+then run one column at a time, in ``np.cumsum``'s order. Each row's
+arithmetic is its own, so the result does not depend on the grouping.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .core import row_sums
 from .parallel import run_chunks
 
-# Entries per projection chunk: a chunk's values and its sort, cumsum and
-# mask temporaries stay in cache between the passes over them.
+# Entries per projection chunk: a chunk's values and its sorted columns
+# stay in cache between the passes over them.
 _PROJECT_CHUNK = 1 << 16
 
 # A vector counts as already on the simplex when it is non-negative and its
@@ -22,42 +29,92 @@ _PROJECT_CHUNK = 1 << 16
 _FEAS_TOL = 1e-12
 
 
+def _odd_even_merge_network(d: int) -> list[tuple[int, int]]:
+    """Comparators (i, j), i < j, of Batcher's odd-even merge sort on d
+    wires, with those that reach past wire d - 1 dropped."""
+    pairs = []
+    p = 1
+    while p < d:
+        k = p
+        while k >= 1:
+            for j in range(k % p, d - k, 2 * k):
+                for i in range(min(k, d - j - k)):
+                    if (i + j) // (2 * p) == (i + j + k) // (2 * p):
+                        pairs.append((i + j, i + j + k))
+            k //= 2
+        p *= 2
+    return pairs
+
+
+# Largest row length sorted by a comparator network; longer rows use np.sort.
+_NETWORK_MAX_D = 8
+_NETWORKS = {d: _odd_even_merge_network(d) for d in range(2, _NETWORK_MAX_D + 1)}
+
+
+def _sorted_columns(rows: np.ndarray) -> list[np.ndarray]:
+    """Column j of the descending sort of the rows of ``rows`` (n x d), for
+    j = 0, ..., d - 1, each as a contiguous vector."""
+    d = rows.shape[1]
+    if d > _NETWORK_MAX_D:
+        s = np.negative(rows)
+        s.sort(axis=1)
+        np.negative(s, out=s)
+        return list(np.ascontiguousarray(s.T))
+    buf = np.empty((d + 1, len(rows)))
+    buf[:d] = rows.T
+    # comparator (i, j) leaves the larger entry in column i and the smaller
+    # in column j; col[d] is scratch
+    col = list(buf)
+    for i, j in _NETWORKS[d]:
+        np.maximum(col[i], col[j], out=col[d])
+        np.minimum(col[i], col[j], out=col[j])
+        col[i], col[d] = col[d], col[i]
+    return col[:d]
+
+
 def _project_rows(block: np.ndarray, out: np.ndarray) -> None:
     """Write the projection of each row of ``block`` (n x d) into ``out``.
 
     A row already on the simplex is copied unchanged, so the projection is
-    exactly idempotent instead of drifting by roundoff.
+    exactly idempotent instead of drifting by roundoff. When no prefix
+    tests positive, or the prefix sums overflow, the largest entry is at
+    least about 2**53 in magnitude and ``s[0] - 1`` rounds to ``s[0]``;
+    such a row is projected from ``max(v - max(v), -2)`` instead, which
+    has the same projection (entries more than 1 below the largest get 0)
+    and no huge entries.
     """
-    d = block.shape[1]
+    n, d = block.shape
     if d == 1:
         out[...] = 1.0
         return
-    # min(row) >= 0, one column at a time: a per-row reduction is far slower
-    feas = block[:, 0] >= 0.0
-    for col in range(1, d):
-        feas &= block[:, col] >= 0.0
-    feas &= np.abs(block.sum(axis=1) - 1.0) <= _FEAS_TOL * d
-    if feas.all():
-        out[...] = block
-        return
-    rows = block
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = _sorted_columns(block)
+        # on the simplex: the smallest entry >= 0 and the sum within tolerance
+        feas = s[-1] >= 0.0
+        feas &= np.abs(row_sums(block) - 1.0) <= _FEAS_TOL * d
+        # level[j] = (prefix_j - 1) / (j+1), the prefix sums in np.cumsum's order
+        level = np.empty((d, n))
+        level[0] = s[0]
+        for j in range(1, d):
+            np.add(level[j - 1], s[j], out=level[j])
+        level -= 1.0
+        level /= np.arange(1.0, d + 1)[:, None]
+        # NaN until a prefix tests positive; the last positive one wins.
+        # s - level > 0 exactly when s > level, for finite s.
+        theta = np.full(n, np.nan)
+        for j in range(d):
+            np.copyto(theta, level[j], where=s[j] > level[j])
+        np.subtract(block, theta[:, None], out=out)
+        np.maximum(out, 0.0, out=out)
+        huge = ~np.isfinite(theta)
+        if huge.any():
+            shifted = block[huge] - block[huge].max(axis=1, keepdims=True)
+            np.maximum(shifted, -2.0, out=shifted)
+            projected = np.empty_like(shifted)
+            _project_rows(shifted, projected)
+            out[huge] = projected
     if feas.any():
         out[feas] = block[feas]
-        rows = block[~feas]
-    # rows sorted descending, as -sort(-rows) with the sort done in place
-    s = np.negative(rows)
-    s.sort(axis=1)
-    np.negative(s, out=s)
-    prefix = np.cumsum(s, axis=1)
-    j = np.arange(1, d + 1)[None, :]
-    positive = s - (prefix - 1.0) / j > 0.0
-    # last positive prefix per row; column 0 is always positive
-    k = d - 1 - np.argmax(positive[:, ::-1], axis=1)
-    theta = (prefix[np.arange(rows.shape[0]), k] - 1.0) / (k + 1)
-    if rows is block:
-        np.maximum(rows - theta[:, None], 0.0, out=out)
-    else:
-        out[~feas] = np.maximum(rows - theta[:, None], 0.0)
 
 
 def project_blocks(values: np.ndarray, block_ptr: np.ndarray) -> np.ndarray:
@@ -67,11 +124,11 @@ def project_blocks(values: np.ndarray, block_ptr: np.ndarray) -> np.ndarray:
     into chunks of about ``_PROJECT_CHUNK`` entries, which run on
     :func:`nutf.parallel.run_chunks`. When all blocks share one size d, a
     chunk is a (blocks x d) view of ``values``; otherwise its blocks are
-    gathered per size. Each group of rows runs as one vectorized
-    sort/cumsum pass, and each row's arithmetic is its own, so the output
-    does not depend on the chunking. ``values`` must be 1-D with finite
-    entries and every block non-empty; output entries are >= 0 and each
-    block sums to 1 up to roundoff (~1e-12 * d).
+    gathered per size. Each group of rows runs as one column-wise pass,
+    and each row's arithmetic is its own, so the output does not depend
+    on the chunking. ``values`` must be 1-D with finite entries and every
+    block non-empty; output entries are >= 0 and each block sums to 1 up
+    to roundoff (~1e-12 * d).
     """
     values = np.asarray(values, dtype=np.float64)
     block_ptr = np.asarray(block_ptr)

@@ -62,15 +62,25 @@ def project_simplex(v) -> np.ndarray:
     if d == 1:
         return np.ones(1)
     # feasible points are fixed points; returning them unchanged makes the
-    # projection exactly idempotent instead of drifting by roundoff
-    if v.min() >= 0.0 and abs(v.sum() - 1.0) <= _FEAS_TOL * d:
-        return v.copy()
-    s = np.sort(v)[::-1]
-    prefix = np.cumsum(s)
-    j = np.arange(1, d + 1)
-    positive = s - (prefix - 1.0) / j > 0.0
-    k = np.nonzero(positive)[0][-1]  # position 0 is always positive
-    theta = (prefix[k] - 1.0) / (k + 1)
+    # projection exactly idempotent instead of drifting by roundoff. The sum
+    # is reduceat's, v0 + (tail sum), as in nutf.core.row_sums.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.reduceat(v, [0])[0]
+        if v.min() >= 0.0 and abs(total - 1.0) <= _FEAS_TOL * d:
+            return v.copy()
+        s = np.sort(v)[::-1]
+        prefix = np.cumsum(s)
+        j = np.arange(1, d + 1)
+        positive = np.nonzero(s - (prefix - 1.0) / j > 0.0)[0]
+        theta = np.nan
+        if len(positive):
+            k = positive[-1]
+            theta = (prefix[k] - 1.0) / (k + 1)
+        if not np.isfinite(theta):
+            # |max(v)| >~ 2**53, so s[0] - (s[0] - 1) rounds to 0, or the
+            # prefix sums overflow: project the shifted row, whose entries
+            # more than 1 below its maximum 0 get 0 either way
+            return project_simplex(np.maximum(v - v.max(), -2.0))
     return np.maximum(v - theta, 0.0)
 
 

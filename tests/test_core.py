@@ -216,6 +216,20 @@ class TestBlockSparseMatrix:
         expected = np.add.reduceat(values, block_ptr[:-1])
         assert core._block_sums(values, block_ptr).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_row_sums_bytes_equal_reduceat(self, d):
+        rng = np.random.default_rng(50 + d)
+        n = 400
+        rows = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-8, 9, size=(n, d))
+        rows[rng.random((n, d)) < 0.2] = -0.0
+        rows[:40, 1:] = -0.0  # -0.0 tails under -0.0, +0.0 and nonzero heads
+        rows[:10, 0] = -0.0
+        rows[10:20, 0] = 0.0
+        expected = np.add.reduceat(rows.ravel(), np.arange(0, n * d, d))
+        assert core.row_sums(rows).tobytes() == expected.tobytes()
+        # a strided view, as a gathered group or a chunk of a larger array
+        assert core.row_sums(rows[::3]).tobytes() == expected[::3].tobytes()
+
     def test_block_sums_mixed_sizes_bytes_equal_reduceat(self):
         rng = np.random.default_rng(30)
         sizes = rng.integers(1, 13, size=500)

@@ -92,6 +92,21 @@ class TestFrozenExamples:
         assert project_one([17.0]).tolist() == [1.0]
         assert project_one([-3.0]).tolist() == [1.0]
 
+    @pytest.mark.parametrize("v, expected", [
+        # s[0] - (s[0] - 1) rounds to 0, so no prefix tests positive
+        ([1e17, 3e16, -5.0, 2.0], [1.0, 0.0, 0.0, 0.0]),
+        ([-1e17] * 4, [0.25] * 4),
+        ([1e300, 1e300, 1e299, -1e300], [0.5, 0.5, 0.0, 0.0]),
+        # the prefix sums overflow, or the shift by the largest entry does
+        ([1e308, 1e308, 1.0], [0.5, 0.5, 0.0]),
+        ([-1e308] * 4, [0.25] * 4),
+        ([1e308, -1e308], [1.0, 0.0]),
+        ([1e308, 0.0, 0.0], [1.0, 0.0, 0.0]),
+    ])
+    def test_huge_entries(self, v, expected):
+        assert project_one(v).tolist() == expected
+        assert project_simplex(v).tolist() == expected
+
 
 class TestErrors:
     def test_empty_rejected(self):
@@ -245,3 +260,84 @@ class TestProjectBlocksChunked:
         values[37] = np.inf
         with pytest.raises(ValueError, match="finite"):
             project_blocks(values, np.arange(0, 41, 4))
+
+
+def edge_rows(n, d, rng):
+    """n rows of length d: random rows of mixed scale, and in turn rows with
+    exact ties, with +-0.0 among their top entries, already on the simplex
+    (with and without -0.0), all negative, or with entries near 1e17."""
+    rows = rng.uniform(-1.5, 1.5, size=(n, d)) * 10.0 ** rng.integers(-2, 3, size=(n, 1))
+    for r in range(n):
+        kind = r % 8
+        if kind == 1:
+            rows[r] = rng.integers(-2, 3, size=d) / 4.0
+        elif kind == 2:
+            rows[r] = -rng.uniform(0.1, 2.0, size=d)
+            top = rng.integers(1, d + 1)
+            rows[r, :top] = np.where(rng.random(top) < 0.5, -0.0, 0.0)
+            rng.shuffle(rows[r])
+        elif kind == 3:
+            rows[r] = rng.dirichlet(np.ones(d))
+        elif kind == 4:
+            rows[r] = -0.0
+            rows[r, rng.integers(d)] = 1.0
+        elif kind == 5:
+            rows[r] = -rng.uniform(0.1, 3.0, size=d)
+        elif kind == 6:
+            rows[r] *= 1e17
+    return rows
+
+
+class TestColumnKernel:
+    """The column-wise kernel against the per-vector oracle, byte for byte."""
+
+    @pytest.mark.parametrize("chunk", [None, 256])
+    @pytest.mark.parametrize("d", [*range(1, 13), 50])
+    def test_uniform_groups_bytes_equal_oracle(self, monkeypatch, d, chunk):
+        if chunk is not None:  # several chunks on the thread pool
+            monkeypatch.setattr(simplex, "_PROJECT_CHUNK", chunk)
+        rng = np.random.default_rng(100 + d)
+        n = 640
+        values = edge_rows(n, d, rng).ravel()
+        ptr = np.arange(0, n * d + 1, d)
+        out = project_blocks(values, ptr)
+        assert out.tobytes() == per_block_reference(values, ptr).tobytes()
+
+    def test_mixed_groups_bytes_equal_oracle(self, monkeypatch):
+        monkeypatch.setattr(simplex, "_PROJECT_CHUNK", 512)
+        rng = np.random.default_rng(7)
+        blocks = [row for d in [*range(1, 13), 50] for row in edge_rows(80, d, rng)]
+        blocks = [blocks[b] for b in rng.permutation(len(blocks))]
+        ptr = np.concatenate(([0], np.cumsum([len(b) for b in blocks])))
+        values = np.concatenate(blocks)
+        out = project_blocks(values, ptr)
+        assert out.tobytes() == per_block_reference(values, ptr).tobytes()
+
+    @pytest.mark.parametrize("d", [3, 4, 8, 12])
+    def test_feasibility_boundary_uses_reduceat_sums(self, d):
+        # non-negative rows whose sum lies within a few ulps of the tolerance,
+        # kept only where reduceat's order and sum(axis=1)'s disagree on it
+        rng = np.random.default_rng(d)
+        n = 4000
+        rows = rng.dirichlet(np.ones(d), size=n)
+        rows *= 1.0 + simplex._FEAS_TOL * d + rng.uniform(-8, 8, size=(n, 1)) * 2.0 ** -52
+        by_reduceat = np.add.reduceat(rows.ravel(), np.arange(0, n * d, d))
+        inside = np.abs(by_reduceat - 1.0) <= simplex._FEAS_TOL * d
+        rows = rows[inside != (np.abs(rows.sum(axis=1) - 1.0) <= simplex._FEAS_TOL * d)]
+        assert len(rows) > 10
+        values, ptr = rows.ravel(), np.arange(0, rows.size + 1, d)
+        out = project_blocks(values, ptr)
+        assert out.tobytes() == per_block_reference(values, ptr).tobytes()
+
+    @pytest.mark.parametrize("d", range(2, simplex._NETWORK_MAX_D + 1))
+    def test_network_sorts_every_0_1_row(self, d):
+        # 0-1 principle: a comparator network that sorts every 0/1 input
+        # sorts every input
+        rows = np.array(list(itertools.product([0.0, 1.0], repeat=d)))
+        cols = simplex._sorted_columns(rows)
+        assert np.array_equal(np.column_stack(cols), -np.sort(-rows, axis=1))
+
+    def test_network_sizes(self):
+        # Batcher's networks are the smallest known up to 8 wires
+        sizes = [len(simplex._NETWORKS[d]) for d in range(2, simplex._NETWORK_MAX_D + 1)]
+        assert sizes == [1, 3, 5, 9, 12, 16, 19]
