@@ -16,10 +16,13 @@ from typing import Sequence
 import numpy as np
 
 from .core import CandidateSets, LowRankModel, ProblemDims
+from .parallel import run_chunks
 
-# Per-observation decoy sampling works on chunks of this many rows to keep
-# the (rows x categories) scratch matrix small.
+# score_topk scores its pairs in chunks of about this many (pair, category) scores
 _OBS_CHUNK = 200_000
+# generate cuts its users into chunks that draw at most this many slot and
+# decoy doubles (2 MiB, 4 MiB with their argpartition indices), or one user
+_DRAW_CHUNK = 1 << 18
 
 ValidationPair = tuple[int, int, int]  # (user, slot, true category)
 
@@ -67,14 +70,12 @@ class GroundTruth:
     true_cats: np.ndarray
     user_classes: np.ndarray
 
-    def pairs(self) -> list[ValidationPair]:
-        return list(
-            zip(
-                self.obs_users.tolist(),
-                self.obs_slots.tolist(),
-                self.true_cats.tolist(),
-            )
-        )
+    def pairs(self) -> np.ndarray:
+        """The (user, slot, true category) triples in observation order, as
+        one C-contiguous (n, 3) int64 array that score_topk and
+        serialize.write_pairs_jsonl take without conversion."""
+        return np.stack((self.obs_users, self.obs_slots, self.true_cats), axis=1,
+                        dtype=np.int64)
 
 
 @dataclass
@@ -109,6 +110,16 @@ def generate(cfg: SynthConfig) -> tuple[CandidateSets, GroundTruth, ProblemDims]
     distinct random slots; each observation's candidate set is its true
     category plus ``candidates_per_update - 1`` distinct decoys drawn
     uniformly from the other C-1 categories.
+
+    The schedule and the classes come first from one PCG64 generator
+    seeded with ``cfg.seed``. Its next N*T doubles pick the slots, T per
+    user, and the n_obs*(C-1) doubles after them the decoys, C-1 per
+    observation. Users are cut into chunks of about ``_DRAW_CHUNK``
+    doubles, fixed by the config alone, that run on
+    :func:`nutf.parallel.run_chunks`. Each chunk jumps a copy of the
+    generator ahead to its first slot double, then to its first decoy
+    double (:meth:`numpy.random.PCG64.advance`), so the output is the
+    same bytes for any chunking and any CPU count.
     """
     dims = cfg.dims
     rng = np.random.default_rng(cfg.seed)
@@ -118,29 +129,43 @@ def generate(cfg: SynthConfig) -> tuple[CandidateSets, GroundTruth, ProblemDims]
 
     schedule = rng.integers(0, c, size=(cfg.n_classes, t), dtype=np.int64)
     user_classes = rng.integers(0, cfg.n_classes, size=n, dtype=np.int64)
+    state = rng.bit_generator.state
 
-    # k distinct slots per user: top-k of a uniform draw, then sorted so the
-    # resulting blocks are already in (user, slot) order
-    draws = rng.random((n, t))
-    slots = np.sort(np.argpartition(draws, k_slots - 1, axis=1)[:, :k_slots], axis=1)
-    obs_users = np.repeat(np.arange(n, dtype=np.int64), k_slots)
-    obs_slots = slots.astype(np.int64).ravel()
-    true_cats = schedule[user_classes[obs_users], obs_slots]
-
-    n_obs = len(obs_users)
+    n_obs = n * k_slots
+    obs_slots = np.empty(n_obs, dtype=np.int64)
+    true_cats = np.empty(n_obs, dtype=np.int64)
     cats = np.empty((n_obs, n_cand), dtype=np.int64)
-    cats[:, 0] = true_cats
-    if n_cand > 1:
-        for start in range(0, n_obs, _OBS_CHUNK):
-            sl = slice(start, min(start + _OBS_CHUNK, n_obs))
-            rows = sl.stop - sl.start
-            scratch = rng.random((rows, c - 1))
+
+    def draw_users(lo: int, hi: int) -> None:
+        # Generator.random takes one 64-bit output per double, so advancing a
+        # copy of the state by d outputs skips exactly d doubles
+        bit_gen = np.random.PCG64(0)  # any seed: the state is replaced
+        bit_gen.state = state
+        gen = np.random.Generator(bit_gen.advance(lo * t))
+        obs = slice(lo * k_slots, hi * k_slots)
+        # k distinct slots per user: top-k of a uniform draw, then sorted so
+        # the blocks come out in (user, slot) order
+        slots = np.argpartition(gen.random((hi - lo, t)), k_slots - 1, axis=1)[:, :k_slots]
+        slots.sort(axis=1)
+        chunk_truth = schedule[user_classes[lo:hi, None], slots].ravel()
+        obs_slots[obs] = slots.ravel()
+        true_cats[obs] = chunk_truth
+        block = cats[obs]
+        block[:, 0] = chunk_truth
+        if n_cand > 1:
+            # from slot double hi*T to decoy double N*T + lo*k*(C-1)
+            bit_gen.advance((n - hi) * t + obs.start * (c - 1))
+            scratch = gen.random((len(chunk_truth), c - 1))
             decoys = np.argpartition(scratch, n_cand - 2, axis=1)[:, : n_cand - 1]
             # decoys index the C-1 categories with the truth removed
-            decoys += decoys >= true_cats[sl, None]
-            cats[sl, 1:] = decoys
-    cats.sort(axis=1)
+            decoys += decoys >= chunk_truth[:, None]
+            block[:, 1:] = decoys
+        block.sort(axis=1)
 
+    users_per_chunk = max(1, _DRAW_CHUNK // (t + k_slots * (c - 1)))
+    run_chunks(draw_users, [*range(0, n, users_per_chunk), n])
+
+    obs_users = np.repeat(np.arange(n, dtype=np.int64), k_slots)
     ptr = np.arange(0, (n_obs + 1) * n_cand, n_cand, dtype=np.int64)
     omega = CandidateSets(obs_users, obs_slots, ptr, cats.ravel())
     truth = GroundTruth(obs_users, obs_slots, true_cats, user_classes)
@@ -155,9 +180,11 @@ def score_topk(
     """Top-k accuracy of the model on (user, slot, true category) pairs.
 
     ``validation`` is a sequence of triples or an aligned (n, 3) integer
-    array. Equivalent to calling predict_topk per pair with k = k_max and
-    checking membership of the truth among the first k predictions, with
-    the same tie rule (equal scores rank by ascending category index).
+    array; an int64 array, such as :meth:`GroundTruth.pairs` returns, is
+    read in place with no conversion. Equivalent to calling predict_topk
+    per pair with k = k_max and checking membership of the truth among the
+    first k predictions, with the same tie rule (equal scores rank by
+    ascending category index).
     The pairs are grouped by slot and scored with one matrix product per
     slot (:meth:`LowRankModel.slot_scores`), so the scores agree with
     predict_topk's up to rounding; the report does not depend on the

@@ -1,11 +1,12 @@
-"""Thread fan-out for the support kernels and the subspace products.
+"""Thread fan-out for the support kernels, the subspace products and generation.
 
 The per-block projection, the per-entry materialization, the row
-chunks of both sparse products and the row blocks of the QR's panel
-products split their input at chunk boundaries fixed by the input
-alone and hand the chunks to :func:`run_chunks`. Numpy and scipy's
-sparse routines release the interpreter lock inside the sorts, gathers
-and products of each chunk, so threads overlap. Each chunk writes its
+chunks of both sparse products, the row blocks of the QR's panel
+products and the user chunks of the synthetic generator split their
+input at chunk boundaries fixed by the input alone and hand the chunks
+to :func:`run_chunks`. Numpy and scipy's sparse routines release the
+interpreter lock inside the random draws, sorts, gathers and products
+of each chunk, so threads overlap. Each chunk writes its
 own slice of the output, or a partial sum its caller adds in chunk
 order, so the output does not depend on the worker count.
 """

@@ -204,11 +204,16 @@ def read_index_maps(path) -> dict:
 
 
 def write_pairs_jsonl(path, pairs) -> None:
-    """(user, slot, category) triples: {"u": ..., "j": ..., "cat": ...}."""
+    """(user, slot, category) triples: {"u": ..., "j": ..., "cat": ...}.
+
+    ``pairs`` is a sequence of triples or an (n, 3) integer array; each line
+    is what ``json.dumps`` writes for the record with separators (",", ":").
+    """
+    rows = np.asarray(pairs, dtype=np.int64)
+    if rows.size and (rows.ndim != 2 or rows.shape[1] != 3):
+        raise ValueError(f"pairs must be (user, slot, category) triples, got shape {rows.shape}")
     with open(path, "w", encoding="utf-8") as fh:
-        for u, j, cat in pairs:
-            fh.write(json.dumps({"u": int(u), "j": int(j), "cat": int(cat)},
-                                separators=(",", ":")) + "\n")
+        fh.writelines(f'{{"u":{u},"j":{j},"cat":{cat}}}\n' for u, j, cat in rows.tolist())
 
 
 def read_pairs_jsonl(path) -> list[tuple[int, int, int]]:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nutf.core import BlockSparseMatrix, CandidateSets, LowRankModel, ProblemDims
-from nutf.harness import GroundTruth
+from nutf.harness import GroundTruth, SynthConfig
 from nutf.simplex import _FEAS_TOL, project_blocks
 from nutf.solver import SolverConfig, SolverTrace, _relative_change, init_x
 
@@ -82,6 +82,41 @@ def project_simplex(v) -> np.ndarray:
             # more than 1 below its maximum 0 get 0 either way
             return project_simplex(np.maximum(v - v.max(), -2.0))
     return np.maximum(v - theta, 0.0)
+
+
+def serial_generate(cfg: SynthConfig):
+    """nutf.harness.generate as one serial pass over one generator: the
+    byte-level oracle for the chunked, jump-ahead generate.
+
+    Returns the six arrays (block_users, block_slots, block_ptr, cats,
+    true_cats, user_classes).
+    """
+    rng = np.random.default_rng(cfg.seed)
+    n, t, c = cfg.n_users, cfg.n_slots, cfg.n_categories
+    k_slots = cfg.slots_per_user
+    n_cand = cfg.candidates_per_update
+
+    schedule = rng.integers(0, c, size=(cfg.n_classes, t), dtype=np.int64)
+    user_classes = rng.integers(0, cfg.n_classes, size=n, dtype=np.int64)
+
+    draws = rng.random((n, t))
+    slots = np.sort(np.argpartition(draws, k_slots - 1, axis=1)[:, :k_slots], axis=1)
+    obs_users = np.repeat(np.arange(n, dtype=np.int64), k_slots)
+    obs_slots = slots.astype(np.int64).ravel()
+    true_cats = schedule[user_classes[obs_users], obs_slots]
+
+    n_obs = len(obs_users)
+    cats = np.empty((n_obs, n_cand), dtype=np.int64)
+    cats[:, 0] = true_cats
+    if n_cand > 1:
+        scratch = rng.random((n_obs, c - 1))
+        decoys = np.argpartition(scratch, n_cand - 2, axis=1)[:, : n_cand - 1]
+        decoys += decoys >= true_cats[:, None]
+        cats[:, 1:] = decoys
+    cats.sort(axis=1)
+
+    ptr = np.arange(0, (n_obs + 1) * n_cand, n_cand, dtype=np.int64)
+    return obs_users, obs_slots, ptr, cats.ravel(), true_cats, user_classes
 
 
 def replace_blocks_with_full(

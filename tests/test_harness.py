@@ -1,13 +1,22 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from nutf import harness
+from nutf import harness, parallel
 from nutf.core import CandidateSets, LowRankModel, ProblemDims
 from nutf.harness import EvalReport, SynthConfig, generate, score_topk
 from nutf.solver import predict_topk
 
 from conftest import (block_dict, exact_model, mask_validation, random_model, random_omega,
-                      replace_blocks_with_full, to_dense, zero_model)
+                      replace_blocks_with_full, serial_generate, to_dense, zero_model)
+
+
+def generated_arrays(cfg):
+    """generate's six arrays, in serial_generate's order."""
+    omega, truth, _ = generate(cfg)
+    return (omega.block_users, omega.block_slots, omega.block_ptr, omega.cats,
+            truth.true_cats, truth.user_classes)
 
 
 class TestSynthConfig:
@@ -84,6 +93,65 @@ class TestGenerate:
         for b in range(omega.n_blocks):
             cats = omega.cats[omega.block_ptr[b]:omega.block_ptr[b + 1]]
             assert (cats == truth.true_cats[b]).sum() == 1
+
+
+class TestGenerateMatchesSerialOracle:
+    CASES = {
+        "one user": SynthConfig(1, 9, 5, n_classes=1, slot_density=0.5, seed=1),
+        "one candidate": SynthConfig(40, 12, 6, n_classes=4, candidates_per_update=1, seed=2),
+        "all candidates": SynthConfig(40, 12, 6, n_classes=4, candidates_per_update=6, seed=3),
+        "one category": SynthConfig(40, 12, 1, n_classes=4, candidates_per_update=1, seed=4),
+        "every slot": SynthConfig(40, 12, 6, n_classes=4, slot_density=1.0, seed=5),
+        "default": SynthConfig(300, 20, 12, n_classes=5, seed=6),
+    }
+
+    @pytest.mark.parametrize("cpus", [1, 8])
+    @pytest.mark.parametrize("draw_chunk", [None, 1, 500])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_same_bytes(self, case, draw_chunk, cpus, monkeypatch):
+        # draw_chunk 1 gives one user per chunk and 500 a few users per chunk
+        # (7 in the default case); at the module's own size (None) each case
+        # is one chunk, and the frozen digest below takes about 100
+        if draw_chunk is not None:
+            monkeypatch.setattr(harness, "_DRAW_CHUNK", draw_chunk)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
+        cfg = self.CASES[case]
+        got = generated_arrays(cfg)
+        want = serial_generate(cfg)
+        for name, g, w in zip(("block_users", "block_slots", "block_ptr", "cats",
+                               "true_cats", "user_classes"), got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape, name
+            assert g.tobytes() == w.tobytes(), name
+
+    def test_frozen_digest(self):
+        # sha256 of the six arrays at N=25k, seed 1, as the serial generator drew
+        # them; a change in numpy's PCG64 or its doubles fails here
+        h = hashlib.sha256()
+        for arr in generated_arrays(SynthConfig(25_000, 100, 50, seed=1)):
+            h.update(arr.tobytes())
+        assert h.hexdigest() == (
+            "38aba0fa48a5a4b841628f1c6ce02b774ef62b1017674a0f7cda01d13b9dda72")
+
+
+class TestPairs:
+    def test_columnar_int64(self):
+        _, truth, _ = generate(SynthConfig(50, 10, 6, n_classes=3, seed=7))
+        pairs = truth.pairs()
+        assert pairs.dtype == np.int64
+        assert pairs.shape == (len(truth.obs_users), 3)
+        assert pairs.flags.c_contiguous
+        assert np.array_equal(pairs, np.column_stack(
+            (truth.obs_users, truth.obs_slots, truth.true_cats)))
+
+    def test_score_topk_same_as_list(self):
+        cfg = SynthConfig(60, 10, 6, n_classes=3, seed=8)
+        _, truth, dims = generate(cfg)
+        pairs = truth.pairs()
+        model = random_model(np.random.default_rng(9), dims, 3)
+        rep = score_topk(model, pairs, 4)
+        rep_list = score_topk(model, [tuple(p) for p in pairs.tolist()], 4)
+        assert np.array_equal(rep.accuracies, rep_list.accuracies)
+        assert rep.n_pairs == rep_list.n_pairs == len(pairs)
 
 
 class TestMaskValidation:

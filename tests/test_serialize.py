@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -294,6 +296,35 @@ class TestJsonl:
         path = tmp_path / "pairs.jsonl"
         write_pairs_jsonl(path, pairs)
         assert read_pairs_jsonl(path) == pairs
+
+    @staticmethod
+    def _dumps_lines(pairs) -> bytes:
+        """One json.dumps record per pair, as the writer once built each line."""
+        return "".join(json.dumps({"u": int(u), "j": int(j), "cat": int(cat)},
+                                  separators=(",", ":")) + "\n"
+                       for u, j, cat in pairs).encode("utf-8")
+
+    @pytest.mark.parametrize("form", ["tuples", "lists", "np.int64 tuples", "int64 array",
+                                      "int32 array", "empty list"])
+    def test_pairs_bytes_match_json_dumps(self, tmp_path, form):
+        top = 2 ** 63 - 1
+        triples = [(0, 0, 0), (top, 1, 2), (3, top, top), (12, 0, 7)]
+        pairs = {
+            "tuples": triples,
+            "lists": [list(p) for p in triples],
+            "np.int64 tuples": [tuple(np.int64(v) for v in p) for p in triples],
+            "int64 array": np.array(triples, dtype=np.int64),
+            "int32 array": np.array([(0, 0, 0), (2 ** 31 - 1, 5, 9)], dtype=np.int32),
+            "empty list": [],
+        }[form]
+        path = tmp_path / "pairs.jsonl"
+        write_pairs_jsonl(path, pairs)
+        assert path.read_bytes() == self._dumps_lines(pairs)
+        assert read_pairs_jsonl(path) == [tuple(int(v) for v in p) for p in pairs]
+
+    def test_pairs_not_triples_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="triples"):
+            write_pairs_jsonl(tmp_path / "pairs.jsonl", [(1, 2, 3, 4, 5, 6)])
 
     @pytest.mark.parametrize("bad", [
         '{"u":0,"j":0,"cat":1.9}',
