@@ -45,8 +45,9 @@ _DEFAULTS = {
 
 
 def _apply_thread_env(threads: int) -> None:
-    # Effective only before the numerical libraries load; the command
-    # functions import them lazily for exactly this reason.
+    # Caps BLAS; cmd_fit caps nutf's own pool. Effective only before the
+    # numerical libraries load; the command functions import them lazily
+    # for exactly this reason.
     if threads and threads > 0:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(threads)
@@ -186,8 +187,9 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     cfg = _resolve(args, "fit")
-    _apply_thread_env(int(cfg["threads"]))
-    from . import serialize
+    threads = int(cfg["threads"])
+    _apply_thread_env(threads)
+    from . import parallel, serialize
     from .core import ProblemDims
     from .solver import SolverConfig, fit
 
@@ -213,7 +215,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
         power_iters=int(cfg["power_iters"]), tol=float(cfg["tol"]), seed=int(cfg["seed"]),
     )
     t0 = time.perf_counter()
-    x, model, trace = fit(omega, dims, solver_cfg)
+    with parallel.capped(threads):
+        x, model, trace = fit(omega, dims, solver_cfg)
     t_write = time.perf_counter()
     total = t_write - t0
 
@@ -327,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--deterministic", action=argparse.BooleanOptionalAction)
     p.add_argument("--threads", type=int,
-                   help="BLAS thread cap; 0 keeps the environment default")
+                   help="thread cap of nutf's pool and of BLAS; 0 keeps the defaults "
+                        "(the usable CPUs, and the BLAS environment)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_fit)
 

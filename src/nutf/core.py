@@ -10,11 +10,11 @@ rest are zero by representation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .parallel import run_chunks
+from .parallel import PANEL_BLOCKS, row_blocks, run_blocks, run_chunks
 
 _I64_MAX = np.iinfo(np.int64).max
 _I32_MAX = np.iinfo(np.int32).max
@@ -22,6 +22,13 @@ _I32_MAX = np.iinfo(np.int32).max
 # Entries per materialization chunk: the chunk's two (entries x rank)
 # gathers are still in cache when the inner products read them.
 _ENTRY_CHUNK = 1 << 15
+
+# OpenBLAS runs a dot product of at most this many entries on the calling
+# thread; a longer one it threads adds its threads' halves in an order that
+# depends on the BLAS thread count.
+_DOT_SERIAL = 10_000
+# Dot-product blocks per pool chunk.
+_DOT_BLOCKS = 16
 
 # Largest deviation from orthonormality that LowRankModel.validate accepts.
 _ORTHONORMAL_TOL = 1e-8
@@ -310,8 +317,7 @@ class LowRankModel:
 
     def orthonormality_error(self) -> float:
         """max |Q^T Q - I|."""
-        g = self.q.T @ self.q
-        return float(np.abs(g - np.eye(self.rank)).max())
+        return float(np.abs(gram(self.q, self.q) - np.eye(self.rank)).max())
 
     def validate(self) -> None:
         if not (np.isfinite(self.q).all() and np.isfinite(self.c).all()):
@@ -374,6 +380,41 @@ def model_support_values(model: LowRankModel, support: CandidateSets) -> np.ndar
     return out
 
 
+def gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^T @ b for two tall panels of equal height.
+
+    A panel of more than one chunk (see :func:`nutf.parallel.row_blocks`)
+    runs in row blocks on the pool, each block's product on its thread,
+    and the blocks' products are added in block order; so the bits depend
+    on the height but not on the CPU or BLAS thread count. A panel of one
+    chunk is one plain product.
+    """
+    cuts = row_blocks(len(a), a.shape[1] * b.shape[1])
+    if cuts is None:
+        return a.T @ b
+    partials = run_blocks(lambda lo, hi: a[lo:hi].T @ b[lo:hi], cuts, PANEL_BLOCKS)
+    out = partials[0]
+    for partial in partials[1:]:
+        out += partial
+    return out
+
+
+def sum_dots(n: int, dots: Callable[[int, int], tuple[float, ...]]) -> tuple[float, ...]:
+    """Sums over n entries of the dot products ``dots(lo, hi)`` takes of entries [lo, hi).
+
+    Up to _DOT_SERIAL entries this is the one call ``dots(0, n)``. Longer
+    inputs run in blocks of _DOT_SERIAL entries on the pool, each block's
+    dots on its thread, and the blocks' dots are added in block order.
+    """
+    if n <= _DOT_SERIAL:
+        return dots(0, n)
+    partials = run_blocks(dots, [*range(0, n, _DOT_SERIAL), n], _DOT_BLOCKS)
+    sums = partials[0]
+    for partial in partials[1:]:
+        sums = tuple(s + p for s, p in zip(sums, partial))
+    return sums
+
+
 def frobenius_gap(
     x: BlockSparseMatrix,
     model: LowRankModel,
@@ -385,15 +426,20 @@ def frobenius_gap(
     ||C||_F^2 - ||Y_support||^2 because Q has orthonormal columns, so the
     off-support entries of Y are never materialized. ``y_support`` holds
     the completion's values on x's support, in support order (see
-    :func:`model_support_values`).
+    :func:`model_support_values`). The dot products run in blocks (see
+    :func:`sum_dots`), with no temporary longer than a block.
     """
     if model.dims != x.dims:
         raise ValueError("model and matrix dimensions do not match")
     if y_support.shape != x.values.shape:
         raise ValueError("y_support misaligned with the matrix support")
-    diff = x.values - y_support
-    on_support = float(diff @ diff)
-    total_y = float(np.vdot(model.c, model.c))
-    y_on = float(y_support @ y_support)
+    values, c = x.values, model.c.ravel()
+
+    def on_support_dots(lo: int, hi: int) -> tuple[float, float]:
+        diff, y = values[lo:hi] - y_support[lo:hi], y_support[lo:hi]
+        return float(diff @ diff), float(y @ y)
+
+    on_support, y_on = sum_dots(len(values), on_support_dots)
+    (total_y,) = sum_dots(len(c), lambda lo, hi: (float(c[lo:hi] @ c[lo:hi]),))
     # rounding can drive the off-support part slightly negative when Y ~ X
     return max(on_support + (total_y - y_on), 0.0)

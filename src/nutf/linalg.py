@@ -15,16 +15,19 @@ number stays below about 1e8 (Yamamoto et al., ETNA 2015). Past that,
 or on a rank-deficient or non-finite panel, the QR falls back to
 Householder reflections (LAPACK) and fills deficient columns.
 
-Both sparse products and the QR's panel products run on
-:func:`nutf.parallel.run_chunks` once their input spans more than one
-chunk. The sparse products split X's CSR into row chunks: ``X @ v``
-writes each chunk's rows of the output, so its bits are scipy's serial
-ones; ``X^T @ v`` adds the chunks' partial sums in chunk order, so its
-bits depend on the chunking but not on the CPU count. A panel product
-runs in row blocks small enough that OpenBLAS computes each on the
-calling thread: a product it threads leaves its workers spinning for
-tens of milliseconds, which takes cores from the pool's next kernels.
-Inputs of one chunk take the plain ``X @ v`` and ``q @ m``.
+Both sparse products, the QR's panel products and its Grams, and the
+Gram of the principal angle run on nutf's pool
+(:mod:`nutf.parallel`) once their input spans more than one chunk. The
+sparse products split X's CSR into row chunks: ``X @ v`` writes each
+chunk's rows of the output, so its bits are scipy's serial ones;
+``X^T @ v`` adds the chunks' partial sums in chunk order, so its bits
+depend on the chunking but not on the CPU count. Panel products and
+Grams run in row blocks small enough that OpenBLAS computes each on the
+pool thread that calls it, and a Gram adds its blocks' products in
+block order (:func:`nutf.core.gram`); so no BLAS call of a multi-chunk
+fit is threaded, and its bits depend on neither the CPU count nor the
+BLAS thread count. Inputs of one chunk take the plain ``X @ v``,
+``q @ m`` and ``q^T @ q``.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ import numpy as np
 # here, not in core (which synth loads), and not inside the first timed spmm
 from scipy.sparse import csc_matrix, csr_matrix
 
-from .core import BlockSparseMatrix, LowRankModel, model_support_values
-from .parallel import run_chunks
+from .core import BlockSparseMatrix, LowRankModel, gram, model_support_values
+from .parallel import PANEL_BLOCKS, row_blocks, run_blocks, run_chunks
 
 if TYPE_CHECKING:
     from .solver import SolverConfig
@@ -51,12 +54,6 @@ _SUBSPACE_TOL = 1e-5
 _CHOLQR_TOL = 1e-12
 # Support entries per row chunk of the sparse products.
 _SPMM_CHUNK = 1 << 19
-# OpenBLAS runs a GEMM of m*n*k <= 2**18 on the calling thread, so a panel
-# product runs in row blocks of at most that size (2048 rows at r = 10).
-_GEMM_SERIAL = 1 << 18
-# Row blocks per pool chunk of a panel product. A panel of one chunk (up to
-# 8192 rows at r = 10) is one plain product.
-_PANEL_BLOCKS = 4
 
 
 class NumericalError(ArithmeticError):
@@ -138,32 +135,18 @@ def _sparse_products(x: BlockSparseMatrix, rank: int) -> tuple[Callable, Callabl
 def _panel_product(q: np.ndarray, m: np.ndarray) -> np.ndarray:
     """q @ m for a tall panel q and a small matrix m.
 
-    The rows run in blocks of a power of two with rows * r * r within
-    _GEMM_SERIAL, so BLAS computes each block on the calling thread, and
-    _PANEL_BLOCKS blocks make a chunk of :func:`nutf.parallel.run_chunks`.
-    A one-row block would run as a matrix-vector product, whose bits
-    differ from the matrix product's, so a one-row tail joins the block
-    before it. The blocks do not depend on the CPU count, so neither do
-    the bits; they are one plain product's wherever BLAS computes a row
-    the same way at every block height (OpenBLAS 0.3.31 on x86-64 does
-    up to r = 16). A panel of one chunk is one plain product.
+    The rows run in the blocks of :func:`nutf.parallel.row_blocks`, so
+    BLAS computes each block on its thread, on the pool. The blocks do
+    not depend on the CPU count, so neither do the bits; they are one
+    plain product's wherever BLAS computes a row the same way at every
+    block height (OpenBLAS 0.3.31 on x86-64 does up to r = 16). A panel
+    of one chunk is one plain product.
     """
-    n, r = q.shape
-    per_block = _GEMM_SERIAL // (r * m.shape[1])
-    rows = 1 << (per_block.bit_length() - 1) if per_block else 0
-    if rows < 2 or n <= rows * _PANEL_BLOCKS:
+    cuts = row_blocks(len(q), q.shape[1] * m.shape[1])
+    if cuts is None:
         return q @ m
-    cuts = [*range(0, n, rows), n]
-    if cuts[-1] - cuts[-2] == 1:
-        del cuts[-2]
-    out = np.empty((n, m.shape[1]))
-
-    def blocks(b0: int, b1: int) -> None:
-        for lo, hi in zip(cuts[b0:b1], cuts[b0 + 1:b1 + 1]):
-            np.matmul(q[lo:hi], m, out=out[lo:hi])
-
-    n_blocks = len(cuts) - 1
-    run_chunks(blocks, [*range(0, n_blocks, _PANEL_BLOCKS), n_blocks])
+    out = np.empty((len(q), m.shape[1]))
+    run_blocks(lambda lo, hi: np.matmul(q[lo:hi], m, out=out[lo:hi]), cuts, PANEL_BLOCKS)
     return out
 
 
@@ -195,7 +178,7 @@ def _cholesky_qr2(b: np.ndarray) -> np.ndarray | None:
     q, diag = b, np.ones(r)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(2):
-            g = q.T @ q
+            g = gram(q, q)
             if not np.all(np.isfinite(g)):
                 return None
             try:
@@ -207,7 +190,7 @@ def _cholesky_qr2(b: np.ndarray) -> np.ndarray | None:
         if len(_deficient(diag, n)):
             return None
         # written so that a NaN error also rejects
-        if not np.abs(q.T @ q - np.eye(r)).max() <= _CHOLQR_TOL:
+        if not np.abs(gram(q, q) - np.eye(r)).max() <= _CHOLQR_TOL:
             return None
     return q
 
@@ -258,7 +241,7 @@ def reduced_qr(b: np.ndarray, fill_rng: np.random.Generator) -> np.ndarray:
 
 def _principal_sine(q_old: np.ndarray, q_new: np.ndarray) -> float:
     """Sine of the largest principal angle between two orthonormal bases."""
-    cos_min = np.linalg.svd(q_old.T @ q_new, compute_uv=False)[-1]
+    cos_min = np.linalg.svd(gram(q_old, q_new), compute_uv=False)[-1]
     return float(np.sqrt(max(0.0, 1.0 - cos_min * cos_min)))
 
 

@@ -9,10 +9,12 @@ for the byte-level layout.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
 from pathlib import Path
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -41,7 +43,9 @@ def _read_array(fh, count: int, dtype: str) -> np.ndarray:
 
 def _check_payload(fh, nbytes: int) -> None:
     """Reject a snapshot whose bytes after the current position are not exactly nbytes."""
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    pos = fh.tell()
+    left = fh.seek(0, os.SEEK_END) - pos
+    fh.seek(pos)
     if left < nbytes:
         raise ValueError("snapshot truncated")
     if left > nbytes:
@@ -79,6 +83,16 @@ def _read_header(fh, expect_kind: int) -> tuple[ProblemDims, int]:
     return dims, rank
 
 
+@contextlib.contextmanager
+def _binary_source(source) -> Iterator[BinaryIO]:
+    """``source`` itself when it is a binary file object, else the file it names, opened."""
+    if hasattr(source, "read"):
+        yield source
+    else:
+        with open(source, "rb") as fh:
+            yield fh
+
+
 def save_block_sparse(path, x: BlockSparseMatrix) -> None:
     with open(path, "wb") as fh:
         _write_header(fh, KIND_BLOCK_SPARSE, x.dims, 0)
@@ -91,8 +105,9 @@ def save_block_sparse(path, x: BlockSparseMatrix) -> None:
         _write_array(fh, x.values, "<f8")
 
 
-def load_block_sparse(path) -> BlockSparseMatrix:
-    with open(path, "rb") as fh:
+def load_block_sparse(source) -> BlockSparseMatrix:
+    """The snapshot in ``source``, a path or a seekable binary file object."""
+    with _binary_source(source) as fh:
         dims, _ = _read_header(fh, KIND_BLOCK_SPARSE)
         n_blocks, total = (int(v) for v in _read_array(fh, 2, "<u8"))
         _check_payload(fh, 8 * (3 * n_blocks + 1 + 2 * total))
@@ -113,8 +128,9 @@ def save_model(path, model: LowRankModel) -> None:
         _write_array(fh, model.c, "<f8")
 
 
-def load_model(path) -> LowRankModel:
-    with open(path, "rb") as fh:
+def load_model(source) -> LowRankModel:
+    """The snapshot in ``source``, a path or a seekable binary file object."""
+    with _binary_source(source) as fh:
         dims, rank = _read_header(fh, KIND_MODEL)
         short_side, long_side = sorted((dims.n_users, dims.n_cols))
         _check_payload(fh, 8 * rank * (dims.n_users + dims.n_cols))
@@ -158,11 +174,16 @@ def _read_jsonl(path, parse) -> list:
 
 
 def write_candidate_sets_jsonl(path, omega: CandidateSets) -> None:
-    """One line per block: {"u": user, "j": slot, "cats": [...]}."""
+    """One line per block: {"u": user, "j": slot, "cats": [...]}.
+
+    Each line is what ``json.dumps`` writes for the record with separators
+    (",", ":").
+    """
+    ptr, cats = omega.block_ptr.tolist(), omega.cats.tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        for (u, j), cats in omega.items():
-            fh.write(json.dumps({"u": u, "j": j, "cats": cats.tolist()},
-                                separators=(",", ":")) + "\n")
+        fh.writelines(f'{{"u":{u},"j":{j},"cats":[{",".join(map(str, cats[lo:hi]))}]}}\n'
+                      for u, j, lo, hi in zip(omega.block_users.tolist(),
+                                              omega.block_slots.tolist(), ptr, ptr[1:]))
 
 
 def _candidate_block(rec: dict) -> tuple[int, int, list]:

@@ -21,6 +21,7 @@ from .core import (
     LowRankModel,
     ProblemDims,
     frobenius_gap,
+    sum_dots,
 )
 from .linalg import NumericalError, sparse_lowrank_approx
 from .simplex import project_blocks
@@ -138,6 +139,17 @@ def update_x(
     return BlockSparseMatrix(dims, omega, project_blocks(y_on_support, omega.block_ptr))
 
 
+def _distance(a: np.ndarray, b: np.ndarray) -> float:
+    """||a - b||, summed in blocks (see :func:`nutf.core.sum_dots`)."""
+
+    def block(lo: int, hi: int) -> tuple[float]:
+        diff = a[lo:hi] - b[lo:hi]
+        return (float(diff @ diff),)
+
+    (squares,) = sum_dots(len(a), block)
+    return float(np.sqrt(squares))
+
+
 def _relative_change(prev: float, cur: float) -> float:
     return abs(prev - cur) / max(prev, np.finfo(np.float64).tiny)
 
@@ -179,7 +191,7 @@ def fit(
         t2 = time.perf_counter()
         objective = frobenius_gap(new_x, model, y_support)
         t3 = time.perf_counter()
-        x_delta = float(np.linalg.norm(new_x.values - x.values))
+        x_delta = _distance(new_x.values, x.values)
         x = new_x
         t4 = time.perf_counter()
         q_error, sum_error = model.orthonormality_error(), x.max_block_sum_error()

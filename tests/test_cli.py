@@ -1,12 +1,16 @@
 import json
+import os
 import re
 import shlex
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nutf
 from nutf.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, build_parser, main
 from nutf.core import ProblemDims
 from nutf.serialize import save_model, write_pairs_jsonl
@@ -124,6 +128,30 @@ class TestFit:
         assert [r["iter"] for r in recs] == [1, 2, 3, 4, 5, 6]
         assert recs[0]["passes"] == 3
         assert all(1 <= r["passes"] <= 3 for r in recs[1:])
+
+    def test_deterministic_files_independent_of_threads(self, tmp_path):
+        """--threads 1 and --threads 2 write the same trace, model and X. Each
+        fit runs in its own process, since --threads sets BLAS's thread count
+        only before numpy loads. At N = 20k the fit's Grams and dots take
+        their blocked path; a dot BLAS threads would add in another order."""
+        src = str(Path(nutf.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+        def nutf_cli(*argv):
+            code = "import sys; from nutf.cli import main; sys.exit(main(sys.argv[1:]))"
+            subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
+                           check=True, capture_output=True, timeout=300)
+
+        synth = tmp_path / "s"
+        nutf_cli("synth", "--users", 20_000, "--slots", 50, "--categories", 20,
+                 "--seed", 3, "--out", synth)
+        outs = [tmp_path / f"f{threads}" for threads in (1, 2)]
+        for threads, out in zip((1, 2), outs):
+            nutf_cli("fit", "--omega", synth, "--deterministic", "--iters", 4, "--tol", 0,
+                     "--threads", threads, "--out", out)
+        names = ["trace.jsonl", "model.nutf", "x.nutf"]
+        assert file_bytes(outs[0], names) == file_bytes(outs[1], names)
 
     def test_trace_has_wallclock_without_deterministic(self, tmp_path):
         src = self._fixture(tmp_path)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import nutf
-from nutf import linalg
+from nutf import core, linalg, parallel
 from nutf.core import (BlockSparseMatrix, CandidateSets, LowRankModel, ProblemDims,
                        model_support_values)
 from nutf.linalg import NumericalError, reduced_qr, sparse_lowrank_approx, to_csr
@@ -268,6 +268,17 @@ class TestReducedQr:
         assert householder_calls == [1]
         assert np.abs(q.T @ q - np.eye(3)).max() <= 1e-12
         assert_sign_convention(q)
+
+    def test_overflowing_multi_chunk_gram_falls_back(self, householder_calls, monkeypatch):
+        # 8-row blocks, so the Grams run on the pool, under the caller's error state
+        monkeypatch.setattr(parallel, "GEMM_SERIAL", 8 * 3 * 3)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+        b = 1e160 * np.random.default_rng(24).standard_normal((300, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = reduced_qr(b, fill_rng())
+        assert householder_calls == [1]
+        assert np.abs(q.T @ q - np.eye(3)).max() <= 1e-12
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_raises(self, bad):
@@ -561,7 +572,7 @@ class TestChunkedProducts:
     @pytest.mark.parametrize("extra", [0, 1, 2, 37])
     def test_panel_product_bytes_equal_matmul(self, monkeypatch, r, extra):
         # blocks of 8 rows, 4 blocks per chunk: 600 rows + extra span 19 or 20 chunks
-        monkeypatch.setattr(linalg, "_GEMM_SERIAL", 8 * r * r)
+        monkeypatch.setattr(parallel, "GEMM_SERIAL", 8 * r * r)
         rng = np.random.default_rng(r + extra)
         q = rng.standard_normal((600 + extra, r))
         m = rng.standard_normal((r, r))
@@ -588,6 +599,7 @@ class TestChunkedProducts:
 
     def test_one_chunk_panel_is_one_product(self, monkeypatch):
         monkeypatch.setattr(linalg, "run_chunks", None)  # any pool use would fail
+        monkeypatch.setattr(linalg, "run_blocks", None)
         q = np.random.default_rng(4).standard_normal((2780, 10))
         m = np.random.default_rng(5).standard_normal((10, 10))
         assert linalg._panel_product(q, m).tobytes() == (q @ m).tobytes()
@@ -621,6 +633,8 @@ class TestOneChunkPath:
         x = random_x(26, dims)
         cfg = SolverConfig(rank=4, power_iters=3, seed=8)
         monkeypatch.setattr(linalg, "run_chunks", None)  # any pool use would fail
+        monkeypatch.setattr(linalg, "run_blocks", None)
+        monkeypatch.setattr(core, "run_blocks", None)
         cold, y_cold, *_ = sparse_lowrank_approx(x, cfg)
         ref_cold, y_ref = serial_lowrank_reference(x, cfg)
         assert cold.q.tobytes() == ref_cold.q.tobytes()

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -187,13 +188,21 @@ class TestBinarySnapshots:
                 flipped = bytearray(raw)
                 flipped[i] ^= 1 << bit
                 mutants.append((f"bit {bit} of byte {i} flipped", bytes(flipped)))
+        # each mutant is read from memory; the loaders take a binary file object
         for label, mutant in mutants:
-            path.write_bytes(mutant)
             try:
-                loaded = load(path)
+                loaded = load(io.BytesIO(mutant))
             except ValueError:
                 continue
             assert all(np.isfinite(a).all() for a in arrays(loaded)), label
+        # a few from disk too, so the path form stays covered
+        for label, mutant in [("cut in half", raw[:len(raw) // 2]),
+                              ("8 trailing bytes", raw + bytes(8))]:
+            path.write_bytes(mutant)
+            with pytest.raises(ValueError, match="truncated|trailing"):
+                load(path)
+            with pytest.raises(ValueError, match="truncated|trailing"):
+                load(io.BytesIO(mutant))
 
 
 @st.composite
@@ -250,6 +259,25 @@ class TestJsonl:
         path = tmp_path / "omega.jsonl"
         write_candidate_sets_jsonl(path, omega)
         assert path.read_text().strip() == '{"u":3,"j":1,"cats":[0,2]}'
+
+    @pytest.mark.parametrize("case", ["ragged", "singletons", "empty"])
+    def test_candidate_sets_bytes_match_json_dumps(self, tmp_path, case):
+        top = 2 ** 63 - 1
+        blocks = {
+            # ragged blocks, category 0, and indices up to the int64 limit
+            "ragged": [(0, 0, [0]), (0, 5, [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10]),
+                       (top, 2, [3, 0]), (7, top, [top, 1, 0])],
+            "singletons": [(u, u % 3, [0]) for u in range(5)] + [(9, 1, [12])],
+            "empty": [],
+        }[case]
+        omega = CandidateSets.from_blocks(blocks)
+        path = tmp_path / "omega.jsonl"
+        write_candidate_sets_jsonl(path, omega)
+        expected = "".join(json.dumps({"u": u, "j": j, "cats": cats.tolist()},
+                                      separators=(",", ":")) + "\n"
+                           for (u, j), cats in omega.items())
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert block_dict(read_candidate_sets_jsonl(path)) == block_dict(omega)
 
     def test_candidate_sets_bad_line(self, tmp_path):
         path = tmp_path / "omega.jsonl"

@@ -1,12 +1,17 @@
+import json
 import math
 import os
+import subprocess
 import sys
+import textwrap
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nutf
 from nutf import core, linalg, parallel
 from nutf.core import BlockSparseMatrix, CandidateSets, ProblemDims
 from nutf.linalg import sparse_lowrank_approx
@@ -359,56 +364,82 @@ def multi_chunk_instance(seed, n=5000, t=8, c=6):
 
 
 def shrink_linalg_chunks(monkeypatch):
-    """Cut the sparse products into 4096-entry row chunks and the QR panel
-    products into 32-row blocks (128-row chunks) at rank 4."""
+    """Cut the sparse products into 4096-entry row chunks, the QR panel
+    products and Grams into 32-row blocks (128-row chunks) at rank 4, and
+    the long dot products into 1000-entry blocks (16,000-entry chunks)."""
     monkeypatch.setattr(linalg, "_SPMM_CHUNK", 1 << 12)
-    monkeypatch.setattr(linalg, "_GEMM_SERIAL", 1 << 9)
+    monkeypatch.setattr(parallel, "GEMM_SERIAL", 1 << 9)
+    monkeypatch.setattr(core, "_DOT_SERIAL", 1000)
 
 
 def assert_fit_bytes_independent_of_cpu_count(monkeypatch, omega, dims):
     """One and eight usable CPUs give the same fit bytes, with every threaded
-    kernel, the sparse products and QR panels included, run in several chunks."""
+    kernel, the sparse products, QR panels, Grams and dots included, run in
+    several chunks, and the fit builds at most one pool per worker count."""
     cfg = SolverConfig(rank=4, outer_iters=3, power_iters=2, tol=0.0, seed=9)
     shrink_linalg_chunks(monkeypatch)
-    pools, linalg_chunks = [], []
+    pools, linalg_chunks, block_chunks = [], [], []
 
     class RecordingPool(parallel.ThreadPoolExecutor):
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **kwargs):
             pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
 
     monkeypatch.setattr(parallel, "ThreadPoolExecutor", RecordingPool)
-    run_chunks = linalg.run_chunks
+    monkeypatch.setattr(parallel, "_pools", {})  # no pool left from an earlier test
 
-    def recording_run_chunks(work, bounds):
-        linalg_chunks.append(len(bounds) - 1)
-        run_chunks(work, bounds)
+    def recording(owner, counts):
+        run_chunks = owner.run_chunks
 
-    monkeypatch.setattr(linalg, "run_chunks", recording_run_chunks)
+        def recording_run_chunks(work, bounds):
+            counts.append(len(bounds) - 1)
+            run_chunks(work, bounds)
+
+        monkeypatch.setattr(owner, "run_chunks", recording_run_chunks)
+
+    recording(linalg, linalg_chunks)  # the sparse products
+    recording(parallel, block_chunks)  # row blocks of panels and Grams, dot blocks
 
     def fit_bytes(cpus):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
-        x, model, _ = fit(omega, dims, cfg)
-        return x.values.tobytes(), model.q.tobytes(), model.c.tobytes()
+        x, model, trace = fit(omega, dims, cfg)
+        return (x.values.tobytes(), model.q.tobytes(), model.c.tobytes(),
+                trace.objectives, trace.x_deltas)
 
-    one_cpu = fit_bytes(1)
-    assert pools == []  # one usable CPU: every chunk ran inline
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads as often as possible
     try:
-        eight_cpus = fit_bytes(8)  # more workers than this machine has cores
+        one_cpu = fit_bytes(1)
+        assert pools == []  # one usable CPU: every chunk ran inline
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            eight_cpus = fit_bytes(8)  # more workers than this machine has cores
+            again = fit_bytes(8)
+        finally:
+            sys.setswitchinterval(interval)
     finally:
-        sys.setswitchinterval(interval)
-    assert one_cpu == eight_cpus
-    materialize_chunks = math.ceil(omega.total_size / core._ENTRY_CHUNK)
-    assert min(8, materialize_chunks) in pools
-    assert max(pools) <= 8
-    # the sparse products (one chunk count) and the QR panels (another) ran split
+        for pool in parallel._pools.values():
+            pool.shutdown()
+    assert one_cpu == eight_cpus == again
+    # one long-lived pool of 8 workers served both 8-CPU fits
+    assert pools == [8]
+    # the sparse products ran split, in one chunk count
+    assert len(set(linalg_chunks)) == 1 and min(linalg_chunks) > 1
+    # the QR panels and Grams, and the dots, ran split
     panel_chunks = math.ceil(max(dims.n_users, dims.n_cols) / 128)
-    assert panel_chunks > 1 and panel_chunks in linalg_chunks
-    assert len(set(linalg_chunks) - {panel_chunks}) == 1
-    assert min(linalg_chunks) > 1
+    dot_chunks = math.ceil(math.ceil(omega.total_size / 1000) / core._DOT_BLOCKS)
+    assert panel_chunks > 1 and dot_chunks > 1
+    assert {panel_chunks, dot_chunks} <= set(block_chunks)
+
+
+def run_with_blas_threads(code, threads):
+    """stdout of ``python -c code`` with nutf from this checkout and BLAS on ``threads``."""
+    src = str(Path(nutf.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(threads)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=300).stdout
 
 
 class TestThreadedKernels:
@@ -421,6 +452,28 @@ class TestThreadedKernels:
         omega, dims = multi_chunk_instance(5, n=300, t=60, c=8)
         assert dims.transposed
         assert_fit_bytes_independent_of_cpu_count(monkeypatch, omega, dims)
+
+    def test_fit_bytes_independent_of_blas_threads(self):
+        """X, Q and C, the objectives and the x_deltas are the same with BLAS on
+        one thread and on two. Q has 20k rows, past the one-chunk Gram of 8192
+        rows at r = 10, and |Omega| is past the 10,000-entry dot, so the Grams
+        and dots take the blocked path; a dot BLAS threads would add its halves
+        in another order."""
+        code = textwrap.dedent("""
+            import hashlib, json
+            from nutf import harness, solver
+            omega, _, dims = harness.generate(harness.SynthConfig(20_000, 50, 20, seed=3))
+            cfg = solver.SolverConfig(rank=10, outer_iters=4, tol=0.0, seed=3)
+            x, model, trace = solver.fit(omega, dims, cfg)
+            h = hashlib.sha256()
+            for a in (x.values, model.q, model.c):
+                h.update(a.tobytes())
+            print(json.dumps([h.hexdigest(), trace.objectives, trace.x_deltas,
+                              len(model.q), omega.total_size]))
+        """)
+        one, two = (json.loads(run_with_blas_threads(code, n)) for n in (1, 2))
+        assert one[3] > 8192 and one[4] > 10_000
+        assert one == two
 
     def test_kernel_split_covers_the_fit(self, monkeypatch):
         """The kernel keys plus init, as ``nutf fit`` writes them, account for
