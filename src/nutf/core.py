@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .parallel import PANEL_BLOCKS, row_blocks, run_blocks, run_chunks
+from .parallel import GEMM_SERIAL, PANEL_BLOCKS, row_blocks, run_blocks, run_chunks
 
 _I64_MAX = np.iinfo(np.int64).max
 _I32_MAX = np.iinfo(np.int32).max
@@ -339,8 +339,11 @@ class LowRankModel:
 
         Arrays are scored with one matrix product per run of equal
         consecutive slots, so any order is correct and input grouped by
-        slot is fastest. Those scores agree with the scalar path, which
-        :func:`nutf.solver.predict_topk` takes, up to rounding.
+        slot is fastest. A run whose product is past ``GEMM_SERIAL`` is
+        cut into the blocks of :func:`nutf.parallel.row_blocks`, so BLAS
+        computes every product on the calling thread; a row's scores have
+        the same bits either way. Those scores agree with the scalar path,
+        which :func:`nutf.solver.predict_topk` takes, up to rounding.
         """
         dims = self.dims
         by_slot = self.col_factor.reshape(dims.n_slots, dims.n_categories, self.rank)
@@ -352,6 +355,13 @@ class LowRankModel:
             return out
         rows = self.user_factor[users]
         bounds = [0, *(np.flatnonzero(slots[1:] != slots[:-1]) + 1).tolist(), len(slots)]
+        # cut each run whose product BLAS would thread into row blocks, the last
+        # run first so that the bounds before it keep their places
+        width = dims.n_categories * self.rank
+        for i in reversed(np.flatnonzero(np.diff(bounds) * width > GEMM_SERIAL).tolist()):
+            cuts = row_blocks(bounds[i + 1] - bounds[i], width, 1)
+            if cuts:
+                bounds[i + 1:i + 1] = [bounds[i] + cut for cut in cuts[1:-1]]
         # np.dot: less call overhead than np.matmul, which matters for short runs
         for lo, hi, j in zip(bounds, bounds[1:], slots[bounds[:-1]].tolist()):
             np.dot(rows[lo:hi], by_slot[j].T, out=out[lo:hi])

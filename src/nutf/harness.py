@@ -5,6 +5,11 @@ same category at the same slot, so the fully observed probability tensor
 has rank at most the class count. Observed slots get a candidate set
 containing the true category plus uniform decoys, which is exactly the
 negative-unlabeled observation structure the solver consumes.
+
+Generation and top-k scoring run their chunks on nutf's long-lived
+thread pool (:mod:`nutf.parallel`); chunk bounds depend on the input
+alone and scoring makes no threaded BLAS call, so both give the same
+output for any CPU count, worker cap and BLAS thread count.
 """
 
 from __future__ import annotations
@@ -189,6 +194,12 @@ def score_topk(
     slot (:meth:`LowRankModel.slot_scores`), so the scores agree with
     predict_topk's up to rounding; the report does not depend on the
     order of the pairs.
+    Chunks of about ``_OBS_CHUNK`` scores run on
+    :func:`nutf.parallel.run_chunks`, each writing its own slice of the
+    ranks; a call of one chunk runs inline. Every product stays within
+    :func:`nutf.parallel.row_blocks`' blocks, so BLAS makes no threaded
+    call, and the report is the same for any CPU count, worker cap and
+    BLAS thread count.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -215,14 +226,20 @@ def score_topk(
     if truths.min() < 0 or truths.max() >= c:
         raise ValueError("validation category out of range")
 
-    # ranks are kept in slot order; the accuracies do not depend on it
-    order = np.argsort(slots, kind="stable")
+    # ranks are kept in slot order; the accuracies do not depend on it. A
+    # stable argsort of 8- or 16-bit keys is a radix sort, of int64 a timsort;
+    # both give the one stable permutation.
+    keys = slots
+    if dims.n_slots <= 1 << 16:
+        keys = slots.astype(np.uint8 if dims.n_slots <= 1 << 8 else np.uint16)
+    order = np.argsort(keys, kind="stable")
     n = len(order)
     ranks = np.empty(n, dtype=np.int64)
     chunk = max(1, _OBS_CHUNK // c)
     cat_range = np.arange(c, dtype=np.int64)
-    for start in range(0, n, chunk):
-        idx = order[start:start + chunk]
+
+    def rank_chunk(start: int, stop: int) -> None:
+        idx = order[start:stop]
         scores = model.slot_scores(users[idx], slots[idx])
         truth = truths[idx]
         true_scores = scores[np.arange(len(idx)), truth][:, None]
@@ -231,6 +248,8 @@ def score_topk(
         tied = np.flatnonzero(np.count_nonzero(scores == true_scores, axis=1) > 1)
         rank[tied] += np.count_nonzero(
             (scores[tied] == true_scores[tied]) & (cat_range < truth[tied, None]), axis=1)
-        ranks[start:start + len(idx)] = rank
+        ranks[start:stop] = rank
+
+    run_chunks(rank_chunk, [*range(0, n, chunk), n])
     accuracies = np.array([(ranks < k).mean() for k in range(1, k_max + 1)])
     return EvalReport(accuracies=accuracies, n_pairs=n)

@@ -1,26 +1,27 @@
-"""Thread fan-out for the support kernels, the subspace products and generation.
+"""Thread fan-out for the support kernels, the subspace products, generation and scoring.
 
 The per-block projection, the per-entry materialization, the row
 chunks of both sparse products, the row blocks of the QR's panel
-products and Grams, the blocks of the fit's long dot products and the
-user chunks of the synthetic generator split their input at chunk
-boundaries fixed by the input alone and hand the chunks to
-:func:`run_chunks`. Numpy and scipy's sparse routines release the
-interpreter lock inside the random draws, sorts, gathers and products
-of each chunk, so threads overlap. Each chunk writes its own slice of
-the output, or a partial sum its caller adds in chunk order, so the
-output does not depend on the worker count.
+products and Grams, the blocks of the fit's long dot products, the
+user chunks of the synthetic generator and the pair chunks of top-k
+scoring split their input at chunk boundaries fixed by the input alone
+and hand the chunks to :func:`run_chunks`. Numpy and scipy's sparse
+routines release the interpreter lock inside the random draws, sorts,
+gathers and products of each chunk, so threads overlap. Each chunk
+writes its own slice of the output, or a partial sum its caller adds
+in chunk order, so the output does not depend on the worker count.
 
 The chunks run on one long-lived pool per worker count, built on first
 use. ``nutf fit --threads N`` caps the workers at N (:func:`capped`).
 
 This pool owns every thread of a multi-chunk kernel: each BLAS call in
 it stays small enough that OpenBLAS computes it on the calling thread
-(:func:`row_blocks` for panel products and Grams,
-:func:`nutf.core.sum_dots` for dot products). A call that OpenBLAS threads leaves its idle
-workers spinning for tens of milliseconds, which takes cores from the
-pool's next chunks, and a threaded dot product adds its threads'
-halves in an order that depends on the BLAS thread count.
+(:func:`row_blocks` for panel products, Grams and the per-slot score
+products, :func:`nutf.core.sum_dots` for dot products). A call that
+OpenBLAS threads leaves its idle workers spinning for tens of
+milliseconds, which takes cores from the pool's next chunks, and a
+threaded dot product adds its threads' halves in an order that depends
+on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def run_chunks(work: Callable[[int, int], None], bounds: Sequence[int]) -> None:
         future.result()
 
 
-def row_blocks(n_rows: int, width: int) -> list[int] | None:
+def row_blocks(n_rows: int, width: int, per_chunk: int = PANEL_BLOCKS) -> list[int] | None:
     """Cuts of a tall panel into row blocks for a product whose m*n*k is ``width`` per row.
 
     Blocks hold a power of two of rows with rows * width within
@@ -128,12 +129,12 @@ def row_blocks(n_rows: int, width: int) -> list[int] | None:
     thread. A one-row block would run as a matrix-vector product, whose
     bits differ from the matrix product's, so a one-row tail joins the
     block before it. None when the panel fits in one chunk of
-    PANEL_BLOCKS blocks, or a block would hold fewer than two rows: the
+    ``per_chunk`` blocks, or a block would hold fewer than two rows: the
     caller then makes one plain product.
     """
     per_block = GEMM_SERIAL // width
     rows = 1 << (per_block.bit_length() - 1) if per_block else 0
-    if rows < 2 or n_rows <= rows * PANEL_BLOCKS:
+    if rows < 2 or n_rows <= rows * per_chunk:
         return None
     cuts = [*range(0, n_rows, rows), n_rows]
     if cuts[-1] - cuts[-2] == 1:

@@ -34,11 +34,10 @@ def _write_array(fh, arr: np.ndarray, dtype: str) -> None:
 
 
 def _read_array(fh, count: int, dtype: str) -> np.ndarray:
-    itemsize = np.dtype(dtype).itemsize
-    buf = fh.read(count * itemsize)
-    if len(buf) != count * itemsize:
+    out = np.empty(count, dtype=dtype)
+    if fh.readinto(out) != out.nbytes:
         raise ValueError("snapshot truncated")
-    return np.frombuffer(buf, dtype=dtype).copy()
+    return out
 
 
 def _check_payload(fh, nbytes: int) -> None:

@@ -4,6 +4,7 @@ import hypothesis
 import numpy as np
 import pytest
 
+from nutf import parallel
 from nutf.core import BlockSparseMatrix, CandidateSets, LowRankModel, ProblemDims
 from nutf.harness import GroundTruth, SynthConfig
 from nutf.simplex import _FEAS_TOL, project_blocks
@@ -13,6 +14,17 @@ hypothesis.settings.register_profile(
     "default", deadline=None, max_examples=100
 )
 hypothesis.settings.load_profile("default")
+
+
+@pytest.fixture
+def fresh_pools(monkeypatch):
+    """Two usable CPUs and no pool left from an earlier test; the pools
+    built here are shut down afterwards."""
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "_pools", {})
+    yield parallel._pools
+    for pool in parallel._pools.values():
+        pool.shutdown()
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nutf import core
+from nutf import core, parallel
 from nutf.core import (
     BlockSparseMatrix,
     CandidateSets,
@@ -316,6 +316,45 @@ class TestLowRankModel:
         assert scores.shape == (60, dims.n_categories)
         for row, u, j in zip(scores, users.tolist(), slots.tolist()):
             assert np.allclose(row, model.slot_scores(u, j), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("rank", [3, 10])
+    def test_tall_slot_run_keeps_plain_product_bits(self, rank, monkeypatch):
+        rng = np.random.default_rng(30 + rank)
+        dims = ProblemDims(3000, 2, 50)
+        model = random_model(rng, dims, rank)
+        width = dims.n_categories * rank
+        block = 1 << ((parallel.GEMM_SERIAL // width).bit_length() - 1)  # 1024 or 512 rows
+        # slot 0 ends in a partial block, slot 1 in a one-row tail
+        slots = np.repeat([0, 1], [2 * block + 7, 3 * block + 1])
+        users = rng.integers(0, dims.n_users, size=len(slots))
+
+        class RecordingNumpy:
+            """numpy, with np.dot recording each product's m*n*k."""
+
+            def __init__(self):
+                self.mnk = []
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def dot(self, a, b, out=None):
+                self.mnk.append(a.shape[0] * b.shape[0] * b.shape[1])
+                return np.dot(a, b, out=out)
+
+        recording = RecordingNumpy()
+        monkeypatch.setattr(core, "np", recording)
+        scores = model.slot_scores(users, slots)
+        monkeypatch.undo()
+        # blocks of `block` rows, the one-row tail joined to the block before it
+        assert recording.mnk == [w * width for w in (block, block, 7, block, block, block + 1)]
+        assert max(recording.mnk) <= parallel.GEMM_SERIAL
+        by_slot = model.col_factor.reshape(dims.n_slots, dims.n_categories, rank)
+        rows = model.user_factor[users]
+        plain = np.concatenate([rows[slots == j] @ by_slot[j].T for j in (0, 1)])
+        assert scores.tobytes() == plain.tobytes()
+        for i in range(0, len(slots), 97):
+            assert np.allclose(scores[i], model.slot_scores(int(users[i]), int(slots[i])),
+                               rtol=0, atol=1e-12)
 
     def test_shape_validation(self, small_dims):
         # small_dims has N=5 < T*C=12, so Q is 12 x r and C is r x 5

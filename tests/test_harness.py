@@ -412,3 +412,80 @@ class TestScoreTopk:
         assert d["n_pairs"] == 3
         assert set(d["accuracy_at_k"]) == {"1", "2", "3"}
         assert "accuracy" in rep.format_table()
+
+
+def tied_model(rng, dims, rank):
+    """Random factors in which categories 1 and 4 score the same at every
+    (user, slot), and users 2 and 5 score the same everywhere."""
+    user_factor = rng.standard_normal((dims.n_users, rank))
+    col_factor = rng.standard_normal((dims.n_cols, rank))
+    user_factor[5] = user_factor[2]
+    by_slot = col_factor.reshape(dims.n_slots, dims.n_categories, rank)
+    by_slot[:, 4] = by_slot[:, 1]
+    if dims.transposed:
+        return LowRankModel(dims, q=col_factor, c=user_factor.T)
+    return LowRankModel(dims, q=user_factor, c=col_factor.T)
+
+
+class TestPooledScoring:
+    """score_topk's chunks on the pool: 7 pairs to a chunk, so one call spans many."""
+
+    # normal (N > T*C), transposed (N < T*C), 16-bit slot keys, int64 slot keys
+    DIMS = [ProblemDims(200, 20, 6), ProblemDims(8, 20, 6), ProblemDims(6, 300, 6),
+            ProblemDims(6, 65_537, 6)]
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch, fresh_pools):
+        monkeypatch.setattr(harness, "_OBS_CHUNK", 7 * 6)
+
+    @staticmethod
+    def _pairs(rng, dims, n):
+        pairs = TestScoreTopk._shuffled_pairs(rng, dims, n)
+        # the largest slot and tied users and categories at one slot
+        return pairs + [(0, dims.n_slots - 1, 4), (2, 3, 1), (5, 3, 4), (5, 3, 1)]
+
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_same_report_for_any_cpu_count_and_cap(self, dims, fresh_pools, monkeypatch):
+        rng = np.random.default_rng(9)
+        pairs = self._pairs(rng, dims, 300)
+        for model in (random_model(rng, dims, 3), tied_model(rng, dims, 3), zero_model(dims)):
+            expected = TestScoreTopk._predict_loop_report(model, pairs, 5)
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
+                assert np.array_equal(score_topk(model, pairs, 5).accuracies, expected)
+            with parallel.capped(1):
+                assert np.array_equal(score_topk(model, pairs, 5).accuracies, expected)
+        assert sorted(fresh_pools) == [2, 3]
+
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_each_chunk_gets_its_pairs_in_slot_order(self, dims, monkeypatch):
+        rng = np.random.default_rng(10)
+        pairs = self._pairs(rng, dims, 300)
+        model = random_model(rng, dims, 3)
+        chunks = []
+
+        def recording_slot_scores(users, slots):
+            chunks.append(slots.copy())
+            return LowRankModel.slot_scores(model, users, slots)
+
+        monkeypatch.setattr(model, "slot_scores", recording_slot_scores)
+        score_topk(model, pairs, 5)
+        # pool threads record their chunks in any order
+        chunks.sort(key=lambda c: c.tolist())
+        assert sorted(map(len, chunks)) == [len(pairs) % 7] + [7] * (len(pairs) // 7)
+        assert np.concatenate(chunks).tolist() == sorted(j for _, j, _ in pairs)
+
+    def test_exception_in_a_chunk_reaches_the_caller(self, monkeypatch):
+        dims = ProblemDims(200, 20, 6)
+        rng = np.random.default_rng(11)
+        pairs = self._pairs(rng, dims, 300)
+        model = random_model(rng, dims, 3)
+
+        def failing_slot_scores(users, slots):
+            if (slots == 10).any():
+                raise RuntimeError("slot 10")
+            return LowRankModel.slot_scores(model, users, slots)
+
+        monkeypatch.setattr(model, "slot_scores", failing_slot_scores)
+        with pytest.raises(RuntimeError, match="slot 10"):
+            score_topk(model, pairs, 5)

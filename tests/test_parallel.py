@@ -9,17 +9,6 @@ import pytest
 from nutf import core, parallel
 
 
-@pytest.fixture
-def fresh_pools(monkeypatch):
-    """Two usable CPUs and no pool left from an earlier test; the pools
-    built here are shut down afterwards."""
-    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(parallel, "_pools", {})
-    yield parallel._pools
-    for pool in parallel._pools.values():
-        pool.shutdown()
-
-
 def run_in_thread(fn, timeout=60.0):
     """fn() on a helper thread; fails instead of hanging if it does not return."""
     box = {}
