@@ -61,6 +61,8 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
             file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ValueError(f"config file {args.config}: {exc}") from None
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"config file {args.config}: must hold a JSON object")
         unknown = set(file_cfg) - set(cfg)
         if unknown:
             raise ValueError(f"config file {args.config}: unknown keys {sorted(unknown)}")

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .parallel import GEMM_SERIAL, PANEL_BLOCKS, row_blocks, run_blocks, run_chunks
+from .parallel import DOT_SERIAL, GEMM_SERIAL, PANEL_BLOCKS, row_blocks, run_chunks, sum_blocks
 
 _I64_MAX = np.iinfo(np.int64).max
 _I32_MAX = np.iinfo(np.int32).max
@@ -23,10 +23,6 @@ _I32_MAX = np.iinfo(np.int32).max
 # gathers are still in cache when the inner products read them.
 _ENTRY_CHUNK = 1 << 15
 
-# OpenBLAS runs a dot product of at most this many entries on the calling
-# thread; a longer one it threads adds its threads' halves in an order that
-# depends on the BLAS thread count.
-_DOT_SERIAL = 10_000
 # Dot-product blocks per pool chunk.
 _DOT_BLOCKS = 16
 
@@ -360,8 +356,7 @@ class LowRankModel:
         width = dims.n_categories * self.rank
         for i in reversed(np.flatnonzero(np.diff(bounds) * width > GEMM_SERIAL).tolist()):
             cuts = row_blocks(bounds[i + 1] - bounds[i], width, 1)
-            if cuts:
-                bounds[i + 1:i + 1] = [bounds[i] + cut for cut in cuts[1:-1]]
+            bounds[i + 1:i + 1] = [bounds[i] + cut for cut in cuts[1:-1]]
         # np.dot: less call overhead than np.matmul, which matters for short runs
         for lo, hi, j in zip(bounds, bounds[1:], slots[bounds[:-1]].tolist()):
             np.dot(rows[lo:hi], by_slot[j].T, out=out[lo:hi])
@@ -393,36 +388,24 @@ def model_support_values(model: LowRankModel, support: CandidateSets) -> np.ndar
 def gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a^T @ b for two tall panels of equal height.
 
-    A panel of more than one chunk (see :func:`nutf.parallel.row_blocks`)
-    runs in row blocks on the pool, each block's product on its thread,
-    and the blocks' products are added in block order; so the bits depend
-    on the height but not on the CPU or BLAS thread count. A panel of one
-    chunk is one plain product.
+    The rows run in the blocks of :func:`nutf.parallel.row_blocks` on the
+    pool, each block's product on its thread, and
+    :func:`nutf.parallel.sum_blocks` adds them in block order; so the bits
+    depend on the height but not on the CPU or BLAS thread count.
     """
     cuts = row_blocks(len(a), a.shape[1] * b.shape[1])
-    if cuts is None:
-        return a.T @ b
-    partials = run_blocks(lambda lo, hi: a[lo:hi].T @ b[lo:hi], cuts, PANEL_BLOCKS)
-    out = partials[0]
-    for partial in partials[1:]:
-        out += partial
-    return out
+    return sum_blocks(lambda lo, hi: a[lo:hi].T @ b[lo:hi], cuts, PANEL_BLOCKS)
 
 
 def sum_dots(n: int, dots: Callable[[int, int], tuple[float, ...]]) -> tuple[float, ...]:
     """Sums over n entries of the dot products ``dots(lo, hi)`` takes of entries [lo, hi).
 
-    Up to _DOT_SERIAL entries this is the one call ``dots(0, n)``. Longer
-    inputs run in blocks of _DOT_SERIAL entries on the pool, each block's
-    dots on its thread, and the blocks' dots are added in block order.
+    The entries run in blocks of DOT_SERIAL on the pool, each block's dots
+    on its thread, and :func:`nutf.parallel.sum_blocks` adds them in block
+    order. Up to DOT_SERIAL entries, 0 included, this is ``dots(0, n)``.
     """
-    if n <= _DOT_SERIAL:
-        return dots(0, n)
-    partials = run_blocks(dots, [*range(0, n, _DOT_SERIAL), n], _DOT_BLOCKS)
-    sums = partials[0]
-    for partial in partials[1:]:
-        sums = tuple(s + p for s, p in zip(sums, partial))
-    return sums
+    cuts = [0, *range(DOT_SERIAL, n, DOT_SERIAL), n]
+    return tuple(sum_blocks(lambda lo, hi: np.array(dots(lo, hi)), cuts, _DOT_BLOCKS).tolist())
 
 
 def frobenius_gap(

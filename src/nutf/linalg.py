@@ -16,18 +16,17 @@ or on a rank-deficient or non-finite panel, the QR falls back to
 Householder reflections (LAPACK) and fills deficient columns.
 
 Both sparse products, the QR's panel products and its Grams, and the
-Gram of the principal angle run on nutf's pool
-(:mod:`nutf.parallel`) once their input spans more than one chunk. The
-sparse products split X's CSR into row chunks: ``X @ v`` writes each
-chunk's rows of the output, so its bits are scipy's serial ones;
-``X^T @ v`` adds the chunks' partial sums in chunk order, so its bits
-depend on the chunking but not on the CPU count. Panel products and
-Grams run in row blocks small enough that OpenBLAS computes each on the
-pool thread that calls it, and a Gram adds its blocks' products in
-block order (:func:`nutf.core.gram`); so no BLAS call of a multi-chunk
-fit is threaded, and its bits depend on neither the CPU count nor the
-BLAS thread count. Inputs of one chunk take the plain ``X @ v``,
-``q @ m`` and ``q^T @ q``.
+Gram of the principal angle run in chunks on nutf's pool
+(:mod:`nutf.parallel`), one chunk or many. The sparse products split X's
+CSR into row chunks: ``X @ v`` writes each chunk's rows of the output,
+so its bits are scipy's serial ones; ``X^T @ v`` adds the chunks'
+partial sums in chunk order, so its bits depend on the chunking but not
+on the CPU count. Panel products and Grams run in row blocks small
+enough that OpenBLAS computes each on the pool thread that calls it, and
+a Gram adds its blocks' products in block order (:func:`nutf.core.gram`);
+so no BLAS call of the fit is threaded, and its bits depend on neither
+the CPU count nor the BLAS thread count. One chunk is the plain
+``X @ v``, ``X^T @ v``, ``q @ m`` or ``q^T @ q``.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix
 
 from .core import BlockSparseMatrix, LowRankModel, gram, model_support_values
-from .parallel import PANEL_BLOCKS, row_blocks, run_blocks, run_chunks
+from .parallel import PANEL_BLOCKS, chunk_bounds, row_blocks, run_blocks, run_chunks, sum_blocks
 
 if TYPE_CHECKING:
     from .solver import SolverConfig
@@ -60,12 +59,6 @@ class NumericalError(ArithmeticError):
     """Raised when a kernel produces non-finite results."""
 
 
-def to_csr(x: BlockSparseMatrix) -> csr_matrix:
-    """Zero-copy scipy CSR view over x's (dims, support, values)."""
-    indptr, indices, _ = x.support.csr_structure(x.dims)
-    return csr_matrix((x.values, indices, indptr), shape=(x.dims.n_users, x.dims.n_cols))
-
-
 def _view(matrix, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
     """``matrix``, an empty CSR or CSC matrix, set to hold the given arrays.
 
@@ -79,25 +72,21 @@ def _view(matrix, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
 def _sparse_products(x: BlockSparseMatrix, rank: int) -> tuple[Callable, Callable]:
     """The products ``v -> X @ v`` and ``v -> X^T @ v`` for x's CSR view.
 
-    X's rows are cut into chunks, each starting at the first row at or
-    past a multiple of max(_SPMM_CHUNK, T*C * rank) support entries; the
-    second term keeps the partial sums of X^T @ v, which hold T*C * rank
-    floats per chunk, within the size of x's values. Each chunk gets a
-    CSR view and a CSC view (its transpose) over slices of x's layout and
-    values, built once and copying nothing, and the chunks run on
-    :func:`nutf.parallel.run_chunks`. ``X @ v`` writes each
-    chunk's rows of the output, so its bits are scipy's serial product's;
-    ``X^T @ v`` sums the chunks' partial products in chunk order. A
-    support of one chunk gets scipy's plain products.
+    X's rows are cut into chunks (:func:`nutf.parallel.chunk_bounds`) of
+    max(_SPMM_CHUNK, T*C * rank) support entries; the second term keeps
+    the partial sums of X^T @ v, which hold T*C * rank floats per chunk,
+    within the size of x's values. Each chunk gets a CSR view and a CSC
+    view (its transpose) over slices of x's layout and values, built once
+    and copying nothing, and the chunks run on
+    :func:`nutf.parallel.run_chunks`. ``X @ v`` writes each chunk's rows
+    of the output, so its bits are scipy's serial product's; ``X^T @ v``
+    adds the chunks' partial products in chunk order
+    (:func:`nutf.parallel.sum_blocks`). One chunk gives scipy's plain
+    products.
     """
     dims = x.dims
     indptr, indices, _ = x.support.csr_structure(dims)
-    step = max(_SPMM_CHUNK, dims.n_cols * rank)
-    cuts = np.searchsorted(indptr[:-1], np.arange(step, len(indices), step))
-    bounds = np.unique(np.concatenate(([0], cuts, [dims.n_users]))).tolist()
-    if len(bounds) <= 2:
-        csr = to_csr(x)
-        return (lambda v: np.asarray(csr @ v)), (lambda v: np.asarray(csr.T @ v))
+    bounds = chunk_bounds(indptr, max(_SPMM_CHUNK, dims.n_cols * rank))
     chunks, chunks_t = [], []
     for lo, hi in zip(bounds, bounds[1:]):
         s, e = indptr[lo], indptr[hi]
@@ -118,16 +107,7 @@ def _sparse_products(x: BlockSparseMatrix, rank: int) -> tuple[Callable, Callabl
 
     def adjoint_product(v: np.ndarray) -> np.ndarray:
         v = np.ascontiguousarray(v)
-        partials: list = [None] * len(chunks)
-
-        def chunk_sum(i: int, _: int) -> None:
-            partials[i] = chunks_t[i] @ v[bounds[i]:bounds[i + 1]]
-
-        run_chunks(chunk_sum, each_chunk)
-        out = partials[0]
-        for partial in partials[1:]:
-            out += partial
-        return out
+        return sum_blocks(lambda i, _: chunks_t[i] @ v[bounds[i]:bounds[i + 1]], each_chunk, 1)
 
     return product, adjoint_product
 
@@ -140,11 +120,9 @@ def _panel_product(q: np.ndarray, m: np.ndarray) -> np.ndarray:
     not depend on the CPU count, so neither do the bits; they are one
     plain product's wherever BLAS computes a row the same way at every
     block height (OpenBLAS 0.3.31 on x86-64 does up to r = 16). A panel
-    of one chunk is one plain product.
+    of one block is one plain product.
     """
     cuts = row_blocks(len(q), q.shape[1] * m.shape[1])
-    if cuts is None:
-        return q @ m
     out = np.empty((len(q), m.shape[1]))
     run_blocks(lambda lo, hi: np.matmul(q[lo:hi], m, out=out[lo:hi]), cuts, PANEL_BLOCKS)
     return out

@@ -2,14 +2,15 @@
 
 The per-block projection, the per-entry materialization, the row
 chunks of both sparse products, the row blocks of the QR's panel
-products and Grams, the blocks of the fit's long dot products, the
-user chunks of the synthetic generator and the pair chunks of top-k
-scoring split their input at chunk boundaries fixed by the input alone
-and hand the chunks to :func:`run_chunks`. Numpy and scipy's sparse
-routines release the interpreter lock inside the random draws, sorts,
-gathers and products of each chunk, so threads overlap. Each chunk
-writes its own slice of the output, or a partial sum its caller adds
-in chunk order, so the output does not depend on the worker count.
+products and Grams, the blocks of the fit's dot products, the user
+chunks of the synthetic generator and the pair chunks of top-k scoring
+split their input at chunk boundaries fixed by the input alone and hand
+the chunks, one or many, to :func:`run_chunks`. Numpy and scipy's
+sparse routines release the interpreter lock inside the random draws,
+sorts, gathers and products of each chunk, so threads overlap. Each
+chunk writes its own slice of the output, or a partial sum that
+:func:`sum_blocks` adds in block order, so the output does not depend
+on the worker count.
 
 The chunks run on one long-lived pool per worker count, built on first
 use. ``nutf fit --threads N`` caps the workers at N (:func:`capped`).
@@ -37,8 +38,12 @@ import numpy as np
 # OpenBLAS runs a GEMM of m*n*k <= 2**18 on the calling thread (2048 rows
 # of a panel at r = 10).
 GEMM_SERIAL = 1 << 18
+# OpenBLAS runs a dot product of at most this many entries on the calling
+# thread; a longer one it threads adds its threads' halves in an order that
+# depends on the BLAS thread count.
+DOT_SERIAL = 10_000
 # Row blocks per pool chunk of a panel product or Gram. A panel of one
-# chunk (up to 8192 rows at r = 10) is one plain product.
+# chunk (up to 8192 rows at r = 10) is one block, one plain product.
 PANEL_BLOCKS = 4
 
 _pools: dict[int, ThreadPoolExecutor] = {}
@@ -92,19 +97,19 @@ if hasattr(os, "register_at_fork"):
 def run_chunks(work: Callable[[int, int], None], bounds: Sequence[int]) -> None:
     """Call ``work(lo, hi)`` for each consecutive pair of ``bounds``.
 
-    A single chunk runs inline in the caller's thread, and so does every
-    chunk when one worker is usable or when the caller is itself a pool
-    worker (a nested call cannot wait on its own pool). More chunks share
-    the long-lived pool of min(usable CPUs, cap) threads, at most one
-    thread per chunk busy, each chunk under the caller's numpy error
-    state. The call returns once every chunk has finished; the first
-    exception, in chunk order, reaches the caller.
+    A single chunk runs inline in the caller's thread, with no affinity
+    call, and so does every chunk when one worker is usable or when the
+    caller is itself a pool worker (a nested call cannot wait on its own
+    pool). More chunks share the long-lived pool of min(usable CPUs,
+    cap) threads, at most one thread per chunk busy, each chunk under the
+    caller's numpy error state. The call returns once every chunk has
+    finished; the first exception, in chunk order, reaches the caller.
     """
     los, his = list(bounds[:-1]), list(bounds[1:])
-    workers = _usable_cpus()
+    workers = _usable_cpus() if len(los) > 1 else 1
     if _worker_cap > 0:
         workers = min(workers, _worker_cap)
-    if len(los) <= 1 or workers <= 1 or getattr(_in_worker, "active", False):
+    if workers <= 1 or getattr(_in_worker, "active", False):
         for lo, hi in zip(los, his):
             work(lo, hi)
         return
@@ -121,21 +126,28 @@ def run_chunks(work: Callable[[int, int], None], bounds: Sequence[int]) -> None:
         future.result()
 
 
-def row_blocks(n_rows: int, width: int, per_chunk: int = PANEL_BLOCKS) -> list[int] | None:
+def chunk_bounds(ptr: np.ndarray, step: int) -> list[int]:
+    """Cuts of the blocks ``ptr`` delimits (block b holds entries ``ptr[b]:ptr[b+1]``)
+    into chunks, each starting at the first block at or past a multiple of ``step`` entries."""
+    cuts = np.searchsorted(ptr[:-1], np.arange(step, int(ptr[-1]), step))
+    return np.unique(np.concatenate(([0], cuts, [len(ptr) - 1]))).tolist()
+
+
+def row_blocks(n_rows: int, width: int, per_chunk: int = PANEL_BLOCKS) -> list[int]:
     """Cuts of a tall panel into row blocks for a product whose m*n*k is ``width`` per row.
 
     Blocks hold a power of two of rows with rows * width within
     GEMM_SERIAL, so BLAS computes each block's product on the calling
     thread. A one-row block would run as a matrix-vector product, whose
     bits differ from the matrix product's, so a one-row tail joins the
-    block before it. None when the panel fits in one chunk of
-    ``per_chunk`` blocks, or a block would hold fewer than two rows: the
-    caller then makes one plain product.
+    block before it. A panel that fits in one chunk of ``per_chunk``
+    blocks, or whose blocks would hold fewer than two rows, is the one
+    block ``[0, n_rows]``: one plain product.
     """
     per_block = GEMM_SERIAL // width
     rows = 1 << (per_block.bit_length() - 1) if per_block else 0
     if rows < 2 or n_rows <= rows * per_chunk:
-        return None
+        return [0, n_rows]
     cuts = [*range(0, n_rows, rows), n_rows]
     if cuts[-1] - cuts[-2] == 1:
         del cuts[-2]
@@ -155,3 +167,16 @@ def run_blocks(work: Callable[[int, int], object], cuts: Sequence[int], per_chun
 
     run_chunks(blocks, [*range(0, len(results), per_chunk), len(results)])
     return results
+
+
+def sum_blocks(work: Callable[[int, int], np.ndarray], cuts: Sequence[int], per_chunk: int):
+    """The sum of ``work(lo, hi)`` over the blocks of ``cuts``, run by :func:`run_blocks`
+    and added in place in block order, so its bits do not depend on the CPU count.
+    One block is one call."""
+    if len(cuts) == 2:
+        return work(cuts[0], cuts[1])
+    partials = run_blocks(work, cuts, per_chunk)
+    total = partials[0]
+    for partial in partials[1:]:
+        total += partial
+    return total

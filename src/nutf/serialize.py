@@ -216,10 +216,19 @@ def write_index_maps(path, n_users: int, n_slots: int, n_categories: int,
 
 
 def read_index_maps(path) -> dict:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    """The sidecar's JSON object, whose three counts must be positive JSON integers."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # invalid JSON or UTF-8; a fault names the file
+        raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: must hold a JSON object")
     for key in ("n_users", "n_slots", "n_categories"):
         if key not in payload:
             raise ValueError(f"{path}: missing {key}")
+        if not _is_index(payload[key]) or payload[key] == 0:
+            raise ValueError(f"{path}: {key} must be a positive JSON integer, "
+                             f"got {payload[key]!r}")
     return payload
 
 

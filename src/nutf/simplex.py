@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import row_sums
-from .parallel import run_chunks
+from .parallel import chunk_bounds, run_chunks
 
 # Entries per projection chunk: a chunk's values and its sorted columns
 # stay in cache between the passes over them.
@@ -121,7 +121,8 @@ def project_blocks(values: np.ndarray, block_ptr: np.ndarray) -> np.ndarray:
     """Project each contiguous block of ``values`` onto the simplex.
 
     Block b is ``values[block_ptr[b]:block_ptr[b+1]]``. The blocks are cut
-    into chunks of about ``_PROJECT_CHUNK`` entries, which run on
+    into chunks of about ``_PROJECT_CHUNK`` entries
+    (:func:`nutf.parallel.chunk_bounds`), which run on
     :func:`nutf.parallel.run_chunks`. When all blocks share one size d, a
     chunk is a (blocks x d) view of ``values``; otherwise its blocks are
     gathered per size. Each group of rows runs as one column-wise pass,
@@ -141,9 +142,6 @@ def project_blocks(values: np.ndarray, block_ptr: np.ndarray) -> np.ndarray:
     present = np.nonzero(np.bincount(sizes))[0]
     if len(present) and present[0] == 0:
         raise ValueError("blocks must be non-empty")
-    # each chunk starts at the first block at or past a multiple of the chunk size
-    cuts = np.searchsorted(block_ptr[:-1], np.arange(_PROJECT_CHUNK, len(values), _PROJECT_CHUNK))
-    bounds = np.unique(np.concatenate(([0], cuts, [len(sizes)])))
 
     def project_chunk(b0: int, b1: int) -> None:
         lo, hi = block_ptr[b0], block_ptr[b1]
@@ -161,5 +159,5 @@ def project_blocks(values: np.ndarray, block_ptr: np.ndarray) -> np.ndarray:
             _project_rows(values[gather], projected)
             out[gather] = projected
 
-    run_chunks(project_chunk, bounds)
+    run_chunks(project_chunk, chunk_bounds(block_ptr, _PROJECT_CHUNK))
     return out

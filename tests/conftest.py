@@ -3,6 +3,7 @@ import time
 import hypothesis
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from nutf import parallel
 from nutf.core import BlockSparseMatrix, CandidateSets, LowRankModel, ProblemDims
@@ -28,6 +29,18 @@ def fresh_pools(monkeypatch):
 
 
 @pytest.fixture
+def no_pool(monkeypatch):
+    """Eight usable CPUs and a pool that fails the test when asked for: a
+    kernel whose input is one chunk must run it inline."""
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 8)
+
+    def forbidden(workers):
+        raise AssertionError(f"a one-chunk input asked for a pool of {workers} workers")
+
+    monkeypatch.setattr(parallel, "_pool", forbidden)
+
+
+@pytest.fixture
 def small_dims():
     return ProblemDims(5, 4, 3)
 
@@ -49,6 +62,13 @@ def small_omega():
 def block_dict(omega: CandidateSets) -> dict[tuple[int, int], list[int]]:
     """{(user, slot): categories} of every block."""
     return {key: cats.tolist() for key, cats in omega.items()}
+
+
+def to_csr(x: BlockSparseMatrix) -> csr_matrix:
+    """Zero-copy scipy CSR view over x's (dims, support, values): the
+    plain ``X @ v`` and ``X^T @ v`` the chunked products are checked against."""
+    indptr, indices, _ = x.support.csr_structure(x.dims)
+    return csr_matrix((x.values, indices, indptr), shape=(x.dims.n_users, x.dims.n_cols))
 
 
 def to_dense(x: BlockSparseMatrix) -> np.ndarray:

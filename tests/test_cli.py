@@ -217,6 +217,17 @@ class TestFit:
                   "--out", str(tmp_path / "f")])
         assert rc == EXIT_INPUT
 
+    @pytest.mark.parametrize("payload", ["7", "[1, 2]", "null", '"rank"'])
+    def test_config_file_not_an_object(self, tmp_path, capsys, payload):
+        src = self._fixture(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(payload)
+        capsys.readouterr()
+        rc = run(["fit", "--config", str(cfg), "--omega", str(src),
+                  "--out", str(tmp_path / "f")])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: config file {cfg}: must hold a JSON object\n"
+
 
 class TestPredictAndEval:
     def test_predict_output(self, tmp_path, capsys):
@@ -362,6 +373,24 @@ def _first_pair(text):
     pytest.param("truth.jsonl", lambda t: _with_line(t, 3, j=-1), lambda t: "line 3:",
                  id="truth-negative-slot"),
     pytest.param("truth.jsonl", lambda t: "", lambda t: "empty", id="truth-empty"),
+    pytest.param("index_maps.json", lambda t: "5", lambda t: "must hold a JSON object",
+                 id="maps-number"),
+    pytest.param("index_maps.json", lambda t: "null", lambda t: "must hold a JSON object",
+                 id="maps-null"),
+    pytest.param("index_maps.json", lambda t: t[:-3], lambda t: "Expecting",
+                 id="maps-invalid-json"),
+    pytest.param("index_maps.json", lambda t: "", lambda t: "Expecting value",
+                 id="maps-empty"),
+    pytest.param("index_maps.json", lambda t: t.replace('"n_users": 20', '"n_users": "20"'),
+                 lambda t: "n_users must be a positive JSON integer, got '20'",
+                 id="maps-count-string"),
+    pytest.param("index_maps.json", lambda t: t.replace('"n_slots": 6', '"n_slots": 0'),
+                 lambda t: "n_slots must be a positive JSON integer, got 0",
+                 id="maps-count-zero"),
+    pytest.param("index_maps.json",
+                 lambda t: t.replace('"n_categories": 5', '"n_categories": true'),
+                 lambda t: "n_categories must be a positive JSON integer, got True",
+                 id="maps-count-bool"),
 ])
 def test_bad_input_names_file(synth_and_model, tmp_path, capsys, name, edit, names):
     src, model = synth_and_model
@@ -370,7 +399,7 @@ def test_bad_input_names_file(synth_and_model, tmp_path, capsys, name, edit, nam
     path = bad / name
     text = path.read_text()
     path.write_text(edit(text))
-    if name == "omega.jsonl":
+    if name in ("omega.jsonl", "index_maps.json"):
         argv = ["fit", "--omega", str(bad), "--rank", "2", "--out", str(tmp_path / "f")]
     else:
         argv = ["eval", "--model", str(model), "--validation", str(path)]
@@ -422,6 +451,11 @@ class TestPreprocess:
         assert rc == EXIT_OK
         assert "warning" in capsys.readouterr().err
         assert (out / "omega.jsonl").read_text() == ""
+        # its sidecar holds n_users 0, which fit rejects, naming the file
+        assert run(["fit", "--omega", str(out), "--out", str(tmp_path / "f")]) == EXIT_INPUT
+        maps = out / "index_maps.json"
+        assert capsys.readouterr().err == (
+            f"error: {maps}: n_users must be a positive JSON integer, got 0\n")
 
     @pytest.mark.parametrize("venues_rows", ["", "v1,Pizza Place,40.7580,-73.9850,30\n"])
     def test_index_maps_bytes(self, tmp_path, capsys, venues_rows):

@@ -11,10 +11,9 @@ from nutf.core import (
     frobenius_gap,
     model_support_values,
 )
-from nutf.linalg import to_csr
 
 from conftest import (block_dict, dense_completion, exact_model, full_support, random_model,
-                      random_omega, to_dense)
+                      random_omega, to_csr, to_dense)
 
 
 class TestProblemDims:

@@ -11,10 +11,10 @@ import nutf
 from nutf import core, linalg, parallel
 from nutf.core import (BlockSparseMatrix, CandidateSets, LowRankModel, ProblemDims,
                        model_support_values)
-from nutf.linalg import NumericalError, reduced_qr, sparse_lowrank_approx, to_csr
+from nutf.linalg import NumericalError, reduced_qr, sparse_lowrank_approx
 from nutf.solver import SolverConfig
 
-from conftest import dense_completion, full_support, random_omega, to_dense
+from conftest import dense_completion, full_support, random_omega, to_csr, to_dense
 
 
 def make_x(dims, omega, values):
@@ -549,13 +549,17 @@ class TestChunkedProducts:
         got = np.frombuffer(runs[0]).reshape(expected.shape)
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
-    def test_one_chunk_products_are_scipy_products(self):
-        x = random_x(24, ProblemDims(60, 5, 4))
-        rng = np.random.default_rng(2)
-        v, w = rng.standard_normal((x.dims.n_cols, 3)), rng.standard_normal((60, 3))
-        product, adjoint_product = linalg._sparse_products(x, rank=3)
-        assert product(v).tobytes() == np.asarray(to_csr(x) @ v).tobytes()
-        assert adjoint_product(w).tobytes() == np.asarray(to_csr(x).T @ w).tobytes()
+    def test_one_chunk_products_are_scipy_products(self, no_pool):
+        # a normal and a transposed instance, at three ranks
+        for dims in (ProblemDims(60, 5, 4), ProblemDims(12, 5, 4)):
+            x = random_x(24, dims)
+            rng = np.random.default_rng(2)
+            for r in (1, 3, 10):
+                v = rng.standard_normal((dims.n_cols, r))
+                w = rng.standard_normal((dims.n_users, r))
+                product, adjoint_product = linalg._sparse_products(x, rank=r)
+                assert product(v).tobytes() == np.asarray(to_csr(x) @ v).tobytes()
+                assert adjoint_product(w).tobytes() == np.asarray(to_csr(x).T @ w).tobytes()
 
     def test_scatter_floor_bounds_the_partial_sums(self, monkeypatch):
         # T*C * rank = 200 entries per chunk at least, whatever _SPMM_CHUNK says
@@ -597,9 +601,7 @@ class TestChunkedProducts:
         # blocks of 2048 rows (2048 * 10 * 10 <= 2**18), the one-row tail joined to the last
         assert sorted(heights) == [2048] * 48 + [2049]
 
-    def test_one_chunk_panel_is_one_product(self, monkeypatch):
-        monkeypatch.setattr(linalg, "run_chunks", None)  # any pool use would fail
-        monkeypatch.setattr(linalg, "run_blocks", None)
+    def test_one_chunk_panel_is_one_product(self, no_pool):
         q = np.random.default_rng(4).standard_normal((2780, 10))
         m = np.random.default_rng(5).standard_normal((10, 10))
         assert linalg._panel_product(q, m).tobytes() == (q @ m).tobytes()
@@ -629,12 +631,9 @@ def serial_lowrank_reference(x, cfg, start=None):
 
 class TestOneChunkPath:
     @pytest.mark.parametrize("dims", [ProblemDims(300, 6, 5), ProblemDims(40, 8, 6)])
-    def test_matches_plain_products(self, monkeypatch, dims):
+    def test_matches_plain_products(self, no_pool, dims):
         x = random_x(26, dims)
         cfg = SolverConfig(rank=4, power_iters=3, seed=8)
-        monkeypatch.setattr(linalg, "run_chunks", None)  # any pool use would fail
-        monkeypatch.setattr(linalg, "run_blocks", None)
-        monkeypatch.setattr(core, "run_blocks", None)
         cold, y_cold, *_ = sparse_lowrank_approx(x, cfg)
         ref_cold, y_ref = serial_lowrank_reference(x, cfg)
         assert cold.q.tobytes() == ref_cold.q.tobytes()

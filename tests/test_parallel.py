@@ -50,6 +50,18 @@ class TestRunChunks:
         squares(10, [0, 3, 6, 10])
         assert sorted(fresh_pools) == [2, 3]
 
+    def test_one_chunk_runs_inline_without_an_affinity_call(self, monkeypatch):
+        def no_affinity_call():
+            raise AssertionError("one chunk asked for the usable CPUs")
+
+        monkeypatch.setattr(parallel, "_usable_cpus", no_affinity_call)
+        caller = threading.current_thread()
+        ran = []
+        parallel.run_chunks(lambda lo, hi: ran.append((lo, hi, threading.current_thread())),
+                            [3, 9])
+        parallel.run_chunks(lambda lo, hi: ran.append((lo, hi)), [3])  # no chunk
+        assert ran == [(3, 9, caller)]
+
     def test_capped_to_one_worker_runs_inline(self, fresh_pools):
         caller = threading.current_thread()
         ran_on = []
@@ -137,11 +149,36 @@ class TestRunChunks:
 
 class TestBlocks:
     def test_row_blocks(self):
-        # 2048 rows per block at r = 10, one-row tail joined; one chunk is None
-        assert parallel.row_blocks(4 * 2048, 100) is None
+        # 2048 rows per block at r = 10, one-row tail joined
         cuts = parallel.row_blocks(4 * 2048 + 1, 100)
         assert cuts == [0, 2048, 4096, 6144, 4 * 2048 + 1]
-        assert parallel.row_blocks(10_000, parallel.GEMM_SERIAL) is None  # 1-row blocks
+        # one chunk is one block
+        assert parallel.row_blocks(4 * 2048, 100) == [0, 4 * 2048]
+        assert parallel.row_blocks(3, 100) == [0, 3]
+        assert parallel.row_blocks(0, 100) == [0, 0]
+        # blocks of fewer than two rows
+        assert parallel.row_blocks(10_000, parallel.GEMM_SERIAL) == [0, 10_000]
+        assert parallel.row_blocks(10_000, 2 * parallel.GEMM_SERIAL) == [0, 10_000]
+        # a run of slot_scores, one block per chunk
+        assert parallel.row_blocks(2048, 100, 1) == [0, 2048]
+        assert parallel.row_blocks(2049, 100, 1) == [0, 2049]
+        assert parallel.row_blocks(2050, 100, 1) == [0, 2048, 2050]
+
+    def test_chunk_bounds(self):
+        # blocks start at entries 0, 3, 4, 8, 9, 14, 23, 25; the first to start at
+        # or past 5, 10, 15, 20, 25 and 30 entries are blocks 3, 5, 6, 6, 7 and none
+        ptr = np.cumsum([0, 3, 1, 4, 1, 5, 9, 2, 6])
+        assert parallel.chunk_bounds(ptr, 5) == [0, 3, 5, 6, 7, 8]
+        assert parallel.chunk_bounds(ptr, 1000) == [0, 8]
+        assert parallel.chunk_bounds(np.array([0]), 5) == [0]  # no blocks, no chunk
+        assert all(type(b) is int for b in parallel.chunk_bounds(ptr, 5))
+
+    def test_one_block_sum_is_one_call(self, monkeypatch, no_pool):
+        monkeypatch.setattr(parallel, "run_blocks", None)  # the one call only
+        calls = []
+        assert parallel.sum_blocks(lambda lo, hi: calls.append((lo, hi)) or lo + hi,
+                                   [3, 7], 4) == 10
+        assert calls == [(3, 7)]
 
     @pytest.mark.parametrize("cpus", [1, 2, 8])
     def test_gram_bytes_independent_of_cpu_count(self, monkeypatch, cpus):
@@ -161,7 +198,7 @@ class TestBlocks:
 
     def test_gram_blocks_stay_on_the_calling_thread(self, monkeypatch):
         heights = []
-        monkeypatch.setattr(core, "run_blocks", lambda work, cuts, per_chunk: [
+        monkeypatch.setattr(parallel, "run_blocks", lambda work, cuts, per_chunk: [
             heights.append(hi - lo) or work(lo, hi) for lo, hi in zip(cuts, cuts[1:])])
         a = np.random.default_rng(8).standard_normal((49 * 2048 + 1, 10))
         g = core.gram(a, a)
@@ -169,10 +206,13 @@ class TestBlocks:
         assert all(h * 10 * 10 <= parallel.GEMM_SERIAL for h in heights[:-1])
         assert np.abs(g - a.T @ a).max() <= 1e-10 * np.abs(g).max()
 
-    def test_one_chunk_gram_is_one_product(self, monkeypatch):
-        monkeypatch.setattr(core, "run_blocks", None)  # any pool use would fail
+    def test_one_chunk_gram_is_one_product(self, no_pool):
         a = np.random.default_rng(9).standard_normal((8192, 10))
         assert core.gram(a, a).tobytes() == (a.T @ a).tobytes()
+
+    def test_gram_of_no_rows_is_zero(self, no_pool):
+        g = core.gram(np.empty((0, 3)), np.empty((0, 2)))
+        assert g.shape == (3, 2) and not g.any()
 
     @pytest.mark.parametrize("cpus", [1, 2, 8])
     def test_sum_dots_in_block_order(self, monkeypatch, cpus):
@@ -193,8 +233,17 @@ class TestBlocks:
             expected[1] += float(part.sum())
         assert got == tuple(expected)
 
-    def test_short_sum_dots_is_one_call(self, monkeypatch):
-        monkeypatch.setattr(core, "run_blocks", None)
+    def test_short_sum_dots_is_one_call(self, no_pool):
         v = np.random.default_rng(11).standard_normal(10_000)
-        assert core.sum_dots(len(v), lambda lo, hi: (float(v[lo:hi] @ v[lo:hi]),)) == (
-            float(v @ v),)
+        calls = []
+
+        def dots(lo, hi):
+            calls.append((lo, hi))
+            return float(v[lo:hi] @ v[lo:hi]), float(v[lo:hi].sum())
+
+        assert core.sum_dots(len(v), dots) == (float(v @ v), float(v.sum()))
+        assert calls == [(0, len(v))]
+
+    def test_sum_dots_of_no_entries_is_zero(self, no_pool):
+        got = core.sum_dots(0, lambda lo, hi: (float(np.ones(hi - lo) @ np.ones(hi - lo)), 0.0))
+        assert got == (0.0, 0.0) and all(type(s) is float for s in got)

@@ -369,7 +369,7 @@ def shrink_linalg_chunks(monkeypatch):
     the long dot products into 1000-entry blocks (16,000-entry chunks)."""
     monkeypatch.setattr(linalg, "_SPMM_CHUNK", 1 << 12)
     monkeypatch.setattr(parallel, "GEMM_SERIAL", 1 << 9)
-    monkeypatch.setattr(core, "_DOT_SERIAL", 1000)
+    monkeypatch.setattr(core, "DOT_SERIAL", 1000)  # the name sum_dots reads
 
 
 def assert_fit_bytes_independent_of_cpu_count(monkeypatch, omega, dims):
