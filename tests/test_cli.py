@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import nutf
-from nutf.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, build_parser, main
+from nutf.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, _options, build_parser, main
 from nutf.core import ProblemDims
 from nutf.serialize import save_model, write_pairs_jsonl
 
@@ -228,6 +228,35 @@ class TestFit:
         assert rc == EXIT_INPUT
         assert capsys.readouterr().err == f"error: config file {cfg}: must hold a JSON object\n"
 
+    @pytest.mark.parametrize("key", ["omega", "config", "help"])
+    def test_config_file_required_and_meta_flags_unknown(self, tmp_path, capsys, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: "x"}))
+        capsys.readouterr()
+        rc = run(["fit", "--config", str(cfg), "--omega", str(tmp_path / "s"),
+                  "--out", str(tmp_path / "f")])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: config file {cfg}: unknown keys ['{key}']\n"
+
+    def test_config_file_integer_for_float_flag(self, tmp_path):
+        src = self._fixture(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tol": 0, "rank": 3, "iters": 4, "deterministic": True}))
+        out = tmp_path / "f"
+        assert run(["fit", "--config", str(cfg), "--omega", str(src),
+                    "--no-deterministic", "--out", str(out)]) == EXIT_OK
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["tol"] == 0 and config["deterministic"] is False  # CLI wins
+        assert len((out / "trace.jsonl").read_text().splitlines()) == 4  # tol 0 runs them all
+
+    def test_negative_threads_is_input_error(self, tmp_path, capsys):
+        rc = run(["fit", "--omega", str(tmp_path / "s"), "--threads", "-3",
+                  "--out", str(tmp_path / "f")])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: --threads -3: a thread cap cannot be negative\n")
+        assert not (tmp_path / "f").exists()
+
 
 class TestPredictAndEval:
     def test_predict_output(self, tmp_path, capsys):
@@ -258,6 +287,15 @@ class TestPredictAndEval:
         assert rc == EXIT_OK
         payload = json.loads(capsys.readouterr().out.strip())
         assert payload["topk"] == [5]
+
+    def test_predict_bad_restrict_names_flag(self, synth_and_model, capsys):
+        _, model = synth_and_model
+        capsys.readouterr()
+        rc = run(["predict", "--model", str(model), "--user", "0", "--slot", "0",
+                  "--restrict", "a"])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: --restrict a: invalid literal for int() with base 10: 'a'\n")
 
     # a numpy warning on the way to the rejection fails the test
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -496,6 +534,26 @@ class TestPreprocess:
         assert rc == EXIT_INPUT
         assert "venue radius inf" in capsys.readouterr().err
 
+    def test_invalid_epoch_day_names_flag(self, tmp_path, capsys):
+        updates, venues, catmap = self._write_inputs(tmp_path, "v1,Bank,40.7582,-73.9860,25\n")
+        rc = run(["preprocess", "--updates", str(updates), "--venues", str(venues),
+                  "--catmap", str(catmap), "--epoch-day", "2024-02-30",
+                  "--out", str(tmp_path / "p")])
+        assert rc == EXIT_INPUT
+        # the date parser's own wording differs between Python versions
+        assert capsys.readouterr().err.startswith("error: --epoch-day 2024-02-30: ")
+
+    @pytest.mark.parametrize("key", ["venue_radius_m", "other_category"])
+    def test_config_null_where_default_is_none(self, tmp_path, key):
+        updates, venues, catmap = self._write_inputs(tmp_path, "v1,Bank,40.7582,-73.9860,25\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: None}))
+        out = tmp_path / "p"
+        assert run(["preprocess", "--config", str(cfg), "--updates", str(updates),
+                    "--venues", str(venues), "--catmap", str(catmap),
+                    "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "manifest.json").read_text())["config"][key] is None
+
     def test_timings_cover_reads(self, tmp_path):
         updates, venues, catmap = self._write_inputs(tmp_path, "v1,Bank,40.7582,-73.9860,25\n")
         out = tmp_path / "p"
@@ -521,6 +579,65 @@ class TestPreprocess:
         assert ("warning: dropped 1 update(s) before the window start 1970-01-01"
                 in capsys.readouterr().err)
         assert (out / "omega.jsonl").read_text().splitlines() == ['{"u":0,"j":7,"cats":[0,1]}']
+
+
+# each command's argv with only its required flags, and the config it resolves to
+REQUIRED_FLAGS_ONLY = {
+    "synth": ([], {"users": 1000, "slots": 50, "categories": 20, "classes": 10,
+                   "density": 0.2, "cands": 4, "seed": 0, "out": "synth_out"}),
+    "preprocess": (["--updates", "updates.csv", "--venues", "venues.csv",
+                    "--catmap", "catmap.csv"],
+                   {"slot_mode": "daypart", "epoch_day": "1970-01-01", "min_dwell_min": 20.0,
+                    "venue_radius_m": None, "other_category": None, "out": "preprocess_out"}),
+    "fit": (["--omega", "synth_out"],
+            {"rank": 20, "iters": 100, "power_iters": 8, "tol": 1e-6, "seed": 0,
+             "deterministic": False, "threads": 0, "out": "fit_out"}),
+    "predict": (["--model", "fit_out/model.nutf", "--user", "0", "--slot", "0"],
+                {"k": 5, "restrict": None}),
+    "eval": (["--model", "fit_out/model.nutf", "--validation", "synth_out/truth.jsonl"],
+             {"k": 5, "out": None}),
+}
+
+
+def test_required_flags_only_config(tmp_path, monkeypatch):
+    """Each command run with only its required flags resolves its declared
+    defaults, and synth, preprocess and fit record them in manifest.json; a
+    moved default, or an int default that became a float, fails here."""
+    monkeypatch.chdir(tmp_path)
+    TestPreprocess()._write_inputs(tmp_path, "v1,Bank,40.7582,-73.9860,25\n")
+    for command, (flags, expected) in REQUIRED_FLAGS_ONLY.items():
+        argv = [command, *flags]
+        assert run(argv) == EXIT_OK
+        args = build_parser().parse_args(argv)
+        config = {dest: getattr(args, dest) for dest in _options(args.subparser)}
+        if command in ("synth", "preprocess", "fit"):
+            config = json.loads(Path(args.out, "manifest.json").read_text())["config"]
+        assert json.dumps(config, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["fit", "--omega", "s"], {"rank": 2.7}),
+    (["fit", "--omega", "s"], {"rank": None}),
+    (["fit", "--omega", "s"], {"rank": "abc"}),
+    (["fit", "--omega", "s"], {"deterministic": 1}),
+    (["fit", "--omega", "s"], {"tol": True}),
+    (["fit", "--omega", "s"], {"threads": -1}),
+    (["preprocess", "--updates", "u", "--venues", "v", "--catmap", "c"],
+     {"slot_mode": "weekly"}),
+    (["synth"], {"out": None}),
+], ids=lambda v: json.dumps(v) if isinstance(v, dict) else v[0])
+def test_config_value_must_fit_its_flag(tmp_path, capsys, argv, payload):
+    """A config value is checked against its flag's type, choices and default
+    before anything runs, and the error names the file and the key."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([*argv, "--config", str(cfg), "--out", str(out)]) == EXIT_INPUT
+    [(key, value)] = payload.items()
+    assert capsys.readouterr().err == (
+        f"error: config file {cfg}: {key} cannot be {json.dumps(value)}\n")
+    assert not out.exists()
 
 
 def test_readme_commands_parse():
