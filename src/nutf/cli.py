@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import json
+import math
 import os
 import platform
 import sys
@@ -41,8 +42,14 @@ def _options(subparser: argparse.ArgumentParser) -> dict:
             if a.option_strings and not a.required and a.dest not in ("help", "config")}
 
 
+def _finite(value) -> bool:
+    """False for a float NaN or infinity; an integer is finite at any size."""
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def _accepts(action: argparse.Action, value) -> bool:
-    """Whether a JSON value fits the flag's declaration; a float flag takes integers too."""
+    """Whether a JSON value fits the flag's declaration; a float flag takes integers
+    too, but no NaN or infinity."""
     if value is None:
         return action.default is None
     if isinstance(action, argparse.BooleanOptionalAction):
@@ -50,8 +57,16 @@ def _accepts(action: argparse.Action, value) -> bool:
     if isinstance(value, bool):
         return False
     if action.type in (int, float):
-        return isinstance(value, (int, action.type))
+        return isinstance(value, (int, action.type)) and _finite(value)
     return isinstance(value, str) and (action.choices is None or value in action.choices)
+
+
+def _check_finite(args: argparse.Namespace) -> None:
+    """Reject a float flag given as nan or inf: no command has a use for one."""
+    for dest, action in _options(args.subparser).items():
+        value = getattr(args, dest)
+        if action.type is float and not _finite(value):
+            raise ValueError(f"{action.option_strings[0]} {value}: must be a finite number")
 
 
 def _read_config(path: str, options: dict) -> dict:
@@ -89,13 +104,15 @@ def _write_manifest(out_dir: Path, args: argparse.Namespace) -> None:
     cfg = {dest: getattr(args, dest) for dest in _options(args.subparser)}
     manifest = {"command": args.command, "config": cfg, "versions": _versions()}
     (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n",
+        encoding="utf-8",
     )
 
 
 def _write_timings(out_dir: Path, timings: dict) -> None:
     (out_dir / "timings.json").write_text(
-        json.dumps(timings, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(timings, indent=2, sort_keys=True, allow_nan=False) + "\n",
+        encoding="utf-8",
     )
 
 
@@ -355,6 +372,7 @@ def main(argv=None) -> int:
         if args.config:
             args.subparser.set_defaults(**_read_config(args.config, _options(args.subparser)))
             args = parser.parse_args(argv)  # explicit flags beat the file's defaults
+        _check_finite(args)
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -224,11 +224,11 @@ class BlockSparseMatrix:
 
     def max_block_sum_error(self) -> float:
         """max_b |sum(block b) - 1|; 0.0 when there are no blocks."""
-        sums = _block_sums(self.values, self.support.block_ptr)
+        sums = block_sums(self.values, self.support.block_ptr)
         return float(np.abs(sums - 1.0).max(initial=0.0))
 
 
-def _block_sums(values: np.ndarray, block_ptr: np.ndarray) -> np.ndarray:
+def block_sums(values: np.ndarray, block_ptr: np.ndarray) -> np.ndarray:
     """Sum of each block of ``values``, with the bits of np.add.reduceat.
 
     When all blocks share one size, :func:`row_sums` adds the rows of the
@@ -373,16 +373,25 @@ def model_support_values(model: LowRankModel, support: CandidateSets) -> np.ndar
     _, cols, rows = support.csr_structure(model.dims)
     n = len(cols)
     out = np.empty(n, dtype=np.float64)
-    u, v = model.user_factor, model.col_factor
 
     def materialize_chunk(lo: int, hi: int) -> None:
-        # without optimize=True the low bits of the sums change, and with
-        # them the bytes fit writes
-        np.einsum("er,er->e", np.take(u, rows[lo:hi], axis=0), np.take(v, cols[lo:hi], axis=0),
-                  out=out[lo:hi], optimize=True)
+        completion_values(model, rows[lo:hi], cols[lo:hi], out[lo:hi])
 
     run_chunks(materialize_chunk, [*range(0, n, _ENTRY_CHUNK), n])
     return out
+
+
+def completion_values(model: LowRankModel, rows: np.ndarray, cols: np.ndarray,
+                      out: np.ndarray) -> None:
+    """Write the completion's value at each (rows[e], cols[e]) of the unfolding into out[e].
+
+    Each value is one inner product of two gathered factor rows, so its
+    bits do not depend on which entries share the call.
+    """
+    # without optimize=True the low bits of the sums change, and with them
+    # the bytes fit writes
+    np.einsum("er,er->e", np.take(model.user_factor, rows, axis=0),
+              np.take(model.col_factor, cols, axis=0), out=out, optimize=True)
 
 
 def gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -404,8 +413,14 @@ def sum_dots(n: int, dots: Callable[[int, int], tuple[float, ...]]) -> tuple[flo
     on its thread, and :func:`nutf.parallel.sum_blocks` adds them in block
     order. Up to DOT_SERIAL entries, 0 included, this is ``dots(0, n)``.
     """
-    cuts = [0, *range(DOT_SERIAL, n, DOT_SERIAL), n]
-    return tuple(sum_blocks(lambda lo, hi: np.array(dots(lo, hi)), cuts, _DOT_BLOCKS).tolist())
+    return tuple(sum_blocks(lambda lo, hi: np.array(dots(lo, hi)), dot_blocks(n),
+                            _DOT_BLOCKS).tolist())
+
+
+def dot_blocks(n: int) -> list[int]:
+    """Cuts of n entries into the blocks of DOT_SERIAL entries that every long
+    dot product runs in; n = 0 is one empty block."""
+    return [0, *range(DOT_SERIAL, n, DOT_SERIAL), n]
 
 
 def frobenius_gap(
@@ -426,13 +441,19 @@ def frobenius_gap(
         raise ValueError("model and matrix dimensions do not match")
     if y_support.shape != x.values.shape:
         raise ValueError("y_support misaligned with the matrix support")
-    values, c = x.values, model.c.ravel()
+    values = x.values
 
     def on_support_dots(lo: int, hi: int) -> tuple[float, float]:
         diff, y = values[lo:hi] - y_support[lo:hi], y_support[lo:hi]
         return float(diff @ diff), float(y @ y)
 
-    on_support, y_on = sum_dots(len(values), on_support_dots)
+    return gap_from_support(model, *sum_dots(len(values), on_support_dots))
+
+
+def gap_from_support(model: LowRankModel, on_support: float, y_on: float) -> float:
+    """||X - Y||_F^2 from its on-support part and ||Y_support||^2 (see
+    :func:`frobenius_gap`): the off-support part is ||C||_F^2 - ||Y_support||^2."""
+    c = model.c.ravel()
     (total_y,) = sum_dots(len(c), lambda lo, hi: (float(c[lo:hi] @ c[lo:hi]),))
     # rounding can drive the off-support part slightly negative when Y ~ X
     return max(on_support + (total_y - y_on), 0.0)

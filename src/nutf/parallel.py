@@ -1,10 +1,10 @@
 """Thread fan-out for the support kernels, the subspace products, generation and scoring.
 
-The per-block projection, the per-entry materialization, the row
-chunks of both sparse products, the row blocks of the QR's panel
-products and Grams, the blocks of the fit's dot products, the user
-chunks of the synthetic generator and the pair chunks of top-k scoring
-split their input at chunk boundaries fixed by the input alone and hand
+The solver's pass over the support (Y, its per-block projection and
+the iteration's dot products), the row chunks of both sparse products,
+the row blocks of the QR's panel products and Grams, the user chunks of
+the synthetic generator and the pair chunks of top-k scoring split
+their input at chunk boundaries fixed by the input alone and hand
 the chunks, one or many, to :func:`run_chunks`. Numpy and scipy's
 sparse routines release the interpreter lock inside the random draws,
 sorts, gathers and products of each chunk, so threads overlap. Each
@@ -18,7 +18,7 @@ use. ``nutf fit --threads N`` caps the workers at N (:func:`capped`).
 This pool owns every thread of a multi-chunk kernel: each BLAS call in
 it stays small enough that OpenBLAS computes it on the calling thread
 (:func:`row_blocks` for panel products, Grams and the per-slot score
-products, :func:`nutf.core.sum_dots` for dot products). A call that
+products, :func:`nutf.core.dot_blocks` for dot products). A call that
 OpenBLAS threads leaves its idle workers spinning for tens of
 milliseconds, which takes cores from the pool's next chunks, and a
 threaded dot product adds its threads' halves in an order that depends

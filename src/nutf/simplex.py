@@ -117,19 +117,40 @@ def _project_rows(block: np.ndarray, out: np.ndarray) -> None:
         out[feas] = block[feas]
 
 
+def project_into(values: np.ndarray, block_ptr: np.ndarray, out: np.ndarray) -> None:
+    """Write the projection of each block of ``values`` into ``out``, on the calling thread.
+
+    Block b is ``values[block_ptr[b]:block_ptr[b+1]]``; ``block_ptr`` runs
+    from 0 to len(values), every block is non-empty and every entry
+    finite. When all blocks share one size d, they are a (blocks x d) view
+    of ``values``; otherwise they are gathered per size. Each group of
+    rows runs as one column-wise pass, and each row's arithmetic is its
+    own, so a block's projection does not depend on the blocks around it.
+    """
+    sizes = np.diff(block_ptr)
+    counts = np.bincount(sizes)
+    if len(sizes) and counts[sizes[0]] == len(sizes):
+        d = int(sizes[0])
+        _project_rows(values.reshape(-1, d), out.reshape(-1, d))
+        return
+    for d in np.nonzero(counts)[0]:
+        starts = block_ptr[:-1][sizes == d]
+        gather = starts[:, None] + np.arange(d)[None, :]
+        projected = np.empty((len(starts), d))
+        _project_rows(values[gather], projected)
+        out[gather] = projected
+
+
 def project_blocks(values: np.ndarray, block_ptr: np.ndarray) -> np.ndarray:
     """Project each contiguous block of ``values`` onto the simplex.
 
     Block b is ``values[block_ptr[b]:block_ptr[b+1]]``. The blocks are cut
     into chunks of about ``_PROJECT_CHUNK`` entries
-    (:func:`nutf.parallel.chunk_bounds`), which run on
-    :func:`nutf.parallel.run_chunks`. When all blocks share one size d, a
-    chunk is a (blocks x d) view of ``values``; otherwise its blocks are
-    gathered per size. Each group of rows runs as one column-wise pass,
-    and each row's arithmetic is its own, so the output does not depend
-    on the chunking. ``values`` must be 1-D with finite entries and every
-    block non-empty; output entries are >= 0 and each block sums to 1 up
-    to roundoff (~1e-12 * d).
+    (:func:`nutf.parallel.chunk_bounds`), which run
+    :func:`project_into` on :func:`nutf.parallel.run_chunks`, so the
+    output does not depend on the chunking. ``values`` must be 1-D with
+    finite entries and every block non-empty; output entries are >= 0 and
+    each block sums to 1 up to roundoff (~1e-12 * d).
     """
     values = np.asarray(values, dtype=np.float64)
     block_ptr = np.asarray(block_ptr)
@@ -137,27 +158,15 @@ def project_blocks(values: np.ndarray, block_ptr: np.ndarray) -> np.ndarray:
         raise ValueError("values must be a 1-D vector")
     if len(block_ptr) == 0 or block_ptr[0] != 0 or block_ptr[-1] != len(values):
         raise ValueError("block_ptr must run from 0 to len(values)")
-    out = np.empty(len(values))
-    sizes = np.diff(block_ptr)
-    present = np.nonzero(np.bincount(sizes))[0]
-    if len(present) and present[0] == 0:
+    if (np.diff(block_ptr) < 1).any():
         raise ValueError("blocks must be non-empty")
+    out = np.empty(len(values))
 
     def project_chunk(b0: int, b1: int) -> None:
         lo, hi = block_ptr[b0], block_ptr[b1]
         if not np.all(np.isfinite(values[lo:hi])):
             raise ValueError("entries must be finite")
-        if len(present) == 1:
-            d = present[0]
-            _project_rows(values[lo:hi].reshape(-1, d), out[lo:hi].reshape(-1, d))
-            return
-        chunk_sizes = sizes[b0:b1]
-        for d in np.nonzero(np.bincount(chunk_sizes))[0]:
-            starts = block_ptr[b0:b1][chunk_sizes == d]
-            gather = starts[:, None] + np.arange(d)[None, :]
-            projected = np.empty((len(starts), d))
-            _project_rows(values[gather], projected)
-            out[gather] = projected
+        project_into(values[lo:hi], block_ptr[b0:b1 + 1] - lo, out[lo:hi])
 
     run_chunks(project_chunk, chunk_bounds(block_ptr, _PROJECT_CHUNK))
     return out

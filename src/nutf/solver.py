@@ -4,7 +4,9 @@ Each outer iteration fixes X and replaces Y with a rank-r approximation,
 then fixes Y and projects every candidate block of Y back onto the
 probability simplex (off-support entries stay zero by representation).
 Both half-steps exactly minimize ||X - Y||_F^2 over their own variable,
-so no step sizes or learning rates are involved.
+so no step sizes or learning rates are involved. The second half-step
+reads Y on the support chunk by chunk, in the same pass that projects it
+and takes the iteration's sums, so Y is never stored whole.
 """
 
 from __future__ import annotations
@@ -20,13 +22,26 @@ from .core import (
     CandidateSets,
     LowRankModel,
     ProblemDims,
-    frobenius_gap,
-    sum_dots,
+    block_sums,
+    completion_values,
+    dot_blocks,
+    gap_from_support,
 )
 from .linalg import NumericalError, sparse_lowrank_approx
-from .simplex import project_blocks
+from .parallel import run_chunks
+from .simplex import project_into
+# fit calls neither since the support pass took their place; perfbench's
+# traced run spans them under this module's names
+from .core import frobenius_gap  # noqa: F401
+from .simplex import project_blocks  # noqa: F401
 
 IterationCallback = Callable[[int, BlockSparseMatrix, LowRankModel, float], None]
+
+# Dot blocks per chunk of the support pass. A smaller chunk spends more of
+# its time in per-call Python, under the interpreter lock that the pool's
+# threads share; a larger one holds more scratch, 2 * r floats of factor
+# gathers per entry.
+_PASS_BLOCKS = 4
 
 
 @dataclass(frozen=True)
@@ -42,8 +57,9 @@ class SolverConfig:
             raise ValueError("rank must be >= 1")
         if self.outer_iters < 1:
             raise ValueError("outer_iters must be >= 1")
-        if self.tol < 0:
-            raise ValueError("tol must be >= 0")
+        # written so that a NaN fails it too
+        if not 0 <= self.tol < np.inf:
+            raise ValueError(f"tol must be a finite number >= 0, got {self.tol}")
         if self.power_iters < 0:
             raise ValueError("power_iters must be >= 0")
 
@@ -58,11 +74,11 @@ class SolverTrace:
     last pass turned the basis by (None when it ran no pass), two audits
     of the iterate (``q_ortho_error``, max|Q^T Q - I| of the model's basis,
     and ``block_sum_error``, max |block sum - 1| of the new X), and in
-    ``kernel_seconds`` the seconds of each of its kernels: ``spmm``,
-    ``qr`` and ``materialize`` from the low-rank half-step, then
-    ``project``, ``gap`` (the objective), ``delta`` and ``audit`` (the two
-    audits). ``init_seconds`` is the uniform start, run once before the
-    first iteration.
+    ``kernel_seconds`` the seconds of each of its kernels: ``spmm`` and
+    ``qr`` from the low-rank half-step, then ``support_pass`` (Y on the
+    support, its projection, the objective, the change in X and the block
+    sums, in one pass) and ``audit`` (Q's orthonormality). ``init_seconds``
+    is the uniform start, run once before the first iteration.
     ``trace.jsonl`` gets every field but the kernel split; ``nutf fit``
     writes the split, summed over the iterations, to its wall-clock file.
     """
@@ -125,29 +141,67 @@ def init_x(omega: CandidateSets, dims: ProblemDims) -> BlockSparseMatrix:
     return BlockSparseMatrix(dims, omega, np.repeat(1.0 / sizes, sizes))
 
 
-def update_x(
-    y_on_support: np.ndarray,
-    omega: CandidateSets,
-    dims: ProblemDims,
-) -> BlockSparseMatrix:
-    """Nearest feasible X to Y: per-block simplex projection of Y's values."""
-    y_on_support = np.asarray(y_on_support, dtype=np.float64)
-    if y_on_support.shape != (omega.total_size,):
-        raise ValueError(
-            f"got {y_on_support.shape} values for a support of size {omega.total_size}"
-        )
-    return BlockSparseMatrix(dims, omega, project_blocks(y_on_support, omega.block_ptr))
+def _support_pass(
+    x: BlockSparseMatrix,
+    model: LowRankModel,
+) -> tuple[BlockSparseMatrix, float, float, float]:
+    """The X half-step and the iteration's sums, in one pass over the support.
 
+    Returns X+, the completion Y's candidate blocks projected onto the
+    simplex; the objective ||X+ - Y||_F^2 over the full matrix; ||X+ - X||;
+    and X+'s max |block sum - 1|. A non-finite value of Y raises
+    NumericalError.
 
-def _distance(a: np.ndarray, b: np.ndarray) -> float:
-    """||a - b||, summed in blocks (see :func:`nutf.core.sum_dots`)."""
+    Each chunk of :func:`nutf.parallel.run_chunks` owns _PASS_BLOCKS dot
+    blocks (:func:`nutf.core.dot_blocks`). It computes and projects Y on
+    every candidate block that meets its entries, so a block that crosses
+    a chunk edge is done by both chunks, with the same bits; it writes X+
+    on its own entries only and keeps its dot blocks' dots, which are
+    added in block order. So the results have the bits of
+    :func:`nutf.core.model_support_values`,
+    :func:`nutf.simplex.project_blocks`, :func:`nutf.core.frobenius_gap`
+    and a blocked ||X+ - X|| run one after another, for any CPU count,
+    while only X and X+ span the whole support.
+    """
+    support, dims = x.support, x.dims
+    _, cols, rows = support.csr_structure(dims)
+    ptr, old = support.block_ptr, x.values
+    new = np.empty(len(old))
+    cuts = dot_blocks(len(old))
+    n_dots = len(cuts) - 1
+    # per dot block: ||X+ - Y||^2, ||Y||^2 and ||X+ - X||^2 on its entries
+    dots = np.empty((n_dots, 3))
+    # per chunk, at its first dot block: max |block sum - 1| of its blocks
+    errors = np.zeros(n_dots)
 
-    def block(lo: int, hi: int) -> tuple[float]:
-        diff = a[lo:hi] - b[lo:hi]
-        return (float(diff @ diff),)
+    def chunk(k0: int, k1: int) -> None:
+        lo, hi = cuts[k0], cuts[k1]
+        # blocks b0 to b1 - 1 meet entries [lo, hi) and span [s, e)
+        b0 = int(np.searchsorted(ptr, lo, side="right")) - 1
+        b1 = int(np.searchsorted(ptr, hi))
+        s, e = int(ptr[b0]), int(ptr[b1])
+        y = np.empty(e - s)
+        completion_values(model, rows[s:e], cols[s:e], y)
+        if not np.all(np.isfinite(y)):
+            raise NumericalError("non-finite completion values")
+        local_ptr = ptr[b0:b1 + 1] - s
+        projected = np.empty(e - s)
+        project_into(y, local_ptr, projected)
+        new[lo:hi] = projected[lo - s:hi - s]
+        for k in range(k0, k1):
+            a, b = cuts[k], cuts[k + 1]
+            y_k = y[a - s:b - s]
+            gap, step = new[a:b] - y_k, new[a:b] - old[a:b]
+            dots[k] = gap @ gap, y_k @ y_k, step @ step
+        owned = int(np.searchsorted(ptr, lo)) - b0
+        errors[k0] = np.abs(block_sums(projected, local_ptr)[owned:] - 1.0).max(initial=0.0)
 
-    (squares,) = sum_dots(len(a), block)
-    return float(np.sqrt(squares))
+    run_chunks(chunk, [*range(0, n_dots, _PASS_BLOCKS), n_dots])
+    # cumsum adds in block order, the order of nutf.parallel.sum_blocks
+    on_support, y_on, squares = np.cumsum(dots, axis=0)[-1].tolist()
+    objective = gap_from_support(model, on_support, y_on)
+    new_x = BlockSparseMatrix(dims, support, new)
+    return new_x, objective, float(np.sqrt(squares)), float(errors.max())
 
 
 def _relative_change(prev: float, cur: float) -> float:
@@ -182,22 +236,17 @@ def fit(
     start: np.ndarray | None = None
     for it in range(1, cfg.outer_iters + 1):
         t0 = time.perf_counter()
-        model, y_support, kernels, passes, angle = sparse_lowrank_approx(
+        model, kernels, passes, angle = sparse_lowrank_approx(
             x, replace(cfg, seed=cfg.seed ^ it), start=start
         )
         start = model.q
         t1 = time.perf_counter()
-        new_x = update_x(y_support, omega, dims)
+        x, objective, x_delta, sum_error = _support_pass(x, model)
         t2 = time.perf_counter()
-        objective = frobenius_gap(new_x, model, y_support)
+        q_error = model.orthonormality_error()
         t3 = time.perf_counter()
-        x_delta = _distance(new_x.values, x.values)
-        x = new_x
-        t4 = time.perf_counter()
-        q_error, sum_error = model.orthonormality_error(), x.max_block_sum_error()
-        t5 = time.perf_counter()
-        kernels.update(project=t2 - t1, gap=t3 - t2, delta=t4 - t3, audit=t5 - t4)
-        trace.append(objective, t5 - t0, x_delta, passes, angle, q_error, sum_error, kernels)
+        kernels.update(support_pass=t2 - t1, audit=t3 - t2)
+        trace.append(objective, t3 - t0, x_delta, passes, angle, q_error, sum_error, kernels)
         if not np.isfinite(objective):
             raise NumericalError(f"objective diverged at iteration {it}")
         if on_iteration is not None:

@@ -6,8 +6,10 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from nutf import parallel
-from nutf.core import BlockSparseMatrix, CandidateSets, LowRankModel, ProblemDims
+from nutf.core import (BlockSparseMatrix, CandidateSets, LowRankModel, ProblemDims,
+                       frobenius_gap, model_support_values, sum_dots)
 from nutf.harness import GroundTruth, SynthConfig
+from nutf.linalg import NumericalError
 from nutf.simplex import _FEAS_TOL, project_blocks
 from nutf.solver import SolverConfig, SolverTrace, _relative_change, init_x
 
@@ -114,6 +116,40 @@ def project_simplex(v) -> np.ndarray:
             # more than 1 below its maximum 0 get 0 either way
             return project_simplex(np.maximum(v - v.max(), -2.0))
     return np.maximum(v - theta, 0.0)
+
+
+def update_x(y_on_support, omega: CandidateSets, dims: ProblemDims) -> BlockSparseMatrix:
+    """Nearest feasible X to Y: per-block simplex projection of Y's values."""
+    y_on_support = np.asarray(y_on_support, dtype=np.float64)
+    if y_on_support.shape != (omega.total_size,):
+        raise ValueError(
+            f"got {y_on_support.shape} values for a support of size {omega.total_size}"
+        )
+    return BlockSparseMatrix(dims, omega, project_blocks(y_on_support, omega.block_ptr))
+
+
+def distance(a: np.ndarray, b: np.ndarray) -> float:
+    """||a - b||, summed in blocks (see :func:`nutf.core.sum_dots`)."""
+
+    def block(lo: int, hi: int) -> tuple[float]:
+        diff = a[lo:hi] - b[lo:hi]
+        return (float(diff @ diff),)
+
+    (squares,) = sum_dots(len(a), block)
+    return float(np.sqrt(squares))
+
+
+def serial_support_pass(x: BlockSparseMatrix, model: LowRankModel):
+    """The X half-step as one whole-vector sweep per step: Y on the support,
+    its finiteness check, the projection, the objective, the change in X and
+    the block-sum audit. The byte-level oracle for nutf.solver._support_pass;
+    returns the same (X+, objective, ||X+ - X||, max |block sum - 1|)."""
+    y = model_support_values(model, x.support)
+    if not np.all(np.isfinite(y)):
+        raise NumericalError("non-finite completion values")
+    new_x = update_x(y, x.support, x.dims)
+    return (new_x, frobenius_gap(new_x, model, y), distance(new_x.values, x.values),
+            new_x.max_block_sum_error())
 
 
 def serial_generate(cfg: SynthConfig):

@@ -213,7 +213,7 @@ class TestBlockSparseMatrix:
         values[d:4 * d:d] = 0.0
         block_ptr = np.arange(0, n * d + 1, d)
         expected = np.add.reduceat(values, block_ptr[:-1])
-        assert core._block_sums(values, block_ptr).tobytes() == expected.tobytes()
+        assert core.block_sums(values, block_ptr).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("d", range(1, 13))
     def test_row_sums_bytes_equal_reduceat(self, d):
@@ -236,7 +236,7 @@ class TestBlockSparseMatrix:
         values = rng.standard_normal(block_ptr[-1])
         values[rng.random(len(values)) < 0.3] = -0.0
         expected = np.add.reduceat(values, block_ptr[:-1])
-        assert core._block_sums(values, block_ptr).tobytes() == expected.tobytes()
+        assert core.block_sums(values, block_ptr).tobytes() == expected.tobytes()
 
     def test_nan_rejected(self, small_omega, small_dims):
         vals = np.ones(small_omega.total_size)

@@ -318,6 +318,13 @@ def gapped_instance(rng, n=20, t=6, c=5, rank=5, noise=0.01):
     return make_x(dims, omega, dense.ravel()), dense
 
 
+def lowrank_on_support(x, cfg, start=None):
+    """sparse_lowrank_approx's (model, seconds, passes, angle), with the
+    completion's values on x's support inserted second."""
+    model, seconds, passes, angle = sparse_lowrank_approx(x, cfg, start=start)
+    return model, model_support_values(model, x.support), seconds, passes, angle
+
+
 class TestSparseLowRankApprox:
     def test_exact_rank_one_recovered(self):
         rng = np.random.default_rng(7)
@@ -325,14 +332,14 @@ class TestSparseLowRankApprox:
         omega = full_support(7, 2, 3)
         dense = np.outer(rng.random(7) + 0.1, rng.random(6) + 0.1)
         x = make_x(dims, omega, dense.ravel())
-        model, ys, *_ = sparse_lowrank_approx(x, SolverConfig(rank=1, power_iters=3, seed=0))
+        model, ys, *_ = lowrank_on_support(x, SolverConfig(rank=1, power_iters=3, seed=0))
         assert np.linalg.norm(ys - x.values) <= 1e-8 * np.linalg.norm(x.values)
 
     def test_zero_matrix(self):
         dims = ProblemDims(5, 2, 2)
         omega = full_support(5, 2, 2)
         x = make_x(dims, omega, np.zeros(omega.total_size))
-        model, ys, *_ = sparse_lowrank_approx(x, SolverConfig(rank=2, power_iters=2, seed=1))
+        model, ys, *_ = lowrank_on_support(x, SolverConfig(rank=2, power_iters=2, seed=1))
         assert np.all(ys == 0.0)
         assert np.all(model.c == 0.0)
         model.validate()
@@ -360,7 +367,7 @@ class TestSparseLowRankApprox:
             seed = 100 + trial
             residuals = []
             for m in (1, 6, 11):
-                _, ys, *_ = sparse_lowrank_approx(x, SolverConfig(rank=3, power_iters=m, seed=seed))
+                _, ys, *_ = lowrank_on_support(x, SolverConfig(rank=3, power_iters=m, seed=seed))
                 residuals.append(float(((x.values - ys) ** 2).sum()))
             assert residuals[1] <= residuals[0] + 1e-9
             assert residuals[2] <= residuals[1] + 1e-9
@@ -368,8 +375,8 @@ class TestSparseLowRankApprox:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(10)
         x, _ = gapped_instance(rng)
-        m1, y1, *_ = sparse_lowrank_approx(x, SolverConfig(rank=4, power_iters=5, seed=33))
-        m2, y2, *_ = sparse_lowrank_approx(x, SolverConfig(rank=4, power_iters=5, seed=33))
+        m1, y1, *_ = lowrank_on_support(x, SolverConfig(rank=4, power_iters=5, seed=33))
+        m2, y2, *_ = lowrank_on_support(x, SolverConfig(rank=4, power_iters=5, seed=33))
         assert np.array_equal(m1.q, m2.q)
         assert np.array_equal(m1.c, m2.c)
         assert np.array_equal(y1, y2)
@@ -401,8 +408,8 @@ class TestSparseLowRankApprox:
         xb = make_x(dims_b, omega_b, dense_a.T.ravel())
 
         cfg = SolverConfig(rank=3, power_iters=4, seed=77)
-        model_a, ys_a, *_ = sparse_lowrank_approx(xa, cfg)
-        model_b, ys_b, *_ = sparse_lowrank_approx(xb, cfg)
+        model_a, ys_a, *_ = lowrank_on_support(xa, cfg)
+        model_b, ys_b, *_ = lowrank_on_support(xb, cfg)
         assert not dims_a.transposed and dims_b.transposed
         assert model_a.q.shape == model_b.q.shape == (12, 3)
 
@@ -442,8 +449,8 @@ class TestWarmStart:
         u, _, vt = np.linalg.svd(dense, full_matrices=False)
         start = np.ascontiguousarray(vt[:3].T if dims.transposed else u[:, :3])
         cfg = SolverConfig(rank=3, power_iters=8, seed=5)
-        _, y_warm, _, passes, angle = sparse_lowrank_approx(x, cfg, start=start)
-        _, y_cold, *_ = sparse_lowrank_approx(x, cfg)
+        _, y_warm, _, passes, angle = lowrank_on_support(x, cfg, start=start)
+        _, y_cold, *_ = lowrank_on_support(x, cfg)
         # sqrt(1 - cos^2) resolves no angle below about sqrt(eps) = 1.5e-8
         assert passes == 1 and angle <= 1e-7
         assert np.abs(y_warm - y_cold).max() <= 1e-10
@@ -455,7 +462,7 @@ class TestWarmStart:
         start, _ = np.linalg.qr(rng.standard_normal((30, 4)))  # far from the top subspace
         for m, cap in ((0, 1), (1, 1), (3, 3)):
             cfg = SolverConfig(rank=4, power_iters=m, seed=0)
-            _, _, _, passes, angle = sparse_lowrank_approx(x, cfg, start=start)
+            _, _, passes, angle = sparse_lowrank_approx(x, cfg, start=start)
             assert passes == cap
             assert angle > 1e-5
 
@@ -463,9 +470,9 @@ class TestWarmStart:
         rng = np.random.default_rng(16)
         x, _ = gapped_instance(rng)
         start, _ = np.linalg.qr(rng.standard_normal((30, 4)))
-        m1, y1, *_ = sparse_lowrank_approx(x, SolverConfig(rank=4, power_iters=5, seed=1),
+        m1, y1, *_ = lowrank_on_support(x, SolverConfig(rank=4, power_iters=5, seed=1),
                                            start=start)
-        m2, y2, *_ = sparse_lowrank_approx(x, SolverConfig(rank=4, power_iters=5, seed=2),
+        m2, y2, *_ = lowrank_on_support(x, SolverConfig(rank=4, power_iters=5, seed=2),
                                            start=start)
         assert m1.q.tobytes() == m2.q.tobytes()
         assert y1.tobytes() == y2.tobytes()
@@ -634,12 +641,12 @@ class TestOneChunkPath:
     def test_matches_plain_products(self, no_pool, dims):
         x = random_x(26, dims)
         cfg = SolverConfig(rank=4, power_iters=3, seed=8)
-        cold, y_cold, *_ = sparse_lowrank_approx(x, cfg)
+        cold, y_cold, *_ = lowrank_on_support(x, cfg)
         ref_cold, y_ref = serial_lowrank_reference(x, cfg)
         assert cold.q.tobytes() == ref_cold.q.tobytes()
         assert cold.c.tobytes() == ref_cold.c.tobytes()
         assert y_cold.tobytes() == y_ref.tobytes()
-        warm, y_warm, *_ = sparse_lowrank_approx(x, cfg, start=cold.q)
+        warm, y_warm, *_ = lowrank_on_support(x, cfg, start=cold.q)
         ref_warm, y_ref = serial_lowrank_reference(x, cfg, start=cold.q)
         assert warm.q.tobytes() == ref_warm.q.tobytes()
         assert y_warm.tobytes() == y_ref.tobytes()

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,16 +13,16 @@ import numpy as np
 import pytest
 
 import nutf
-from nutf import core, linalg, parallel
-from nutf.core import BlockSparseMatrix, CandidateSets, ProblemDims
-from nutf.linalg import sparse_lowrank_approx
+from nutf import core, linalg, parallel, solver
+from nutf.core import BlockSparseMatrix, CandidateSets, LowRankModel, ProblemDims
+from nutf.harness import SynthConfig, generate
+from nutf.linalg import NumericalError, sparse_lowrank_approx
 from nutf.solver import (
     SolverConfig,
     SolverTrace,
     fit,
     init_x,
     predict_topk,
-    update_x,
 )
 
 from conftest import (
@@ -31,7 +32,9 @@ from conftest import (
     exact_model,
     random_model,
     random_omega,
+    serial_support_pass,
     to_dense,
+    update_x,
     zero_model,
 )
 
@@ -64,6 +67,11 @@ class TestSolverConfig:
             SolverConfig(rank=1, tol=-1.0)
         with pytest.raises(ValueError):
             SolverConfig(rank=1, power_iters=-1)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be a finite number"):
+            SolverConfig(rank=1, tol=tol)
 
 
 class TestInitX:
@@ -173,8 +181,7 @@ class TestFit:
         assert trace.init_seconds > 0.0
         assert len(trace.kernel_seconds) == trace.n_iterations == 4
         for kernels, seconds in zip(trace.kernel_seconds, trace.seconds):
-            assert set(kernels) == {"spmm", "qr", "materialize", "project", "gap", "delta",
-                                    "audit"}
+            assert set(kernels) == {"spmm", "qr", "support_pass", "audit"}
             assert all(v >= 0.0 for v in kernels.values())
             assert sum(kernels.values()) <= seconds
 
@@ -241,6 +248,69 @@ class _CountingMax(np.ndarray):
     def max(self, *args, **kwargs):
         _CountingMax.calls += 1
         return super().max(*args, **kwargs)
+
+
+class TestSupportPass:
+    """solver._support_pass against the separate sweeps of
+    conftest.serial_support_pass, bit for bit."""
+
+    @staticmethod
+    def inputs(instance):
+        if instance == "uniform":  # blocks of 4: none crosses a 10,000-entry edge
+            omega, _, dims = generate(SynthConfig(2000, 20, 10, n_classes=4, slot_density=0.5,
+                                                  seed=3))
+        else:  # sizes 1 to 6
+            omega, dims = multi_chunk_instance(8, n=3000)
+        rng = np.random.default_rng(4)
+        x = BlockSparseMatrix(dims, omega, rng.random(omega.total_size))
+        return x, random_model(rng, dims, 3)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("dot_serial", [10_000, 999])
+    @pytest.mark.parametrize("instance", ["uniform", "mixed"])
+    def test_bytes_equal_separate_sweeps(self, fresh_pools, monkeypatch, instance, dot_serial,
+                                         workers):
+        # at 999 entries per dot block and one block per chunk, candidate
+        # blocks cross chunk edges in both instances
+        monkeypatch.setattr(core, "DOT_SERIAL", dot_serial)
+        monkeypatch.setattr(solver, "_PASS_BLOCKS", 1 if dot_serial < 10_000 else 4)
+        x, model = self.inputs(instance)
+        assert x.support.total_size > 3 * dot_serial
+        with parallel.capped(workers):
+            new_x, objective, delta, sum_error = solver._support_pass(x, model)
+        ref_x, ref_objective, ref_delta, ref_sum_error = serial_support_pass(x, model)
+        assert new_x.values.tobytes() == ref_x.values.tobytes()
+        assert (objective, delta, sum_error) == (ref_objective, ref_delta, ref_sum_error)
+        assert sum_error <= 1e-12 and new_x.support is x.support
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_finite_completion_raises(self, fresh_pools, monkeypatch, workers):
+        monkeypatch.setattr(core, "DOT_SERIAL", 999)
+        monkeypatch.setattr(solver, "_PASS_BLOCKS", 1)
+        x, model = self.inputs("mixed")
+        c = model.c.copy()
+        c[0, -1] = np.nan  # the last column's entries, in the last chunks
+        bad = LowRankModel(model.dims, q=model.q, c=c)
+        with parallel.capped(workers), pytest.raises(NumericalError, match="non-finite"):
+            solver._support_pass(x, bad)
+
+    def test_fit_keeps_two_support_vectors(self):
+        """While fit runs, X and X+ are the only vectors as long as the support
+        alive at once: the traced peak stays below the layout plus 2.5 of them.
+        Y held whole next to both, as the separate sweeps hold it, breaks this."""
+        omega, _, dims = generate(SynthConfig(8000, 100, 50, n_classes=5, slot_density=0.5,
+                                              seed=1))
+        assert omega.total_size == 1_600_000 and not dims.transposed
+        cfg = SolverConfig(rank=2, outer_iters=2, power_iters=2, tol=0.0)
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc
+        try:
+            with parallel.capped(2):
+                fit(omega, dims, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        layout = sum(a.nbytes for a in omega.csr_structure(dims))
+        assert peak < layout + 2.5 * 8 * omega.total_size
 
 
 class TestDenseReferenceFit:
@@ -366,19 +436,21 @@ def multi_chunk_instance(seed, n=5000, t=8, c=6):
 def shrink_linalg_chunks(monkeypatch):
     """Cut the sparse products into 4096-entry row chunks, the QR panel
     products and Grams into 32-row blocks (128-row chunks) at rank 4, and
-    the long dot products into 1000-entry blocks (16,000-entry chunks)."""
+    the long dot products, the support pass's included, into 1000-entry
+    blocks."""
     monkeypatch.setattr(linalg, "_SPMM_CHUNK", 1 << 12)
     monkeypatch.setattr(parallel, "GEMM_SERIAL", 1 << 9)
-    monkeypatch.setattr(core, "DOT_SERIAL", 1000)  # the name sum_dots reads
+    monkeypatch.setattr(core, "DOT_SERIAL", 1000)  # the name dot_blocks reads
 
 
 def assert_fit_bytes_independent_of_cpu_count(monkeypatch, omega, dims):
     """One and eight usable CPUs give the same fit bytes, with every threaded
-    kernel, the sparse products, QR panels, Grams and dots included, run in
-    several chunks, and the fit builds at most one pool per worker count."""
+    kernel, the sparse products, QR panels, Grams and the support pass
+    included, run in several chunks, and the fit builds at most one pool per
+    worker count."""
     cfg = SolverConfig(rank=4, outer_iters=3, power_iters=2, tol=0.0, seed=9)
     shrink_linalg_chunks(monkeypatch)
-    pools, linalg_chunks, block_chunks = [], [], []
+    pools, linalg_chunks, block_chunks, pass_chunks = [], [], [], []
 
     class RecordingPool(parallel.ThreadPoolExecutor):
         def __init__(self, max_workers, **kwargs):
@@ -398,7 +470,8 @@ def assert_fit_bytes_independent_of_cpu_count(monkeypatch, omega, dims):
         monkeypatch.setattr(owner, "run_chunks", recording_run_chunks)
 
     recording(linalg, linalg_chunks)  # the sparse products
-    recording(parallel, block_chunks)  # row blocks of panels and Grams, dot blocks
+    recording(parallel, block_chunks)  # row blocks of panels and Grams
+    recording(solver, pass_chunks)  # the support pass
 
     def fit_bytes(cpus):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
@@ -425,11 +498,12 @@ def assert_fit_bytes_independent_of_cpu_count(monkeypatch, omega, dims):
     assert pools == [8]
     # the sparse products ran split, in one chunk count
     assert len(set(linalg_chunks)) == 1 and min(linalg_chunks) > 1
-    # the QR panels and Grams, and the dots, ran split
+    # the QR panels and Grams ran split
     panel_chunks = math.ceil(max(dims.n_users, dims.n_cols) / 128)
-    dot_chunks = math.ceil(math.ceil(omega.total_size / 1000) / core._DOT_BLOCKS)
-    assert panel_chunks > 1 and dot_chunks > 1
-    assert {panel_chunks, dot_chunks} <= set(block_chunks)
+    assert panel_chunks > 1 and panel_chunks in block_chunks
+    # the support pass ran split, in chunks of _PASS_BLOCKS 1000-entry dot blocks
+    dot_chunks = math.ceil(math.ceil(omega.total_size / 1000) / solver._PASS_BLOCKS)
+    assert dot_chunks > 1 and set(pass_chunks) == {dot_chunks}
 
 
 def run_with_blas_threads(code, threads):
