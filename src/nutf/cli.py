@@ -5,8 +5,9 @@ writes its resolved configuration into the output directory so runs are
 diffable; wall-clock numbers go to a separate timings.json, which is the
 only output file allowed to differ between identical runs.
 
-Exit codes: 0 success, 2 usage error, 3 input validation error,
-4 numerical failure.
+Exit codes: 0 success, 2 usage error, 3 input validation error (also
+when the inputs ask for more memory than the machine has), 4 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def _read_config(path: str, options: dict) -> dict:
     """A --config file's values, each checked against its flag's declaration."""
     try:
         cfg = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
         raise ValueError(f"config file {path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise ValueError(f"config file {path}: must hold a JSON object")
@@ -173,10 +174,13 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     scheme = SlotScheme(mode=args.slot_mode, epoch_day=epoch_day)
     t0 = time.perf_counter()
     read_s = t0 - t_read
-    result = build_candidate_sets(
-        updates, venues, scheme, catmap,
-        min_dwell_s=args.min_dwell_min * 60.0, other_category=args.other_category,
-    )
+    try:
+        result = build_candidate_sets(
+            updates, venues, scheme, catmap,
+            min_dwell_s=args.min_dwell_min * 60.0, other_category=args.other_category,
+        )
+    except ValueError as exc:  # the records are valid one by one; a venue's category is unmapped
+        raise ValueError(f"{args.catmap}: {exc} in {args.venues}") from None
     if result.before_window:
         print(f"warning: dropped {result.before_window} update(s) before the window start "
               f"{scheme.epoch_day}", file=sys.stderr)
@@ -376,6 +380,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:  # sizes are read from the inputs, and no count is capped
+        print(f"error: nutf {args.command} ran out of memory: {str(exc) or 'MemoryError'}",
+              file=sys.stderr)
         return EXIT_INPUT
     except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -18,6 +18,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .core import CandidateSets, ProblemDims
+from .serialize import InputDataError, read_records, text_lines
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -29,10 +30,6 @@ UPDATES_HEADER = ["user_id", "timestamp_utc", "lat", "lon", "error_radius_m",
                   "utc_offset_minutes"]
 VENUES_HEADER = ["venue_id", "category", "lat", "lon", "radius_m"]
 CATMAP_HEADER = ["raw_category", "canonical_category"]
-
-
-class InputDataError(ValueError):
-    """Malformed input file; the message names the file and line."""
 
 
 @dataclass(frozen=True)
@@ -105,35 +102,6 @@ def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     sin_angle = math.hypot(c2 * math.sin(dlam), c1 * s2 - s1 * c2 * math.cos(dlam))
     cos_angle = s1 * s2 + c1 * c2 * math.cos(dlam)
     return EARTH_RADIUS_M * math.atan2(sin_angle, cos_angle)
-
-
-def dwell_filter(
-    updates: Sequence[LocationUpdate],
-    min_dwell_s: float,
-) -> list[tuple[LocationUpdate, float]]:
-    """Annotate each update with its dwell time and drop short visits.
-
-    Dwell is the gap to the same user's next update; each user's last
-    update has no successor, so its dwell is unknowable and it is dropped.
-    Input may interleave users, but every user's subsequence must be
-    time-ordered (rejected otherwise). Order of survivors is preserved.
-    """
-    last_seen: dict[str, float] = {}
-    per_user: dict[str, list[tuple[int, LocationUpdate]]] = {}
-    for pos, upd in enumerate(updates):
-        prev = last_seen.get(upd.user_id)
-        if prev is not None and upd.timestamp_utc < prev:
-            raise ValueError(f"updates for user {upd.user_id!r} are not time-ordered")
-        last_seen[upd.user_id] = upd.timestamp_utc
-        per_user.setdefault(upd.user_id, []).append((pos, upd))
-    kept: list[tuple[int, LocationUpdate, float]] = []
-    for seq in per_user.values():
-        for (pos, upd), (_, nxt) in zip(seq, seq[1:]):
-            dwell = nxt.timestamp_utc - upd.timestamp_utc
-            if dwell >= min_dwell_s:
-                kept.append((pos, upd, dwell))
-    kept.sort(key=lambda t: t[0])
-    return [(upd, dwell) for _, upd, dwell in kept]
 
 
 def _unit_vectors(lat, lon) -> np.ndarray:
@@ -238,11 +206,13 @@ def build_candidate_sets(
 ) -> IngestResult:
     """Run the full ingestion pipeline.
 
-    Updates are sorted per user by timestamp, dwell-filtered, assigned to
-    slots (those before the window are dropped and counted in
-    ``before_window``), deduplicated per (user, slot) by keeping the
-    longest dwell (ties keep the earliest), and intersected with the venue
-    catalog.
+    One walk over the updates in (user, time) order: an update's dwell is
+    the gap to the next update when that one is the same user's, so each
+    user's last update drops out, as does a dwell under ``min_dwell_s``.
+    Survivors are assigned to slots (those before the window are dropped
+    and counted in ``before_window``), deduplicated per (user, slot) by
+    keeping the longest dwell (ties keep the earlier update), and
+    intersected with the venue catalog.
     Venue categories map through ``category_map``; unknown raw categories
     raise unless ``other_category`` provides a fallback canonical name.
 
@@ -255,12 +225,12 @@ def build_candidate_sets(
     cat_index = {name: i for i, name in enumerate(canonical)}
 
     ordered = sorted(updates, key=lambda u: (u.user_id, u.timestamp_utc))
-    with_dwell = dwell_filter(ordered, min_dwell_s)
-
-    # longest dwell wins each (user, slot); ties keep the earlier update
     best: dict[tuple[str, int], tuple[LocationUpdate, float]] = {}
     before_window = 0
-    for upd, dwell in with_dwell:
+    for upd, nxt in zip(ordered, ordered[1:]):
+        dwell = nxt.timestamp_utc - upd.timestamp_utc
+        if nxt.user_id != upd.user_id or not dwell >= min_dwell_s:
+            continue
         slot = slot_of(upd.timestamp_utc, upd.utc_offset_minutes, scheme)
         if slot < 0:
             before_window += 1
@@ -279,29 +249,18 @@ def build_candidate_sets(
             if name is None:
                 if other_category is None:
                     raise ValueError(
-                        f"venue {v.venue_id!r} has unmapped category {v.category!r}"
-                    )
+                        f"unmapped category {v.category!r} of venue {v.venue_id!r}")
                 name = other_category
             cats.add(cat_index[name])
         if cats:
             blocks[(uid, slot)] = cats
 
-    if not blocks:
-        return IngestResult(
-            omega=CandidateSets.from_blocks([]),
-            dims=None,
-            user_ids=[],
-            category_names=canonical,
-            before_window=before_window,
-        )
-
     user_ids = sorted({uid for uid, _ in blocks})
     user_index = {uid: i for i, uid in enumerate(user_ids)}
-    n_slots = max(slot for _, slot in blocks) + 1
     omega = CandidateSets.from_blocks(
-        (user_index[uid], slot, sorted(cats)) for (uid, slot), cats in blocks.items()
-    )
-    dims = ProblemDims(len(user_ids), n_slots, len(canonical))
+        (user_index[uid], slot, cats) for (uid, slot), cats in blocks.items())
+    dims = ProblemDims(len(user_ids), max(slot for _, slot in blocks) + 1,
+                       len(canonical)) if blocks else None
     return IngestResult(omega=omega, dims=dims, user_ids=user_ids, category_names=canonical,
                         before_window=before_window)
 
@@ -309,72 +268,36 @@ def build_candidate_sets(
 # -- CSV readers ---------------------------------------------------------
 
 
-def _open_rows(path, expected_header: list[str], label: str):
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputDataError(f"{label}: file is empty") from None
-        if [h.strip() for h in header] != expected_header:
-            raise InputDataError(
-                f"{label} line 1: expected header {','.join(expected_header)}"
-            )
-        for lineno, row in enumerate(reader, start=2):
+def _open_rows(path, expected_header: list[str]):
+    """(line number, fields) of each non-blank row after the CSV file's header."""
+    reader = csv.reader(line for _, line in text_lines(path))
+    try:
+        if [h.strip() for h in next(reader, [])] != expected_header:
+            raise InputDataError(f"{path} line 1: expected header {','.join(expected_header)}")
+        for row in reader:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != len(expected_header):
-                raise InputDataError(
-                    f"{label} line {lineno}: expected {len(expected_header)} fields, "
-                    f"got {len(row)}"
-                )
-            yield lineno, row
+                raise InputDataError(f"{path} line {reader.line_num}: expected "
+                                     f"{len(expected_header)} fields, got {len(row)}")
+            yield reader.line_num, row
+    except csv.Error as exc:  # such as a field longer than the csv module's limit
+        raise InputDataError(f"{path} line {reader.line_num}: {exc}") from None
 
 
 def read_updates_csv(path) -> list[LocationUpdate]:
-    out = []
-    for lineno, row in _open_rows(path, UPDATES_HEADER, str(path)):
-        try:
-            out.append(
-                LocationUpdate(
-                    user_id=row[0],
-                    timestamp_utc=float(row[1]),
-                    lat=float(row[2]),
-                    lon=float(row[3]),
-                    error_radius_m=float(row[4]),
-                    utc_offset_minutes=int(row[5]),
-                )
-            )
-        except ValueError as exc:
-            raise InputDataError(f"{path} line {lineno}: {exc}") from None
-    return out
+    return read_records(path, _open_rows(path, UPDATES_HEADER), lambda row: LocationUpdate(
+        row[0], float(row[1]), float(row[2]), float(row[3]), float(row[4]), int(row[5])))
 
 
 def read_venues_csv(path) -> list[Venue]:
-    out = []
-    for lineno, row in _open_rows(path, VENUES_HEADER, str(path)):
-        try:
-            out.append(
-                Venue(
-                    venue_id=row[0],
-                    category=row[1],
-                    lat=float(row[2]),
-                    lon=float(row[3]),
-                    radius_m=float(row[4]),
-                )
-            )
-        except ValueError as exc:
-            raise InputDataError(f"{path} line {lineno}: {exc}") from None
-    return out
+    return read_records(path, _open_rows(path, VENUES_HEADER), lambda row: Venue(
+        row[0], row[1], float(row[2]), float(row[3]), float(row[4])))
 
 
 def read_category_map_csv(path) -> dict[str, str]:
     out: dict[str, str] = {}
-    for lineno, row in _open_rows(path, CATMAP_HEADER, str(path)):
-        raw, canon = row[0], row[1]
-        if raw in out and out[raw] != canon:
-            raise InputDataError(
-                f"{path} line {lineno}: raw category {raw!r} mapped twice"
-            )
-        out[raw] = canon
+    for lineno, (raw, canon) in _open_rows(path, CATMAP_HEADER):
+        if out.setdefault(raw, canon) != canon:
+            raise InputDataError(f"{path} line {lineno}: raw category {raw!r} mapped twice")
     return out

@@ -140,6 +140,39 @@ def load_model(source) -> LowRankModel:
     return model
 
 
+# -- text inputs ----------------------------------------------------------
+
+
+class InputDataError(ValueError):
+    """Malformed input file; the message names the file and line."""
+
+
+def text_lines(path) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each line of a UTF-8 text file, its ending kept.
+
+    Lines end at \\n, \\r\\n or \\r, as in text mode, but each line is
+    decoded on its own, so a byte that is not UTF-8 names its line.
+    """
+    with open(path, "rb") as fh:
+        lines = (line for chunk in fh for line in chunk.splitlines(keepends=True))
+        for lineno, line in enumerate(lines, start=1):
+            try:
+                yield lineno, line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise InputDataError(f"{path} line {lineno}: {exc}") from None
+
+
+def read_records(path, records, parse) -> list:
+    """parse(record) for each (line number, record) pair; a fault names the file and line."""
+    out = []
+    for lineno, record in records:
+        try:
+            out.append(parse(record))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputDataError(f"{path} line {lineno}: {exc}") from None
+    return out
+
+
 # -- JSON-lines formats ---------------------------------------------------
 
 
@@ -159,17 +192,8 @@ def _json_index(rec: dict, key: str) -> int:
 
 def _read_jsonl(path, parse) -> list:
     """parse(record) for each non-blank line; a fault names the file and line."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(parse(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path} line {lineno}: {exc}") from None
-    return out
+    lines = ((lineno, line) for lineno, line in text_lines(path) if line.strip())
+    return read_records(path, lines, lambda line: parse(json.loads(line.strip())))
 
 
 def write_candidate_sets_jsonl(path, omega: CandidateSets) -> None:

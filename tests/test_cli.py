@@ -447,6 +447,59 @@ def test_bad_input_names_file(synth_and_model, tmp_path, capsys, name, edit, nam
     assert names(text) in err, err
 
 
+def _put_byte(path, lineno, byte=b"\xff"):
+    """Insert byte into the middle of line lineno of the file."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    mid = len(lines[lineno - 1]) // 2
+    lines[lineno - 1] = lines[lineno - 1][:mid] + byte + lines[lineno - 1][mid:]
+    path.write_bytes(b"".join(lines))
+
+
+@pytest.mark.parametrize("name, lineno", [("omega.jsonl", 17), ("truth.jsonl", 17),
+                                          ("index_maps.json", None)])
+def test_invalid_utf8_names_file_and_line(synth_and_model, tmp_path, capsys, name, lineno):
+    # text-mode reads decode 8 KiB at a time, so only a line-by-line decode
+    # names the line that holds the byte
+    src, model = synth_and_model
+    bad = tmp_path / "in"
+    shutil.copytree(src, bad)
+    path = bad / name
+    _put_byte(path, lineno or 2)
+    if name == "truth.jsonl":
+        argv = ["eval", "--model", str(model), "--validation", str(path)]
+    else:
+        argv = ["fit", "--omega", str(bad), "--rank", "2", "--out", str(tmp_path / "f")]
+    capsys.readouterr()
+    assert run(argv) == EXIT_INPUT
+    where = f"{path} line {lineno}" if lineno else f"{path}"
+    assert capsys.readouterr().err.startswith(
+        f"error: {where}: 'utf-8' codec can't decode byte 0xff in position ")
+
+
+def test_config_file_not_utf8_names_file(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"rank": 2, "seed": "\xff"}')
+    assert run(["fit", "--config", str(cfg), "--omega", str(tmp_path)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(
+        f"error: config file {cfg}: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_out_of_memory_is_input_error(synth_and_model, tmp_path, capsys):
+    # a count above the largest index is legal (it means unobserved users),
+    # so none is capped; 2**50 users ask fit for 8 PiB, more than any address
+    # space holds, so the allocation fails at once whatever the overcommit policy
+    src, _ = synth_and_model
+    bad = tmp_path / "in"
+    shutil.copytree(src, bad)
+    maps = bad / "index_maps.json"
+    maps.write_text(maps.read_text().replace('"n_users": 20', f'"n_users": {2 ** 50}'))
+    capsys.readouterr()
+    assert run(["fit", "--omega", str(bad), "--rank", "2", "--out", str(tmp_path / "f")]) \
+        == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: nutf fit ran out of memory: ") and err.count("\n") == 1, err
+
+
 class TestPreprocess:
     def _write_inputs(self, tmp_path, venues_rows):
         updates = tmp_path / "updates.csv"
@@ -516,6 +569,32 @@ class TestPreprocess:
                   "--catmap", str(catmap), "--out", str(out)])
         assert rc == EXIT_INPUT
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, lineno", [("updates", 3), ("venues", 2), ("catmap", 3)])
+    def test_invalid_utf8_names_file_and_line(self, tmp_path, capsys, name, lineno):
+        inputs = dict(zip(("updates", "venues", "catmap"), self._write_inputs(
+            tmp_path, "v1,Pizza Place,40.7580,-73.9850,30\n")))
+        _put_byte(inputs[name], lineno)
+        rc = run(["preprocess", "--updates", str(inputs["updates"]),
+                  "--venues", str(inputs["venues"]), "--catmap", str(inputs["catmap"]),
+                  "--out", str(tmp_path / "p")])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(
+            f"error: {inputs[name]} line {lineno}: 'utf-8' codec can't decode byte 0xff")
+
+    def test_unmapped_category_names_catmap_and_venue(self, tmp_path, capsys):
+        # raised only for a venue that some kept update reaches
+        far = "v8,Mystery,10.0,10.0,30\n"
+        updates, venues, catmap = self._write_inputs(
+            tmp_path, "v1,Pizza Place,40.7580,-73.9850,30\n" + far)
+        argv = ["preprocess", "--updates", str(updates), "--venues", str(venues),
+                "--catmap", str(catmap), "--out", str(tmp_path / "p")]
+        assert run(argv) == EXIT_OK
+        venues.write_text(venues.read_text() + "v9,Mystery,40.7582,-73.9860,25\n")
+        capsys.readouterr()
+        assert run(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {catmap}: unmapped category 'Mystery' of venue 'v9' in {venues}\n")
 
     def test_nan_timestamp_names_line(self, tmp_path, capsys):
         updates, venues, catmap = self._write_inputs(tmp_path, "v1,Bank,40.7582,-73.9860,25\n")

@@ -14,7 +14,6 @@ from nutf.ingest import (
     VenueIndex,
     build_candidate_sets,
     candidate_venues,
-    dwell_filter,
     haversine_m,
     read_category_map_csv,
     read_updates_csv,
@@ -59,37 +58,46 @@ class TestHaversine:
 
 
 class TestDwellFilter:
+    """The dwell rule of build_candidate_sets, seen through its blocks.
+
+    One venue covers every update, and update i's UTC offset of i days
+    gives it an hourly slot of its own, so a block's slot // 24 names the
+    update it came from.
+    """
+
+    HOURLY = SlotScheme(mode="hourly", epoch_day=dt.date(1970, 1, 1))
+
+    def kept(self, stamps, min_dwell_s, order=None):
+        """(user, input position) of each kept update; stamps are (user, timestamp) pairs."""
+        updates = [upd(uid, ts, off=1440 * i) for i, (uid, ts) in enumerate(stamps)]
+        if order is not None:
+            updates = [updates[i] for i in order]
+        res = build_candidate_sets(updates, [Venue("v", "Bank", 0.0, 0.0, 30.0)], self.HOURLY,
+                                   CATMAP, min_dwell_s)
+        return sorted((res.user_ids[u], j // 24) for u, j in block_dict(res.omega))
+
     def test_single_update_removed(self):
-        assert dwell_filter([upd("u", 0)], 60) == []
+        assert self.kept([("u", 0)], 60) == []
 
     def test_reference_gaps(self):
-        # gaps 30 min, 5 min, 40 min; threshold 20 min keeps 1st and 3rd
+        # gaps 30 min, 5 min, 40 min, 1 min; threshold 20 min keeps 1st and 3rd
         times = [0, 1800, 2100, 4500, 4500 + 60]
-        ups = [upd("u", t) for t in times]
-        kept = dwell_filter(ups, 20 * 60)
-        assert [k.timestamp_utc for k, _ in kept] == [0, 2100]
-        assert [d for _, d in kept] == [1800, 2400]
+        assert self.kept([("u", t) for t in times], 20 * 60) == [("u", 0), ("u", 2)]
 
     def test_all_gaps_large_keeps_all_but_last(self):
-        ups = [upd("u", t) for t in (0, 2000, 4000, 6000)]
-        kept = dwell_filter(ups, 1000)
-        assert len(kept) == 3
-
-    def test_unsorted_rejected(self):
-        with pytest.raises(ValueError):
-            dwell_filter([upd("u", 100), upd("u", 50)], 10)
+        stamps = [("u", t) for t in (0, 2000, 4000, 6000)]
+        assert self.kept(stamps, 1000) == [("u", 0), ("u", 1), ("u", 2)]
 
     def test_interleaved_users(self):
-        ups = [upd("a", 0), upd("b", 10), upd("a", 5000), upd("b", 6000),
-               upd("a", 9000), upd("b", 6500)]
-        kept = dwell_filter(ups, 1800)
-        assert [(k.user_id, k.timestamp_utc) for k, _ in kept] == [
-            ("a", 0), ("b", 10), ("a", 5000),
-        ]
+        stamps = [("a", 0), ("b", 10), ("a", 5000), ("b", 6000), ("a", 9000), ("b", 6500)]
+        rng = np.random.default_rng(5)
+        for order in [None, range(5, -1, -1)] + [rng.permutation(6) for _ in range(4)]:
+            assert self.kept(stamps, 1800, order) == [("a", 0), ("a", 2), ("b", 1)]
 
     def test_zero_gap_below_threshold(self):
-        kept = dwell_filter([upd("u", 0), upd("u", 0), upd("u", 100)], 1)
-        assert [k.timestamp_utc for k, _ in kept] == [0]
+        # equal stamps keep their input order: the first pairs with the
+        # second (gap 0), the second with the third (gap 100)
+        assert self.kept([("u", 0), ("u", 0), ("u", 100)], 1) == [("u", 1)]
 
 
 LATITUDES = st.one_of(st.sampled_from([-90.0, 90.0]), st.floats(-90.0, 90.0))
@@ -347,6 +355,90 @@ class TestBuildCandidateSets:
         b = build_candidate_sets(list(reversed(updates)), venues, self.SCHEME, CATMAP, 20 * 60)
         assert block_dict(a.omega) == block_dict(b.omega)
         assert a.user_ids == b.user_ids
+
+
+ORACLE_VENUES = [
+    Venue("v1", "Bank", 0.0, 0.0, 30.0),
+    Venue("v2", "Pizza Place", 0.0, 0.002, 30.0),  # 222 m east of v1
+    Venue("v3", "Mystery Spot", 0.01, 0.0, 30.0),  # 1.1 km north, unmapped
+]
+
+
+def oracle_blocks(updates, scheme, min_dwell_s, other_category):
+    """build_candidate_sets by brute force, over ORACLE_VENUES.
+
+    ({(user id, slot): sorted canonical names}, before_window); None for
+    the names of a block that hits an unmapped venue with no fallback.
+    An update's successor is the same user's next update in (time, input
+    position) order.
+    """
+    keyed = [((u.timestamp_utc, pos), u) for pos, u in enumerate(updates)]
+    best, before_window = {}, 0
+    for key, u in keyed:
+        later = [k for k, v in keyed if v.user_id == u.user_id and k > key]
+        if not later or min(later)[0] - key[0] < min_dwell_s:
+            continue
+        dwell = min(later)[0] - key[0]
+        slot = slot_of(u.timestamp_utc, u.utc_offset_minutes, scheme)
+        if slot < 0:
+            before_window += 1
+            continue
+        cur = best.get((u.user_id, slot))
+        # the longest dwell wins; of equal dwells, the earlier update
+        if cur is None or (-dwell, key) < (-cur[0], cur[1]):
+            best[(u.user_id, slot)] = (dwell, key, u)
+    blocks = {}
+    for block, (_, _, u) in best.items():
+        names = {CATMAP.get(v.category, other_category) for v in ORACLE_VENUES
+                 if haversine_m(u.lat, u.lon, v.lat, v.lon) <= u.error_radius_m + v.radius_m}
+        if names:
+            blocks[block] = None if None in names else sorted(names)
+    return blocks, before_window
+
+
+@st.composite
+def update_walks(draw):
+    """Updates of three users in any order, on a half-hour grid of
+    timestamps from the epoch (equal stamps, dwell ties, and local times
+    before the window), with UTC offsets that vary within a user."""
+    update = st.builds(
+        LocationUpdate,
+        st.sampled_from(["a", "b", "c"]),
+        st.integers(0, 16).map(lambda k: 1800.0 * k),
+        st.sampled_from([0.0, 0.01]),
+        st.sampled_from([0.0, 0.001, 0.002]),
+        st.sampled_from([10.0, 150.0, 300.0]),
+        st.sampled_from([-120, 0, 45, 330]),
+    )
+    return (draw(st.lists(update, max_size=14)),
+            SlotScheme(mode=draw(st.sampled_from(["daypart", "hourly"]))),
+            draw(st.sampled_from([0.0, 1800.0, 3600.0])),
+            draw(st.sampled_from([None, "Other"])))
+
+
+class TestPipelineOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(update_walks())
+    def test_matches_brute_force(self, walk):
+        updates, scheme, min_dwell_s, other_category = walk
+        expect, before_window = oracle_blocks(updates, scheme, min_dwell_s, other_category)
+        if None in expect.values():
+            with pytest.raises(ValueError, match="unmapped category 'Mystery Spot'"):
+                build_candidate_sets(updates, ORACLE_VENUES, scheme, CATMAP, min_dwell_s,
+                                     other_category)
+            return
+        res = build_candidate_sets(updates, ORACLE_VENUES, scheme, CATMAP, min_dwell_s,
+                                   other_category)
+        got = {(res.user_ids[u], j): [res.category_names[k] for k in cats]
+               for (u, j), cats in block_dict(res.omega).items()}
+        assert got == expect
+        assert res.before_window == before_window
+        assert res.user_ids == sorted({uid for uid, _ in expect})
+        if expect:
+            assert (res.dims.n_users, res.dims.n_slots, res.dims.n_categories) == (
+                len(res.user_ids), max(j for _, j in expect) + 1, len(res.category_names))
+        else:
+            assert res.dims is None
 
 
 class TestCsvReaders:
