@@ -4,7 +4,8 @@ Binary snapshots share one little-endian header (magic "NUTF", format
 version, record kind, dims, rank, orientation flag derived from the dims)
 followed by int64 / float64 array payloads. The JSON-lines formats carry
 candidate sets, ground-truth / validation pairs, and solver traces. See docs/formats.md
-for the byte-level layout.
+for the byte-level layout. The line reader and record loop here serve the
+JSON-lines inputs and ingest's CSV inputs alike.
 """
 
 from __future__ import annotations

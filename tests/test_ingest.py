@@ -376,9 +376,11 @@ def oracle_blocks(updates, scheme, min_dwell_s, other_category):
     best, before_window = {}, 0
     for key, u in keyed:
         later = [k for k, v in keyed if v.user_id == u.user_id and k > key]
-        if not later or min(later)[0] - key[0] < min_dwell_s:
+        if not later:
             continue
         dwell = min(later)[0] - key[0]
+        if dwell < min_dwell_s:
+            continue
         slot = slot_of(u.timestamp_utc, u.utc_offset_minutes, scheme)
         if slot < 0:
             before_window += 1
@@ -510,6 +512,14 @@ class TestCsvReaders:
         v = tmp_path / "v.csv"
         v.write_text("venue_id,category,lat,lon,radius_m\nv1,Bank,40,-73,25\nv2,Bank,40,-73,inf\n")
         with pytest.raises(InputDataError, match="line 3"):
+            read_venues_csv(v)
+
+    def test_field_over_csv_limit_names_line(self, tmp_path):
+        # the csv module rejects a field over 128 KiB with its own error type
+        v = tmp_path / "v.csv"
+        v.write_text("venue_id,category,lat,lon,radius_m\nv1,Bank,40,-73,25\n"
+                     f"v2,{'B' * 200_000},40,-73,25\n")
+        with pytest.raises(InputDataError, match="line 3: field larger than field limit"):
             read_venues_csv(v)
 
     def test_venue_radius_must_be_positive(self, tmp_path):

@@ -66,7 +66,7 @@ def check_run(argv, path, capsys, label):
     capsys.readouterr()
     try:
         rc = main([str(a) for a in argv])
-    except BaseException as exc:  # SystemExit and MemoryError escape too
+    except Exception as exc:  # MemoryError included
         pytest.fail(f"{label}: {exc!r} escaped cli.main")
     err = capsys.readouterr().err
     assert rc in (EXIT_OK, EXIT_INPUT, EXIT_NUMERIC), (label, rc, err)

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from nutf.core import BlockSparseMatrix, CandidateSets, LowRankModel, ProblemDims
 from nutf.serialize import (
+    InputDataError,
     load_block_sparse,
     load_model,
     read_candidate_sets_jsonl,
@@ -14,6 +15,7 @@ from nutf.serialize import (
     read_pairs_jsonl,
     save_block_sparse,
     save_model,
+    text_lines,
     write_candidate_sets_jsonl,
     write_index_maps,
     write_pairs_jsonl,
@@ -243,6 +245,21 @@ class TestSnapshotRoundTrips:
         assert back.values.tobytes() == x.values.tobytes()
         save_block_sparse(path, back)
         assert path.read_bytes() == raw
+
+
+class TestTextLines:
+    def test_line_endings_as_in_text_mode(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"a\r\nb\rc\n\nd\x0be\xc3\xa9")
+        assert list(text_lines(path)) == [(1, "a\r\n"), (2, "b\r"), (3, "c\n"), (4, "\n"),
+                                          (5, "d\x0be\u00e9")]
+
+    def test_invalid_utf8_names_its_line(self, tmp_path):
+        # a file longer than text mode's 8 KiB decode, bad byte past line 1
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"x" * 100 + b"\n" + b"y\r" * 5000 + b"z\xffz\n")
+        with pytest.raises(InputDataError, match="line 5002: 'utf-8' codec"):
+            list(text_lines(path))
 
 
 class TestJsonl:
