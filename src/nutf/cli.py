@@ -199,7 +199,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     else:
         print(
             f"N={n_users} T={n_slots} C={dims.n_categories} |Omega|={result.omega.total_size} "
-            f"mean|Omega_ij|={result.omega.block_sizes.mean():.2f}"
+            f"mean|Omega_ij|={result.omega.total_size / result.omega.n_blocks:.2f}"
         )
     return EXIT_OK
 

@@ -19,6 +19,10 @@ from .parallel import DOT_SERIAL, GEMM_SERIAL, PANEL_BLOCKS, row_blocks, run_chu
 _I64_MAX = np.iinfo(np.int64).max
 _I32_MAX = np.iinfo(np.int32).max
 
+# Index dtypes of CandidateSets, narrowest first: categories, then users and slots.
+CAT_DTYPES = (np.uint8, np.uint16, np.int32, np.int64)
+BLOCK_DTYPES = (np.int32, np.int64)
+
 # Entries per materialization chunk: the chunk's two (entries x rank)
 # gathers are still in cache when the inner products read them.
 _ENTRY_CHUNK = 1 << 15
@@ -67,6 +71,25 @@ class ProblemDims:
         return self.n_users < self.n_cols
 
 
+def narrowest_dtype(dtypes: Sequence[type], lo: int, hi: int) -> type:
+    """The first of ``dtypes`` whose range holds [lo, hi], else the last one."""
+    for dtype in dtypes:
+        info = np.iinfo(dtype)
+        if info.min <= lo and hi <= info.max:
+            return dtype
+    return dtypes[-1]
+
+
+def _narrowest(values, dtypes: Sequence[type]) -> np.ndarray:
+    """``values`` as a contiguous array of the narrowest of ``dtypes`` that
+    holds them; a copy only when that dtype differs."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        arr = arr.astype(np.int64)
+    lo, hi = (int(arr.min()), int(arr.max())) if arr.size else (0, 0)
+    return np.ascontiguousarray(arr, dtype=narrowest_dtype(dtypes, lo, hi))
+
+
 class CandidateSets:
     """Per-(user, slot) sets of admissible category indices.
 
@@ -75,33 +98,39 @@ class CandidateSets:
     pair with no location update is simply absent, which means "no
     information", not "impossible everywhere".
 
+    Each index array is stored in the narrowest of its dtypes that holds
+    all of its values, so the bytes per support entry follow the largest
+    index, not the platform's integer. Every index keeps its value, so
+    what is computed or written from them does not depend on the dtype.
+
     Attributes:
-        block_users: int64 array, user index per block.
-        block_slots: int64 array, slot index per block.
+        block_users: user index per block; int32, or int64 past 2**31 - 1.
+        block_slots: slot index per block; int32, or int64 past 2**31 - 1.
         block_ptr: int64 array of length n_blocks+1; block b owns
-            ``cats[block_ptr[b]:block_ptr[b+1]]``.
-        cats: int64 array of category indices, concatenated per block.
-        block_sizes: int64 array, candidate count per block.
+            ``cats[block_ptr[b]:block_ptr[b+1]]``, so its size is
+            ``np.diff(block_ptr)[b]``.
+        cats: category indices, concatenated per block; uint8 up to 255,
+            then uint16, int32 and int64.
     """
 
-    __slots__ = ("block_users", "block_slots", "block_ptr", "cats", "block_sizes", "_csr_cache")
+    __slots__ = ("block_users", "block_slots", "block_ptr", "cats", "_csr_cache")
 
     def __init__(self, block_users, block_slots, block_ptr, cats):
-        self.block_users = np.ascontiguousarray(block_users, dtype=np.int64)
-        self.block_slots = np.ascontiguousarray(block_slots, dtype=np.int64)
+        self.block_users = _narrowest(block_users, BLOCK_DTYPES)
+        self.block_slots = _narrowest(block_slots, BLOCK_DTYPES)
         self.block_ptr = np.ascontiguousarray(block_ptr, dtype=np.int64)
-        self.cats = np.ascontiguousarray(cats, dtype=np.int64)
-        self._csr_cache: tuple = (None,)  # (dims, indptr, cols, rows) once built
+        self.cats = _narrowest(cats, CAT_DTYPES)
+        self._csr_cache: tuple = (None,)  # (dims, indptr, cols) once built
         self._check_structure()
 
     def _check_structure(self) -> None:
         nb = self.n_blocks
         if self.block_users.shape != (nb,) or self.block_slots.shape != (nb,):
             raise ValueError("block index arrays have inconsistent lengths")
-        if self.block_ptr[0] != 0 or self.block_ptr[-1] != len(self.cats):
+        ptr = self.block_ptr
+        if ptr[0] != 0 or ptr[-1] != len(self.cats):
             raise ValueError("block_ptr does not cover the category array")
-        self.block_sizes = sizes = np.diff(self.block_ptr)
-        if nb and sizes.min() < 1:
+        if not np.all(ptr[1:] > ptr[:-1]):
             raise ValueError("empty candidate sets are not representable; drop the block")
         if nb:
             if self.block_users.min() < 0 or self.block_slots.min() < 0:
@@ -116,11 +145,13 @@ class CandidateSets:
                 fault = "is given twice" if du[b] == dj[b] == 0 else "is out of order"
                 raise ValueError(f"blocks must be strictly sorted by (user, slot): {pair} {fault}")
         if len(self.cats):
-            if self.cats.min() < 0:
+            cats = self.cats
+            if cats.min() < 0:
                 raise ValueError("negative category index")
-            inner = np.ones(len(self.cats), dtype=bool)
-            inner[self.block_ptr[:-1]] = False
-            if not np.all(np.diff(self.cats)[inner[1:]] > 0):
+            # a comparison, not np.diff, which wraps on unsigned cats
+            increasing = cats[1:] > cats[:-1]
+            increasing[ptr[1:-1] - 1] = True  # pairs that cross into the next block
+            if not increasing.all():
                 raise ValueError("category indices within a block must be strictly increasing")
 
     # -- constructors ---------------------------------------------------
@@ -163,38 +194,41 @@ class CandidateSets:
         Free for the dims of the cached layout, which were checked when it
         was built.
         """
-        if self._csr_cache[0] == dims:
+        if self._csr_cache[0] == dims or not self.n_blocks:
             return
-        if self.block_users.max(initial=-1) >= dims.n_users:
+        if int(self.block_users.max()) >= dims.n_users:
             raise ValueError("user index exceeds n_users")
-        if self.block_slots.max(initial=-1) >= dims.n_slots:
+        if int(self.block_slots.max()) >= dims.n_slots:
             raise ValueError("slot index exceeds n_slots")
-        if self.cats.max(initial=-1) >= dims.n_categories:
+        if int(self.cats.max()) >= dims.n_categories:
             raise ValueError("category index exceeds n_categories")
 
     # -- flattened views ------------------------------------------------
 
-    def csr_structure(self, dims: ProblemDims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(indptr, unfolded column indices, row index per entry).
+    def csr_structure(self, dims: ProblemDims) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, unfolded column index per entry) of the support's CSR layout.
 
         Built and checked against dims once, then cached: the support is
-        shared by every iterate of a solve. The arrays are int32 when N,
+        shared by every iterate of a solve. Both arrays are int32 when N,
         T*C and |Omega| all fit, else int64, the index dtype scipy keeps
-        as-is, so CSR views over them copy nothing.
+        as-is, so CSR views over them copy nothing. The row of each entry
+        is not stored: blocks b0 to b1 - 1 have the rows
+        ``np.repeat(block_users[b0:b1], np.diff(block_ptr[b0:b1 + 1]))``.
         """
         if self._csr_cache[0] == dims:
             return self._csr_cache[1:]
         self.validate_dims(dims)
         idx = np.int32 if max(dims.n_users, dims.n_cols, self.total_size) <= _I32_MAX \
             else np.int64
-        sizes = self.block_sizes
-        entry_rows = np.repeat(self.block_users.astype(idx), sizes)
-        entry_cols = np.repeat((self.block_slots * dims.n_categories).astype(idx), sizes)
+        # slot * C in the layout's dtype, which holds T*C
+        entry_cols = np.repeat(self.block_slots.astype(idx) * dims.n_categories,
+                               np.diff(self.block_ptr))
         entry_cols += self.cats
-        indptr = np.zeros(dims.n_users + 1, dtype=idx)
-        np.cumsum(np.bincount(entry_rows, minlength=dims.n_users), out=indptr[1:])
-        self._csr_cache = (dims, indptr, entry_cols, entry_rows)
-        return indptr, entry_cols, entry_rows
+        # row u starts at the first block of a user >= u
+        starts = np.searchsorted(self.block_users, np.arange(dims.n_users + 1, dtype=idx))
+        indptr = self.block_ptr[starts].astype(idx)
+        self._csr_cache = (dims, indptr, entry_cols)
+        return indptr, entry_cols
 
 
 @dataclass
@@ -370,7 +404,8 @@ def model_support_values(model: LowRankModel, support: CandidateSets) -> np.ndar
     :func:`nutf.parallel.run_chunks`; each entry is one inner product, so
     the output does not depend on the chunking.
     """
-    _, cols, rows = support.csr_structure(model.dims)
+    _, cols = support.csr_structure(model.dims)
+    rows = np.repeat(support.block_users, np.diff(support.block_ptr))
     n = len(cols)
     out = np.empty(n, dtype=np.float64)
 

@@ -20,7 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CandidateSets, LowRankModel, ProblemDims
+from .core import (BLOCK_DTYPES, CAT_DTYPES, CandidateSets, LowRankModel, ProblemDims,
+                   narrowest_dtype)
 from .parallel import run_chunks
 
 # score_topk scores its pairs in chunks of about this many (pair, category) scores
@@ -67,7 +68,9 @@ class GroundTruth:
     """True category per generated observation plus per-user class labels.
 
     Observation arrays are aligned with the generated CandidateSets block
-    order (sorted by user, then slot).
+    order (sorted by user, then slot); from :func:`generate` they are the
+    candidate sets' own narrow user and slot arrays, and the true
+    categories share the dtype of their categories.
     """
 
     obs_users: np.ndarray
@@ -136,10 +139,13 @@ def generate(cfg: SynthConfig) -> tuple[CandidateSets, GroundTruth, ProblemDims]
     user_classes = rng.integers(0, cfg.n_classes, size=n, dtype=np.int64)
     state = rng.bit_generator.state
 
+    # the index dtypes CandidateSets keeps, so the arrays are drawn into
+    # once and shared with the ground truth, never copied
     n_obs = n * k_slots
-    obs_slots = np.empty(n_obs, dtype=np.int64)
-    true_cats = np.empty(n_obs, dtype=np.int64)
-    cats = np.empty((n_obs, n_cand), dtype=np.int64)
+    cat_dtype = narrowest_dtype(CAT_DTYPES, 0, c - 1)
+    obs_slots = np.empty(n_obs, dtype=narrowest_dtype(BLOCK_DTYPES, 0, t - 1))
+    true_cats = np.empty(n_obs, dtype=cat_dtype)
+    cats = np.empty((n_obs, n_cand), dtype=cat_dtype)
 
     def draw_users(lo: int, hi: int) -> None:
         # Generator.random takes one 64-bit output per double, so advancing a
@@ -170,7 +176,7 @@ def generate(cfg: SynthConfig) -> tuple[CandidateSets, GroundTruth, ProblemDims]
     users_per_chunk = max(1, _DRAW_CHUNK // (t + k_slots * (c - 1)))
     run_chunks(draw_users, [*range(0, n, users_per_chunk), n])
 
-    obs_users = np.repeat(np.arange(n, dtype=np.int64), k_slots)
+    obs_users = np.repeat(np.arange(n, dtype=narrowest_dtype(BLOCK_DTYPES, 0, n - 1)), k_slots)
     ptr = np.arange(0, (n_obs + 1) * n_cand, n_cand, dtype=np.int64)
     omega = CandidateSets(obs_users, obs_slots, ptr, cats.ravel())
     truth = GroundTruth(obs_users, obs_slots, true_cats, user_classes)

@@ -31,6 +31,11 @@ UPDATES_HEADER = ["user_id", "timestamp_utc", "lat", "lon", "error_radius_m",
 VENUES_HEADER = ["venue_id", "category", "lat", "lon", "radius_m"]
 CATMAP_HEADER = ["raw_category", "canonical_category"]
 
+# Local times, in seconds from 1970-01-01, that LocationUpdate accepts: the
+# years 1 to 9999 of datetime, whose slots all fit an int64.
+_LOCAL_MIN_S = (dt.datetime.min - dt.datetime(1970, 1, 1)).total_seconds()
+_LOCAL_MAX_S = (dt.datetime.max - dt.datetime(1970, 1, 1)).total_seconds()
+
 
 @dataclass(frozen=True)
 class LocationUpdate:
@@ -44,6 +49,11 @@ class LocationUpdate:
     def __post_init__(self) -> None:
         if not math.isfinite(self.timestamp_utc):
             raise ValueError(f"timestamp {self.timestamp_utc} must be finite")
+        local = self.timestamp_utc + self.utc_offset_minutes * 60.0
+        if not _LOCAL_MIN_S <= local <= _LOCAL_MAX_S:
+            raise ValueError(f"local time {local:g} s (timestamp {self.timestamp_utc:g} plus "
+                             f"offset {self.utc_offset_minutes} min) falls outside the years "
+                             "1 to 9999")
         if not -90.0 <= self.lat <= 90.0:
             raise ValueError(f"latitude {self.lat} out of bounds")
         if not -180.0 <= self.lon <= 180.0:

@@ -89,7 +89,7 @@ def _sparse_products(x: BlockSparseMatrix, rank: int) -> tuple[Callable, Callabl
     products.
     """
     dims = x.dims
-    indptr, indices, _ = x.support.csr_structure(dims)
+    indptr, indices = x.support.csr_structure(dims)
     bounds = chunk_bounds(indptr, max(_SPMM_CHUNK, dims.n_cols * rank))
     chunks, chunks_t = [], []
     for lo, hi in zip(bounds, bounds[1:]):

@@ -164,12 +164,18 @@ def text_lines(path) -> Iterator[tuple[int, str]]:
 
 
 def read_records(path, records, parse) -> list:
-    """parse(record) for each (line number, record) pair; a fault names the file and line."""
+    """parse(record) for each (line number, record) pair; a fault names the file and line.
+
+    A KeyError is a record that lacks that key; an OverflowError, such as a
+    huge integer turned into a float, is a bad value like any other.
+    """
     out = []
     for lineno, record in records:
         try:
             out.append(parse(record))
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise InputDataError(f"{path} line {lineno}: missing key {exc}") from None
+        except (OverflowError, TypeError, ValueError) as exc:
             raise InputDataError(f"{path} line {lineno}: {exc}") from None
     return out
 
@@ -192,9 +198,16 @@ def _json_index(rec: dict, key: str) -> int:
 
 
 def _read_jsonl(path, parse) -> list:
-    """parse(record) for each non-blank line; a fault names the file and line."""
+    """parse(record) for each non-blank line, whose JSON value must be an
+    object; a fault names the file and line."""
+    def parse_line(line: str):
+        record = json.loads(line.strip())
+        if type(record) is not dict:
+            raise ValueError("expected a JSON object")
+        return parse(record)
+
     lines = ((lineno, line) for lineno, line in text_lines(path) if line.strip())
-    return read_records(path, lines, lambda line: parse(json.loads(line.strip())))
+    return read_records(path, lines, parse_line)
 
 
 def write_candidate_sets_jsonl(path, omega: CandidateSets) -> None:

@@ -137,7 +137,7 @@ def init_x(omega: CandidateSets, dims: ProblemDims) -> BlockSparseMatrix:
     """Uniform-on-support start: each block gets 1/|Omega_ij| per entry."""
     # builds the cached layout first, so the dims check scans the support once
     omega.csr_structure(dims)
-    sizes = omega.block_sizes
+    sizes = np.diff(omega.block_ptr)
     return BlockSparseMatrix(dims, omega, np.repeat(1.0 / sizes, sizes))
 
 
@@ -161,11 +161,13 @@ def _support_pass(
     :func:`nutf.core.model_support_values`,
     :func:`nutf.simplex.project_blocks`, :func:`nutf.core.frobenius_gap`
     and a blocked ||X+ - X|| run one after another, for any CPU count,
-    while only X and X+ span the whole support.
+    while only X and X+ span the whole support. A chunk rebuilds its
+    entries' rows from its blocks' users, so the layout stores no row
+    per entry.
     """
     support, dims = x.support, x.dims
-    _, cols, rows = support.csr_structure(dims)
-    ptr, old = support.block_ptr, x.values
+    _, cols = support.csr_structure(dims)
+    users, ptr, old = support.block_users, support.block_ptr, x.values
     new = np.empty(len(old))
     cuts = dot_blocks(len(old))
     n_dots = len(cuts) - 1
@@ -180,11 +182,12 @@ def _support_pass(
         b0 = int(np.searchsorted(ptr, lo, side="right")) - 1
         b1 = int(np.searchsorted(ptr, hi))
         s, e = int(ptr[b0]), int(ptr[b1])
+        local_ptr = ptr[b0:b1 + 1] - s
         y = np.empty(e - s)
-        completion_values(model, rows[s:e], cols[s:e], y)
+        rows = np.repeat(users[b0:b1], np.diff(local_ptr))
+        completion_values(model, rows, cols[s:e], y)
         if not np.all(np.isfinite(y)):
             raise NumericalError("non-finite completion values")
-        local_ptr = ptr[b0:b1 + 1] - s
         projected = np.empty(e - s)
         project_into(y, local_ptr, projected)
         new[lo:hi] = projected[lo - s:hi - s]

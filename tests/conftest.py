@@ -66,18 +66,28 @@ def block_dict(omega: CandidateSets) -> dict[tuple[int, int], list[int]]:
     return {key: cats.tolist() for key, cats in omega.items()}
 
 
+def block_sizes(omega: CandidateSets) -> np.ndarray:
+    """Candidate count of every block."""
+    return np.diff(omega.block_ptr)
+
+
+def entry_rows(omega: CandidateSets) -> np.ndarray:
+    """Row (user) index of every support entry, in support order."""
+    return np.repeat(omega.block_users, block_sizes(omega))
+
+
 def to_csr(x: BlockSparseMatrix) -> csr_matrix:
     """Zero-copy scipy CSR view over x's (dims, support, values): the
     plain ``X @ v`` and ``X^T @ v`` the chunked products are checked against."""
-    indptr, indices, _ = x.support.csr_structure(x.dims)
+    indptr, indices = x.support.csr_structure(x.dims)
     return csr_matrix((x.values, indices, indptr), shape=(x.dims.n_users, x.dims.n_cols))
 
 
 def to_dense(x: BlockSparseMatrix) -> np.ndarray:
     """The full N x (T*C) matrix of a small instance; zero off the support."""
     out = np.zeros((x.dims.n_users, x.dims.n_cols))
-    _, cols, rows = x.support.csr_structure(x.dims)
-    out[rows, cols] = x.values
+    _, cols = x.support.csr_structure(x.dims)
+    out[entry_rows(x.support), cols] = x.values
     return out
 
 
@@ -196,14 +206,14 @@ def replace_blocks_with_full(
     c = dims.n_categories
     masked = np.zeros(omega.n_blocks, dtype=bool)
     masked[block_ids] = True
-    sizes = np.where(masked, c, omega.block_sizes)
+    sizes = np.where(masked, c, block_sizes(omega))
     ptr = np.zeros(omega.n_blocks + 1, dtype=np.int64)
     np.cumsum(sizes, out=ptr[1:])
     widened = np.repeat(masked, sizes)
     cats = np.empty(ptr[-1], dtype=np.int64)
     # a widened block's entries are its positions 0..C-1; the others keep theirs
     cats[widened] = np.tile(np.arange(c, dtype=np.int64), np.count_nonzero(masked))
-    cats[~widened] = omega.cats[np.repeat(~masked, omega.block_sizes)]
+    cats[~widened] = omega.cats[np.repeat(~masked, block_sizes(omega))]
     return CandidateSets(omega.block_users.copy(), omega.block_slots.copy(), ptr, cats)
 
 
@@ -263,7 +273,8 @@ def dense_reference_fit(
     if cfg.rank > min(dims.n_users, dims.n_cols):
         raise ValueError("rank exceeds min(N, T*C)")
 
-    _, cols, rows = omega.csr_structure(dims)
+    _, cols = omega.csr_structure(dims)
+    rows = entry_rows(omega)
     trace = SolverTrace()
     prev_obj: float | None = None
     for _ in range(cfg.outer_iters):

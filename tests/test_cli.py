@@ -347,6 +347,21 @@ class TestPredictAndEval:
                     "--out", str(tmp_path / "f2")]) == EXIT_INPUT
         assert "omega.jsonl line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("record,message", [
+        ('{"u":0,"i":1,"cats":[1]}', "missing key 'j'"),
+        ('[0,1,[1]]', "expected a JSON object"),
+    ])
+    def test_jsonl_record_shape_names_file_and_line(self, tmp_path, capsys, record, message):
+        src = tmp_path / "s"
+        assert run(["synth", "--users", "12", "--slots", "4", "--categories", "6",
+                    "--classes", "2", "--seed", "4", "--out", str(src)]) == EXIT_OK
+        omega = src / "omega.jsonl"
+        omega.write_text(record + "\n")
+        capsys.readouterr()
+        assert run(["fit", "--omega", str(src), "--rank", "2",
+                    "--out", str(tmp_path / "f")]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {omega} line 1: {message}\n"
+
     def test_eval_int_outside_int64_is_input_error(self, tmp_path, capsys):
         src = tmp_path / "s"
         assert run(["synth", "--users", "12", "--slots", "4", "--categories", "6",
@@ -581,6 +596,18 @@ class TestPreprocess:
         assert rc == EXIT_INPUT
         assert capsys.readouterr().err.startswith(
             f"error: {inputs[name]} line {lineno}: 'utf-8' codec can't decode byte 0xff")
+
+    def test_huge_timestamp_names_file_and_line(self, tmp_path, capsys):
+        # slot_of once turned it into an int past int64: exit 4, naming no file
+        updates, venues, catmap = self._write_inputs(
+            tmp_path, "v1,Pizza Place,40.7580,-73.9850,30\n")
+        updates.write_text("user_id,timestamp_utc,lat,lon,error_radius_m,utc_offset_minutes\n"
+                           "alice,1e300,40.7580,-73.9855,100,0\n"
+                           "alice,2e300,40.7580,-73.9855,100,0\n")
+        rc = run(["preprocess", "--updates", str(updates), "--venues", str(venues),
+                  "--catmap", str(catmap), "--out", str(tmp_path / "p")])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {updates} line 2: local time 1e+300 s")
 
     def test_unmapped_category_names_catmap_and_venue(self, tmp_path, capsys):
         # raised only for a venue that some kept update reaches

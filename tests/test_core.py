@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nutf import core, parallel
+from nutf.harness import SynthConfig, generate
 from nutf.core import (
     BlockSparseMatrix,
     CandidateSets,
@@ -12,8 +13,8 @@ from nutf.core import (
     model_support_values,
 )
 
-from conftest import (block_dict, dense_completion, exact_model, full_support, random_model,
-                      random_omega, to_csr, to_dense)
+from conftest import (block_dict, block_sizes, dense_completion, entry_rows, exact_model,
+                      full_support, random_model, random_omega, to_csr, to_dense)
 
 
 class TestProblemDims:
@@ -60,8 +61,8 @@ class TestColIndex:
     def test_bijective_with_inverse(self):
         dims = ProblemDims(1, 5, 10)
         omega = full_support(1, 5, 10)
-        _, cols, _ = omega.csr_structure(dims)
-        slots = np.repeat(omega.block_slots, omega.block_sizes)
+        _, cols = omega.csr_structure(dims)
+        slots = np.repeat(omega.block_slots, block_sizes(omega))
         assert np.array_equal(cols // dims.n_categories, slots)
         assert np.array_equal(cols % dims.n_categories, omega.cats)
         assert sorted(cols.tolist()) == list(range(dims.n_cols))
@@ -123,11 +124,11 @@ class TestCandidateSets:
         assert block_dict(omega)[(2, 1)] == [0, 2]
 
     def test_csr_structure(self, small_omega, small_dims):
-        indptr, cols, rows = small_omega.csr_structure(small_dims)
+        indptr, cols = small_omega.csr_structure(small_dims)
         assert indptr.tolist() == [0, 3, 6, 8, 9, 12]
         # block (0,0) cats [0,2] -> cols 0,2 ; block (0,3) cat 1 -> col 10
         assert cols[:3].tolist() == [0, 2, 10]
-        assert rows[:3].tolist() == [0, 0, 0]
+        assert entry_rows(small_omega)[:3].tolist() == [0, 0, 0]
         # cached: same objects on second call
         again = small_omega.csr_structure(small_dims)
         assert again[0] is indptr
@@ -148,7 +149,7 @@ class TestSupportLayout:
 
     def test_to_csr_is_a_view_of_the_layout(self, small_omega, small_dims):
         x = BlockSparseMatrix(small_dims, small_omega, np.ones(small_omega.total_size))
-        indptr, cols, _ = small_omega.csr_structure(small_dims)
+        indptr, cols = small_omega.csr_structure(small_dims)
         csr = to_csr(x)
         assert indptr.dtype == cols.dtype == np.int32
         assert np.shares_memory(csr.indptr, indptr)
@@ -159,20 +160,88 @@ class TestSupportLayout:
         dims = ProblemDims(1, 2**31 + 1, 1)
         omega = CandidateSets.from_blocks([(0, 2**31, [0])])
         x = BlockSparseMatrix(dims, omega, np.ones(1))
-        indptr, cols, rows = omega.csr_structure(dims)
-        assert indptr.dtype == cols.dtype == rows.dtype == np.int64
+        indptr, cols = omega.csr_structure(dims)
+        assert indptr.dtype == cols.dtype == np.int64
         assert cols.tolist() == [2**31]
         assert np.shares_memory(to_csr(x).indices, cols)
 
     def test_empty_support(self):
         omega = CandidateSets.from_blocks([])
         dims = ProblemDims(3, 2, 2)
-        indptr, cols, rows = omega.csr_structure(dims)
+        indptr, cols = omega.csr_structure(dims)
         assert indptr.tolist() == [0, 0, 0, 0]
-        assert len(cols) == len(rows) == 0
+        assert len(cols) == 0
         x = BlockSparseMatrix(dims, omega, np.empty(0))
         assert x.max_block_sum_error() == 0.0
         assert np.array_equal(to_dense(x), np.zeros((3, 4)))
+
+
+class TestNarrowIndices:
+    @pytest.mark.parametrize("top,dtype", [
+        (0, np.uint8), (255, np.uint8), (256, np.uint16), (65535, np.uint16),
+        (65536, np.int32), (2**31 - 1, np.int32), (2**31, np.int64),
+    ])
+    def test_cats_take_the_narrowest_dtype(self, top, dtype):
+        omega = CandidateSets.from_blocks([(0, 0, [0, top] if top else [0])])
+        assert omega.cats.dtype == dtype
+        assert omega.cats.tolist() == sorted({0, top})
+
+    @pytest.mark.parametrize("top,dtype", [(2**31 - 1, np.int32), (2**31, np.int64)])
+    def test_users_and_slots_int32_until_they_overflow(self, top, dtype):
+        by_user = CandidateSets.from_blocks([(0, 0, [0]), (top, 0, [0])])
+        by_slot = CandidateSets.from_blocks([(0, 0, [0]), (0, top, [0])])
+        assert by_user.block_users.dtype == by_slot.block_slots.dtype == dtype
+        assert by_user.block_slots.dtype == by_slot.block_users.dtype == np.int32
+        assert by_user.block_users.tolist() == by_slot.block_slots.tolist() == [0, top]
+
+    def test_decreasing_uint8_block_rejected(self):
+        # np.diff of [3, 1] wraps to 254 in uint8
+        cats = np.array([0, 3, 1], dtype=np.uint8)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            CandidateSets(np.array([0, 1], dtype=np.int32), np.zeros(2, dtype=np.int32),
+                          [0, 1, 3], cats)
+
+    def test_negative_index_rejected_not_wrapped(self):
+        with pytest.raises(ValueError, match="negative category"):
+            CandidateSets([0], [0], [0, 2], np.array([-1, 3], dtype=np.int64))
+
+    def test_validate_dims_on_empty_and_uint8_supports(self):
+        empty = CandidateSets.from_blocks([])
+        assert empty.cats.dtype == np.uint8 and empty.block_users.dtype == np.int32
+        empty.validate_dims(ProblemDims(1, 1, 1))
+        small = CandidateSets.from_blocks([(1, 2, [0, 255])])
+        small.validate_dims(ProblemDims(2, 3, 256))
+        # 255 >= 255 in uint8, with no wrap of the bound
+        with pytest.raises(ValueError, match="category"):
+            small.validate_dims(ProblemDims(2, 3, 255))
+        with pytest.raises(ValueError, match="category"):
+            CandidateSets.from_blocks([(0, 0, [7])]).validate_dims(ProblemDims(1, 1, 7))
+
+    def test_slot_times_c_past_int32_from_int32_slots(self):
+        # slot and C fit int32 but slot * C does not: int32 * int wraps under NEP 50
+        dims = ProblemDims(1, 2**30, 4)
+        omega = CandidateSets.from_blocks([(0, 2**30 - 1, [3])])
+        assert omega.block_slots.dtype == np.int32
+        assert omega.csr_structure(dims)[1].tolist() == [(2**30 - 1) * 4 + 3]
+
+    def test_support_and_layout_byte_budget(self):
+        """The support plus its cached layout: 1 byte of category and 4 of
+        column per entry, 16 bytes per block (user, slot, pointer) plus
+        block_ptr's closing entry, and a 4-byte indptr per row and one more."""
+        omega, _, dims = generate(SynthConfig(2000, 30, 50, n_classes=4, seed=3))
+        layout = omega.csr_structure(dims)
+        support = (omega.block_users, omega.block_slots, omega.block_ptr, omega.cats)
+        used = sum(a.nbytes for a in (*support, *layout))
+        budget = 5 * omega.total_size + 16 * omega.n_blocks + 8 + 4 * (dims.n_users + 1)
+        assert used <= budget
+
+    @pytest.mark.parametrize("dims", [ProblemDims(7, 4, 3), ProblemDims(5, 9, 300)])
+    def test_indptr_counts_each_users_entries(self, dims):
+        rng = np.random.default_rng(dims.n_categories)
+        omega = random_omega(rng, dims.n_users, dims.n_slots, dims.n_categories, p_block=0.4)
+        indptr, _ = omega.csr_structure(dims)
+        counts = np.bincount(entry_rows(omega), minlength=dims.n_users)
+        assert indptr.tolist() == [0, *np.cumsum(counts).tolist()]
 
 
 class TestBlockSparseMatrix:
@@ -189,14 +258,14 @@ class TestBlockSparseMatrix:
     def test_off_support_zero_by_representation(self, small_omega, small_dims):
         x = BlockSparseMatrix(small_dims, small_omega, np.ones(small_omega.total_size))
         dense = to_dense(x)
-        _, cols, rows = small_omega.csr_structure(small_dims)
+        _, cols = small_omega.csr_structure(small_dims)
         mask = np.zeros(dense.shape, dtype=bool)
-        mask[rows, cols] = True
+        mask[entry_rows(small_omega), cols] = True
         assert np.all(dense[~mask] == 0.0)
         assert np.count_nonzero(dense) == small_omega.total_size
 
     def test_block_sums(self, small_omega, small_dims):
-        sizes = small_omega.block_sizes
+        sizes = block_sizes(small_omega)
         x = BlockSparseMatrix(small_dims, small_omega, np.repeat(1.0 / sizes, sizes))
         assert x.max_block_sum_error() <= 1e-9
 
@@ -412,7 +481,8 @@ class TestLowRankModel:
         omega = random_omega(rng, dims.n_users, dims.n_slots, dims.n_categories, p_block=0.7)
         model = random_model(rng, dims, 3)
         assert dims.transposed == transposed
-        _, cols, rows = omega.csr_structure(dims)
+        _, cols = omega.csr_structure(dims)
+        rows = entry_rows(omega)
         assert len(cols) > 20 * core._ENTRY_CHUNK
         expected = np.array([np.dot(model.col_factor[c], model.user_factor[r])
                              for r, c in zip(rows, cols)])

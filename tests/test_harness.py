@@ -13,10 +13,12 @@ from conftest import (block_dict, exact_model, mask_validation, random_model, ra
 
 
 def generated_arrays(cfg):
-    """generate's six arrays, in serial_generate's order."""
+    """generate's six arrays, in serial_generate's order, widened to int64 as
+    the serial oracle draws them (generate stores the narrow index dtypes)."""
     omega, truth, _ = generate(cfg)
-    return (omega.block_users, omega.block_slots, omega.block_ptr, omega.cats,
-            truth.true_cats, truth.user_classes)
+    return tuple(a.astype(np.int64) for a in (
+        omega.block_users, omega.block_slots, omega.block_ptr, omega.cats,
+        truth.true_cats, truth.user_classes))
 
 
 class TestSynthConfig:
@@ -42,7 +44,7 @@ class TestGenerate:
         cfg = SynthConfig(20, 10, 6, n_classes=4, slot_density=0.5,
                           candidates_per_update=1, seed=3)
         omega, truth, dims = generate(cfg)
-        assert np.all(omega.block_sizes == 1)
+        assert np.all(np.diff(omega.block_ptr) == 1)
         assert np.array_equal(omega.cats, truth.true_cats)
 
     def test_reference_protocol_shape(self):
@@ -50,7 +52,7 @@ class TestGenerate:
                           candidates_per_update=4, seed=0)
         omega, truth, dims = generate(cfg)
         assert omega.n_blocks == 100 * 10  # 20% of 50 slots per user
-        assert np.all(omega.block_sizes == 4)
+        assert np.all(np.diff(omega.block_ptr) == 4)
         for b in range(omega.n_blocks):
             cats = omega.cats[omega.block_ptr[b]:omega.block_ptr[b + 1]]
             assert truth.true_cats[b] in cats
@@ -131,6 +133,21 @@ class TestGenerateMatchesSerialOracle:
             h.update(arr.tobytes())
         assert h.hexdigest() == (
             "38aba0fa48a5a4b841628f1c6ce02b774ef62b1017674a0f7cda01d13b9dda72")
+
+
+class TestNarrowArrays:
+    def test_generate_stores_narrow_indices_shared_with_truth(self):
+        omega, truth, _ = generate(SynthConfig(50, 10, 6, n_classes=3, seed=7))
+        assert omega.block_users.dtype == omega.block_slots.dtype == np.int32
+        assert omega.cats.dtype == truth.true_cats.dtype == np.uint8
+        assert truth.obs_users is omega.block_users
+        assert truth.obs_slots is omega.block_slots
+
+    def test_wide_categories_take_uint16(self):
+        omega, truth, _ = generate(SynthConfig(40, 4, 300, n_classes=2,
+                                               candidates_per_update=300, seed=3))
+        assert omega.cats.dtype == truth.true_cats.dtype == np.uint16
+        assert int(omega.cats.max()) == 299
 
 
 class TestPairs:
@@ -230,7 +247,7 @@ class TestReplaceBlocksWithFull:
         rng = np.random.default_rng(11)
         dims = ProblemDims(30, 6, 7)
         omega = random_omega(rng, dims.n_users, dims.n_slots, dims.n_categories)
-        assert len(np.unique(omega.block_sizes)) == dims.n_categories  # mixed sizes
+        assert len(np.unique(np.diff(omega.block_ptr))) == dims.n_categories  # mixed sizes
         block_ids = {
             "none": np.empty(0, dtype=np.int64),
             "some": np.array([0, 3, 3, 17, omega.n_blocks - 1]),
@@ -239,7 +256,7 @@ class TestReplaceBlocksWithFull:
         out = replace_blocks_with_full(omega, dims, block_ids)
         ptr, cats = self._loop_oracle(omega, dims.n_categories, block_ids)
         assert out.block_ptr.tobytes() == ptr.astype(np.int64).tobytes()
-        assert out.cats.tobytes() == cats.astype(np.int64).tobytes()
+        assert out.cats.astype(np.int64).tobytes() == cats.astype(np.int64).tobytes()
         assert out.block_users.tobytes() == omega.block_users.tobytes()
         assert out.block_slots.tobytes() == omega.block_slots.tobytes()
 

@@ -508,6 +508,31 @@ class TestCsvReaders:
         with pytest.raises(InputDataError, match="line 3"):
             read_updates_csv(p)
 
+    # slot_of turned these into Python ints past int64, which failed later
+    # as a numerical error naming no file or line
+    @pytest.mark.parametrize("stamp,offset", [
+        ("1e300", "0"), ("-1e300", "0"), ("253402300801", "0"), ("0", "-1035616320"),
+        ("0", "1" + "0" * 400),
+    ], ids=["1e300", "-1e300", "year 10000", "offset before year 1", "offset past float"])
+    def test_updates_local_time_outside_years_1_to_9999_names_line(self, tmp_path, stamp,
+                                                                   offset):
+        p = tmp_path / "updates.csv"
+        p.write_text(
+            "user_id,timestamp_utc,lat,lon,error_radius_m,utc_offset_minutes\n"
+            "a,100,40.0,-73.5,50,0\n"
+            f"a,{stamp},40.0,-73.5,50,{offset}\n"
+        )
+        with pytest.raises(InputDataError, match=r"updates\.csv line 3: "):
+            read_updates_csv(p)
+
+    def test_updates_local_time_at_the_year_limits_kept(self, tmp_path):
+        first, last = -62135596800, 253402300799
+        scheme = SlotScheme("hourly", epoch_day=dt.date(1, 1, 1))
+        slots = [slot_of(float(stamp), 0, scheme) for stamp in (first, last)]
+        LocationUpdate("a", float(first), 40.0, -73.5, 50.0, 0)
+        LocationUpdate("a", float(last), 40.0, -73.5, 50.0, 0)
+        assert slots == [0, 3_652_059 * 24 - 1]
+
     def test_venue_radius_must_be_finite(self, tmp_path):
         v = tmp_path / "v.csv"
         v.write_text("venue_id,category,lat,lon,radius_m\nv1,Bank,40,-73,25\nv2,Bank,40,-73,inf\n")

@@ -525,7 +525,7 @@ class TestChunkedProducts:
     def test_chunk_operators_copy_nothing(self, monkeypatch):
         monkeypatch.setattr(linalg, "_SPMM_CHUNK", 50)
         x = random_x(27, ProblemDims(60, 5, 4))
-        _, cols, _ = x.support.csr_structure(x.dims)
+        _, cols = x.support.csr_structure(x.dims)
         views = []
         view = linalg._view
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from nutf import core
 from nutf.core import BlockSparseMatrix, CandidateSets, LowRankModel, ProblemDims
 from nutf.serialize import (
     InputDataError,
@@ -179,7 +180,7 @@ class TestBinarySnapshots:
             save_model(path, LowRankModel(small_dims, q=q, c=c))
             load, arrays = load_model, lambda m: (m.q, m.c)
         else:
-            sizes = small_omega.block_sizes
+            sizes = np.diff(small_omega.block_ptr)
             x = BlockSparseMatrix(small_dims, small_omega, np.repeat(1.0 / sizes, sizes))
             save_block_sparse(path, x)
             load, arrays = load_block_sparse, lambda x: (x.values,)
@@ -213,6 +214,36 @@ def dims_around_square(draw):
     t, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     offset = draw(st.one_of(st.just(0), st.integers(1 - t * c, 6)))
     return ProblemDims(t * c + offset, t, c)
+
+
+class TestNarrowIndices:
+    """Files keep their int64 form: written from the narrow index arrays, they
+    have the bytes written from the same indices stored as int64."""
+
+    @pytest.fixture
+    def pair(self, monkeypatch):
+        """(narrow, int64) copies of one support with categories up to 255."""
+        blocks = [(0, 0, [0, 255]), (0, 7, [3]), (2**31 - 1, 2**31 - 1, [1, 2, 200])]
+        narrow = CandidateSets.from_blocks(blocks)
+        monkeypatch.setattr(core, "CAT_DTYPES", (np.int64,))
+        monkeypatch.setattr(core, "BLOCK_DTYPES", (np.int64,))
+        wide = CandidateSets.from_blocks(blocks)
+        assert (narrow.cats.dtype, narrow.block_users.dtype) == (np.uint8, np.int32)
+        assert wide.cats.dtype == wide.block_users.dtype == np.int64
+        return narrow, wide
+
+    def test_snapshot_bytes(self, tmp_path, pair):
+        dims = ProblemDims(2**31, 2**31, 256)
+        values = np.array([0.25, 0.75, 1.0, 0.5, 0.25, 0.25])
+        for name, omega in zip(("narrow", "wide"), pair):
+            save_block_sparse(tmp_path / name, BlockSparseMatrix(dims, omega, values))
+        assert (tmp_path / "narrow").read_bytes() == (tmp_path / "wide").read_bytes()
+        assert block_dict(load_block_sparse(tmp_path / "narrow").support) == block_dict(pair[1])
+
+    def test_candidate_sets_jsonl_bytes(self, tmp_path, pair):
+        for name, omega in zip(("narrow", "wide"), pair):
+            write_candidate_sets_jsonl(tmp_path / name, omega)
+        assert (tmp_path / "narrow").read_bytes() == (tmp_path / "wide").read_bytes()
 
 
 class TestSnapshotRoundTrips:
@@ -301,6 +332,27 @@ class TestJsonl:
         path.write_text('{"u":0,"j":0,"cats":[1]}\n{"u":0}\n')
         with pytest.raises(ValueError, match="line 2"):
             read_candidate_sets_jsonl(path)
+
+    # a lacking key once read only as the KeyError's text, 'j'; a record that is
+    # not an object as "list indices must be integers or slices, not str"
+    @pytest.mark.parametrize("bad,message", [
+        ('{"u":0,"i":1,"cats":[1]}', "missing key 'j'"),
+        ('{"u":0,"j":1}', "missing key 'cats'"),
+        ('[0,1,[1]]', "expected a JSON object"),
+        ('"u"', "expected a JSON object"),
+        ('7', "expected a JSON object"),
+    ])
+    def test_candidate_sets_record_shape_names_line(self, tmp_path, bad, message):
+        path = tmp_path / "omega.jsonl"
+        path.write_text(bad + "\n")
+        with pytest.raises(InputDataError, match=rf"omega\.jsonl line 1: {message}$"):
+            read_candidate_sets_jsonl(path)
+
+    def test_pairs_missing_key_names_line(self, tmp_path):
+        path = tmp_path / "truth.jsonl"
+        path.write_text('{"u":0,"j":0,"cat":1}\n{"u":0,"j":0}\n')
+        with pytest.raises(InputDataError, match=r"truth\.jsonl line 2: missing key 'cat'$"):
+            read_pairs_jsonl(path)
 
     # floats, bools and strings were once coerced by int(); each must name its line
     @pytest.mark.parametrize("bad", [
