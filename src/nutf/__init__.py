@@ -19,5 +19,6 @@ __all__ = [
     "ingest",
     "harness",
     "serialize",
+    "parallel",
     "cli",
 ]

@@ -158,6 +158,8 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     from .ingest import (SlotScheme, build_candidate_sets, read_category_map_csv,
                          read_updates_csv, read_venues_csv)
 
+    if args.venue_radius_m is not None and not args.venue_radius_m > 0:
+        raise ValueError(f"--venue-radius-m {args.venue_radius_m}: must be > 0")
     t_read = time.perf_counter()
     updates = read_updates_csv(args.updates)
     venues = read_venues_csv(args.venues)

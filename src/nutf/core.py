@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .parallel import DOT_SERIAL, GEMM_SERIAL, PANEL_BLOCKS, row_blocks, run_chunks, sum_blocks
+from .parallel import DOT_SERIAL, GEMM_SERIAL, PANEL_BLOCKS, row_blocks, sum_blocks
 
 _I64_MAX = np.iinfo(np.int64).max
 _I32_MAX = np.iinfo(np.int32).max
@@ -23,19 +23,12 @@ _I32_MAX = np.iinfo(np.int32).max
 CAT_DTYPES = (np.uint8, np.uint16, np.int32, np.int64)
 BLOCK_DTYPES = (np.int32, np.int64)
 
-# Entries per materialization chunk: the chunk's two (entries x rank)
-# gathers are still in cache when the inner products read them.
-_ENTRY_CHUNK = 1 << 15
-
 # Dot-product blocks per pool chunk.
 _DOT_BLOCKS = 16
 
 # Largest deviation from orthonormality that LowRankModel.validate accepts.
 _ORTHONORMAL_TOL = 1e-8
 
-# Entries per chunk of the block sums: a chunk's columns stay in cache
-# between the passes over them.
-_SUM_CHUNK = 1 << 17
 # What np.add.reduceat starts a block's tail sum from: -0.0 in recent numpy,
 # 0.0 in older releases, which turns a tail of -0.0 into 0.0.
 _TAIL_START = float(np.add.reduceat(np.array([-0.0, -0.0]), [0])[0])
@@ -266,21 +259,15 @@ def block_sums(values: np.ndarray, block_ptr: np.ndarray) -> np.ndarray:
     """Sum of each block of ``values``, with the bits of np.add.reduceat.
 
     When all blocks share one size, :func:`row_sums` adds the rows of the
-    (blocks x size) view in cache-sized chunks; mixed sizes run reduceat.
+    (blocks x size) view; mixed sizes run reduceat.
     """
     sizes = np.diff(block_ptr)
     if len(sizes) == 0 or sizes[0] < 1 or (sizes != sizes[0]).any():
         return np.add.reduceat(values, block_ptr[:-1])
-    d = int(sizes[0])
-    rows = values.reshape(-1, d)
-    out = np.empty(len(rows))
-    step = max(_SUM_CHUNK // d, 1)
-    for lo in range(0, len(rows), step):
-        row_sums(rows[lo:lo + step], out[lo:lo + step])
-    return out
+    return row_sums(values.reshape(-1, int(sizes[0])))
 
 
-def row_sums(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def row_sums(rows: np.ndarray) -> np.ndarray:
     """Sum of each row of ``rows`` (n x d), with the bits of np.add.reduceat.
 
     reduceat adds row [v0, ..., v(d-1)] as v0 + t, where numpy's pairwise
@@ -292,9 +279,8 @@ def row_sums(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """
     n, d = rows.shape
     if not 2 <= d <= 8:
-        return np.add.reduceat(rows.reshape(-1), np.arange(0, n * d, d), out=out)
-    if out is None:
-        out = np.empty(len(rows))
+        return np.add.reduceat(rows.reshape(-1), np.arange(0, n * d, d))
+    out = np.empty(n)
     # -0.0 + v is v bit for bit, so that start needs no pass of its own
     if d > 2 and np.signbit(_TAIL_START):
         np.add(rows[:, 1], rows[:, 2], out=out)
@@ -400,19 +386,15 @@ class LowRankModel:
 def model_support_values(model: LowRankModel, support: CandidateSets) -> np.ndarray:
     """Completion values at every support entry, in support order.
 
-    Works in chunks of ``_ENTRY_CHUNK`` entries on
-    :func:`nutf.parallel.run_chunks`; each entry is one inner product, so
-    the output does not depend on the chunking.
+    The serial reference for the Y step of :func:`nutf.solver._support_pass`:
+    one :func:`completion_values` call over the whole support, which holds
+    its two factor gathers, 16 * r bytes per entry, at once. Each entry is
+    one inner product, so the values have the pass's bits.
     """
     _, cols = support.csr_structure(model.dims)
     rows = np.repeat(support.block_users, np.diff(support.block_ptr))
-    n = len(cols)
-    out = np.empty(n, dtype=np.float64)
-
-    def materialize_chunk(lo: int, hi: int) -> None:
-        completion_values(model, rows[lo:hi], cols[lo:hi], out[lo:hi])
-
-    run_chunks(materialize_chunk, [*range(0, n, _ENTRY_CHUNK), n])
+    out = np.empty(len(cols), dtype=np.float64)
+    completion_values(model, rows, cols, out)
     return out
 
 

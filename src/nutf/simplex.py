@@ -18,11 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from .core import row_sums
-from .parallel import chunk_bounds, run_chunks
-
-# Entries per projection chunk: a chunk's values and its sorted columns
-# stay in cache between the passes over them.
-_PROJECT_CHUNK = 1 << 16
 
 # A vector counts as already on the simplex when it is non-negative and its
 # sum is within this multiple of d from one.
@@ -144,13 +139,12 @@ def project_into(values: np.ndarray, block_ptr: np.ndarray, out: np.ndarray) -> 
 def project_blocks(values: np.ndarray, block_ptr: np.ndarray) -> np.ndarray:
     """Project each contiguous block of ``values`` onto the simplex.
 
-    Block b is ``values[block_ptr[b]:block_ptr[b+1]]``. The blocks are cut
-    into chunks of about ``_PROJECT_CHUNK`` entries
-    (:func:`nutf.parallel.chunk_bounds`), which run
-    :func:`project_into` on :func:`nutf.parallel.run_chunks`, so the
-    output does not depend on the chunking. ``values`` must be 1-D with
-    finite entries and every block non-empty; output entries are >= 0 and
-    each block sums to 1 up to roundoff (~1e-12 * d).
+    Block b is ``values[block_ptr[b]:block_ptr[b+1]]``. The serial
+    reference for the projection step of :func:`nutf.solver._support_pass`:
+    one :func:`project_into` call over all blocks, whose bits do not depend
+    on the blocks around each one. ``values`` must be 1-D with finite
+    entries and every block non-empty; output entries are >= 0 and each
+    block sums to 1 up to roundoff (~1e-12 * d).
     """
     values = np.asarray(values, dtype=np.float64)
     block_ptr = np.asarray(block_ptr)
@@ -160,13 +154,8 @@ def project_blocks(values: np.ndarray, block_ptr: np.ndarray) -> np.ndarray:
         raise ValueError("block_ptr must run from 0 to len(values)")
     if (np.diff(block_ptr) < 1).any():
         raise ValueError("blocks must be non-empty")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("entries must be finite")
     out = np.empty(len(values))
-
-    def project_chunk(b0: int, b1: int) -> None:
-        lo, hi = block_ptr[b0], block_ptr[b1]
-        if not np.all(np.isfinite(values[lo:hi])):
-            raise ValueError("entries must be finite")
-        project_into(values[lo:hi], block_ptr[b0:b1 + 1] - lo, out[lo:hi])
-
-    run_chunks(project_chunk, chunk_bounds(block_ptr, _PROJECT_CHUNK))
+    project_into(values, block_ptr, out)
     return out

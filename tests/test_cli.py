@@ -639,6 +639,27 @@ class TestPreprocess:
         assert rc == EXIT_INPUT
         assert "--venue-radius-m inf: must be a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("venues_rows, via_config, value, shown", [
+        ("v1,Bank,40.7582,-73.9860,25\n", False, "0", "0.0"),
+        ("", False, "-5", "-5.0"),  # an empty catalog has no venue to blame
+        ("v1,Bank,40.7582,-73.9860,25\n", True, 0, "0"),
+        ("", True, -2.5, "-2.5"),
+    ])
+    def test_non_positive_venue_radius_names_flag(self, tmp_path, capsys, venues_rows,
+                                                  via_config, value, shown):
+        updates, venues, catmap = self._write_inputs(tmp_path, venues_rows)
+        argv = ["preprocess", "--updates", str(updates), "--venues", str(venues),
+                "--catmap", str(catmap), "--out", str(tmp_path / "p")]
+        if via_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"venue_radius_m": value}))
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--venue-radius-m", value]
+        assert run(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: --venue-radius-m {shown}: must be > 0\n"
+        assert not (tmp_path / "p").exists()
+
     def test_invalid_epoch_day_names_flag(self, tmp_path, capsys):
         updates, venues, catmap = self._write_inputs(tmp_path, "v1,Bank,40.7582,-73.9860,25\n")
         rc = run(["preprocess", "--updates", str(updates), "--venues", str(venues),

@@ -270,9 +270,7 @@ class TestBlockSparseMatrix:
         assert x.max_block_sum_error() <= 1e-9
 
     @pytest.mark.parametrize("d", range(1, 13))
-    def test_block_sums_bytes_equal_reduceat(self, monkeypatch, d):
-        # 64-entry sum chunks, so a few hundred blocks span several of them
-        monkeypatch.setattr(core, "_SUM_CHUNK", 64)
+    def test_block_sums_bytes_equal_reduceat(self, d):
         rng = np.random.default_rng(d)
         n = 300
         values = rng.standard_normal(n * d) * 10.0 ** rng.integers(-8, 9, size=n * d)
@@ -473,9 +471,7 @@ class TestLowRankModel:
 
 
     @pytest.mark.parametrize("transposed", [False, True])
-    def test_support_values_over_chunks_match_dot_bytes(self, monkeypatch, transposed):
-        # 7-entry chunks: the support spans dozens of them, run on the pool
-        monkeypatch.setattr(core, "_ENTRY_CHUNK", 7)
+    def test_support_values_over_chunks_match_dot_bytes(self, transposed):
         dims = ProblemDims(12 if transposed else 40, 6, 5)
         rng = np.random.default_rng(17)
         omega = random_omega(rng, dims.n_users, dims.n_slots, dims.n_categories, p_block=0.7)
@@ -483,7 +479,6 @@ class TestLowRankModel:
         assert dims.transposed == transposed
         _, cols = omega.csr_structure(dims)
         rows = entry_rows(omega)
-        assert len(cols) > 20 * core._ENTRY_CHUNK
         expected = np.array([np.dot(model.col_factor[c], model.user_factor[r])
                              for r, c in zip(rows, cols)])
         assert model_support_values(model, omega).tobytes() == expected.tobytes()

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nutf import simplex
-from nutf.simplex import project_blocks
+from nutf.parallel import chunk_bounds
+from nutf.simplex import project_blocks, project_into
 
 from conftest import project_simplex
 
@@ -222,11 +223,10 @@ def with_edge_blocks(values, ptr, rng):
 
 
 class TestProjectBlocksChunked:
-    """Chunked, threaded projection equals the per-block loop byte for byte."""
+    """Projection of thousands of blocks in one call equals the per-block loop
+    byte for byte."""
 
-    def test_uniform_blocks_over_several_chunks(self, monkeypatch):
-        # 64-entry chunks: 16 blocks of 4 each, so 2,001 blocks span 126 chunks
-        monkeypatch.setattr(simplex, "_PROJECT_CHUNK", 64)
+    def test_uniform_blocks_over_several_chunks(self):
         rng = np.random.default_rng(41)
         ptr = np.arange(0, 4 * 2001 + 1, 4, dtype=np.int64)
         values = with_edge_blocks(rng.uniform(-1.0, 1.5, size=int(ptr[-1])), ptr, rng)
@@ -234,9 +234,7 @@ class TestProjectBlocksChunked:
         assert out.tobytes() == per_block_reference(values, ptr).tobytes()
         assert np.signbit(out).any()  # a planted feasible -0.0 came through
 
-    def test_mixed_sizes_over_several_chunks(self, monkeypatch):
-        # 50-entry chunks whose edges fall inside blocks of up to 12 entries
-        monkeypatch.setattr(simplex, "_PROJECT_CHUNK", 50)
+    def test_mixed_sizes_over_several_chunks(self):
         rng = np.random.default_rng(42)
         sizes = rng.integers(1, 13, size=1500)
         ptr = np.zeros(len(sizes) + 1, dtype=np.int64)
@@ -246,16 +244,7 @@ class TestProjectBlocksChunked:
         out = project_blocks(values, ptr)
         assert out.tobytes() == per_block_reference(values, ptr).tobytes()
 
-    def test_uniform_blocks_at_default_chunk_size(self):
-        rng = np.random.default_rng(43)
-        n_blocks = 2 * simplex._PROJECT_CHUNK // 4 + 7
-        ptr = np.arange(0, 4 * n_blocks + 1, 4, dtype=np.int64)
-        values = with_edge_blocks(rng.uniform(-1.0, 1.5, size=int(ptr[-1])), ptr, rng)
-        out = project_blocks(values, ptr)
-        assert out.tobytes() == per_block_reference(values, ptr).tobytes()
-
-    def test_nonfinite_in_a_later_chunk_rejected(self, monkeypatch):
-        monkeypatch.setattr(simplex, "_PROJECT_CHUNK", 8)
+    def test_nonfinite_in_a_later_chunk_rejected(self):
         values = np.full(40, 0.25)
         values[37] = np.inf
         with pytest.raises(ValueError, match="finite"):
@@ -293,18 +282,23 @@ class TestColumnKernel:
 
     @pytest.mark.parametrize("chunk", [None, 256])
     @pytest.mark.parametrize("d", [*range(1, 13), 50])
-    def test_uniform_groups_bytes_equal_oracle(self, monkeypatch, d, chunk):
-        if chunk is not None:  # several chunks on the thread pool
-            monkeypatch.setattr(simplex, "_PROJECT_CHUNK", chunk)
+    def test_uniform_groups_bytes_equal_oracle(self, d, chunk):
         rng = np.random.default_rng(100 + d)
         n = 640
         values = edge_rows(n, d, rng).ravel()
         ptr = np.arange(0, n * d + 1, d)
-        out = project_blocks(values, ptr)
+        if chunk is None:
+            out = project_blocks(values, ptr)
+        else:  # project_into on runs of blocks, each rebased to start at 0
+            out = np.empty(len(values))
+            cuts = chunk_bounds(ptr, chunk)
+            for b0, b1 in zip(cuts, cuts[1:]):
+                lo, hi = ptr[b0], ptr[b1]
+                project_into(values[lo:hi], ptr[b0:b1 + 1] - lo, out[lo:hi])
+            assert len(cuts) > 2
         assert out.tobytes() == per_block_reference(values, ptr).tobytes()
 
-    def test_mixed_groups_bytes_equal_oracle(self, monkeypatch):
-        monkeypatch.setattr(simplex, "_PROJECT_CHUNK", 512)
+    def test_mixed_groups_bytes_equal_oracle(self):
         rng = np.random.default_rng(7)
         blocks = [row for d in [*range(1, 13), 50] for row in edge_rows(80, d, rng)]
         blocks = [blocks[b] for b in rng.permutation(len(blocks))]

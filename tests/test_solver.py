@@ -17,6 +17,7 @@ from nutf import core, linalg, parallel, solver
 from nutf.core import BlockSparseMatrix, CandidateSets, LowRankModel, ProblemDims
 from nutf.harness import SynthConfig, generate
 from nutf.linalg import NumericalError, sparse_lowrank_approx
+from nutf.simplex import project_blocks
 from nutf.solver import (
     SolverConfig,
     SolverTrace,
@@ -313,6 +314,19 @@ class TestSupportPass:
         layout = sum(a.nbytes for a in omega.csr_structure(dims))
         assert peak < layout + 2.5 * 8 * omega.total_size
 
+    def test_references_run_inline(self, no_pool):
+        """The serial references run on the calling thread: over a support
+        of more than 2**17 entries, none of them asks for a pool."""
+        omega, dims = multi_chunk_instance(8)
+        rng = np.random.default_rng(4)
+        x = BlockSparseMatrix(dims, omega, rng.random(omega.total_size))
+        model = random_model(rng, dims, 3)
+        assert omega.total_size > 2 * (1 << 16)
+        y = core.model_support_values(model, x.support)
+        project_blocks(y, x.support.block_ptr)
+        x.max_block_sum_error()
+        serial_support_pass(x, model)
+
 
 class TestDenseReferenceFit:
     def test_guard_on_large_instances(self):
@@ -421,7 +435,7 @@ class TestPredictTopk:
 
 def multi_chunk_instance(seed, n=5000, t=8, c=6):
     """Every (user, slot) with 1..c random categories: |Omega| ~ 140k, which
-    spans several projection and materialization chunks."""
+    spans several chunks of the support pass."""
     rng = np.random.default_rng(seed)
     nb = n * t
     sizes = rng.integers(1, c + 1, size=nb)
