@@ -5,8 +5,8 @@ candidate sets by alternating between a rank-constrained completion and
 an exact projection onto the negative-unlabeled constraint set.
 
 Submodules are imported explicitly (``import nutf.solver``); the package
-root stays import-light so the CLI can configure thread environment
-variables before any numerical library loads.
+root stays import-light, so ``nutf --help`` and usage errors load no
+numerical library.
 """
 
 __version__ = "0.1.0"

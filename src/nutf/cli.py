@@ -16,7 +16,6 @@ import argparse
 import datetime as dt
 import json
 import math
-import os
 import platform
 import sys
 import time
@@ -26,15 +25,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_NUMERIC = 4
-
-
-def _apply_thread_env(threads: int) -> None:
-    # Caps BLAS; cmd_fit caps nutf's own pool. Effective only before the
-    # numerical libraries load; the command functions import them lazily
-    # for exactly this reason.
-    if threads and threads > 0:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
 
 
 def _options(subparser: argparse.ArgumentParser) -> dict:
@@ -82,7 +72,7 @@ def _read_config(path: str, options: dict) -> dict:
     if unknown:
         raise ValueError(f"config file {path}: unknown keys {sorted(unknown)}")
     for key, value in cfg.items():
-        if not _accepts(options[key], value) or (key == "threads" and value < 0):
+        if not _accepts(options[key], value):
             raise ValueError(f"config file {path}: {key} cannot be {json.dumps(value)}")
     return cfg
 
@@ -160,6 +150,10 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
     if args.venue_radius_m is not None and not args.venue_radius_m > 0:
         raise ValueError(f"--venue-radius-m {args.venue_radius_m}: must be > 0")
+    if args.min_dwell_min < 0:
+        raise ValueError(f"--min-dwell-min {args.min_dwell_min}: must be >= 0")
+    if args.other_category == "":
+        raise ValueError("--other-category '': must not be empty")
     t_read = time.perf_counter()
     updates = read_updates_csv(args.updates)
     venues = read_venues_csv(args.venues)
@@ -207,10 +201,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    if args.threads < 0:
-        raise ValueError(f"--threads {args.threads}: a thread cap cannot be negative")
-    _apply_thread_env(args.threads)
-    from . import parallel, serialize
+    from . import serialize
     from .core import ProblemDims
     from .solver import SolverConfig, fit
 
@@ -236,8 +227,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         tol=args.tol, seed=args.seed,
     )
     t0 = time.perf_counter()
-    with parallel.capped(args.threads):
-        x, model, trace = fit(omega, dims, solver_cfg)
+    x, model, trace = fit(omega, dims, solver_cfg)
     t_write = time.perf_counter()
     total = t_write - t0
 
@@ -350,9 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--deterministic", action=argparse.BooleanOptionalAction, default=False)
-    p.add_argument("--threads", type=int, default=0,
-                   help="thread cap of nutf's pool and of BLAS; 0 keeps the defaults "
-                        "(the usable CPUs, and the BLAS environment); negative is an error")
     p.add_argument("--out", default="fit_out")
 
     p = command("predict", cmd_predict, "top-k categories for one (user, slot)")
@@ -383,7 +370,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except MemoryError as exc:  # sizes are read from the inputs, and no count is capped
+    except MemoryError as exc:  # sizes are read from the inputs, and no count has a limit
         print(f"error: nutf {args.command} ran out of memory: {str(exc) or 'MemoryError'}",
               file=sys.stderr)
         return EXIT_INPUT

@@ -231,7 +231,8 @@ def build_candidate_sets(
     sets sharing a taxonomy. Users whose updates all fall away are absent
     from the user index.
     """
-    canonical = sorted(set(category_map.values()) | ({other_category} if other_category else set()))
+    other = set() if other_category is None else {other_category}
+    canonical = sorted(set(category_map.values()) | other)
     cat_index = {name: i for i, name in enumerate(canonical)}
 
     ordered = sorted(updates, key=lambda u: (u.user_id, u.timestamp_utc))

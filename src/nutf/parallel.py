@@ -13,7 +13,7 @@ chunk writes its own slice of the output, or a partial sum that
 on the worker count.
 
 The chunks run on one long-lived pool per worker count, built on first
-use. ``nutf fit --threads N`` caps the workers at N (:func:`capped`).
+use: one thread per CPU in the affinity mask (``taskset`` narrows it).
 
 This pool owns every thread of a multi-chunk kernel: each BLAS call in
 it stays small enough that OpenBLAS computes it on the calling thread
@@ -27,11 +27,10 @@ on the BLAS thread count.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -48,7 +47,6 @@ PANEL_BLOCKS = 4
 
 _pools: dict[int, ThreadPoolExecutor] = {}
 _pools_lock = threading.Lock()
-_worker_cap = 0
 _in_worker = threading.local()
 
 
@@ -57,17 +55,6 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-@contextlib.contextmanager
-def capped(workers: int) -> Iterator[None]:
-    """Run at most ``workers`` pool threads inside the block; 0 leaves no cap."""
-    global _worker_cap
-    outer, _worker_cap = _worker_cap, workers
-    try:
-        yield
-    finally:
-        _worker_cap = outer
 
 
 def _mark_worker() -> None:
@@ -100,15 +87,13 @@ def run_chunks(work: Callable[[int, int], None], bounds: Sequence[int]) -> None:
     A single chunk runs inline in the caller's thread, with no affinity
     call, and so does every chunk when one worker is usable or when the
     caller is itself a pool worker (a nested call cannot wait on its own
-    pool). More chunks share the long-lived pool of min(usable CPUs,
-    cap) threads, at most one thread per chunk busy, each chunk under the
-    caller's numpy error state. The call returns once every chunk has
+    pool). More chunks share the long-lived pool of one thread per usable
+    CPU, at most one thread per chunk busy, each chunk under the caller's
+    numpy error state. The call returns once every chunk has
     finished; the first exception, in chunk order, reaches the caller.
     """
     los, his = list(bounds[:-1]), list(bounds[1:])
     workers = _usable_cpus() if len(los) > 1 else 1
-    if _worker_cap > 0:
-        workers = min(workers, _worker_cap)
     if workers <= 1 or getattr(_in_worker, "active", False):
         for lo, hi in zip(los, his):
             work(lo, hi)

@@ -1,16 +1,13 @@
 import json
-import os
 import re
 import shlex
 import shutil
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import nutf
+from nutf import parallel
 from nutf.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, _options, build_parser, main
 from nutf.core import ProblemDims
 from nutf.serialize import save_model, write_pairs_jsonl
@@ -115,13 +112,14 @@ class TestFit:
                             "q_ortho_error", "block_sum_error"}
         assert rec["seconds"] == 0.0
 
-    def test_single_thread_deterministic_reruns_identical(self, tmp_path):
+    def test_single_thread_deterministic_reruns_identical(self, tmp_path, monkeypatch):
         src = self._fixture(tmp_path)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)  # as under taskset -c 0
         outs = [tmp_path / "fa", tmp_path / "fb"]
         for out in outs:
             assert run(["fit", "--omega", str(src), "--rank", "4", "--iters", "6",
                         "--tol", "0", "--power-iters", "3", "--seed", "4",
-                        "--deterministic", "--threads", "1", "--out", str(out)]) == EXIT_OK
+                        "--deterministic", "--out", str(out)]) == EXIT_OK
         names = ["trace.jsonl", "model.nutf", "x.nutf"]
         assert file_bytes(outs[0], names) == file_bytes(outs[1], names)
         recs = [json.loads(l) for l in (outs[0] / "trace.jsonl").read_text().splitlines()]
@@ -129,29 +127,22 @@ class TestFit:
         assert recs[0]["passes"] == 3
         assert all(1 <= r["passes"] <= 3 for r in recs[1:])
 
-    def test_deterministic_files_independent_of_threads(self, tmp_path):
-        """--threads 1 and --threads 2 write the same trace, model and X. Each
-        fit runs in its own process, since --threads sets BLAS's thread count
-        only before numpy loads. At N = 20k the fit's Grams and dots take
-        their blocked path; a dot BLAS threads would add in another order."""
-        src = str(Path(nutf.__file__).parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-
-        def nutf_cli(*argv):
-            code = "import sys; from nutf.cli import main; sys.exit(main(sys.argv[1:]))"
-            subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
-                           check=True, capture_output=True, timeout=300)
-
+    def test_deterministic_files_independent_of_threads(self, tmp_path, fresh_pools,
+                                                        monkeypatch):
+        """One usable CPU and two write the same trace, model and X. At N = 20k
+        the fit's Grams and dots take their blocked path, run inline on one CPU
+        and on the pool on two."""
         synth = tmp_path / "s"
-        nutf_cli("synth", "--users", 20_000, "--slots", 50, "--categories", 20,
-                 "--seed", 3, "--out", synth)
-        outs = [tmp_path / f"f{threads}" for threads in (1, 2)]
-        for threads, out in zip((1, 2), outs):
-            nutf_cli("fit", "--omega", synth, "--deterministic", "--iters", 4, "--tol", 0,
-                     "--threads", threads, "--out", out)
+        assert run(["synth", "--users", "20000", "--slots", "50", "--categories", "20",
+                    "--seed", "3", "--out", str(synth)]) == EXIT_OK
+        outs = [tmp_path / f"f{cpus}" for cpus in (1, 2)]
+        for cpus, out in zip((1, 2), outs):
+            monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
+            assert run(["fit", "--omega", str(synth), "--deterministic", "--iters", "4",
+                        "--tol", "0", "--out", str(out)]) == EXIT_OK
         names = ["trace.jsonl", "model.nutf", "x.nutf"]
         assert file_bytes(outs[0], names) == file_bytes(outs[1], names)
+        assert list(fresh_pools) == [2]
 
     def test_trace_has_wallclock_without_deterministic(self, tmp_path):
         src = self._fixture(tmp_path)
@@ -227,7 +218,7 @@ class TestFit:
         assert rc == EXIT_INPUT
         assert capsys.readouterr().err == f"error: config file {cfg}: must hold a JSON object\n"
 
-    @pytest.mark.parametrize("key", ["omega", "config", "help"])
+    @pytest.mark.parametrize("key", ["omega", "config", "help", "threads"])  # threads: removed
     def test_config_file_required_and_meta_flags_unknown(self, tmp_path, capsys, key):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: "x"}))
@@ -248,12 +239,14 @@ class TestFit:
         assert config["tol"] == 0 and config["deterministic"] is False  # CLI wins
         assert len((out / "trace.jsonl").read_text().splitlines()) == 4  # tol 0 runs them all
 
-    def test_negative_threads_is_input_error(self, tmp_path, capsys):
-        rc = run(["fit", "--omega", str(tmp_path / "s"), "--threads", "-3",
-                  "--out", str(tmp_path / "f")])
-        assert rc == EXIT_INPUT
-        assert capsys.readouterr().err == (
-            "error: --threads -3: a thread cap cannot be negative\n")
+    def test_threads_flag_is_usage_error(self, tmp_path, capsys):
+        """The pool takes one thread per CPU in the affinity mask and BLAS its
+        environment's count; there is no thread flag."""
+        with pytest.raises(SystemExit) as exc:
+            run(["fit", "--omega", str(tmp_path / "s"), "--threads", "2",
+                 "--out", str(tmp_path / "f")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
         assert not (tmp_path / "f").exists()
 
 
@@ -660,6 +653,26 @@ class TestPreprocess:
         assert capsys.readouterr().err == f"error: --venue-radius-m {shown}: must be > 0\n"
         assert not (tmp_path / "p").exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--min-dwell-min", -5.0, "--min-dwell-min -5.0: must be >= 0"),
+        ("--other-category", "", "--other-category '': must not be empty"),
+    ])
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_bad_value_names_flag_before_any_file_is_read(self, tmp_path, capsys, flag, value,
+                                                          message, via_config):
+        missing = str(tmp_path / "missing.csv")
+        argv = ["preprocess", "--updates", missing, "--venues", missing, "--catmap", missing,
+                "--out", str(tmp_path / "p")]
+        if via_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({flag[2:].replace("-", "_"): value}))
+            argv += ["--config", str(cfg)]
+        else:
+            argv += [flag, str(value)]
+        assert run(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "p").exists()
+
     def test_invalid_epoch_day_names_flag(self, tmp_path, capsys):
         updates, venues, catmap = self._write_inputs(tmp_path, "v1,Bank,40.7582,-73.9860,25\n")
         rc = run(["preprocess", "--updates", str(updates), "--venues", str(venues),
@@ -717,7 +730,7 @@ REQUIRED_FLAGS_ONLY = {
                     "venue_radius_m": None, "other_category": None, "out": "preprocess_out"}),
     "fit": (["--omega", "synth_out"],
             {"rank": 20, "iters": 100, "power_iters": 8, "tol": 1e-6, "seed": 0,
-             "deterministic": False, "threads": 0, "out": "fit_out"}),
+             "deterministic": False, "out": "fit_out"}),
     "predict": (["--model", "fit_out/model.nutf", "--user", "0", "--slot", "0"],
                 {"k": 5, "restrict": None}),
     "eval": (["--model", "fit_out/model.nutf", "--validation", "synth_out/truth.jsonl"],
@@ -747,7 +760,6 @@ def test_required_flags_only_config(tmp_path, monkeypatch):
     (["fit", "--omega", "s"], {"rank": "abc"}),
     (["fit", "--omega", "s"], {"deterministic": 1}),
     (["fit", "--omega", "s"], {"tol": True}),
-    (["fit", "--omega", "s"], {"threads": -1}),
     (["preprocess", "--updates", "u", "--venues", "v", "--catmap", "c"],
      {"slot_mode": "weekly"}),
     (["synth"], {"out": None}),

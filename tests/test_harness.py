@@ -470,8 +470,9 @@ class TestPooledScoring:
             for cpus in (1, 2, 3):
                 monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
                 assert np.array_equal(score_topk(model, pairs, 5).accuracies, expected)
-            with parallel.capped(1):
-                assert np.array_equal(score_topk(model, pairs, 5).accuracies, expected)
+            # back to one CPU once the pools exist: inline again
+            monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
+            assert np.array_equal(score_topk(model, pairs, 5).accuracies, expected)
         assert sorted(fresh_pools) == [2, 3]
 
     @pytest.mark.parametrize("dims", DIMS)

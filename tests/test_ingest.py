@@ -334,6 +334,10 @@ class TestBuildCandidateSets:
                                    other_category="Other")
         assert res.category_names == ["Bank", "Food", "Other", "Work"]
         assert block_dict(res.omega) == {(0, 1): [2]}
+        # an empty name is a name: on the axis, not a crash
+        res = build_candidate_sets(updates, venues, self.SCHEME, CATMAP, 60, other_category="")
+        assert res.category_names == ["", "Bank", "Food", "Work"]
+        assert block_dict(res.omega) == {(0, 1): [0]}
 
     def test_updates_before_window_dropped_and_counted(self):
         updates = [
@@ -415,7 +419,7 @@ def update_walks(draw):
     return (draw(st.lists(update, max_size=14)),
             SlotScheme(mode=draw(st.sampled_from(["daypart", "hourly"]))),
             draw(st.sampled_from([0.0, 1800.0, 3600.0])),
-            draw(st.sampled_from([None, "Other"])))
+            draw(st.sampled_from([None, "Other", ""])))
 
 
 class TestPipelineOracle:

@@ -62,15 +62,16 @@ class TestRunChunks:
         parallel.run_chunks(lambda lo, hi: ran.append((lo, hi)), [3])  # no chunk
         assert ran == [(3, 9, caller)]
 
-    def test_capped_to_one_worker_runs_inline(self, fresh_pools):
+    def test_capped_to_one_worker_runs_inline(self, fresh_pools, monkeypatch):
+        """One CPU in the affinity mask (``taskset -c 0``) runs every chunk inline."""
         caller = threading.current_thread()
         ran_on = []
-        with parallel.capped(1):
-            parallel.run_chunks(lambda lo, hi: ran_on.append(threading.current_thread()),
-                                [0, 1, 2, 3])
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
+        parallel.run_chunks(lambda lo, hi: ran_on.append(threading.current_thread()),
+                            [0, 1, 2, 3])
         assert ran_on == [caller] * 3 and fresh_pools == {}
-        with parallel.capped(0):  # no cap
-            assert squares(6, [0, 2, 4, 6]).tolist() == [0, 1, 4, 9, 16, 25]
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+        assert squares(6, [0, 2, 4, 6]).tolist() == [0, 1, 4, 9, 16, 25]
         assert list(fresh_pools) == [2]
 
     def test_nested_call_runs_inline(self, fresh_pools, monkeypatch):

@@ -278,8 +278,8 @@ class TestSupportPass:
         monkeypatch.setattr(solver, "_PASS_BLOCKS", 1 if dot_serial < 10_000 else 4)
         x, model = self.inputs(instance)
         assert x.support.total_size > 3 * dot_serial
-        with parallel.capped(workers):
-            new_x, objective, delta, sum_error = solver._support_pass(x, model)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: workers)
+        new_x, objective, delta, sum_error = solver._support_pass(x, model)
         ref_x, ref_objective, ref_delta, ref_sum_error = serial_support_pass(x, model)
         assert new_x.values.tobytes() == ref_x.values.tobytes()
         assert (objective, delta, sum_error) == (ref_objective, ref_delta, ref_sum_error)
@@ -293,10 +293,11 @@ class TestSupportPass:
         c = model.c.copy()
         c[0, -1] = np.nan  # the last column's entries, in the last chunks
         bad = LowRankModel(model.dims, q=model.q, c=c)
-        with parallel.capped(workers), pytest.raises(NumericalError, match="non-finite"):
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: workers)
+        with pytest.raises(NumericalError, match="non-finite"):
             solver._support_pass(x, bad)
 
-    def test_fit_keeps_two_support_vectors(self):
+    def test_fit_keeps_two_support_vectors(self, monkeypatch):
         """While fit runs, X and X+ are the only vectors as long as the support
         alive at once: the traced peak stays below the layout plus 2.5 of them.
         Y held whole next to both, as the separate sweeps hold it, breaks this."""
@@ -304,10 +305,10 @@ class TestSupportPass:
                                               seed=1))
         assert omega.total_size == 1_600_000 and not dims.transposed
         cfg = SolverConfig(rank=2, outer_iters=2, power_iters=2, tol=0.0)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
         tracemalloc.start()  # numpy reports its buffers to tracemalloc
         try:
-            with parallel.capped(2):
-                fit(omega, dims, cfg)
+            fit(omega, dims, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
