@@ -159,10 +159,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     venues = read_venues_csv(args.venues)
     catmap = read_category_map_csv(args.catmap)
     if args.venue_radius_m is not None:
-        # fixed-radius venue model: one radius for the whole catalog
-        from dataclasses import replace
-
-        venues = [replace(v, radius_m=args.venue_radius_m) for v in venues]
+        venues.radius_m[:] = args.venue_radius_m  # fixed-radius venue model
     try:
         epoch_day = dt.date.fromisoformat(args.epoch_day)
     except ValueError as exc:
@@ -176,7 +173,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
             min_dwell_s=args.min_dwell_min * 60.0, other_category=args.other_category,
         )
     except ValueError as exc:  # the records are valid one by one; a venue's category is unmapped
-        raise ValueError(f"{args.catmap}: {exc} in {args.venues}") from None
+        raise ValueError(f"{args.catmap}: {exc}") from None
     if result.before_window:
         print(f"warning: dropped {result.before_window} update(s) before the window start "
               f"{scheme.epoch_day}", file=sys.stderr)
@@ -188,6 +185,8 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         out / "index_maps.json", n_users, n_slots, len(result.category_names),
         user_ids=result.user_ids, category_names=result.category_names,
     )
+    (out / "report.json").write_text(json.dumps(result.funnel, indent=2) + "\n",
+                                     encoding="utf-8")
     _write_manifest(out, args)
     _write_timings(out, {"read_s": read_s, "preprocess_s": time.perf_counter() - t0})
     if dims is None:

@@ -1,9 +1,12 @@
 """Raw location updates -> per-(user, slot) candidate category sets.
 
-Pipeline: estimate dwell times from consecutive timestamps and drop short
-visits, quantize local time into slots, keep the longest-dwell update per
-(user, slot), intersect each update's uncertainty circle with the venue
-catalog, and map venue categories through a caller-supplied taxonomy.
+The CSV readers parse each row straight into typed columns (``Updates``,
+``Venues``), keeping its line number. ``build_candidate_sets`` then works
+on whole columns: it estimates dwell times from consecutive timestamps and
+drops short visits, quantizes local time into slots, keeps the
+longest-dwell update per (user, slot), intersects each kept update's
+uncertainty circle with the venue catalog in one batched query, and maps
+venue categories through a caller-supplied taxonomy.
 """
 
 from __future__ import annotations
@@ -11,72 +14,40 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
-from bisect import bisect_right
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .core import CandidateSets, ProblemDims
-from .serialize import InputDataError, read_records, text_lines
+from .serialize import InputDataError, iter_records, text_lines
 
 EARTH_RADIUS_M = 6_371_000.0
 
 # Non-uniform dayparts: 1am-7am is one bin (little night activity), then
 # two-hour bins; hours [23, 24) and the following [0, 1) share the last bin.
-_DAYPART_EDGES = (1, 7, 9, 11, 13, 15, 17, 19, 21, 23)
+_DAYPART_EDGES = np.array([1, 7, 9, 11, 13, 15, 17, 19, 21, 23], dtype=np.float64)
 
 UPDATES_HEADER = ["user_id", "timestamp_utc", "lat", "lon", "error_radius_m",
                   "utc_offset_minutes"]
 VENUES_HEADER = ["venue_id", "category", "lat", "lon", "radius_m"]
 CATMAP_HEADER = ["raw_category", "canonical_category"]
 
-# Local times, in seconds from 1970-01-01, that LocationUpdate accepts: the
+# Local times, in seconds from 1970-01-01, that an update may have: the
 # years 1 to 9999 of datetime, whose slots all fit an int64.
 _LOCAL_MIN_S = (dt.datetime.min - dt.datetime(1970, 1, 1)).total_seconds()
 _LOCAL_MAX_S = (dt.datetime.max - dt.datetime(1970, 1, 1)).total_seconds()
 
-
-@dataclass(frozen=True)
-class LocationUpdate:
-    user_id: str
-    timestamp_utc: float
-    lat: float
-    lon: float
-    error_radius_m: float
-    utc_offset_minutes: int
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.timestamp_utc):
-            raise ValueError(f"timestamp {self.timestamp_utc} must be finite")
-        local = self.timestamp_utc + self.utc_offset_minutes * 60.0
-        if not _LOCAL_MIN_S <= local <= _LOCAL_MAX_S:
-            raise ValueError(f"local time {local:g} s (timestamp {self.timestamp_utc:g} plus "
-                             f"offset {self.utc_offset_minutes} min) falls outside the years "
-                             "1 to 9999")
-        if not -90.0 <= self.lat <= 90.0:
-            raise ValueError(f"latitude {self.lat} out of bounds")
-        if not -180.0 <= self.lon <= 180.0:
-            raise ValueError(f"longitude {self.lon} out of bounds")
-        if not (math.isfinite(self.error_radius_m) and self.error_radius_m >= 0):
-            raise ValueError(f"error radius {self.error_radius_m} must be finite and >= 0")
-
-
-@dataclass(frozen=True)
-class Venue:
-    venue_id: str
-    category: str
-    lat: float
-    lon: float
-    radius_m: float
-
-    def __post_init__(self) -> None:
-        if not -90.0 <= self.lat <= 90.0:
-            raise ValueError(f"latitude {self.lat} out of bounds")
-        if not -180.0 <= self.lon <= 180.0:
-            raise ValueError(f"longitude {self.lon} out of bounds")
-        if not (math.isfinite(self.radius_m) and self.radius_m > 0):
-            raise ValueError(f"venue radius {self.radius_m} must be finite and > 0")
+# (update, venue) pairs of the latitude band tested at once: about 1 MiB of
+# temporaries, whatever the number of updates
+_PAIR_CHUNK = 1 << 13
+# The vectorized distance takes haversine_m's steps with numpy's sines,
+# cosines and arctangent, so it differs by a few units in the last place of
+# the angle: 3.7e-9 m at most over 800k random pairs, from neighbours to
+# antipodes. A pair it decides 1 mm from the boundary is decided as
+# haversine_m decides it; only the pairs within 1 mm call haversine_m.
+_MARGIN_M = 1e-3
 
 
 @dataclass(frozen=True)
@@ -99,6 +70,116 @@ class SlotScheme:
         return 10 if self.mode == "daypart" else 24
 
 
+@dataclass(eq=False)
+class Updates:
+    """Location updates as columns, one entry per CSV row.
+
+    ``user`` indexes ``user_ids`` (distinct ids, first-seen order).
+    ``utc_offset_minutes`` is held as a float, the value that local time
+    (``timestamp_utc + 60 * utc_offset_minutes``) is computed from, and
+    ``line`` is each row's line in its file.
+    """
+
+    user_ids: list[str]
+    user: np.ndarray
+    timestamp_utc: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
+    error_radius_m: np.ndarray
+    utc_offset_minutes: np.ndarray
+    line: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.line)
+
+    @classmethod
+    def from_rows(cls, path, rows) -> "Updates":
+        """Columns of the (line number, fields) rows of the file ``path``;
+        a bad row names the file and line."""
+        ids: dict[str, int] = {}
+        user, line = array("q"), array("q")
+        floats = tuple(array("d") for _ in range(5))
+        for lineno, (uid, *values) in iter_records(path, rows, _update_fields):
+            user.append(ids.setdefault(uid, len(ids)))
+            for col, value in zip(floats, values):
+                col.append(value)
+            line.append(lineno)
+        return cls(list(ids), _column(user), *map(_column, floats), _column(line))
+
+
+@dataclass(eq=False)
+class Venues:
+    """A venue catalog as columns, one entry per CSV row of ``path``.
+
+    ``category`` indexes ``category_names`` (distinct raw categories,
+    first-seen order); ``line`` is each row's line in ``path``.
+    """
+
+    path: str
+    venue_ids: list[str]
+    category_names: list[str]
+    category: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
+    radius_m: np.ndarray
+    line: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.line)
+
+    @classmethod
+    def from_rows(cls, path, rows) -> "Venues":
+        """Columns of the (line number, fields) rows of the file ``path``;
+        a bad row names the file and line."""
+        ids: list[str] = []
+        names: dict[str, int] = {}
+        category, line = array("q"), array("q")
+        floats = tuple(array("d") for _ in range(3))
+        for lineno, (vid, raw, *values) in iter_records(path, rows, _venue_fields):
+            ids.append(vid)
+            category.append(names.setdefault(raw, len(names)))
+            for col, value in zip(floats, values):
+                col.append(value)
+            line.append(lineno)
+        return cls(str(path), ids, list(names), _column(category), *map(_column, floats),
+                   _column(line))
+
+
+def _column(values: array) -> np.ndarray:
+    """The array's values as a numpy array over the same memory."""
+    return np.frombuffer(values, dtype=np.int64 if values.typecode == "q" else np.float64)
+
+
+def _update_fields(row) -> tuple:
+    uid, ts, lat, lon, err, offset = (row[0], float(row[1]), float(row[2]), float(row[3]),
+                                      float(row[4]), int(row[5]))
+    if not math.isfinite(ts):
+        raise ValueError(f"timestamp {ts} must be finite")
+    local = ts + offset * 60.0
+    if not _LOCAL_MIN_S <= local <= _LOCAL_MAX_S:
+        raise ValueError(f"local time {local:g} s (timestamp {ts:g} plus offset {offset} min) "
+                         "falls outside the years 1 to 9999")
+    _check_position(lat, lon)
+    if not (math.isfinite(err) and err >= 0):
+        raise ValueError(f"error radius {err} must be finite and >= 0")
+    return uid, ts, lat, lon, err, float(offset)
+
+
+def _venue_fields(row) -> tuple:
+    vid, raw, lat, lon, radius = row[0], row[1], float(row[2]), float(row[3]), float(row[4])
+    _check_position(lat, lon)
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"venue radius {radius} must be finite and > 0")
+    return vid, raw, lat, lon, radius
+
+
+def _check_position(lat: float, lon: float) -> None:
+    if not -90.0 <= lat <= 90.0:
+        raise ValueError(f"latitude {lat} out of bounds")
+    if not -180.0 <= lon <= 180.0:
+        raise ValueError(f"longitude {lon} out of bounds")
+
+
 def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     """Great-circle distance in meters (mean Earth radius 6371 km).
 
@@ -114,6 +195,16 @@ def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     return EARTH_RADIUS_M * math.atan2(sin_angle, cos_angle)
 
 
+def _distances_m(lat1, lon1, lat2, lon2) -> np.ndarray:
+    """haversine_m elementwise, by the same operations in numpy."""
+    p1, p2 = np.radians(lat1), np.radians(lat2)
+    dlam = np.radians(lon2 - lon1)
+    s1, c1, s2, c2 = np.sin(p1), np.cos(p1), np.sin(p2), np.cos(p2)
+    sin_angle = np.hypot(c2 * np.sin(dlam), c1 * s2 - s1 * c2 * np.cos(dlam))
+    cos_angle = s1 * s2 + c1 * c2 * np.cos(dlam)
+    return EARTH_RADIUS_M * np.arctan2(sin_angle, cos_angle)
+
+
 def _unit_vectors(lat, lon) -> np.ndarray:
     """Points on the unit sphere, shape (..., 3), for degree coordinates."""
     phi, lam = np.radians(lat), np.radians(lon)
@@ -121,77 +212,86 @@ def _unit_vectors(lat, lon) -> np.ndarray:
                     axis=-1)
 
 
-class VenueIndex:
-    """Venue catalog sorted by latitude, with each venue's unit vector.
+def candidate_venues(lat, lon, radius_m, venues: Venues) -> np.ndarray:
+    """(update, venue) index pairs whose circles intersect, shape (hits, 2).
 
-    A query's reach is its radius plus the largest venue radius. It
-    scans the latitude band that reach allows (a great-circle distance is
-    never less than the meridian distance), keeps the venues within the
-    matching unit-sphere chord, and confirms each with the exact haversine
-    test. Both filters only over-include, so results match a brute-force
-    scan everywhere, poles and antimeridian included.
+    Update k is the circle of ``radius_m[k]`` around ``(lat[k], lon[k])``.
+    A pair is a candidate when ``haversine_m(update, venue) <= radius_m +
+    venue radius``; the boundary is inclusive. Pairs come sorted by update,
+    then venue.
+
+    A query's reach is its radius plus the largest venue radius. Venues
+    sorted by latitude give each update the band that reach allows (a
+    great-circle distance is never less than the meridian distance), and
+    the matching unit-sphere chord narrows the band's pairs; both filters
+    only over-include, poles and antimeridian included. The vectorized
+    distance then decides each remaining pair, and haversine_m the few
+    within ``_MARGIN_M`` of the boundary, so every decision is
+    haversine_m's.
     """
+    lat, lon, radius_m = (np.asarray(a, dtype=np.float64) for a in (lat, lon, radius_m))
+    if not len(venues) or not len(lat):
+        return np.empty((0, 2), dtype=np.int64)
+    order = np.argsort(venues.lat, kind="stable")
+    v_lat, v_lon = venues.lat[order], venues.lon[order]
+    v_radius = venues.radius_m[order]
+    v_xyz = _unit_vectors(v_lat, v_lon)
+    q_xyz = _unit_vectors(lat, lon)
+    angle = np.minimum(math.pi, (radius_m + v_radius.max()) / EARTH_RADIUS_M)
+    # Unit chord plus 1e-9 (~6 mm), far above its ~1e-16 rounding and
+    # above the ~1e-15 rad rounding of the distance that decides each
+    # pair, so both filters only over-include.
+    chord = 2.0 * np.sin(angle / 2.0) + 1e-9
+    band = np.degrees(2.0 * np.arcsin(np.minimum(1.0, chord / 2.0)))
+    lo = np.searchsorted(v_lat, lat - band, side="left")
+    counts = np.searchsorted(v_lat, lat + band, side="right") - lo
+    first = np.cumsum(counts) - counts  # each query's first pair, counted over all queries
 
-    def __init__(self, venues: Sequence[Venue]):
-        self.venues = list(venues)
-        self.max_radius_m = max((v.radius_m for v in self.venues), default=0.0)
-        lat = np.array([v.lat for v in self.venues], dtype=float)
-        lon = np.array([v.lon for v in self.venues], dtype=float)
-        self._order = np.argsort(lat, kind="stable")
-        self._lats = lat[self._order]
-        self._xyz = _unit_vectors(self._lats, lon[self._order])
-
-    def query(self, lat: float, lon: float, radius_m: float) -> list[int]:
-        """Indices of venues whose circle intersects the query circle."""
-        angle = min(math.pi, (radius_m + self.max_radius_m) / EARTH_RADIUS_M)
-        # Unit chord plus 1e-9 (~6 mm), far above its ~1e-16 rounding and
-        # above the ~1e-15 rad rounding of the atan2 distance that confirms
-        # each venue, so both filters only over-include.
-        chord = 2.0 * math.sin(angle / 2.0) + 1e-9
-        band = math.degrees(2.0 * math.asin(min(1.0, chord / 2.0)))
-        lo = np.searchsorted(self._lats, lat - band, side="left")
-        hi = np.searchsorted(self._lats, lat + band, side="right")
-        diff = self._xyz[lo:hi] - _unit_vectors(lat, lon)
-        near = self._order[lo:hi][np.einsum("ij,ij->i", diff, diff) <= chord * chord]
-        venues = self.venues
-        return sorted(
-            i for i in near.tolist()
-            if haversine_m(lat, lon, venues[i].lat, venues[i].lon) <= radius_m + venues[i].radius_m
-        )
+    found = []
+    start = 0
+    while start < len(lat):
+        stop = max(start + 1, int(np.searchsorted(first, first[start] + _PAIR_CHUNK)))
+        n = counts[start:stop]
+        q = np.repeat(np.arange(start, stop), n)
+        # the band positions of each query: lo, lo + 1, ..., lo + n - 1
+        pos = np.arange(len(q)) + np.repeat(lo[start:stop] - first[start:stop] + first[start], n)
+        diff = v_xyz[pos] - q_xyz[q]
+        near = np.einsum("ij,ij->i", diff, diff) <= chord[q] ** 2
+        q, pos = q[near], pos[near]
+        dist = _distances_m(lat[q], lon[q], v_lat[pos], v_lon[pos])
+        limit = radius_m[q] + v_radius[pos]
+        hit = dist <= limit - _MARGIN_M
+        for k in np.flatnonzero(~hit & (dist <= limit + _MARGIN_M)).tolist():
+            hit[k] = haversine_m(lat[q[k]], lon[q[k]], v_lat[pos[k]], v_lon[pos[k]]) <= limit[k]
+        found.append((q[hit], order[pos[hit]]))
+        start = stop
+    q = np.concatenate([f[0] for f in found])
+    v = np.concatenate([f[1] for f in found])
+    keep = np.lexsort((v, q))
+    return np.stack([q[keep], v[keep]], axis=1)
 
 
-def candidate_venues(update: LocationUpdate, index: VenueIndex) -> list[Venue]:
-    """Venues intersecting the update's uncertainty circle.
-
-    A venue is a candidate when haversine(update, venue) <= error_radius +
-    venue_radius; the boundary is inclusive. An empty result is valid.
-    """
-    return [index.venues[i] for i in index.query(update.lat, update.lon, update.error_radius_m)]
-
-
-def slot_of(timestamp_utc: float, utc_offset_minutes: int, scheme: SlotScheme) -> int:
-    """Slot index of the update's local time under the scheme.
+def slot_of(timestamp_utc, utc_offset_minutes, scheme: SlotScheme):
+    """Slot index of each local time under the scheme, elementwise (int64).
 
     Local time is UTC plus the per-record offset. The index is signed:
     a timestamp before the scheme's epoch day (after the midnight-straddle
     adjustment) gets a negative slot, which callers treat as outside the
-    window.
+    window. Local times must lie in the years 1 to 9999.
     """
-    local = timestamp_utc + utc_offset_minutes * 60.0
-    day = math.floor(local / 86400.0)
-    sec_of_day = local - day * 86400.0
-    hour = sec_of_day / 3600.0
+    local = np.asarray(timestamp_utc, dtype=np.float64) + np.asarray(
+        utc_offset_minutes, dtype=np.float64) * 60.0
+    day = np.floor(local / 86400.0)
+    hour = (local - day * 86400.0) / 3600.0
+    day = day.astype(np.int64)
     if scheme.mode == "hourly":
-        binned = int(hour)
+        binned = np.trunc(hour).astype(np.int64)
     else:
-        if hour < 1.0:
-            # [0, 1) belongs to the previous day's last bin
-            day -= 1
-            binned = 9
-        elif hour >= 23.0:
-            binned = 9
-        else:
-            binned = bisect_right(_DAYPART_EDGES, hour) - 1
+        # [0, 1) belongs to the previous day's last bin, as does [23, 24)
+        early = hour < 1.0
+        day = day - early
+        binned = np.where(early | (hour >= 23.0), 9,
+                          np.searchsorted(_DAYPART_EDGES, hour, side="right") - 1)
     epoch_days = (scheme.epoch_day - dt.date(1970, 1, 1)).days
     return (day - epoch_days) * scheme.bins_per_day + binned
 
@@ -202,78 +302,108 @@ class IngestResult:
     dims: ProblemDims | None  # None when no update produced a candidate set
     user_ids: list[str]
     category_names: list[str]
-    # updates dropped because their local time falls before the epoch day
-    before_window: int = 0
+    # what became of each update, in pipeline order; the counts sum to rows_read
+    funnel: dict[str, int]
+
+    @property
+    def before_window(self) -> int:
+        """Updates dropped because their local time falls before the epoch day."""
+        return self.funnel["before_window"]
 
 
 def build_candidate_sets(
-    updates: Iterable[LocationUpdate],
-    venues: Sequence[Venue],
+    updates: Updates,
+    venues: Venues,
     scheme: SlotScheme,
     category_map: Mapping[str, str],
     min_dwell_s: float,
     other_category: str | None = None,
 ) -> IngestResult:
-    """Run the full ingestion pipeline.
+    """Run the full ingestion pipeline, one whole-column step at a time.
 
-    One walk over the updates in (user, time) order: an update's dwell is
-    the gap to the next update when that one is the same user's, so each
-    user's last update drops out, as does a dwell under ``min_dwell_s``.
-    Survivors are assigned to slots (those before the window are dropped
-    and counted in ``before_window``), deduplicated per (user, slot) by
-    keeping the longest dwell (ties keep the earlier update), and
-    intersected with the venue catalog.
+    The updates are sorted by (user, time), stably, with user ids in
+    code-point order: an update's dwell is the gap to the next update when
+    that one is the same user's, so each user's last update drops out, as
+    does a dwell under ``min_dwell_s``. Survivors are assigned to slots
+    (those before the window are dropped and counted in ``before_window``),
+    deduplicated per (user, slot) by keeping the longest dwell (ties keep
+    the earlier update), and intersected with the venue catalog in one
+    ``candidate_venues`` query.
     Venue categories map through ``category_map``; unknown raw categories
-    raise unless ``other_category`` provides a fallback canonical name.
+    raise, naming the venue of the lowest line, unless ``other_category``
+    provides a fallback canonical name.
 
     The category axis covers every canonical name in the map (sorted),
     not just the observed ones, so the index stays stable across data
     sets sharing a taxonomy. Users whose updates all fall away are absent
-    from the user index.
+    from the user index. ``funnel`` counts, in order, the updates read,
+    those dropped at each step and the blocks kept.
+
+    ``oracle_build_candidate_sets`` in ``tests/conftest.py`` is the same
+    pipeline one update at a time; the outputs of the two agree byte for
+    byte.
     """
     other = set() if other_category is None else {other_category}
     canonical = sorted(set(category_map.values()) | other)
     cat_index = {name: i for i, name in enumerate(canonical)}
 
-    ordered = sorted(updates, key=lambda u: (u.user_id, u.timestamp_utc))
-    best: dict[tuple[str, int], tuple[LocationUpdate, float]] = {}
-    before_window = 0
-    for upd, nxt in zip(ordered, ordered[1:]):
-        dwell = nxt.timestamp_utc - upd.timestamp_utc
-        if nxt.user_id != upd.user_id or not dwell >= min_dwell_s:
-            continue
-        slot = slot_of(upd.timestamp_utc, upd.utc_offset_minutes, scheme)
-        if slot < 0:
-            before_window += 1
-            continue
-        key = (upd.user_id, slot)
-        cur = best.get(key)
-        if cur is None or dwell > cur[1]:
-            best[key] = (upd, dwell)
+    # each row's user as the rank of its id in code-point order
+    id_order = sorted(range(len(updates.user_ids)), key=updates.user_ids.__getitem__)
+    rank = np.empty(len(id_order), dtype=np.int64)
+    rank[id_order] = np.arange(len(id_order))
+    user = rank[updates.user]
+    order = np.lexsort((updates.timestamp_utc, user))
+    ts = updates.timestamp_utc[order]
+    with np.errstate(over="ignore"):  # two finite stamps can lie more than 1.8e308 apart
+        dwell = ts[1:] - ts[:-1]
+    kept = (user[order[1:]] == user[order[:-1]]) & (dwell >= min_dwell_s)
+    rows, dwell = order[:-1][kept], dwell[kept]
 
-    index = VenueIndex(venues)
-    blocks: dict[tuple[str, int], set[int]] = {}
-    for (uid, slot), (upd, _) in best.items():
-        cats: set[int] = set()
-        for v in candidate_venues(upd, index):
-            name = category_map.get(v.category)
-            if name is None:
-                if other_category is None:
-                    raise ValueError(
-                        f"unmapped category {v.category!r} of venue {v.venue_id!r}")
-                name = other_category
-            cats.add(cat_index[name])
-        if cats:
-            blocks[(uid, slot)] = cats
+    slot = slot_of(updates.timestamp_utc[rows], updates.utc_offset_minutes[rows], scheme)
+    in_window = slot >= 0
+    rows, dwell, slot = rows[in_window], dwell[in_window], slot[in_window]
+    # per (user, slot), the longest dwell; the stable sort keeps the earlier of equals
+    by_block = np.lexsort((-dwell, slot, user[rows]))
+    rows, slot = rows[by_block], slot[by_block]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (user[rows[1:]] != user[rows[:-1]]) | (slot[1:] != slot[:-1])
+    rows, slot = rows[first], slot[first]
 
-    user_ids = sorted({uid for uid, _ in blocks})
-    user_index = {uid: i for i, uid in enumerate(user_ids)}
-    omega = CandidateSets.from_blocks(
-        (user_index[uid], slot, cats) for (uid, slot), cats in blocks.items())
-    dims = ProblemDims(len(user_ids), max(slot for _, slot in blocks) + 1,
-                       len(canonical)) if blocks else None
+    hits = candidate_venues(updates.lat[rows], updates.lon[rows],
+                            updates.error_radius_m[rows], venues)
+    fallback = -1 if other_category is None else cat_index[other_category]
+    canon_of_raw = np.array([cat_index.get(category_map.get(name), fallback)
+                             for name in venues.category_names], dtype=np.int64)
+    hit_cats = canon_of_raw[venues.category[hits[:, 1]]]
+    if (hit_cats < 0).any():
+        v = int(hits[hit_cats < 0, 1].min())
+        raise ValueError(
+            f"unmapped category {venues.category_names[venues.category[v]]!r} of venue "
+            f"{venues.venue_ids[v]!r} in {venues.path} line {venues.line[v]}")
+    # each block's distinct categories, increasing, blocks in (user, slot) order
+    n_cats = max(1, len(canonical))  # the map is empty only when no venue is hit
+    block, cats = np.divmod(np.unique(hits[:, 0] * n_cats + hit_cats), n_cats)
+    blocks, sizes = np.unique(block, return_counts=True)
+    ptr = np.zeros(len(blocks) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=ptr[1:])
+
+    block_user = user[rows[blocks]]
+    kept_users = np.unique(block_user)
+    user_ids = [updates.user_ids[id_order[r]] for r in kept_users.tolist()]
+    omega = CandidateSets(np.searchsorted(kept_users, block_user), slot[blocks], ptr, cats)
+    dims = ProblemDims(len(user_ids), int(slot[blocks].max()) + 1,
+                       len(canonical)) if len(blocks) else None
+    n_kept = int(kept.sum())
+    funnel = {
+        "rows_read": len(updates),
+        "dwell_dropped": len(updates) - n_kept,
+        "before_window": n_kept - int(in_window.sum()),
+        "dedup_dropped": int(in_window.sum()) - len(rows),
+        "no_venue_dropped": len(rows) - len(blocks),
+        "blocks_kept": len(blocks),
+    }
     return IngestResult(omega=omega, dims=dims, user_ids=user_ids, category_names=canonical,
-                        before_window=before_window)
+                        funnel=funnel)
 
 
 # -- CSV readers ---------------------------------------------------------
@@ -296,14 +426,12 @@ def _open_rows(path, expected_header: list[str]):
         raise InputDataError(f"{path} line {reader.line_num}: {exc}") from None
 
 
-def read_updates_csv(path) -> list[LocationUpdate]:
-    return read_records(path, _open_rows(path, UPDATES_HEADER), lambda row: LocationUpdate(
-        row[0], float(row[1]), float(row[2]), float(row[3]), float(row[4]), int(row[5])))
+def read_updates_csv(path) -> Updates:
+    return Updates.from_rows(path, _open_rows(path, UPDATES_HEADER))
 
 
-def read_venues_csv(path) -> list[Venue]:
-    return read_records(path, _open_rows(path, VENUES_HEADER), lambda row: Venue(
-        row[0], row[1], float(row[2]), float(row[3]), float(row[4])))
+def read_venues_csv(path) -> Venues:
+    return Venues.from_rows(path, _open_rows(path, VENUES_HEADER))
 
 
 def read_category_map_csv(path) -> dict[str, str]:

@@ -163,21 +163,21 @@ def text_lines(path) -> Iterator[tuple[int, str]]:
                 raise InputDataError(f"{path} line {lineno}: {exc}") from None
 
 
-def read_records(path, records, parse) -> list:
-    """parse(record) for each (line number, record) pair; a fault names the file and line.
+def iter_records(path, records, parse) -> Iterator[tuple[int, object]]:
+    """(line number, parse(record)) for each (line number, record) pair; a fault
+    names the file and line.
 
     A KeyError is a record that lacks that key; an OverflowError, such as a
     huge integer turned into a float, is a bad value like any other.
     """
-    out = []
     for lineno, record in records:
         try:
-            out.append(parse(record))
+            value = parse(record)
         except KeyError as exc:
             raise InputDataError(f"{path} line {lineno}: missing key {exc}") from None
         except (OverflowError, TypeError, ValueError) as exc:
             raise InputDataError(f"{path} line {lineno}: {exc}") from None
-    return out
+        yield lineno, value
 
 
 # -- JSON-lines formats ---------------------------------------------------
@@ -207,7 +207,7 @@ def _read_jsonl(path, parse) -> list:
         return parse(record)
 
     lines = ((lineno, line) for lineno, line in text_lines(path) if line.strip())
-    return read_records(path, lines, parse_line)
+    return [value for _, value in iter_records(path, lines, parse_line)]
 
 
 def write_candidate_sets_jsonl(path, omega: CandidateSets) -> None:

@@ -1,14 +1,21 @@
+import datetime as dt
+import math
 import time
+from bisect import bisect_right
+from dataclasses import dataclass
 
 import hypothesis
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
-from nutf import parallel
+from nutf import parallel, serialize
 from nutf.core import (BlockSparseMatrix, CandidateSets, LowRankModel, ProblemDims,
                        frobenius_gap, model_support_values, sum_dots)
 from nutf.harness import GroundTruth, SynthConfig
+from nutf.ingest import (_LOCAL_MAX_S, _LOCAL_MIN_S, EARTH_RADIUS_M, UPDATES_HEADER,
+                         VENUES_HEADER, IngestResult, Updates, Venues, _open_rows,
+                         _unit_vectors, haversine_m, read_category_map_csv)
 from nutf.linalg import NumericalError
 from nutf.simplex import _FEAS_TOL, project_blocks
 from nutf.solver import SolverConfig, SolverTrace, _relative_change, init_x
@@ -336,3 +343,205 @@ def dense_completion(model):
     """The completion as an N x (T*C) matrix, straight from the stored factors."""
     y = model.q @ model.c
     return y.T if model.dims.transposed else y
+
+
+# -- the per-update ingest pipeline: the byte oracle for nutf.ingest ---------
+
+
+@dataclass(frozen=True)
+class LocationUpdate:
+    user_id: str
+    timestamp_utc: float
+    lat: float
+    lon: float
+    error_radius_m: float
+    utc_offset_minutes: int
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.timestamp_utc):
+            raise ValueError(f"timestamp {self.timestamp_utc} must be finite")
+        local = self.timestamp_utc + self.utc_offset_minutes * 60.0
+        if not _LOCAL_MIN_S <= local <= _LOCAL_MAX_S:
+            raise ValueError(f"local time {local:g} s (timestamp {self.timestamp_utc:g} plus "
+                             f"offset {self.utc_offset_minutes} min) falls outside the years "
+                             "1 to 9999")
+        if not -90.0 <= self.lat <= 90.0:
+            raise ValueError(f"latitude {self.lat} out of bounds")
+        if not -180.0 <= self.lon <= 180.0:
+            raise ValueError(f"longitude {self.lon} out of bounds")
+        if not (math.isfinite(self.error_radius_m) and self.error_radius_m >= 0):
+            raise ValueError(f"error radius {self.error_radius_m} must be finite and >= 0")
+
+
+@dataclass(frozen=True)
+class Venue:
+    venue_id: str
+    category: str
+    lat: float
+    lon: float
+    radius_m: float
+
+    def __post_init__(self) -> None:
+        if not -90.0 <= self.lat <= 90.0:
+            raise ValueError(f"latitude {self.lat} out of bounds")
+        if not -180.0 <= self.lon <= 180.0:
+            raise ValueError(f"longitude {self.lon} out of bounds")
+        if not (math.isfinite(self.radius_m) and self.radius_m > 0):
+            raise ValueError(f"venue radius {self.radius_m} must be finite and > 0")
+
+
+def update_columns(updates) -> Updates:
+    """The LocationUpdate objects as the CSV reader's columns (floats by repr, so exact)."""
+    return Updates.from_rows("updates.csv", enumerate(
+        ([u.user_id, repr(u.timestamp_utc), repr(u.lat), repr(u.lon), repr(u.error_radius_m),
+          str(u.utc_offset_minutes)] for u in updates), start=2))
+
+
+def venue_columns(venues) -> Venues:
+    """The Venue objects as the CSV reader's columns (floats by repr, so exact)."""
+    return Venues.from_rows("venues.csv", enumerate(
+        ([v.venue_id, v.category, repr(v.lat), repr(v.lon), repr(v.radius_m)]
+         for v in venues), start=2))
+
+
+class VenueIndex:
+    """Venue catalog sorted by latitude, with each venue's unit vector.
+
+    A query's reach is its radius plus the largest venue radius. It
+    scans the latitude band that reach allows, keeps the venues within the
+    matching unit-sphere chord, and confirms each with the exact haversine
+    test.
+    """
+
+    def __init__(self, venues):
+        self.venues = list(venues)
+        self.max_radius_m = max((v.radius_m for v in self.venues), default=0.0)
+        lat = np.array([v.lat for v in self.venues], dtype=float)
+        lon = np.array([v.lon for v in self.venues], dtype=float)
+        self._order = np.argsort(lat, kind="stable")
+        self._lats = lat[self._order]
+        self._xyz = _unit_vectors(self._lats, lon[self._order])
+
+    def query(self, lat: float, lon: float, radius_m: float) -> list[int]:
+        """Indices of venues whose circle intersects the query circle."""
+        angle = min(math.pi, (radius_m + self.max_radius_m) / EARTH_RADIUS_M)
+        chord = 2.0 * math.sin(angle / 2.0) + 1e-9
+        band = math.degrees(2.0 * math.asin(min(1.0, chord / 2.0)))
+        lo = np.searchsorted(self._lats, lat - band, side="left")
+        hi = np.searchsorted(self._lats, lat + band, side="right")
+        diff = self._xyz[lo:hi] - _unit_vectors(lat, lon)
+        near = self._order[lo:hi][np.einsum("ij,ij->i", diff, diff) <= chord * chord]
+        venues = self.venues
+        return sorted(
+            i for i in near.tolist()
+            if haversine_m(lat, lon, venues[i].lat, venues[i].lon) <= radius_m + venues[i].radius_m
+        )
+
+
+_DAYPART_EDGES = (1, 7, 9, 11, 13, 15, 17, 19, 21, 23)
+
+
+def oracle_slot_of(timestamp_utc: float, utc_offset_minutes: int, scheme) -> int:
+    """nutf.ingest.slot_of for one update, in Python floats and ints."""
+    local = timestamp_utc + utc_offset_minutes * 60.0
+    day = math.floor(local / 86400.0)
+    sec_of_day = local - day * 86400.0
+    hour = sec_of_day / 3600.0
+    if scheme.mode == "hourly":
+        binned = int(hour)
+    else:
+        if hour < 1.0:
+            # [0, 1) belongs to the previous day's last bin
+            day -= 1
+            binned = 9
+        elif hour >= 23.0:
+            binned = 9
+        else:
+            binned = bisect_right(_DAYPART_EDGES, hour) - 1
+    epoch_days = (scheme.epoch_day - dt.date(1970, 1, 1)).days
+    return (day - epoch_days) * scheme.bins_per_day + binned
+
+
+def oracle_build_candidate_sets(updates, venues, scheme, category_map, min_dwell_s,
+                                other_category=None) -> IngestResult:
+    """nutf.ingest.build_candidate_sets one update at a time, over LocationUpdate
+    and Venue objects: the byte oracle for the column pipeline."""
+    other = set() if other_category is None else {other_category}
+    canonical = sorted(set(category_map.values()) | other)
+    cat_index = {name: i for i, name in enumerate(canonical)}
+
+    ordered = sorted(updates, key=lambda u: (u.user_id, u.timestamp_utc))
+    best: dict = {}
+    funnel = dict.fromkeys(("rows_read", "dwell_dropped", "before_window", "dedup_dropped",
+                            "no_venue_dropped", "blocks_kept"), 0)
+    funnel["rows_read"] = len(ordered)
+    funnel["dwell_dropped"] = len(ordered)
+    for upd, nxt in zip(ordered, ordered[1:]):
+        dwell = nxt.timestamp_utc - upd.timestamp_utc
+        if nxt.user_id != upd.user_id or not dwell >= min_dwell_s:
+            continue
+        funnel["dwell_dropped"] -= 1
+        slot = oracle_slot_of(upd.timestamp_utc, upd.utc_offset_minutes, scheme)
+        if slot < 0:
+            funnel["before_window"] += 1
+            continue
+        key = (upd.user_id, slot)
+        cur = best.get(key)
+        if cur is not None:
+            funnel["dedup_dropped"] += 1
+        if cur is None or dwell > cur[1]:
+            best[key] = (upd, dwell)
+
+    index = VenueIndex(venues)
+    blocks: dict = {}
+    for (uid, slot), (upd, _) in best.items():
+        cats: set[int] = set()
+        for i in index.query(upd.lat, upd.lon, upd.error_radius_m):
+            v = index.venues[i]
+            name = category_map.get(v.category)
+            if name is None:
+                if other_category is None:
+                    raise ValueError(
+                        f"unmapped category {v.category!r} of venue {v.venue_id!r}")
+                name = other_category
+            cats.add(cat_index[name])
+        if cats:
+            blocks[(uid, slot)] = cats
+    funnel["no_venue_dropped"] = len(best) - len(blocks)
+    funnel["blocks_kept"] = len(blocks)
+
+    user_ids = sorted({uid for uid, _ in blocks})
+    user_index = {uid: i for i, uid in enumerate(user_ids)}
+    omega = CandidateSets.from_blocks(
+        (user_index[uid], slot, cats) for (uid, slot), cats in blocks.items())
+    dims = ProblemDims(len(user_ids), max(slot for _, slot in blocks) + 1,
+                       len(canonical)) if blocks else None
+    return IngestResult(omega=omega, dims=dims, user_ids=user_ids, category_names=canonical,
+                        funnel=funnel)
+
+
+def oracle_read_updates(path) -> list[LocationUpdate]:
+    """The updates CSV as LocationUpdate objects, one per row."""
+    return [LocationUpdate(row[0], float(row[1]), float(row[2]), float(row[3]),
+                           float(row[4]), int(row[5]))
+            for _, row in _open_rows(path, UPDATES_HEADER)]
+
+
+def oracle_read_venues(path) -> list[Venue]:
+    """The venues CSV as Venue objects, one per row."""
+    return [Venue(row[0], row[1], float(row[2]), float(row[3]), float(row[4]))
+            for _, row in _open_rows(path, VENUES_HEADER)]
+
+
+def oracle_preprocess(updates_csv, venues_csv, catmap_csv, scheme, min_dwell_s, out) -> None:
+    """``nutf preprocess``'s omega.jsonl and index_maps.json by the oracle pipeline."""
+    result = oracle_build_candidate_sets(
+        oracle_read_updates(updates_csv), oracle_read_venues(venues_csv), scheme,
+        read_category_map_csv(catmap_csv), min_dwell_s)
+    out.mkdir(parents=True, exist_ok=True)
+    serialize.write_candidate_sets_jsonl(out / "omega.jsonl", result.omega)
+    dims = result.dims
+    serialize.write_index_maps(
+        out / "index_maps.json", dims.n_users if dims else 0, dims.n_slots if dims else 0,
+        len(result.category_names), user_ids=result.user_ids,
+        category_names=result.category_names)

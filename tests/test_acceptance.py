@@ -5,20 +5,19 @@ criteria (1 and 2) generate hundreds of thousands to millions of
 observations; the whole module finishes in a few minutes on two cores.
 """
 
-import math
 import time
 
 import numpy as np
-import pytest
 
 from nutf.core import BlockSparseMatrix, CandidateSets, ProblemDims
 from nutf.harness import SynthConfig, generate, score_topk
-from nutf.ingest import SlotScheme, Venue, VenueIndex, haversine_m, slot_of
+from nutf.ingest import SlotScheme, candidate_venues, haversine_m, slot_of
 from nutf.linalg import sparse_lowrank_approx
 from nutf.simplex import project_blocks
 from nutf.solver import SolverConfig, fit
 
-from conftest import dense_completion, dense_reference_fit, full_support, mask_validation
+from conftest import (Venue, dense_completion, dense_reference_fit, full_support, mask_validation,
+                      venue_columns)
 
 
 def report(criterion: int, passed: bool, detail: str) -> None:
@@ -283,7 +282,7 @@ def test_criterion_6_nu_feasibility_every_iteration():
 
 
 def test_criterion_7_ingestion_oracle():
-    """Grid-indexed venue intersection equals brute force on a
+    """The batched venue query equals brute force on a
     1000-update / 500-venue fixture; the daypart bins partition all 1440
     minutes of a day with the documented non-uniform edges."""
     state = {}
@@ -303,18 +302,17 @@ def test_criterion_7_ingestion_oracle():
             )
             for i in range(500)
         ]
-        index = VenueIndex(venues)
+        lat = 40.0 + rng.uniform(-0.1, 0.1, 1000)
+        lon = -73.5 + rng.uniform(-0.1, 0.1, 1000)
+        err = rng.uniform(0.0, 1200.0, 1000)
+        pairs = candidate_venues(lat, lon, err, venue_columns(venues))
         state["checked"] = 0
-        for _ in range(1000):
-            lat = float(40.0 + rng.uniform(-0.1, 0.1))
-            lon = float(-73.5 + rng.uniform(-0.1, 0.1))
-            err = float(rng.uniform(0.0, 1200.0))
-            got = index.query(lat, lon, err)
+        for k in range(1000):
             brute = [
                 i for i, v in enumerate(venues)
-                if haversine_m(lat, lon, v.lat, v.lon) <= err + v.radius_m
+                if haversine_m(lat[k], lon[k], v.lat, v.lon) <= err[k] + v.radius_m
             ]
-            assert got == brute
+            assert pairs[pairs[:, 0] == k, 1].tolist() == brute
             state["checked"] += 1
 
         import datetime as dt

@@ -614,7 +614,7 @@ class TestPreprocess:
         capsys.readouterr()
         assert run(argv) == EXIT_INPUT
         assert capsys.readouterr().err == (
-            f"error: {catmap}: unmapped category 'Mystery' of venue 'v9' in {venues}\n")
+            f"error: {catmap}: unmapped category 'Mystery' of venue 'v9' in {venues} line 4\n")
 
     def test_nan_timestamp_names_line(self, tmp_path, capsys):
         updates, venues, catmap = self._write_inputs(tmp_path, "v1,Bank,40.7582,-73.9860,25\n")
@@ -692,6 +692,38 @@ class TestPreprocess:
                     "--venues", str(venues), "--catmap", str(catmap),
                     "--out", str(out)]) == EXIT_OK
         assert json.loads((out / "manifest.json").read_text())["config"][key] is None
+
+    def test_report_funnel_sums_to_rows_read(self, tmp_path):
+        updates, venues, catmap = self._write_inputs(
+            tmp_path, "v1,Pizza Place,40.7580,-73.9850,30\nv2,Bank,40.7582,-73.9860,25\n")
+        # a second user with one update, and a before-window one for alice
+        updates.write_text(updates.read_text() + "bob,86400,40.7580,-73.9855,100,0\n"
+                           "alice,0,40.7580,-73.9855,100,0\n")
+        out = tmp_path / "p"
+        assert run(["preprocess", "--updates", str(updates), "--venues", str(venues),
+                    "--catmap", str(catmap), "--out", str(out)]) == EXIT_OK
+        text = (out / "report.json").read_text()
+        report = json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} in report.json"))
+        # alice's two kept updates share a slot and a dwell; the earlier one stays
+        assert report == {"rows_read": 5, "dwell_dropped": 2, "before_window": 1,
+                          "dedup_dropped": 1, "no_venue_dropped": 0, "blocks_kept": 1}
+        assert sum(report.values()) == 2 * report["rows_read"]
+        assert text == json.dumps(report, indent=2) + "\n"
+
+    def test_rerun_differs_only_in_timings(self, tmp_path):
+        updates, venues, catmap = self._write_inputs(
+            tmp_path, "v1,Pizza Place,40.7580,-73.9850,30\nv2,Bank,40.7582,-73.9860,25\n")
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert run(["preprocess", "--updates", str(updates), "--venues", str(venues),
+                        "--catmap", str(catmap), "--out", str(tmp_path / "p")]) == EXIT_OK
+            shutil.copytree(tmp_path / "p", out)
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == ["index_maps.json", "manifest.json", "omega.jsonl", "report.json",
+                         "timings.json"]
+        assert sorted(p.name for p in outs[1].iterdir()) == names
+        same = [n for n in names if n != "timings.json"]
+        assert file_bytes(outs[0], same) == file_bytes(outs[1], same)
 
     def test_timings_cover_reads(self, tmp_path):
         updates, venues, catmap = self._write_inputs(tmp_path, "v1,Bank,40.7582,-73.9860,25\n")

@@ -5,7 +5,7 @@ import pytest
 
 from nutf import harness, parallel
 from nutf.core import CandidateSets, LowRankModel, ProblemDims
-from nutf.harness import EvalReport, SynthConfig, generate, score_topk
+from nutf.harness import SynthConfig, generate, score_topk
 from nutf.solver import predict_topk
 
 from conftest import (block_dict, exact_model, mask_validation, random_model, random_omega,

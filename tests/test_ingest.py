@@ -1,17 +1,20 @@
 import datetime as dt
+import importlib
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from nutf import ingest
+from nutf.cli import main
 from nutf.ingest import (
     EARTH_RADIUS_M,
     InputDataError,
-    LocationUpdate,
     SlotScheme,
-    Venue,
-    VenueIndex,
     build_candidate_sets,
     candidate_venues,
     haversine_m,
@@ -21,11 +24,43 @@ from nutf.ingest import (
     slot_of,
 )
 
-from conftest import block_dict
+from conftest import (LocationUpdate, Venue, VenueIndex, block_dict, oracle_build_candidate_sets,
+                      oracle_preprocess, oracle_slot_of, update_columns, venue_columns)
 
 
 def upd(uid, ts, lat=0.0, lon=0.0, err=100.0, off=0):
     return LocationUpdate(uid, float(ts), lat, lon, err, off)
+
+
+def build(updates, venues, scheme, category_map, min_dwell_s, other_category=None):
+    """build_candidate_sets on the columns of LocationUpdate and Venue objects,
+    checked against the per-update oracle: the same arrays, dtypes included,
+    the same index maps and funnel, or the same unmapped category raised."""
+    args = (scheme, category_map, min_dwell_s, other_category)
+    try:
+        want = oracle_build_candidate_sets(updates, venues, *args)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc).split(" of venue")[0])):
+            build_candidate_sets(update_columns(updates), venue_columns(venues), *args)
+        raise
+    got = build_candidate_sets(update_columns(updates), venue_columns(venues), *args)
+    for name in ("block_users", "block_slots", "block_ptr", "cats"):
+        a, b = getattr(got.omega, name), getattr(want.omega, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert (got.dims, got.user_ids, got.category_names, got.funnel) == (
+        want.dims, want.user_ids, want.category_names, want.funnel)
+    rest = [n for key, n in got.funnel.items() if key != "rows_read"]
+    assert got.funnel["rows_read"] == sum(rest) == len(updates) and min(rest) >= 0
+    return got
+
+
+def venue_hits(venues, lat, lon, radius_m) -> list[int]:
+    """Catalog indices of the venues candidate_venues finds for one update,
+    checked against the oracle's per-update index."""
+    pairs = candidate_venues([lat], [lon], [radius_m], venue_columns(venues))
+    assert pairs.shape == (len(pairs), 2) and not pairs[:, 0].any()
+    assert pairs[:, 1].tolist() == VenueIndex(venues).query(lat, lon, radius_m)
+    return pairs[:, 1].tolist()
 
 
 class TestHaversine:
@@ -72,8 +107,8 @@ class TestDwellFilter:
         updates = [upd(uid, ts, off=1440 * i) for i, (uid, ts) in enumerate(stamps)]
         if order is not None:
             updates = [updates[i] for i in order]
-        res = build_candidate_sets(updates, [Venue("v", "Bank", 0.0, 0.0, 30.0)], self.HOURLY,
-                                   CATMAP, min_dwell_s)
+        res = build(updates, [Venue("v", "Bank", 0.0, 0.0, 30.0)], self.HOURLY, CATMAP,
+                    min_dwell_s)
         return sorted((res.user_ids[u], j // 24) for u, j in block_dict(res.omega))
 
     def test_single_update_removed(self):
@@ -128,27 +163,34 @@ def sphere_queries(draw):
 
 class TestCandidateVenues:
     def test_venue_at_exact_coordinates(self):
-        v = Venue("v", "cafe", 10.0, 20.0, 5.0)
-        index = VenueIndex([v])
-        u = upd("u", 0, lat=10.0, lon=20.0, err=0.0)
-        assert candidate_venues(u, index) == [v]
+        assert venue_hits([Venue("v", "cafe", 10.0, 20.0, 5.0)], 10.0, 20.0, 0.0) == [0]
 
     def test_boundary_inclusive(self):
         # venue circle radius equal to the exact distance: h <= 0 + d holds
         d = haversine_m(0.0, 0.0, 0.0, 0.004)
-        v = Venue("v", "cafe", 0.0, 0.004, d)
-        u = upd("u", 0, lat=0.0, lon=0.0, err=0.0)
-        assert candidate_venues(u, VenueIndex([v])) == [v]
+        assert venue_hits([Venue("v", "cafe", 0.0, 0.004, d)], 0.0, 0.0, 0.0) == [0]
+
+    def test_boundary_and_1e7_m_outside(self, monkeypatch):
+        # both pairs lie within the margin, so haversine_m decides them
+        calls = []
+        monkeypatch.setattr(ingest, "haversine_m",
+                            lambda *a: calls.append(a) or haversine_m(*a))
+        lat, lon, err = 40.7, -73.9, 80.0
+        d = haversine_m(lat, lon, 40.7008, -73.9011)
+        venues = [Venue("on", "c", 40.7008, -73.9011, d - err),
+                  Venue("out", "c", 40.7008, -73.9011, d - err - 1e-7)]
+        assert haversine_m(lat, lon, 40.7008, -73.9011) <= err + venues[0].radius_m
+        assert not haversine_m(lat, lon, 40.7008, -73.9011) <= err + venues[1].radius_m
+        assert venue_hits(venues, lat, lon, err) == [0]
+        assert len(calls) == 2
 
     def test_one_meter_outside_excluded(self):
         d = haversine_m(0.0, 0.0, 0.0, 0.004)
-        v = Venue("v", "cafe", 0.0, 0.004, d - 1.0)
-        u = upd("u", 0, lat=0.0, lon=0.0, err=0.0)
-        assert candidate_venues(u, VenueIndex([v])) == []
+        assert venue_hits([Venue("v", "cafe", 0.0, 0.004, d - 1.0)], 0.0, 0.0, 0.0) == []
 
     def test_empty_catalog(self):
-        u = upd("u", 0)
-        assert candidate_venues(u, VenueIndex([])) == []
+        assert venue_hits([], 0.0, 0.0, 100.0) == []
+        assert candidate_venues([], [], [], venue_columns([])).shape == (0, 2)
 
     def test_grid_matches_brute_force(self):
         rng = np.random.default_rng(42)
@@ -157,24 +199,37 @@ class TestCandidateVenues:
                   float(-73 + rng.uniform(-0.05, 0.05)), float(rng.uniform(5, 120)))
             for i in range(200)
         ]
+        lat = 40 + rng.uniform(-0.05, 0.05, 100)
+        lon = -73 + rng.uniform(-0.05, 0.05, 100)
+        err = rng.uniform(0, 800, 100)
+        expect = [
+            [k, i] for k in range(100) for i, v in enumerate(venues)
+            if haversine_m(lat[k], lon[k], v.lat, v.lon) <= err[k] + v.radius_m
+        ]
+        assert candidate_venues(lat, lon, err, venue_columns(venues)).tolist() == expect
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 13])
+    def test_batched_query_equals_one_query_per_update(self, monkeypatch, chunk):
+        # chunks of the band's pairs cut through one update's band, or hold many
+        monkeypatch.setattr(ingest, "_PAIR_CHUNK", chunk)
+        rng = np.random.default_rng(8)
+        venues = [Venue(f"v{i}", "c", float(rng.uniform(-0.02, 0.02)),
+                        float(rng.uniform(179.98, 180.0) if i % 2 else rng.uniform(-180, -179.98)),
+                        float(rng.uniform(5, 120))) for i in range(150)]
+        lat = rng.uniform(-0.02, 0.02, 60)
+        lon = np.where(rng.random(60) < 0.5, rng.uniform(179.98, 180.0, 60),
+                       rng.uniform(-180.0, -179.98, 60))
+        err = rng.uniform(0, 900, 60)
         index = VenueIndex(venues)
-        for _ in range(100):
-            lat = float(40 + rng.uniform(-0.05, 0.05))
-            lon = float(-73 + rng.uniform(-0.05, 0.05))
-            err = float(rng.uniform(0, 800))
-            got = index.query(lat, lon, err)
-            expect = [
-                i for i, v in enumerate(venues)
-                if haversine_m(lat, lon, v.lat, v.lon) <= err + v.radius_m
-            ]
-            assert got == expect
+        expect = [[k, i] for k in range(60) for i in index.query(lat[k], lon[k], err[k])]
+        assert candidate_venues(lat, lon, err, venue_columns(venues)).tolist() == expect
 
     def test_polar_neighbour_across_meridians(self):
         # 222.4 m apart across the pole; the old 0.01-degree grid's polar
         # clamp kept its longitude scan too narrow and missed this venue
         v = Venue("v", "c", 89.999, 170.0, 10.0)
         assert haversine_m(89.999, -10.0, 89.999, 170.0) == pytest.approx(222.39, abs=0.01)
-        assert VenueIndex([v]).query(89.999, -10.0, 300.0) == [0]
+        assert venue_hits([v], 89.999, -10.0, 300.0) == [0]
 
     @settings(max_examples=300)
     @given(sphere_queries())
@@ -192,7 +247,7 @@ class TestCandidateVenues:
             i for i, v in enumerate(venues)
             if haversine_m(lat, lon, v.lat, v.lon) <= radius + v.radius_m
         ]
-        assert VenueIndex(venues).query(lat, lon, radius) == expect
+        assert venue_hits(venues, lat, lon, radius) == expect
 
 
 class TestSlotOf:
@@ -257,6 +312,22 @@ class TestSlotOf:
         with pytest.raises(ValueError):
             SlotScheme(mode="weekly")
 
+    @pytest.mark.parametrize("mode", ["daypart", "hourly"])
+    def test_columns_match_oracle(self, mode):
+        # local times on and beside every bin edge, across the epoch day and
+        # at the years' limits, with offsets of any sign
+        scheme = SlotScheme(mode=mode, epoch_day=dt.date(2024, 3, 4))
+        rng = np.random.default_rng(3)
+        edges = np.arange(0, 86400 * 3, 1800.0) + 1.7e9
+        stamps = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, 2e9),
+                                 rng.uniform(-6.2e10, 2.5e11, 500), [-62135596800.0]])
+        offsets = rng.choice([-720, -300, 0, 45, 330, 840], len(stamps))
+        offsets[-1] = 0
+        got = slot_of(stamps, offsets, scheme)
+        assert got.dtype == np.int64
+        assert got.tolist() == [oracle_slot_of(float(t), int(o), scheme)
+                                for t, o in zip(stamps, offsets)]
+
 
 CATMAP = {"Pizza Place": "Food", "Bank": "Bank", "Office": "Work"}
 
@@ -283,7 +354,7 @@ class TestBuildCandidateSets:
 
     def test_hand_computed_fixture(self):
         updates, venues = nyc_fixture()
-        res = build_candidate_sets(updates, venues, self.SCHEME, CATMAP, 20 * 60)
+        res = build(updates, venues, self.SCHEME, CATMAP, 20 * 60)
         # alice's two surviving updates share slot 7 (19:00/20:00 local);
         # equal dwells keep the earlier one, which intersects v1 and v2;
         # bob's survivor reaches no venue, so bob drops out entirely
@@ -304,13 +375,13 @@ class TestBuildCandidateSets:
             Venue("near_first", "Bank", 0.0, 0.0, 30),
             Venue("near_second", "Pizza Place", 0.5, 0.5, 30),
         ]
-        res = build_candidate_sets(updates, venues, self.SCHEME, CATMAP, 20 * 60)
+        res = build(updates, venues, self.SCHEME, CATMAP, 20 * 60)
         assert block_dict(res.omega) == {(0, 1): [1]}  # Food only
 
     def test_update_with_no_venues_absent(self):
         updates = [upd("u", 7 * 3600, 0, 0, 10, 0), upd("u", 10 * 3600, 0, 0, 10, 0)]
         venues = [Venue("far", "Bank", 50.0, 50.0, 30)]
-        res = build_candidate_sets(updates, venues, self.SCHEME, CATMAP, 60)
+        res = build(updates, venues, self.SCHEME, CATMAP, 60)
         assert res.omega.n_blocks == 0
         assert res.dims is None
         assert res.category_names == ["Bank", "Food", "Work"]
@@ -322,21 +393,51 @@ class TestBuildCandidateSets:
             Venue("p1", "Pizza Place", 0.0, 0.001, 30),
             Venue("b2", "Bank", 0.0, -0.001, 30),
         ]
-        res = build_candidate_sets(updates, venues, self.SCHEME, CATMAP, 60)
+        res = build(updates, venues, self.SCHEME, CATMAP, 60)
         assert block_dict(res.omega) == {(0, 1): [0, 1]}  # {Bank, Food}
 
     def test_unknown_category_rejected_or_bucketed(self):
         updates = [upd("u", 7 * 3600, 0, 0, 100, 0), upd("u", 10 * 3600, 0, 0, 10, 0)]
         venues = [Venue("x", "Mystery Spot", 0.0, 0.0, 30)]
         with pytest.raises(ValueError):
-            build_candidate_sets(updates, venues, self.SCHEME, CATMAP, 60)
-        res = build_candidate_sets(updates, venues, self.SCHEME, CATMAP, 60,
+            build(updates, venues, self.SCHEME, CATMAP, 60)
+        res = build(updates, venues, self.SCHEME, CATMAP, 60,
                                    other_category="Other")
         assert res.category_names == ["Bank", "Food", "Other", "Work"]
         assert block_dict(res.omega) == {(0, 1): [2]}
         # an empty name is a name: on the axis, not a crash
-        res = build_candidate_sets(updates, venues, self.SCHEME, CATMAP, 60, other_category="")
+        res = build(updates, venues, self.SCHEME, CATMAP, 60, other_category="")
         assert res.category_names == ["", "Bank", "Food", "Work"]
+        assert block_dict(res.omega) == {(0, 1): [0]}
+
+    def test_unmapped_category_names_venue_and_line(self):
+        # of two unmapped venues that kept updates reach, the one on the lower line
+        updates = [upd("u", 7 * 3600, 0, 0, 500, 0), upd("u", 10 * 3600, 0, 0, 10, 0)]
+        venues = [Venue("far", "Mystery Spot", 50.0, 50.0, 30),
+                  Venue("b1", "Bank", 0.0, 0.0, 30),
+                  Venue("x2", "Gym", 0.0, 0.002, 30),
+                  Venue("x1", "Mystery Spot", 0.0, 0.001, 30)]
+        with pytest.raises(ValueError):
+            build(updates, venues, self.SCHEME, CATMAP, 60)
+        with pytest.raises(ValueError) as err:
+            build_candidate_sets(update_columns(updates), venue_columns(venues), self.SCHEME,
+                                 CATMAP, 60)
+        assert str(err.value) == "unmapped category 'Gym' of venue 'x2' in venues.csv line 4"
+
+    def test_funnel_counts_each_drop(self):
+        updates = [
+            upd("a", 1800, 0, 0, 500, 0),           # 00:30 on the epoch day: before the window
+            upd("a", 7 * 3600, 0, 0, 500, 0),       # slot 1, dwell 60 min: kept
+            upd("a", 8 * 3600, 0, 0, 500, 0),       # dwell 10 min: dropped
+            upd("a", 8 * 3600 + 600, 0, 0, 500, 0),   # slot 1, dwell 20 min: deduplicated
+            upd("a", 8 * 3600 + 1800, 0, 0, 500, 0),  # slot 1, dwell 30 min: deduplicated
+            upd("a", 9 * 3600, 50, 50, 10, 0),      # slot 2, reaches no venue
+            upd("a", 12 * 3600, 0, 0, 10, 0),       # last of its user
+            upd("b", 0, 0, 0, 10, 0),               # the only update of its user
+        ]
+        res = build(updates, [Venue("b1", "Bank", 0.0, 0.0, 30)], self.SCHEME, CATMAP, 15 * 60)
+        assert res.funnel == {"rows_read": 8, "dwell_dropped": 3, "before_window": 1,
+                              "dedup_dropped": 2, "no_venue_dropped": 1, "blocks_kept": 1}
         assert block_dict(res.omega) == {(0, 1): [0]}
 
     def test_updates_before_window_dropped_and_counted(self):
@@ -347,16 +448,16 @@ class TestBuildCandidateSets:
         ]
         venues = [Venue("b1", "Bank", 0.0, 0.0, 30)]
         assert slot_of(1800, 0, self.SCHEME) == -1
-        res = build_candidate_sets(updates, venues, self.SCHEME, CATMAP, 60)
+        res = build(updates, venues, self.SCHEME, CATMAP, 60)
         assert res.before_window == 1
         assert block_dict(res.omega) == {(0, 1): [0]}
-        only_early = build_candidate_sets(updates[:2], venues, self.SCHEME, CATMAP, 60)
+        only_early = build(updates[:2], venues, self.SCHEME, CATMAP, 60)
         assert only_early.before_window == 1 and only_early.dims is None
 
     def test_pipeline_deterministic(self):
         updates, venues = nyc_fixture()
-        a = build_candidate_sets(updates, venues, self.SCHEME, CATMAP, 20 * 60)
-        b = build_candidate_sets(list(reversed(updates)), venues, self.SCHEME, CATMAP, 20 * 60)
+        a = build(updates, venues, self.SCHEME, CATMAP, 20 * 60)
+        b = build(list(reversed(updates)), venues, self.SCHEME, CATMAP, 20 * 60)
         assert block_dict(a.omega) == block_dict(b.omega)
         assert a.user_ids == b.user_ids
 
@@ -385,7 +486,7 @@ def oracle_blocks(updates, scheme, min_dwell_s, other_category):
         dwell = min(later)[0] - key[0]
         if dwell < min_dwell_s:
             continue
-        slot = slot_of(u.timestamp_utc, u.utc_offset_minutes, scheme)
+        slot = oracle_slot_of(u.timestamp_utc, u.utc_offset_minutes, scheme)
         if slot < 0:
             before_window += 1
             continue
@@ -430,11 +531,9 @@ class TestPipelineOracle:
         expect, before_window = oracle_blocks(updates, scheme, min_dwell_s, other_category)
         if None in expect.values():
             with pytest.raises(ValueError, match="unmapped category 'Mystery Spot'"):
-                build_candidate_sets(updates, ORACLE_VENUES, scheme, CATMAP, min_dwell_s,
-                                     other_category)
+                build(updates, ORACLE_VENUES, scheme, CATMAP, min_dwell_s, other_category)
             return
-        res = build_candidate_sets(updates, ORACLE_VENUES, scheme, CATMAP, min_dwell_s,
-                                   other_category)
+        res = build(updates, ORACLE_VENUES, scheme, CATMAP, min_dwell_s, other_category)
         got = {(res.user_ids[u], j): [res.category_names[k] for k in cats]
                for (u, j), cats in block_dict(res.omega).items()}
         assert got == expect
@@ -447,6 +546,42 @@ class TestPipelineOracle:
             assert res.dims is None
 
 
+@st.composite
+def sphere_walks(draw):
+    """Updates of two users anywhere on the sphere, poles and antimeridian
+    included, with venues beside them and far away, dwell ties, updates
+    before the window, mapped, unmapped and fallback categories."""
+    lats, lons = st.lists(LATITUDES, min_size=1, max_size=4), st.lists(LONGITUDES, min_size=1,
+                                                                       max_size=4)
+    spots = list(zip(draw(lats), draw(lons)))
+    step = st.floats(-0.002, 0.002)
+    near = st.tuples(st.sampled_from(spots), step, step).map(lambda s: (
+        min(90.0, max(-90.0, s[0][0] + s[1])), (s[0][1] + s[2] + 180.0) % 360.0 - 180.0))
+    venue = st.builds(lambda p, cat, r: (p, cat, r), st.one_of(near, st.sampled_from(spots)),
+                      st.sampled_from(["Bank", "Pizza Place", "Office", "Mystery Spot"]),
+                      st.floats(1.0, 300.0))
+    venues = [Venue(f"v{i}", cat, lat, lon, r)
+              for i, ((lat, lon), cat, r) in enumerate(draw(st.lists(venue, max_size=10)))]
+    update = st.builds(lambda uid, k, p, err, off: LocationUpdate(uid, 1800.0 * k, *p, err, off),
+                       st.sampled_from(["b", "a"]), st.integers(0, 12),
+                       st.one_of(near, st.sampled_from(spots)), st.floats(0.0, 400.0),
+                       st.sampled_from([-60, 0, 90]))
+    return (draw(st.lists(update, max_size=12)), venues,
+            SlotScheme(mode=draw(st.sampled_from(["daypart", "hourly"]))),
+            draw(st.sampled_from([0.0, 1800.0])), draw(st.sampled_from([None, "Other"])))
+
+
+class TestPipelineOnSphere:
+    @settings(max_examples=200, deadline=None)
+    @given(sphere_walks())
+    def test_columns_match_oracle(self, walk):
+        updates, venues, scheme, min_dwell_s, other_category = walk
+        try:
+            build(updates, venues, scheme, CATMAP, min_dwell_s, other_category)
+        except ValueError as exc:  # both raised it; build checked that
+            assert "unmapped category 'Mystery Spot'" in str(exc)
+
+
 class TestCsvReaders:
     def test_updates_round_trip(self, tmp_path):
         p = tmp_path / "u.csv"
@@ -457,8 +592,12 @@ class TestCsvReaders:
         )
         ups = read_updates_csv(p)
         assert len(ups) == 2
-        assert ups[0].user_id == "a"
-        assert ups[1].utc_offset_minutes == 60
+        assert [ups.user_ids[u] for u in ups.user] == ["a", "b"]
+        assert ups.timestamp_utc.tolist() == [100.0, 200.0]
+        assert ups.lat.tolist() == [40.0, 41.0] and ups.lon.tolist() == [-73.5, -72.5]
+        assert ups.error_radius_m.tolist() == [50.0, 150.0]
+        assert ups.utc_offset_minutes.tolist() == [-300.0, 60.0]
+        assert ups.line.tolist() == [2, 3]
 
     def test_updates_bad_header(self, tmp_path):
         p = tmp_path / "u.csv"
@@ -488,7 +627,12 @@ class TestCsvReaders:
     def test_venues_and_catmap(self, tmp_path):
         v = tmp_path / "v.csv"
         v.write_text("venue_id,category,lat,lon,radius_m\nv1,Bank,40,-73,25\n")
-        assert read_venues_csv(v)[0].category == "Bank"
+        venues = read_venues_csv(v)
+        assert len(venues) == 1 and venues.path == str(v)
+        assert (venues.venue_ids, venues.category_names, venues.category.tolist()) == (
+            ["v1"], ["Bank"], [0])
+        assert (venues.lat.tolist(), venues.lon.tolist(), venues.radius_m.tolist(),
+                venues.line.tolist()) == ([40.0], [-73.0], [25.0], [2])
         m = tmp_path / "m.csv"
         m.write_text("raw_category,canonical_category\nBank,Bank\nPizza Place,Food\n")
         assert read_category_map_csv(m) == {"Bank": "Bank", "Pizza Place": "Food"}
@@ -531,11 +675,13 @@ class TestCsvReaders:
 
     def test_updates_local_time_at_the_year_limits_kept(self, tmp_path):
         first, last = -62135596800, 253402300799
+        p = tmp_path / "updates.csv"
+        p.write_text("user_id,timestamp_utc,lat,lon,error_radius_m,utc_offset_minutes\n"
+                     f"a,{first},40.0,-73.5,50,0\na,{last},40.0,-73.5,50,0\n")
+        ups = read_updates_csv(p)
         scheme = SlotScheme("hourly", epoch_day=dt.date(1, 1, 1))
-        slots = [slot_of(float(stamp), 0, scheme) for stamp in (first, last)]
-        LocationUpdate("a", float(first), 40.0, -73.5, 50.0, 0)
-        LocationUpdate("a", float(last), 40.0, -73.5, 50.0, 0)
-        assert slots == [0, 3_652_059 * 24 - 1]
+        slots = slot_of(ups.timestamp_utc, ups.utc_offset_minutes, scheme)
+        assert slots.tolist() == [0, 3_652_059 * 24 - 1]
 
     def test_venue_radius_must_be_finite(self, tmp_path):
         v = tmp_path / "v.csv"
@@ -556,3 +702,28 @@ class TestCsvReaders:
         v.write_text("venue_id,category,lat,lon,radius_m\nv1,Bank,40,-73,0\n")
         with pytest.raises(InputDataError, match="line 2"):
             read_venues_csv(v)
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.mark.parametrize("seed, n_users", [(1, 60), (2, 60), (3, 600)],
+                         ids=["ingest-city seed 1", "ingest-city seed 2", "600 users"])
+def test_city_bytes_match_oracle(tmp_path, monkeypatch, capsys, seed, n_users):
+    """nutf preprocess on the benchmark's synthetic city (20k venues) writes
+    the oracle pipeline's omega.jsonl and index_maps.json, byte for byte."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    city = importlib.import_module("city")
+    data = tmp_path / "city"
+    city.write_city(data, seed, city.CitySpec(n_users=n_users))
+    inputs = [data / "updates.csv", data / "venues.csv", data / "categories.csv"]
+    assert main(["preprocess", "--updates", str(inputs[0]), "--venues", str(inputs[1]),
+                 "--catmap", str(inputs[2]), "--epoch-day", city.EPOCH_DAY,
+                 "--min-dwell-min", "20", "--out", str(tmp_path / "p")]) == 0
+    oracle_preprocess(*inputs, SlotScheme("daypart", dt.date.fromisoformat(city.EPOCH_DAY)),
+                      20 * 60.0, tmp_path / "o")
+    for name in ("omega.jsonl", "index_maps.json"):
+        assert (tmp_path / "p" / name).read_bytes() == (tmp_path / "o" / name).read_bytes()
+    report = json.loads((tmp_path / "p" / "report.json").read_text())
+    assert report["rows_read"] == n_users * city.CitySpec(n_users=n_users).slots_per_user
+    assert report["blocks_kept"] == report["rows_read"] - n_users

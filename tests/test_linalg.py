@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import nutf
-from nutf import core, linalg, parallel
+from nutf import linalg, parallel
 from nutf.core import (BlockSparseMatrix, CandidateSets, LowRankModel, ProblemDims,
                        model_support_values)
 from nutf.linalg import NumericalError, reduced_qr, sparse_lowrank_approx

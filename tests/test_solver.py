@@ -20,7 +20,6 @@ from nutf.linalg import NumericalError, sparse_lowrank_approx
 from nutf.simplex import project_blocks
 from nutf.solver import (
     SolverConfig,
-    SolverTrace,
     fit,
     init_x,
     predict_topk,
@@ -33,7 +32,6 @@ from conftest import (
     entry_rows,
     exact_model,
     random_model,
-    random_omega,
     serial_support_pass,
     to_dense,
     update_x,
