@@ -174,8 +174,9 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:  # the records are valid one by one; a venue's category is unmapped
         raise ValueError(f"{args.catmap}: {exc}") from None
-    if result.before_window:
-        print(f"warning: dropped {result.before_window} update(s) before the window start "
+    before_window = result.funnel["before_window"]
+    if before_window:
+        print(f"warning: dropped {before_window} update(s) before the window start "
               f"{scheme.epoch_day}", file=sys.stderr)
     out = _out_dir(args.out)
     serialize.write_candidate_sets_jsonl(out / "omega.jsonl", result.omega)

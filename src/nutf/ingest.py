@@ -42,12 +42,6 @@ _LOCAL_MAX_S = (dt.datetime.max - dt.datetime(1970, 1, 1)).total_seconds()
 # (update, venue) pairs of the latitude band tested at once: about 1 MiB of
 # temporaries, whatever the number of updates
 _PAIR_CHUNK = 1 << 13
-# The vectorized distance takes haversine_m's steps with numpy's sines,
-# cosines and arctangent, so it differs by a few units in the last place of
-# the angle: 3.7e-9 m at most over 800k random pairs, from neighbours to
-# antipodes. A pair it decides 1 mm from the boundary is decided as
-# haversine_m decides it; only the pairs within 1 mm call haversine_m.
-_MARGIN_M = 1e-3
 
 
 @dataclass(frozen=True)
@@ -195,16 +189,6 @@ def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     return EARTH_RADIUS_M * math.atan2(sin_angle, cos_angle)
 
 
-def _distances_m(lat1, lon1, lat2, lon2) -> np.ndarray:
-    """haversine_m elementwise, by the same operations in numpy."""
-    p1, p2 = np.radians(lat1), np.radians(lat2)
-    dlam = np.radians(lon2 - lon1)
-    s1, c1, s2, c2 = np.sin(p1), np.cos(p1), np.sin(p2), np.cos(p2)
-    sin_angle = np.hypot(c2 * np.sin(dlam), c1 * s2 - s1 * c2 * np.cos(dlam))
-    cos_angle = s1 * s2 + c1 * c2 * np.cos(dlam)
-    return EARTH_RADIUS_M * np.arctan2(sin_angle, cos_angle)
-
-
 def _unit_vectors(lat, lon) -> np.ndarray:
     """Points on the unit sphere, shape (..., 3), for degree coordinates."""
     phi, lam = np.radians(lat), np.radians(lon)
@@ -224,10 +208,8 @@ def candidate_venues(lat, lon, radius_m, venues: Venues) -> np.ndarray:
     sorted by latitude give each update the band that reach allows (a
     great-circle distance is never less than the meridian distance), and
     the matching unit-sphere chord narrows the band's pairs; both filters
-    only over-include, poles and antimeridian included. The vectorized
-    distance then decides each remaining pair, and haversine_m the few
-    within ``_MARGIN_M`` of the boundary, so every decision is
-    haversine_m's.
+    only over-include, poles and antimeridian included. haversine_m then
+    decides each remaining pair.
     """
     lat, lon, radius_m = (np.asarray(a, dtype=np.float64) for a in (lat, lon, radius_m))
     if not len(venues) or not len(lat):
@@ -258,11 +240,10 @@ def candidate_venues(lat, lon, radius_m, venues: Venues) -> np.ndarray:
         diff = v_xyz[pos] - q_xyz[q]
         near = np.einsum("ij,ij->i", diff, diff) <= chord[q] ** 2
         q, pos = q[near], pos[near]
-        dist = _distances_m(lat[q], lon[q], v_lat[pos], v_lon[pos])
-        limit = radius_m[q] + v_radius[pos]
-        hit = dist <= limit - _MARGIN_M
-        for k in np.flatnonzero(~hit & (dist <= limit + _MARGIN_M)).tolist():
-            hit[k] = haversine_m(lat[q[k]], lon[q[k]], v_lat[pos[k]], v_lon[pos[k]]) <= limit[k]
+        pairs = zip(lat[q].tolist(), lon[q].tolist(), v_lat[pos].tolist(),
+                    v_lon[pos].tolist(), (radius_m[q] + v_radius[pos]).tolist())
+        hit = np.array([haversine_m(a, b, c, d) <= limit for a, b, c, d, limit in pairs],
+                       dtype=bool)
         found.append((q[hit], order[pos[hit]]))
         start = stop
     q = np.concatenate([f[0] for f in found])
@@ -305,11 +286,6 @@ class IngestResult:
     # what became of each update, in pipeline order; the counts sum to rows_read
     funnel: dict[str, int]
 
-    @property
-    def before_window(self) -> int:
-        """Updates dropped because their local time falls before the epoch day."""
-        return self.funnel["before_window"]
-
 
 def build_candidate_sets(
     updates: Updates,
@@ -325,7 +301,7 @@ def build_candidate_sets(
     code-point order: an update's dwell is the gap to the next update when
     that one is the same user's, so each user's last update drops out, as
     does a dwell under ``min_dwell_s``. Survivors are assigned to slots
-    (those before the window are dropped and counted in ``before_window``),
+    (those before the window are dropped and counted in the funnel),
     deduplicated per (user, slot) by keeping the longest dwell (ties keep
     the earlier update), and intersected with the venue catalog in one
     ``candidate_venues`` query.

@@ -171,7 +171,7 @@ class TestCandidateVenues:
         assert venue_hits([Venue("v", "cafe", 0.0, 0.004, d)], 0.0, 0.0, 0.0) == [0]
 
     def test_boundary_and_1e7_m_outside(self, monkeypatch):
-        # both pairs lie within the margin, so haversine_m decides them
+        # haversine_m decides each pair the chord test lets through
         calls = []
         monkeypatch.setattr(ingest, "haversine_m",
                             lambda *a: calls.append(a) or haversine_m(*a))
@@ -449,10 +449,10 @@ class TestBuildCandidateSets:
         venues = [Venue("b1", "Bank", 0.0, 0.0, 30)]
         assert slot_of(1800, 0, self.SCHEME) == -1
         res = build(updates, venues, self.SCHEME, CATMAP, 60)
-        assert res.before_window == 1
+        assert res.funnel["before_window"] == 1
         assert block_dict(res.omega) == {(0, 1): [0]}
         only_early = build(updates[:2], venues, self.SCHEME, CATMAP, 60)
-        assert only_early.before_window == 1 and only_early.dims is None
+        assert only_early.funnel["before_window"] == 1 and only_early.dims is None
 
     def test_pipeline_deterministic(self):
         updates, venues = nyc_fixture()
@@ -537,7 +537,7 @@ class TestPipelineOracle:
         got = {(res.user_ids[u], j): [res.category_names[k] for k in cats]
                for (u, j), cats in block_dict(res.omega).items()}
         assert got == expect
-        assert res.before_window == before_window
+        assert res.funnel["before_window"] == before_window
         assert res.user_ids == sorted({uid for uid, _ in expect})
         if expect:
             assert (res.dims.n_users, res.dims.n_slots, res.dims.n_categories) == (
