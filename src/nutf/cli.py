@@ -83,28 +83,30 @@ def _versions() -> dict:
 
     from . import __version__
 
+    try:  # the BLAS build without its directories; mode= needs numpy 1.25
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {key: blas.get(key) for key in ("name", "version", "openblas configuration")}
+    except (KeyError, TypeError):
+        blas = None
     return {
         "nutf": __version__,
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
         "python": platform.python_version(),
+        "blas": blas,
     }
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    """Strict JSON (no NaN or infinity) with sorted keys: manifest.json and timings.json."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
+                    encoding="utf-8")
 
 
 def _write_manifest(out_dir: Path, args: argparse.Namespace) -> None:
     cfg = {dest: getattr(args, dest) for dest in _options(args.subparser)}
-    manifest = {"command": args.command, "config": cfg, "versions": _versions()}
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n",
-        encoding="utf-8",
-    )
-
-
-def _write_timings(out_dir: Path, timings: dict) -> None:
-    (out_dir / "timings.json").write_text(
-        json.dumps(timings, indent=2, sort_keys=True, allow_nan=False) + "\n",
-        encoding="utf-8",
-    )
+    _write_json(out_dir / "manifest.json",
+                {"command": args.command, "config": cfg, "versions": _versions()})
 
 
 def _out_dir(out: str) -> Path:
@@ -138,7 +140,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         json.dumps(truth.user_classes.tolist()) + "\n", encoding="utf-8"
     )
     _write_manifest(out, args)
-    _write_timings(out, {"generate_s": t1 - t0, "write_s": time.perf_counter() - t1})
+    _write_json(out / "timings.json", {"generate_s": t1 - t0, "write_s": time.perf_counter() - t1})
     print(f"wrote {omega.n_blocks} observations (|Omega| = {omega.total_size}) to {out}")
     return EXIT_OK
 
@@ -189,7 +191,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     (out / "report.json").write_text(json.dumps(result.funnel, indent=2) + "\n",
                                      encoding="utf-8")
     _write_manifest(out, args)
-    _write_timings(out, {"read_s": read_s, "preprocess_s": time.perf_counter() - t0})
+    _write_json(out / "timings.json", {"read_s": read_s, "preprocess_s": time.perf_counter() - t0})
     if dims is None:
         print("warning: no update produced a candidate set; omega is empty", file=sys.stderr)
     else:
@@ -227,7 +229,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
         tol=args.tol, seed=args.seed,
     )
     t0 = time.perf_counter()
-    x, model, trace = fit(omega, dims, solver_cfg)
+    x, model, trace = fit(omega, dims, solver_cfg, on_iteration=lambda it, _x, _m, obj: print(
+        f"fit: iteration {it}/{args.iters}, objective {obj:.6g}", file=sys.stderr))
     t_write = time.perf_counter()
     total = t_write - t0
 
@@ -238,15 +241,15 @@ def cmd_fit(args: argparse.Namespace) -> int:
     _write_manifest(out, args)
     timings = {"read_s": read_s, "write_s": time.perf_counter() - t_write,
                "init": trace.init_seconds}
-    for kernels in trace.kernel_seconds:
-        for key, seconds in kernels.items():
+    for record in trace.records:
+        for key, seconds in record["kernels"].items():
             timings[key] = timings.get(key, 0.0) + seconds
     timings["fit_total_s"] = total
-    timings["per_iteration_s"] = trace.seconds
-    _write_timings(out, timings)
+    timings["per_iteration_s"] = [record["seconds"] for record in trace.records]
+    _write_json(out / "timings.json", timings)
     print(
-        f"fit: {trace.n_iterations} iterations, final objective "
-        f"{trace.objectives[-1]:.6g}, {total:.2f}s -> {out}"
+        f"fit: {len(trace.records)} iterations, final objective "
+        f"{trace.records[-1]['objective']:.6g}, {total:.2f}s -> {out}"
     )
     return EXIT_OK
 

@@ -9,7 +9,7 @@ negative-unlabeled observation structure the solver consumes.
 Generation and top-k scoring run their chunks on nutf's long-lived
 thread pool (:mod:`nutf.parallel`); chunk bounds depend on the input
 alone and scoring makes no threaded BLAS call, so both give the same
-output for any CPU count, worker cap and BLAS thread count.
+output for any CPU count and BLAS thread count.
 """
 
 from __future__ import annotations
@@ -204,8 +204,8 @@ def score_topk(
     :func:`nutf.parallel.run_chunks`, each writing its own slice of the
     ranks; a call of one chunk runs inline. Every product stays within
     :func:`nutf.parallel.row_blocks`' blocks, so BLAS makes no threaded
-    call, and the report is the same for any CPU count, worker cap and
-    BLAS thread count.
+    call, and the report is the same for any CPU count and BLAS thread
+    count.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")

@@ -289,6 +289,10 @@ def read_pairs_jsonl(path) -> list[tuple[int, int, int]]:
 
 
 def write_trace_jsonl(path, trace, zero_seconds: bool = False) -> None:
-    """One line per iteration, from trace.to_records()."""
-    records = trace.to_records(zero_seconds=zero_seconds)
-    Path(path).write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    """One line per trace record but its kernels; seconds 0.0 under zero_seconds."""
+    lines = []
+    for record in trace.records:
+        line = dict(record, seconds=0.0) if zero_seconds else dict(record)
+        del line["kernels"]
+        lines.append(json.dumps(line) + "\n")
+    Path(path).write_text("".join(lines), encoding="utf-8")

@@ -66,71 +66,23 @@ class SolverConfig:
 
 @dataclass
 class SolverTrace:
-    """One record per completed outer iteration.
+    """``init_seconds``, the uniform start's wall time, and ``records``,
+    one dict per completed outer iteration.
 
-    Each record holds the objective, the iteration's wall seconds, the
-    norm of the change in X, the number of subspace-iteration passes of
-    its low-rank half-step, the sine of the largest principal angle its
-    last pass turned the basis by (None when it ran no pass), two audits
-    of the iterate (``q_ortho_error``, max|Q^T Q - I| of the model's basis,
-    and ``block_sum_error``, max |block sum - 1| of the new X), and in
-    ``kernel_seconds`` the seconds of each of its kernels: ``spmm`` and
-    ``qr`` from the low-rank half-step, then ``support_pass`` (Y on the
-    support, its projection, the objective, the change in X and the block
-    sums, in one pass) and ``audit`` (Q's orthonormality). ``init_seconds``
-    is the uniform start, run once before the first iteration.
-    ``trace.jsonl`` gets every field but the kernel split; ``nutf fit``
-    writes the split, summed over the iterations, to its wall-clock file.
+    A record's keys, in ``trace.jsonl``'s order: ``iter``, ``objective``,
+    ``seconds`` (wall time), ``x_delta`` (||X+ - X||), ``passes`` (of the
+    subspace iteration), ``subspace_angle`` (the sine of the largest
+    principal angle the last pass turned the basis by, None when no pass
+    ran), ``q_ortho_error`` (max|Q^T Q - I|) and ``block_sum_error`` (max
+    |block sum - 1| of X+). Last, ``kernels`` holds the seconds of
+    ``spmm`` and ``qr`` (the low-rank half-step), ``support_pass`` (Y on
+    the support, its projection and the iteration's sums) and ``audit``
+    (Q's orthonormality); ``trace.jsonl`` omits it, and ``nutf fit`` sums
+    it into its wall-clock file.
     """
 
     init_seconds: float = 0.0
-    objectives: list[float] = field(default_factory=list)
-    seconds: list[float] = field(default_factory=list)
-    x_deltas: list[float] = field(default_factory=list)
-    passes: list[int] = field(default_factory=list)
-    subspace_angles: list[float | None] = field(default_factory=list)
-    q_ortho_errors: list[float] = field(default_factory=list)
-    block_sum_errors: list[float] = field(default_factory=list)
-    kernel_seconds: list[dict[str, float]] = field(default_factory=list)
-
-    @property
-    def n_iterations(self) -> int:
-        return len(self.objectives)
-
-    def append(
-        self,
-        objective: float,
-        seconds: float,
-        x_delta: float,
-        passes: int,
-        subspace_angle: float | None,
-        q_ortho_error: float,
-        block_sum_error: float,
-        kernels: dict[str, float],
-    ) -> None:
-        self.objectives.append(float(objective))
-        self.seconds.append(float(seconds))
-        self.x_deltas.append(float(x_delta))
-        self.passes.append(int(passes))
-        self.subspace_angles.append(None if subspace_angle is None else float(subspace_angle))
-        self.q_ortho_errors.append(float(q_ortho_error))
-        self.block_sum_errors.append(float(block_sum_error))
-        self.kernel_seconds.append(kernels)
-
-    def to_records(self, zero_seconds: bool = False) -> list[dict]:
-        return [
-            {
-                "iter": t + 1,
-                "objective": self.objectives[t],
-                "seconds": 0.0 if zero_seconds else self.seconds[t],
-                "x_delta": self.x_deltas[t],
-                "passes": self.passes[t],
-                "subspace_angle": self.subspace_angles[t],
-                "q_ortho_error": self.q_ortho_errors[t],
-                "block_sum_error": self.block_sum_errors[t],
-            }
-            for t in range(self.n_iterations)
-        ]
+    records: list[dict] = field(default_factory=list)
 
 
 def init_x(omega: CandidateSets, dims: ProblemDims) -> BlockSparseMatrix:
@@ -229,8 +181,9 @@ def fit(
     to max(1, cfg.power_iters) passes. Rank-deficiency fills in the QR
     come from a stream keyed by seed XOR the 1-based iteration counter.
 
-    ``on_iteration(iter, x, model, objective)`` is invoked after every
-    completed iteration (instrumentation, e.g. feasibility audits).
+    The trace holds one :class:`SolverTrace` record per completed
+    iteration, and ``on_iteration(iter, x, model, objective)`` is invoked
+    after each (instrumentation, e.g. feasibility audits).
     """
     t0 = time.perf_counter()
     x = init_x(omega, dims)
@@ -248,8 +201,11 @@ def fit(
         t2 = time.perf_counter()
         q_error = model.orthonormality_error()
         t3 = time.perf_counter()
-        kernels.update(support_pass=t2 - t1, audit=t3 - t2)
-        trace.append(objective, t3 - t0, x_delta, passes, angle, q_error, sum_error, kernels)
+        trace.records.append({
+            "iter": it, "objective": objective, "seconds": t3 - t0, "x_delta": x_delta,
+            "passes": passes, "subspace_angle": angle, "q_ortho_error": q_error,
+            "block_sum_error": sum_error,
+            "kernels": {**kernels, "support_pass": t2 - t1, "audit": t3 - t2}})
         if not np.isfinite(objective):
             raise NumericalError(f"objective diverged at iteration {it}")
         if on_iteration is not None:

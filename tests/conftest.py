@@ -284,7 +284,7 @@ def dense_reference_fit(
     rows = entry_rows(omega)
     trace = SolverTrace()
     prev_obj: float | None = None
-    for _ in range(cfg.outer_iters):
+    for it in range(1, cfg.outer_iters + 1):
         t0 = time.perf_counter()
         u, s, vt = np.linalg.svd(x, full_matrices=False)
         y = (u[:, :cfg.rank] * s[:cfg.rank]) @ vt[:cfg.rank]
@@ -297,11 +297,20 @@ def dense_reference_fit(
         q_error = float(np.abs(basis.T @ basis - np.eye(cfg.rank)).max())
         sum_error = BlockSparseMatrix(dims, omega, x[rows, cols]).max_block_sum_error()
         # none of fit's kernels run here: no passes, no angle, an empty kernel split
-        trace.append(objective, time.perf_counter() - t0, x_delta, 0, None, q_error, sum_error, {})
+        trace.records.append({
+            "iter": it, "objective": objective,
+            "seconds": time.perf_counter() - t0, "x_delta": x_delta, "passes": 0,
+            "subspace_angle": None, "q_ortho_error": q_error, "block_sum_error": sum_error,
+            "kernels": {}})
         if prev_obj is not None and _relative_change(prev_obj, objective) < cfg.tol:
             break
         prev_obj = objective
     return x, trace
+
+
+def column(trace: SolverTrace, key: str) -> list:
+    """One key of every record of a trace, in iteration order."""
+    return [record[key] for record in trace.records]
 
 
 def random_omega(rng, n_users, n_slots, n_categories, p_block=0.5):

@@ -166,6 +166,54 @@ class TestFit:
         assert 0.0 < steps <= timings["fit_total_s"]
         assert timings["read_s"] > 0.0 and timings["write_s"] > 0.0
 
+    def test_progress_line_per_iteration(self, tmp_path, capsys):
+        """One stderr line per completed iteration, with the objective that
+        trace.jsonl records for it."""
+        src = self._fixture(tmp_path)
+        out = tmp_path / "f"
+        capsys.readouterr()
+        assert run(["fit", "--omega", str(src), "--rank", "4", "--iters", "3", "--tol", "0",
+                    "--seed", "2", "--deterministic", "--out", str(out)]) == EXIT_OK
+        captured = capsys.readouterr()
+        recs = [json.loads(l) for l in (out / "trace.jsonl").read_text().splitlines()]
+        assert captured.err.splitlines() == [
+            f"fit: iteration {r['iter']}/3, objective {r['objective']:.6g}" for r in recs]
+        assert len(recs) == 3
+        assert captured.out.startswith("fit: 3 iterations, final objective ")
+
+    def test_manifest_records_blas_build(self, tmp_path):
+        """versions.blas holds numpy's BLAS name, version and configuration,
+        no directories; the manifest is strict JSON and equal across reruns."""
+        src = self._fixture(tmp_path)
+        out = tmp_path / "f"
+        texts = []
+        for _ in range(2):
+            assert run(["fit", "--omega", str(src), "--rank", "4", "--iters", "2",
+                        "--seed", "2", "--deterministic", "--out", str(out)]) == EXIT_OK
+            texts.append((out / "manifest.json").read_text())
+        assert texts[0] == texts[1]
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        blas = json.loads(texts[0], parse_constant=reject)["versions"]["blas"]
+        build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert blas == {key: build.get(key) for key in ("name", "version",
+                                                        "openblas configuration")}
+        assert blas["name"]
+
+    @pytest.mark.parametrize("show_config", [
+        lambda: None,  # numpy before 1.25 takes no mode=
+        lambda mode: {"Build Dependencies": {}},
+    ], ids=["no-mode", "no-blas-key"])
+    def test_manifest_blas_null_where_numpy_lacks_it(self, tmp_path, monkeypatch, show_config):
+        src = self._fixture(tmp_path)
+        monkeypatch.setattr(np, "show_config", show_config)
+        out = tmp_path / "f"
+        assert run(["fit", "--omega", str(src), "--rank", "4", "--iters", "1",
+                    "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "manifest.json").read_text())["versions"]["blas"] is None
+
     def test_numerical_error_exit_code(self, tmp_path, monkeypatch, capsys):
         import nutf.solver
         from nutf.linalg import NumericalError

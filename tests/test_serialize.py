@@ -20,7 +20,9 @@ from nutf.serialize import (
     write_candidate_sets_jsonl,
     write_index_maps,
     write_pairs_jsonl,
+    write_trace_jsonl,
 )
+from nutf.solver import SolverTrace
 
 from conftest import block_dict, random_model, random_omega
 
@@ -436,6 +438,34 @@ class TestJsonl:
         path.write_text('{"u":0,"j":0,"cat":1}\n' + bad + "\n")
         with pytest.raises(ValueError, match=r"pairs\.jsonl line 2: .* must be a JSON integer"):
             read_pairs_jsonl(path)
+
+    @pytest.mark.parametrize("zero_seconds", [False, True])
+    def test_trace_line_format(self, tmp_path, zero_seconds):
+        """The exact text of trace.jsonl, from a trace built by hand: a fit's
+        bits depend on the BLAS kernel, so only this pins the format itself.
+        Keys in record order, null for a missing angle, and no kernel split."""
+        kernels = {"spmm": 0.5, "qr": 0.25, "support_pass": 0.125, "audit": 0.0625}
+        trace = SolverTrace(init_seconds=0.03125, records=[
+            {"iter": 1, "objective": 12.5, "seconds": 1.5, "x_delta": 0.75, "passes": 0,
+             "subspace_angle": None, "q_ortho_error": 2.220446049250313e-16,
+             "block_sum_error": 0.0, "kernels": kernels},
+            {"iter": 2, "objective": 3.0, "seconds": 0.1, "x_delta": 1e-09, "passes": 8,
+             "subspace_angle": 0.125, "q_ortho_error": 0.0, "block_sum_error": 1e-300,
+             "kernels": dict(kernels)},
+        ])
+        path = tmp_path / "trace.jsonl"
+        write_trace_jsonl(path, trace, zero_seconds=zero_seconds)
+        first, second = ("0.0", "0.0") if zero_seconds else ("1.5", "0.1")
+        assert path.read_bytes().decode("utf-8") == (
+            f'{{"iter": 1, "objective": 12.5, "seconds": {first}, "x_delta": 0.75, '
+            '"passes": 0, "subspace_angle": null, "q_ortho_error": 2.220446049250313e-16, '
+            '"block_sum_error": 0.0}\n'
+            f'{{"iter": 2, "objective": 3.0, "seconds": {second}, "x_delta": 1e-09, '
+            '"passes": 8, "subspace_angle": 0.125, "q_ortho_error": 0.0, '
+            '"block_sum_error": 1e-300}\n')
+        # the trace's own records keep their seconds and kernel split
+        assert [r["seconds"] for r in trace.records] == [1.5, 0.1]
+        assert all(r["kernels"] == kernels for r in trace.records)
 
     def test_index_maps_round_trip(self, tmp_path):
         path = tmp_path / "maps.json"

@@ -18,6 +18,7 @@ from nutf.core import BlockSparseMatrix, CandidateSets, LowRankModel, ProblemDim
 from nutf.harness import SynthConfig, generate
 from nutf.linalg import NumericalError, sparse_lowrank_approx
 from nutf.simplex import project_blocks
+from nutf.serialize import write_trace_jsonl
 from nutf.solver import (
     SolverConfig,
     fit,
@@ -27,6 +28,7 @@ from nutf.solver import (
 
 from conftest import (
     block_dict,
+    column,
     dense_completion,
     dense_reference_fit,
     entry_rows,
@@ -153,47 +155,52 @@ class TestFit:
             cfg = SolverConfig(rank=2, outer_iters=8, power_iters=50, tol=0.0, seed=seed)
             _, _, trace = fit(omega, dims, cfg)
             _, dtrace = dense_reference_fit(omega, dims, cfg)
-            assert trace.objectives[-1] == pytest.approx(dtrace.objectives[-1], abs=1e-6)
+            assert trace.records[-1]["objective"] == pytest.approx(
+                dtrace.records[-1]["objective"], abs=1e-6)
 
     def test_early_stopping(self):
         omega, dims = planted_instance(1, n=8, t=4, c=3)
         cfg = SolverConfig(rank=2, outer_iters=200, power_iters=10, tol=1e-9, seed=0)
         _, _, trace = fit(omega, dims, cfg)
-        assert trace.n_iterations < 200
+        assert len(trace.records) < 200
 
-    def test_trace_shape(self):
+    def test_trace_shape(self, tmp_path):
         omega, dims = planted_instance(2)
         _, _, trace = fit(omega, dims, SolverConfig(rank=2, outer_iters=5, tol=0.0, seed=0))
-        assert trace.n_iterations == 5
-        recs = trace.to_records()
+        recs = trace.records
         assert [r["iter"] for r in recs] == [1, 2, 3, 4, 5]
-        fields = {"iter", "objective", "seconds", "x_delta", "passes", "subspace_angle",
-                  "q_ortho_error", "block_sum_error"}
-        assert all(set(r) == fields for r in recs)
+        fields = ["iter", "objective", "seconds", "x_delta", "passes", "subspace_angle",
+                  "q_ortho_error", "block_sum_error"]
+        assert all(list(r) == [*fields, "kernels"] for r in recs)
         assert all(0.0 <= r["q_ortho_error"] <= 1e-12 for r in recs)
         assert all(0.0 <= r["block_sum_error"] <= 1e-12 for r in recs)
-        zeroed = trace.to_records(zero_seconds=True)
+        path = tmp_path / "trace.jsonl"
+        write_trace_jsonl(path, trace, zero_seconds=True)
+        zeroed = [json.loads(line) for line in path.read_text().splitlines()]
+        assert all(list(r) == fields for r in zeroed)
         assert all(r["seconds"] == 0.0 for r in zeroed)
 
     def test_trace_records_kernel_split(self):
         omega, dims = planted_instance(2)
         _, _, trace = fit(omega, dims, SolverConfig(rank=2, outer_iters=4, tol=0.0, seed=0))
         assert trace.init_seconds > 0.0
-        assert len(trace.kernel_seconds) == trace.n_iterations == 4
-        for kernels, seconds in zip(trace.kernel_seconds, trace.seconds):
+        assert len(trace.records) == 4
+        for record in trace.records:
+            kernels = record["kernels"]
             assert set(kernels) == {"spmm", "qr", "support_pass", "audit"}
             assert all(v >= 0.0 for v in kernels.values())
-            assert sum(kernels.values()) <= seconds
+            assert sum(kernels.values()) <= record["seconds"]
 
     def test_warm_passes_within_cap(self):
         omega, dims = planted_instance(4, n=12, t=5, c=4, classes=3)
         for m in (0, 1, 8):
             _, _, trace = fit(omega, dims,
                               SolverConfig(rank=3, outer_iters=6, power_iters=m, tol=0.0))
-            assert trace.passes[0] == m
-            assert (trace.subspace_angles[0] is None) == (m == 0)
-            assert all(1 <= p <= max(1, m) for p in trace.passes[1:])
-            assert all(0.0 <= a <= 1.0 for a in trace.subspace_angles[1:])
+            passes, angles = column(trace, "passes"), column(trace, "subspace_angle")
+            assert passes[0] == m
+            assert (angles[0] is None) == (m == 0)
+            assert all(1 <= p <= max(1, m) for p in passes[1:])
+            assert all(0.0 <= a <= 1.0 for a in angles[1:])
 
     def test_one_iteration_is_a_cold_approximation(self):
         omega, dims = planted_instance(7, n=12, t=5, c=4, classes=3)
@@ -202,7 +209,7 @@ class TestFit:
         cold, *_ = sparse_lowrank_approx(init_x(omega, dims), replace(cfg, seed=cfg.seed ^ 1))
         assert model.q.tobytes() == cold.q.tobytes()
         assert model.c.tobytes() == cold.c.tobytes()
-        assert trace.passes == [4]
+        assert column(trace, "passes") == [4]
 
     def test_rank_error_propagates(self):
         omega = CandidateSets.from_blocks([(0, 0, [0])])
@@ -217,7 +224,7 @@ class TestFit:
         x2, m2, t2 = fit(omega, dims, cfg)
         assert np.array_equal(x1.values, x2.values)
         assert np.array_equal(m1.q, m2.q)
-        assert t1.objectives == t2.objectives
+        assert column(t1, "objective") == column(t2, "objective")
 
 
     def test_support_checked_against_dims_once(self):
@@ -235,7 +242,7 @@ class TestFit:
         omega, dims = CandidateSets.from_blocks([]), ProblemDims(3, 2, 2)
         cfg = SolverConfig(rank=1, outer_iters=2, tol=0.0)
         x, _, trace = fit(omega, dims, cfg)
-        assert len(x.values) == 0 and trace.objectives == [0.0, 0.0]
+        assert len(x.values) == 0 and column(trace, "objective") == [0.0, 0.0]
         dense, _ = dense_reference_fit(omega, dims, cfg)
         assert np.array_equal(dense, np.zeros((3, 4)))
 
@@ -352,7 +359,7 @@ class TestDenseReferenceFit:
             omega, dims = planted_instance(seed, n=9, t=5, c=4, classes=2)
             cfg = SolverConfig(rank=2, outer_iters=10, tol=0.0, seed=seed)
             _, trace = dense_reference_fit(omega, dims, cfg)
-            diffs = np.diff(trace.objectives)
+            diffs = np.diff(column(trace, "objective"))
             assert np.all(diffs <= 1e-12)
 
     def test_per_iteration_match_at_high_m(self):
@@ -371,7 +378,7 @@ class TestDenseReferenceFit:
             cfg = SolverConfig(rank=2, outer_iters=5, power_iters=50, tol=0.0, seed=seed)
             _, _, trace = fit(omega, dims, cfg)
             _, dtrace = dense_reference_fit(omega, dims, cfg)
-            for a, b in zip(trace.objectives, dtrace.objectives):
+            for a, b in zip(column(trace, "objective"), column(dtrace, "objective")):
                 assert a == pytest.approx(b, abs=1e-5)
 
 
@@ -493,7 +500,7 @@ def assert_fit_bytes_independent_of_cpu_count(monkeypatch, omega, dims):
                             raising=False)
         x, model, trace = fit(omega, dims, cfg)
         return (x.values.tobytes(), model.q.tobytes(), model.c.tobytes(),
-                trace.objectives, trace.x_deltas)
+                column(trace, "objective"), column(trace, "x_delta"))
 
     try:
         one_cpu = fit_bytes(1)
@@ -557,7 +564,8 @@ class TestThreadedKernels:
             h = hashlib.sha256()
             for a in (x.values, model.q, model.c):
                 h.update(a.tobytes())
-            print(json.dumps([h.hexdigest(), trace.objectives, trace.x_deltas,
+            print(json.dumps([h.hexdigest(), [r["objective"] for r in trace.records],
+                              [r["x_delta"] for r in trace.records],
                               len(model.q), omega.total_size]))
         """)
         one, two = (json.loads(run_with_blas_threads(code, n)) for n in (1, 2))
@@ -573,5 +581,5 @@ class TestThreadedKernels:
         t0 = time.perf_counter()
         _, _, trace = fit(omega, dims, cfg)
         fit_total_s = time.perf_counter() - t0
-        covered = trace.init_seconds + sum(sum(k.values()) for k in trace.kernel_seconds)
+        covered = trace.init_seconds + sum(sum(r["kernels"].values()) for r in trace.records)
         assert 0.95 * fit_total_s <= covered <= fit_total_s
