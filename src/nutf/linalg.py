@@ -10,11 +10,20 @@ matrix, so the cost per pass stays O(|Omega| * r) plus the O(rows * r^2)
 QR. The solver reads the completion on the support chunk by chunk.
 
 The QR runs CholeskyQR2 (Fukaya et al., 2014): two passes of an r x r
-Gram, its Cholesky factor and one panel product, with no copy of the
-panel beyond the products. It is accurate while the panel's condition
-number stays below about 1e8 (Yamamoto et al., ETNA 2015). Past that,
-or on a rank-deficient or non-finite panel, the QR falls back to
-Householder reflections (LAPACK) and fills deficient columns.
+Gram, its Cholesky factor and one panel product. The first product
+writes a spare panel and the second runs in place there, so the input B
+stays untouched. It is accurate while the panel's condition number
+stays below about 1e8 (Yamamoto et al., ETNA 2015). Past that, or on a
+rank-deficient or non-finite panel, the QR falls back to Householder
+reflections (LAPACK) on B and fills deficient columns.
+
+Subspace iteration needs only a fixed workspace of long-side panels
+(max(N, T*C) x r; Halko, Martinsson & Tropp, 2011), and every pass
+reuses the same ones: B, which ``X @ v`` writes in the normal
+orientation (``X^T @ v``, the transposed orientation's, returns a new
+panel), and two panels the QR writes in turn, the new basis and the one
+before it, which the principal angle compares. The given start basis is
+never written.
 
 Both sparse products, the QR's panel products and its Grams, and the
 Gram of the principal angle run in chunks on nutf's pool
@@ -33,6 +42,7 @@ the CPU count nor the BLAS thread count. One chunk is the plain
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -83,10 +93,10 @@ def _sparse_products(x: BlockSparseMatrix, rank: int) -> tuple[Callable, Callabl
     view (its transpose) over slices of x's layout and values, built once
     and copying nothing, and the chunks run on
     :func:`nutf.parallel.run_chunks`. ``X @ v`` writes each chunk's rows
-    of the output, so its bits are scipy's serial product's; ``X^T @ v``
-    adds the chunks' partial products in chunk order
-    (:func:`nutf.parallel.sum_blocks`). One chunk gives scipy's plain
-    products.
+    of the output (``out`` when given), so its bits are scipy's serial
+    product's; ``X^T @ v`` adds the chunks' partial products in chunk
+    order (:func:`nutf.parallel.sum_blocks`). One chunk gives scipy's
+    plain products.
     """
     dims = x.dims
     indptr, indices = x.support.csr_structure(dims)
@@ -99,9 +109,10 @@ def _sparse_products(x: BlockSparseMatrix, rank: int) -> tuple[Callable, Callabl
         chunks_t.append(_view(csc_matrix((dims.n_cols, hi - lo)), *arrays))
     each_chunk = range(len(chunks) + 1)
 
-    def product(v: np.ndarray) -> np.ndarray:
+    def product(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         v = np.ascontiguousarray(v)
-        out = np.empty((dims.n_users, v.shape[1]))
+        if out is None:
+            out = np.empty((dims.n_users, v.shape[1]))
 
         def chunk_rows(i: int, _: int) -> None:
             out[bounds[i]:bounds[i + 1]] = chunks[i] @ v
@@ -116,18 +127,19 @@ def _sparse_products(x: BlockSparseMatrix, rank: int) -> tuple[Callable, Callabl
     return product, adjoint_product
 
 
-def _panel_product(q: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """q @ m for a tall panel q and a small matrix m.
+def _panel_product(q: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """q @ m for a tall panel q and a small matrix m, written into ``out``.
 
     The rows run in the blocks of :func:`nutf.parallel.row_blocks`, so
     BLAS computes each block on its thread, on the pool. The blocks do
     not depend on the CPU count, so neither do the bits; they are one
     plain product's wherever BLAS computes a row the same way at every
     block height (OpenBLAS 0.3.31 on x86-64 does up to r = 16). A panel
-    of one block is one plain product.
+    of one block is one plain product. ``out`` may be q itself: a block
+    reads only its own rows, and numpy copies a block's input that
+    overlaps its output.
     """
     cuts = row_blocks(len(q), q.shape[1] * m.shape[1])
-    out = np.empty((len(q), m.shape[1]))
     run_blocks(lambda lo, hi: np.matmul(q[lo:hi], m, out=out[lo:hi]), cuts, PANEL_BLOCKS)
     return out
 
@@ -148,13 +160,15 @@ def _deficient(diag: np.ndarray, n: int) -> np.ndarray:
     return np.nonzero(diag <= tol)[0]
 
 
-def _cholesky_qr2(b: np.ndarray) -> np.ndarray | None:
-    """Orthonormal factor of b by CholeskyQR2, or None to leave b to Householder.
+def _cholesky_qr2(b: np.ndarray, out: np.ndarray) -> bool:
+    """Whether CholeskyQR2 wrote b's orthonormal factor into out; False leaves b,
+    untouched, to Householder.
 
-    Two passes of G = Q^T Q, R = chol(G)^T, Q <- Q inv(R), from Q = b. None
-    when a Gram is non-finite (b holds a NaN or an inf, or its Gram
-    overflows), a Cholesky fails, the diagonal of R2 R1 has a column the
-    Householder path would call deficient, or max|Q^T Q - I| > _CHOLQR_TOL.
+    Two passes of G = Q^T Q, R = chol(G)^T, Q <- Q inv(R), from Q = b: the
+    first product writes out, the second runs in place. False when a Gram
+    is non-finite (b holds a NaN or an inf, or its Gram overflows), a
+    Cholesky fails, the diagonal of R2 R1 has a column the Householder
+    path would call deficient, or max|Q^T Q - I| > _CHOLQR_TOL.
     """
     n, r = b.shape
     q, diag = b, np.ones(r)
@@ -162,23 +176,23 @@ def _cholesky_qr2(b: np.ndarray) -> np.ndarray | None:
         for _ in range(2):
             g = gram(q, q)
             if not np.all(np.isfinite(g)):
-                return None
+                return False
             try:
                 rr = np.linalg.cholesky(g).T
             except np.linalg.LinAlgError:
-                return None
-            q = _panel_product(q, np.linalg.inv(rr))
+                return False
+            q = _panel_product(q, np.linalg.inv(rr), out)
             diag *= rr.diagonal()
         if len(_deficient(diag, n)):
-            return None
+            return False
         # written so that a NaN error also rejects
-        if not np.abs(gram(q, q) - np.eye(r)).max() <= _CHOLQR_TOL:
-            return None
-    return q
+        return bool(np.abs(gram(q, q) - np.eye(r)).max() <= _CHOLQR_TOL)
 
 
-def reduced_qr(b: np.ndarray, fill_rng: np.random.Generator) -> np.ndarray:
-    """Orthonormal factor of the reduced QR of a tall matrix.
+def reduced_qr(b: np.ndarray, fill_rng: np.random.Generator,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Orthonormal factor of the reduced QR of a tall matrix, written into
+    ``out`` (a new panel when None; never b itself) and returned.
 
     Runs CholeskyQR2 first, which draws nothing from ``fill_rng``. When
     it gives up (see :func:`_cholesky_qr2`; from a condition number of
@@ -198,9 +212,10 @@ def reduced_qr(b: np.ndarray, fill_rng: np.random.Generator) -> np.ndarray:
     n, r = b.shape
     if not 1 <= r <= n:
         raise ValueError(f"need n >= r >= 1, got {n} x {r}")
-    q = _cholesky_qr2(b)
-    if q is not None:
-        return _fix_column_signs(q)
+    if out is None:
+        out = np.empty((n, r))
+    if _cholesky_qr2(b, out):
+        return _fix_column_signs(out)
     if not np.all(np.isfinite(b)):
         raise NumericalError("non-finite entries in QR input")
     q, rr = np.linalg.qr(b, mode="reduced")
@@ -218,7 +233,8 @@ def reduced_qr(b: np.ndarray, fill_rng: np.random.Generator) -> np.ndarray:
                     break
             q[:, idx] = v / norm
             basis = np.column_stack([basis, q[:, idx]])
-    return _fix_column_signs(q)
+    out[...] = q
+    return _fix_column_signs(out)
 
 
 def _principal_sine(q_old: np.ndarray, q_new: np.ndarray) -> float:
@@ -266,9 +282,13 @@ def sparse_lowrank_approx(
     seconds = {"spmm": 0.0, "qr": 0.0}
     t0 = time.perf_counter()
     product, adjoint_product = _sparse_products(x, cfg.rank)
-    # the operator A is X, or X^T when dims.transposed
-    a_times, a_t_times = (adjoint_product, product) if dims.transposed \
-        else (product, adjoint_product)
+    # the operator A is X, or X^T when dims.transposed. X @ v writes every
+    # pass's B into one panel; X^T @ v returns its first chunk's partial sum.
+    if dims.transposed:
+        a_times, a_t_times = adjoint_product, product
+    else:
+        a_times = partial(product, out=np.empty((dims.n_users, cfg.rank)))
+        a_t_times = adjoint_product
     if start is None:
         rng = np.random.Generator(np.random.Philox(key=cfg.seed))
         b = a_times(rng.standard_normal((min_side, cfg.rank)))
@@ -280,12 +300,12 @@ def sparse_lowrank_approx(
     else:
         seconds["spmm"] += time.perf_counter() - t0
         q, max_passes = start, max(1, cfg.power_iters)
-    passes, angle = 0, None
+    passes, angle, spare = 0, None, None
     while passes < max_passes:
         t0 = time.perf_counter()
         b = a_times(a_t_times(q))
         t1 = time.perf_counter()
-        q_prev, q = q, reduced_qr(b, fill_rng)
+        q_prev, q = q, reduced_qr(b, fill_rng, out=spare)
         passes += 1
         # a cold call runs all its passes, so only its last angle is read
         if start is not None or passes == max_passes:
@@ -294,6 +314,8 @@ def sparse_lowrank_approx(
         seconds["qr"] += time.perf_counter() - t1
         if start is not None and angle <= _SUBSPACE_TOL:
             break
+        # the next QR writes over this pass's old basis, unless that is start
+        spare = None if q_prev is start else q_prev
     t0 = time.perf_counter()
     c = np.ascontiguousarray(a_t_times(q).T)
     seconds["spmm"] += time.perf_counter() - t0

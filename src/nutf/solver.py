@@ -42,6 +42,8 @@ IterationCallback = Callable[[int, BlockSparseMatrix, LowRankModel, float], None
 # threads share; a larger one holds more scratch, 2 * r floats of factor
 # gathers per entry.
 _PASS_BLOCKS = 4
+# Blocks per slice of the uniform start.
+_INIT_BLOCKS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -86,11 +88,20 @@ class SolverTrace:
 
 
 def init_x(omega: CandidateSets, dims: ProblemDims) -> BlockSparseMatrix:
-    """Uniform-on-support start: each block gets 1/|Omega_ij| per entry."""
+    """Uniform-on-support start: each block gets 1/|Omega_ij| per entry.
+
+    X is filled _INIT_BLOCKS blocks at a time, so no per-block array as
+    long as the blocks is held next to it.
+    """
     # builds the cached layout first, so the dims check scans the support once
     omega.csr_structure(dims)
-    sizes = np.diff(omega.block_ptr)
-    return BlockSparseMatrix(dims, omega, np.repeat(1.0 / sizes, sizes))
+    ptr = omega.block_ptr
+    values = np.empty(omega.total_size)
+    cuts = [*range(0, omega.n_blocks, _INIT_BLOCKS), omega.n_blocks]
+    for b0, b1 in zip(cuts, cuts[1:]):
+        sizes = np.diff(ptr[b0:b1 + 1])
+        values[ptr[b0]:ptr[b1]] = np.repeat(1.0 / sizes, sizes)
+    return BlockSparseMatrix(dims, omega, values)
 
 
 def _support_pass(
@@ -99,29 +110,28 @@ def _support_pass(
 ) -> tuple[BlockSparseMatrix, float, float, float]:
     """The X half-step and the iteration's sums, in one pass over the support.
 
-    Returns X+, the completion Y's candidate blocks projected onto the
-    simplex; the objective ||X+ - Y||_F^2 over the full matrix; ||X+ - X||;
-    and X+'s max |block sum - 1|. A non-finite value of Y raises
-    NumericalError.
+    Writes X+, the completion Y's candidate blocks projected onto the
+    simplex, over x's values, and returns x; the objective ||X+ - Y||_F^2
+    over the full matrix; ||X+ - X||; and X+'s max |block sum - 1|. A
+    non-finite value of Y raises NumericalError and leaves x partly
+    written.
 
     Each chunk of :func:`nutf.parallel.run_chunks` owns _PASS_BLOCKS dot
     blocks (:func:`nutf.core.dot_blocks`). It computes and projects Y on
     every candidate block that meets its entries, so a block that crosses
-    a chunk edge is done by both chunks, with the same bits; it writes X+
-    on its own entries only and keeps its dot blocks' dots, which are
-    added in block order. So the results have the bits of
-    :func:`nutf.core.model_support_values`,
+    a chunk edge is done by both chunks, with the same bits. It reads X
+    on its own entries only: it keeps its dot blocks' dots, which are
+    added in block order, and then writes X+ over X there. So the results
+    have the bits of :func:`nutf.core.model_support_values`,
     :func:`nutf.simplex.project_blocks`, :func:`nutf.core.frobenius_gap`
     and a blocked ||X+ - X|| run one after another, for any CPU count,
-    while only X and X+ span the whole support. A chunk rebuilds its
-    entries' rows from its blocks' users, so the layout stores no row
-    per entry.
+    while X alone spans the whole support. A chunk rebuilds its entries'
+    rows from its blocks' users, so the layout stores no row per entry.
     """
     support, dims = x.support, x.dims
     _, cols = support.csr_structure(dims)
-    users, ptr, old = support.block_users, support.block_ptr, x.values
-    new = np.empty(len(old))
-    cuts = dot_blocks(len(old))
+    users, ptr, values = support.block_users, support.block_ptr, x.values
+    cuts = dot_blocks(len(values))
     n_dots = len(cuts) - 1
     # per dot block: ||X+ - Y||^2, ||Y||^2 and ||X+ - X||^2 on its entries
     dots = np.empty((n_dots, 3))
@@ -142,12 +152,13 @@ def _support_pass(
             raise NumericalError("non-finite completion values")
         projected = np.empty(e - s)
         project_into(y, local_ptr, projected)
-        new[lo:hi] = projected[lo - s:hi - s]
         for k in range(k0, k1):
             a, b = cuts[k], cuts[k + 1]
-            y_k = y[a - s:b - s]
-            gap, step = new[a:b] - y_k, new[a:b] - old[a:b]
+            y_k, new_k = y[a - s:b - s], projected[a - s:b - s]
+            gap, step = new_k - y_k, new_k - values[a:b]
             dots[k] = gap @ gap, y_k @ y_k, step @ step
+        # the dots above are the last read of X on these entries
+        values[lo:hi] = projected[lo - s:hi - s]
         owned = int(np.searchsorted(ptr, lo)) - b0
         errors[k0] = np.abs(block_sums(projected, local_ptr)[owned:] - 1.0).max(initial=0.0)
 
@@ -155,8 +166,7 @@ def _support_pass(
     # cumsum adds in block order, the order of nutf.parallel.sum_blocks
     on_support, y_on, squares = np.cumsum(dots, axis=0)[-1].tolist()
     objective = gap_from_support(model, on_support, y_on)
-    new_x = BlockSparseMatrix(dims, support, new)
-    return new_x, objective, float(np.sqrt(squares)), float(errors.max())
+    return x, objective, float(np.sqrt(squares)), float(errors.max())
 
 
 def _relative_change(prev: float, cur: float) -> float:
@@ -183,7 +193,10 @@ def fit(
 
     The trace holds one :class:`SolverTrace` record per completed
     iteration, and ``on_iteration(iter, x, model, objective)`` is invoked
-    after each (instrumentation, e.g. feasibility audits).
+    after each (instrumentation, e.g. feasibility audits). Its x is the
+    live iterate, which the next iteration overwrites: copy
+    ``x.values`` to keep it. Each iteration writes X+ over X, and the
+    first X is fit's own, so no caller's array is written.
     """
     t0 = time.perf_counter()
     x = init_x(omega, dims)

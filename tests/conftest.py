@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
-from nutf import parallel, serialize
+from nutf import linalg, parallel, serialize
 from nutf.core import (BlockSparseMatrix, CandidateSets, LowRankModel, ProblemDims,
                        frobenius_gap, model_support_values, sum_dots)
 from nutf.harness import GroundTruth, SynthConfig
@@ -167,6 +167,34 @@ def serial_support_pass(x: BlockSparseMatrix, model: LowRankModel):
     new_x = update_x(y, x.support, x.dims)
     return (new_x, frobenius_gap(new_x, model, y), distance(new_x.values, x.values),
             new_x.max_block_sum_error())
+
+
+def allocating_lowrank_approx(x: BlockSparseMatrix, cfg: SolverConfig, start=None):
+    """nutf.linalg.sparse_lowrank_approx with a new long-side panel for every
+    sparse product and QR result: the byte-level oracle for its reused panels.
+    Returns (model, passes, angle)."""
+    dims = x.dims
+    fill_rng = np.random.Generator(np.random.Philox(key=cfg.seed ^ linalg._FILL_SALT))
+    product, adjoint_product = linalg._sparse_products(x, cfg.rank)
+    a_times, a_t_times = (adjoint_product, product) if dims.transposed \
+        else (product, adjoint_product)
+    if start is None:
+        rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+        b = a_times(rng.standard_normal((min(dims.n_users, dims.n_cols), cfg.rank)))
+        q, max_passes = linalg.reduced_qr(b, fill_rng), cfg.power_iters
+    else:
+        q, max_passes = start, max(1, cfg.power_iters)
+    passes, angle = 0, None
+    while passes < max_passes:
+        b = a_times(a_t_times(q))
+        q_prev, q = q, linalg.reduced_qr(b, fill_rng)
+        passes += 1
+        if start is not None or passes == max_passes:
+            angle = linalg._principal_sine(q_prev, q)
+        if start is not None and angle <= linalg._SUBSPACE_TOL:
+            break
+    c = np.ascontiguousarray(a_t_times(q).T)
+    return LowRankModel(dims, q=q, c=c), passes, angle
 
 
 def serial_generate(cfg: SynthConfig):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -11,10 +12,12 @@ import nutf
 from nutf import linalg, parallel
 from nutf.core import (BlockSparseMatrix, CandidateSets, LowRankModel, ProblemDims,
                        model_support_values)
+from nutf.harness import SynthConfig, generate
 from nutf.linalg import NumericalError, reduced_qr, sparse_lowrank_approx
 from nutf.solver import SolverConfig
 
-from conftest import dense_completion, full_support, random_omega, to_csr, to_dense
+from conftest import (allocating_lowrank_approx, dense_completion, full_support, random_omega,
+                      to_csr, to_dense)
 
 
 def make_x(dims, omega, values):
@@ -155,6 +158,23 @@ def householder_calls(monkeypatch):
         return qr(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "qr", counted)
+    return calls
+
+
+@pytest.fixture
+def second_cholesky_fails(monkeypatch):
+    """Every second np.linalg.cholesky call fails, so each CholeskyQR2 gives up
+    after its first panel product; returns the list of calls."""
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def failing(g):
+        calls.append(1)
+        if len(calls) % 2 == 0:
+            raise np.linalg.LinAlgError("failed on purpose")
+        return cholesky(g)
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
     return calls
 
 
@@ -301,6 +321,30 @@ class TestReducedQr:
         # a tie in magnitude goes to the first entry
         q = reduced_qr(np.array([[-1.0], [1.0], [0.0]]), fill_rng())
         assert q[0, 0] > 0 and q[1, 0] < 0
+
+    def test_out_holds_the_factor_on_both_paths(self, householder_calls):
+        rng = np.random.default_rng(28)
+        col = rng.standard_normal((40, 1))
+        for b in (rng.standard_normal((40, 5)), np.hstack([col, 2 * col, -col])):
+            before = b.tobytes()
+            out = np.full(b.shape, np.nan)
+            q = reduced_qr(b, fill_rng(5), out=out)
+            assert q is out and q.tobytes() == reduced_qr(b, fill_rng(5)).tobytes()
+            assert b.tobytes() == before
+        assert householder_calls == [1, 1]  # the rank-1 panel, twice
+
+    def test_householder_after_the_first_product_sees_b(self, householder_calls,
+                                                        second_cholesky_fails):
+        b = np.random.default_rng(29).standard_normal((40, 5))
+        before = b.tobytes()
+        expected = householder_qr_reference(b.copy(), fill_rng(5))
+        householder_calls.clear()
+        out = np.empty_like(b)
+        q = reduced_qr(b, fill_rng(5), out=out)
+        # the first product wrote out before the second Cholesky failed
+        assert second_cholesky_fails == [1, 1] and householder_calls == [1]
+        assert q is out and q.tobytes() == expected.tobytes()
+        assert b.tobytes() == before
 
     def test_wide_matrix_rejected(self):
         with pytest.raises(ValueError):
@@ -590,7 +634,7 @@ class TestChunkedProducts:
         runs = []
         for cpus in (1, 8):
             with_cpus(monkeypatch, cpus)
-            runs.append(linalg._panel_product(q, m).tobytes())
+            runs.append(linalg._panel_product(q, m, np.empty((len(q), r))).tobytes())
         assert runs[0] == runs[1] == (q @ m).tobytes()
 
     def test_panel_blocks_stay_on_the_calling_thread(self, monkeypatch):
@@ -604,14 +648,28 @@ class TestChunkedProducts:
         monkeypatch.setattr(linalg.np, "matmul", recording)
         q = np.random.default_rng(3).standard_normal((49 * 2048 + 1, 10))
         m = np.eye(10)
-        assert linalg._panel_product(q, m).tobytes() == q.tobytes()
+        assert linalg._panel_product(q, m, np.empty_like(q)).tobytes() == q.tobytes()
         # blocks of 2048 rows (2048 * 10 * 10 <= 2**18), the one-row tail joined to the last
         assert sorted(heights) == [2048] * 48 + [2049]
+
+    @pytest.mark.parametrize("r", [1, 4, 10])
+    @pytest.mark.parametrize("gemm_serial", [8, 1 << 18])  # 8-row blocks, or one block
+    def test_panel_product_in_place_bytes_equal_matmul(self, monkeypatch, r, gemm_serial):
+        monkeypatch.setattr(parallel, "GEMM_SERIAL", gemm_serial * r * r)
+        rng = np.random.default_rng(r)
+        q = rng.standard_normal((637, r))
+        m = rng.standard_normal((r, r))
+        expected = (q @ m).tobytes()
+        for cpus in (1, 8):
+            with_cpus(monkeypatch, cpus)
+            panel = q.copy()
+            assert linalg._panel_product(panel, m, out=panel) is panel
+            assert panel.tobytes() == expected
 
     def test_one_chunk_panel_is_one_product(self, no_pool):
         q = np.random.default_rng(4).standard_normal((2780, 10))
         m = np.random.default_rng(5).standard_normal((10, 10))
-        assert linalg._panel_product(q, m).tobytes() == (q @ m).tobytes()
+        assert linalg._panel_product(q, m, np.empty_like(q)).tobytes() == (q @ m).tobytes()
 
 
 def serial_lowrank_reference(x, cfg, start=None):
@@ -650,3 +708,70 @@ class TestOneChunkPath:
         ref_warm, y_ref = serial_lowrank_reference(x, cfg, start=cold.q)
         assert warm.q.tobytes() == ref_warm.q.tobytes()
         assert y_warm.tobytes() == y_ref.tobytes()
+
+
+class TestReusedPanels:
+    """sparse_lowrank_approx writes its long-side panels into a fixed set of
+    buffers: the bytes of conftest.allocating_lowrank_approx, which allocates
+    every panel anew."""
+
+    @staticmethod
+    def assert_bytes_equal(x, cfg, start=None):
+        model, _, passes, angle = sparse_lowrank_approx(x, cfg, start=start)
+        ref, ref_passes, ref_angle = allocating_lowrank_approx(x, cfg, start=start)
+        assert model.q.tobytes() == ref.q.tobytes()
+        assert model.c.tobytes() == ref.c.tobytes()
+        assert (passes, angle) == (ref_passes, ref_angle)
+        return model, passes
+
+    @pytest.mark.parametrize("dims", [ProblemDims(600, 8, 6), ProblemDims(60, 12, 10)])
+    def test_bytes_equal_allocating_loop(self, fresh_pools, monkeypatch, dims):
+        # 64-entry product chunks and 8-row panel blocks, on two CPUs
+        monkeypatch.setattr(linalg, "_SPMM_CHUNK", 64)
+        monkeypatch.setattr(parallel, "GEMM_SERIAL", 8 * 4 * 4)
+        x = random_x(28, dims)
+        _, passes = self.assert_bytes_equal(x, SolverConfig(rank=4, power_iters=3, seed=6))
+        assert passes == 3
+        # a basis one pass from cold: the warm call runs enough passes to reuse its panels
+        rough, _ = self.assert_bytes_equal(x, SolverConfig(rank=4, power_iters=1, seed=6))
+        start = rough.q.copy()
+        warm, passes = self.assert_bytes_equal(x, SolverConfig(rank=4, power_iters=8, seed=6),
+                                               start=start)
+        assert passes >= 3
+        # start is never written
+        assert start.tobytes() == rough.q.tobytes() and not np.shares_memory(warm.q, start)
+
+    def test_householder_after_the_first_product_gets_b(self, fresh_pools, monkeypatch,
+                                                         householder_calls,
+                                                         second_cholesky_fails):
+        monkeypatch.setattr(linalg, "_SPMM_CHUNK", 64)
+        monkeypatch.setattr(parallel, "GEMM_SERIAL", 8 * 4 * 4)
+        x = random_x(29, ProblemDims(600, 8, 6))
+        cfg = SolverConfig(rank=4, power_iters=3, seed=7)
+        cold, _ = self.assert_bytes_equal(x, cfg)
+        self.assert_bytes_equal(x, cfg, start=cold.q)
+        # every QR of both runs fell back after its first product
+        assert len(householder_calls) == len(second_cholesky_fails) // 2 > 0
+
+    def test_call_holds_fewer_than_four_and_a_half_panels(self, monkeypatch):
+        """One call's traced peak stays below 4.5 long-side panels, cold and warm:
+        B, the new basis and the one before it, and the sparse products' chunk
+        scratch. A new B and two new QR panels on every pass, as the allocating
+        loop makes them, break this."""
+        omega, _, dims = generate(SynthConfig(20000, 50, 20, seed=3))
+        assert not dims.transposed
+        x = BlockSparseMatrix(dims, omega, np.random.default_rng(3).random(omega.total_size))
+        omega.csr_structure(dims)  # the cached layout, built before tracing
+        cfg = SolverConfig(rank=10, power_iters=3, seed=1)
+        panel = max(dims.n_users, dims.n_cols) * cfg.rank * 8
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+        start = None
+        for _ in ("cold", "warm"):
+            tracemalloc.start()  # numpy reports its buffers to tracemalloc
+            try:
+                model, _, passes, _ = sparse_lowrank_approx(x, cfg, start=start)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert passes >= 2 and peak < 4.5 * panel
+            start = model.q

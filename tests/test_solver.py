@@ -89,6 +89,12 @@ class TestInitX:
         x = init_x(omega, ProblemDims(1, 1, 4))
         assert x.values.tolist() == [0.25, 0.25, 0.25, 0.25]
 
+    def test_slices_give_the_whole_repeat(self, monkeypatch):
+        omega, dims = multi_chunk_instance(3, n=50)  # 400 blocks: 57 slices of 7, then 1
+        monkeypatch.setattr(solver, "_INIT_BLOCKS", 7)
+        sizes = np.diff(omega.block_ptr)
+        assert init_x(omega, dims).values.tobytes() == np.repeat(1.0 / sizes, sizes).tobytes()
+
     def test_total_mass_equals_block_count(self, small_omega, small_dims):
         x = init_x(small_omega, small_dims)
         assert x.values.sum() == pytest.approx(small_omega.n_blocks, abs=1e-9)
@@ -284,8 +290,10 @@ class TestSupportPass:
         x, model = self.inputs(instance)
         assert x.support.total_size > 3 * dot_serial
         monkeypatch.setattr(parallel, "_usable_cpus", lambda: workers)
+        # the pass writes X+ over x, so the reference gets its own copy of X
+        x_ref = BlockSparseMatrix(x.dims, x.support, x.values.copy())
         new_x, objective, delta, sum_error = solver._support_pass(x, model)
-        ref_x, ref_objective, ref_delta, ref_sum_error = serial_support_pass(x, model)
+        ref_x, ref_objective, ref_delta, ref_sum_error = serial_support_pass(x_ref, model)
         assert new_x.values.tobytes() == ref_x.values.tobytes()
         assert (objective, delta, sum_error) == (ref_objective, ref_delta, ref_sum_error)
         assert sum_error <= 1e-12 and new_x.support is x.support
@@ -319,6 +327,55 @@ class TestSupportPass:
             tracemalloc.stop()
         layout = sum(a.nbytes for a in omega.csr_structure(dims))
         assert peak < layout + 2.5 * 8 * omega.total_size
+
+    def test_fit_keeps_one_support_vector(self, monkeypatch):
+        """The pass writes X+ over X, so while fit runs X is the only vector as
+        long as the support: the traced peak stays below the layout plus 1.5 of
+        them. A separate X+, or the uniform start's per-block arrays held whole
+        next to X, breaks this."""
+        omega, _, dims = generate(SynthConfig(8000, 100, 50, n_classes=5, slot_density=0.5,
+                                              seed=1))
+        assert omega.total_size == 1_600_000 and not dims.transposed
+        cfg = SolverConfig(rank=2, outer_iters=2, power_iters=2, tol=0.0)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc
+        try:
+            fit(omega, dims, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        layout = sum(a.nbytes for a in omega.csr_structure(dims))
+        assert peak < layout + 1.5 * 8 * omega.total_size
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_error_partway_through_the_pass_leaves_fit(self, fresh_pools, monkeypatch, workers):
+        """A non-finite C in the last chunks of iteration 2 raises after earlier
+        chunks have written X+ over X; fit still raises the NumericalError."""
+        monkeypatch.setattr(core, "DOT_SERIAL", 999)
+        monkeypatch.setattr(solver, "_PASS_BLOCKS", 1)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: workers)
+        omega, dims = multi_chunk_instance(8, n=200, t=40)
+        # transposed, so C has one column per user
+        assert dims.transposed and omega.total_size > 10 * 999
+        approx = solver.sparse_lowrank_approx
+
+        def poisoned(x, cfg, start=None):
+            model, *rest = approx(x, cfg, start=start)
+            if start is not None:  # iteration 2 on
+                c = model.c.copy()
+                c[:, -1] = np.nan  # the last user's entries, in the last chunks
+                model = LowRankModel(model.dims, q=model.q, c=c)
+            return (model, *rest)
+
+        monkeypatch.setattr(solver, "sparse_lowrank_approx", poisoned)
+        seen = []
+        with pytest.raises(NumericalError, match="non-finite"):
+            fit(omega, dims, SolverConfig(rank=3, outer_iters=3, tol=0.0),
+                on_iteration=lambda it, x, *_: seen.append((x, x.values.copy())))
+        [(x, after_first)] = seen
+        if workers == 1:  # the chunks ran in order: the first wrote, the last did not
+            assert x.values[:999].tobytes() != after_first[:999].tobytes()
+            assert x.values[-1] == after_first[-1]
 
     def test_references_run_inline(self, no_pool):
         """The serial references run on the calling thread: over a support
