@@ -10,7 +10,7 @@ rest are zero by representation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -28,10 +28,6 @@ _DOT_BLOCKS = 16
 
 # Largest deviation from orthonormality that LowRankModel.validate accepts.
 _ORTHONORMAL_TOL = 1e-8
-
-# What np.add.reduceat starts a block's tail sum from: -0.0 in recent numpy,
-# 0.0 in older releases, which turns a tail of -0.0 into 0.0.
-_TAIL_START = float(np.add.reduceat(np.array([-0.0, -0.0]), [0])[0])
 
 
 @dataclass(frozen=True)
@@ -173,14 +169,6 @@ class CandidateSets:
         """Total number of candidate entries, |Omega|."""
         return len(self.cats)
 
-    def items(self) -> Iterator[tuple[tuple[int, int], np.ndarray]]:
-        """Yield ((user, slot), categories) per block, in storage order."""
-        for b in range(self.n_blocks):
-            yield (
-                (int(self.block_users[b]), int(self.block_slots[b])),
-                self.cats[self.block_ptr[b]:self.block_ptr[b + 1]],
-            )
-
     def validate_dims(self, dims: ProblemDims) -> None:
         """Raise ValueError if an index falls outside dims.
 
@@ -248,50 +236,6 @@ class BlockSparseMatrix:
         # written so that a NaN fails it too
         if not self.values.min(initial=0.0) >= 0.0:
             raise ValueError("negative or NaN entries violate the non-negativity constraint")
-
-    def max_block_sum_error(self) -> float:
-        """max_b |sum(block b) - 1|; 0.0 when there are no blocks."""
-        sums = block_sums(self.values, self.support.block_ptr)
-        return float(np.abs(sums - 1.0).max(initial=0.0))
-
-
-def block_sums(values: np.ndarray, block_ptr: np.ndarray) -> np.ndarray:
-    """Sum of each block of ``values``, with the bits of np.add.reduceat.
-
-    When all blocks share one size, :func:`row_sums` adds the rows of the
-    (blocks x size) view; mixed sizes run reduceat.
-    """
-    sizes = np.diff(block_ptr)
-    if len(sizes) == 0 or sizes[0] < 1 or (sizes != sizes[0]).any():
-        return np.add.reduceat(values, block_ptr[:-1])
-    return row_sums(values.reshape(-1, int(sizes[0])))
-
-
-def row_sums(rows: np.ndarray) -> np.ndarray:
-    """Sum of each row of ``rows`` (n x d), with the bits of np.add.reduceat.
-
-    reduceat adds row [v0, ..., v(d-1)] as v0 + t, where numpy's pairwise
-    sum t of the tail adds fewer than 8 terms one at a time, from a start
-    value: v0 + ((v1 + v2) + v3) at d = 4. For 2 <= d <= 8 the same
-    additions run over whole columns, about twice as fast as reduceat at
-    d = 4; other d run reduceat. (``rows.sum(axis=1)`` adds in another
-    order: ((0 + v0) + v1) + ... for d < 8.)
-    """
-    n, d = rows.shape
-    if not 2 <= d <= 8:
-        return np.add.reduceat(rows.reshape(-1), np.arange(0, n * d, d))
-    out = np.empty(n)
-    # -0.0 + v is v bit for bit, so that start needs no pass of its own
-    if d > 2 and np.signbit(_TAIL_START):
-        np.add(rows[:, 1], rows[:, 2], out=out)
-        first = 3
-    else:
-        np.add(_TAIL_START, rows[:, 1], out=out)
-        first = 2
-    for k in range(first, d):
-        out += rows[:, k]
-    np.add(rows[:, 0], out, out=out)
-    return out
 
 
 @dataclass

@@ -22,7 +22,6 @@ from .core import (
     CandidateSets,
     LowRankModel,
     ProblemDims,
-    block_sums,
     completion_values,
     dot_blocks,
     gap_from_support,
@@ -112,7 +111,8 @@ def _support_pass(
 
     Writes X+, the completion Y's candidate blocks projected onto the
     simplex, over x's values, and returns x; the objective ||X+ - Y||_F^2
-    over the full matrix; ||X+ - X||; and X+'s max |block sum - 1|. A
+    over the full matrix; ||X+ - X||; and X+'s max |block sum - 1|, whose
+    sums :func:`nutf.simplex.project_into` returns with the projection. A
     non-finite value of Y raises NumericalError and leaves x partly
     written.
 
@@ -151,7 +151,7 @@ def _support_pass(
         if not np.all(np.isfinite(y)):
             raise NumericalError("non-finite completion values")
         projected = np.empty(e - s)
-        project_into(y, local_ptr, projected)
+        sums = project_into(y, local_ptr, projected)
         for k in range(k0, k1):
             a, b = cuts[k], cuts[k + 1]
             y_k, new_k = y[a - s:b - s], projected[a - s:b - s]
@@ -160,7 +160,7 @@ def _support_pass(
         # the dots above are the last read of X on these entries
         values[lo:hi] = projected[lo - s:hi - s]
         owned = int(np.searchsorted(ptr, lo)) - b0
-        errors[k0] = np.abs(block_sums(projected, local_ptr)[owned:] - 1.0).max(initial=0.0)
+        errors[k0] = np.abs(sums[owned:] - 1.0).max(initial=0.0)
 
     run_chunks(chunk, [*range(0, n_dots, _PASS_BLOCKS), n_dots])
     # cumsum adds in block order, the order of nutf.parallel.sum_blocks

@@ -68,9 +68,25 @@ def small_omega():
     ])
 
 
+def block_items(omega: CandidateSets):
+    """Yield ((user, slot), categories) per block, in storage order."""
+    for b in range(omega.n_blocks):
+        yield ((int(omega.block_users[b]), int(omega.block_slots[b])),
+               omega.cats[omega.block_ptr[b]:omega.block_ptr[b + 1]])
+
+
 def block_dict(omega: CandidateSets) -> dict[tuple[int, int], list[int]]:
     """{(user, slot): categories} of every block."""
-    return {key: cats.tolist() for key, cats in omega.items()}
+    return {key: cats.tolist() for key, cats in block_items(omega)}
+
+
+def block_sum_error(x: BlockSparseMatrix) -> float:
+    """max_b |sum(block b) - 1| of x, each sum by np.add.reduceat; 0.0 when
+    there are no blocks."""
+    if not x.support.n_blocks:
+        return 0.0
+    sums = np.add.reduceat(x.values, x.support.block_ptr[:-1])
+    return float(np.abs(sums - 1.0).max())
 
 
 def block_sizes(omega: CandidateSets) -> np.ndarray:
@@ -114,7 +130,7 @@ def project_simplex(v) -> np.ndarray:
         return np.ones(1)
     # feasible points are fixed points; returning them unchanged makes the
     # projection exactly idempotent instead of drifting by roundoff. The sum
-    # is reduceat's, v0 + (tail sum), as in nutf.core.row_sums.
+    # is reduceat's, v0 + (tail sum), as in nutf.simplex.row_sums.
     with np.errstate(over="ignore", invalid="ignore"):
         total = np.add.reduceat(v, [0])[0]
         if v.min() >= 0.0 and abs(total - 1.0) <= _FEAS_TOL * d:
@@ -166,7 +182,7 @@ def serial_support_pass(x: BlockSparseMatrix, model: LowRankModel):
         raise NumericalError("non-finite completion values")
     new_x = update_x(y, x.support, x.dims)
     return (new_x, frobenius_gap(new_x, model, y), distance(new_x.values, x.values),
-            new_x.max_block_sum_error())
+            block_sum_error(new_x))
 
 
 def allocating_lowrank_approx(x: BlockSparseMatrix, cfg: SolverConfig, start=None):
@@ -323,7 +339,7 @@ def dense_reference_fit(
         x = new_x
         basis = u[:, :cfg.rank]
         q_error = float(np.abs(basis.T @ basis - np.eye(cfg.rank)).max())
-        sum_error = BlockSparseMatrix(dims, omega, x[rows, cols]).max_block_sum_error()
+        sum_error = block_sum_error(BlockSparseMatrix(dims, omega, x[rows, cols]))
         # none of fit's kernels run here: no passes, no angle, an empty kernel split
         trace.records.append({
             "iter": it, "objective": objective,

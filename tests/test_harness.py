@@ -8,8 +8,9 @@ from nutf.core import CandidateSets, LowRankModel, ProblemDims
 from nutf.harness import SynthConfig, generate, score_topk
 from nutf.solver import predict_topk
 
-from conftest import (block_dict, exact_model, mask_validation, random_model, random_omega,
-                      replace_blocks_with_full, serial_generate, to_dense, zero_model)
+from conftest import (block_dict, block_items, exact_model, mask_validation, random_model,
+                      random_omega, replace_blocks_with_full, serial_generate, to_dense,
+                      zero_model)
 
 
 def generated_arrays(cfg):
@@ -199,7 +200,7 @@ class TestMaskValidation:
         omega, truth, dims = self._instance()
         masked, val = mask_validation(omega, truth, 0.2, dims, seed=3)
         masked_keys = {(u, j) for u, j, _ in val}
-        for (u, j), cats in masked.items():
+        for (u, j), cats in block_items(masked):
             if (u, j) in masked_keys:
                 assert cats.tolist() == list(range(dims.n_categories))
 
@@ -210,7 +211,7 @@ class TestMaskValidation:
         assert np.array_equal(masked.block_users, omega.block_users)
         assert np.array_equal(masked.block_slots, omega.block_slots)
         masked_blocks = block_dict(masked)
-        for (u, j), cats in omega.items():
+        for (u, j), cats in block_items(omega):
             if (u, j) not in masked_keys:
                 assert masked_blocks[(u, j)] == cats.tolist()
 
@@ -238,7 +239,7 @@ class TestReplaceBlocksWithFull:
         """The per-block loop: widened blocks get [0, C), the others keep theirs."""
         masked = set(np.asarray(block_ids).tolist())
         pieces = [np.arange(c) if b in masked else cats
-                  for b, (_, cats) in enumerate(omega.items())]
+                  for b, (_, cats) in enumerate(block_items(omega))]
         ptr = np.concatenate(([0], np.cumsum([len(p) for p in pieces])))
         return ptr, np.concatenate(pieces)
 

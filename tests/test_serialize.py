@@ -24,7 +24,7 @@ from nutf.serialize import (
 )
 from nutf.solver import SolverTrace
 
-from conftest import block_dict, random_model, random_omega
+from conftest import block_dict, block_items, random_model, random_omega
 
 
 class TestBinarySnapshots:
@@ -325,7 +325,7 @@ class TestJsonl:
         write_candidate_sets_jsonl(path, omega)
         expected = "".join(json.dumps({"u": u, "j": j, "cats": cats.tolist()},
                                       separators=(",", ":")) + "\n"
-                           for (u, j), cats in omega.items())
+                           for (u, j), cats in block_items(omega))
         assert path.read_bytes() == expected.encode("utf-8")
         assert block_dict(read_candidate_sets_jsonl(path)) == block_dict(omega)
 

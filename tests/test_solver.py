@@ -28,6 +28,8 @@ from nutf.solver import (
 
 from conftest import (
     block_dict,
+    block_items,
+    block_sum_error,
     column,
     dense_completion,
     dense_reference_fit,
@@ -123,7 +125,7 @@ class TestUpdateX:
     def test_feasible_output_for_arbitrary_y(self, small_omega, small_dims):
         rng = np.random.default_rng(0)
         x = update_x(rng.standard_normal(small_omega.total_size), small_omega, small_dims)
-        assert x.max_block_sum_error() <= 1e-9
+        assert block_sum_error(x) <= 1e-9
         assert x.values.min() >= 0.0
 
 
@@ -147,7 +149,7 @@ class TestFit:
         audits = []
 
         def audit(it, x, model, obj):
-            audits.append((x.max_block_sum_error(), float(x.values.min())))
+            audits.append((block_sum_error(x), float(x.values.min())))
 
         fit(omega, dims, SolverConfig(rank=3, outer_iters=8, tol=0.0, seed=1),
             on_iteration=audit)
@@ -387,7 +389,7 @@ class TestSupportPass:
         assert omega.total_size > 2 * (1 << 16)
         y = core.model_support_values(model, x.support)
         project_blocks(y, x.support.block_ptr)
-        x.max_block_sum_error()
+        block_sum_error(x)
         serial_support_pass(x, model)
 
 
@@ -455,7 +457,7 @@ class TestPredictTopk:
 
     def test_one_hot_recovery(self):
         model, omega, x = self._one_hot_model()
-        for (i, j), cats in omega.items():
+        for (i, j), cats in block_items(omega):
             assert predict_topk(model, i, j, 1)[0] == cats[0]
 
     def test_restrict_singleton(self):
