@@ -19,7 +19,8 @@ from .parallel import DOT_SERIAL, GEMM_SERIAL, PANEL_BLOCKS, row_blocks, sum_blo
 _I64_MAX = np.iinfo(np.int64).max
 _I32_MAX = np.iinfo(np.int32).max
 
-# Index dtypes of CandidateSets, narrowest first: categories, then users and slots.
+# Index dtypes of CandidateSets, narrowest first: categories and slots, then
+# users and block pointers.
 CAT_DTYPES = (np.uint8, np.uint16, np.int32, np.int64)
 BLOCK_DTYPES = (np.int32, np.int64)
 
@@ -90,14 +91,19 @@ class CandidateSets:
     Each index array is stored in the narrowest of its dtypes that holds
     all of its values, so the bytes per support entry follow the largest
     index, not the platform's integer. Every index keeps its value, so
-    what is computed or written from them does not depend on the dtype.
+    what is computed or written from them does not depend on the dtype;
+    files store them as int64 whatever their dtype in memory. A search of
+    ``block_ptr`` passes a needle of its own dtype (``ptr.dtype.type(lo)``):
+    numpy converts the whole array to a needle's wider dtype on every call.
 
     Attributes:
         block_users: user index per block; int32, or int64 past 2**31 - 1.
-        block_slots: slot index per block; int32, or int64 past 2**31 - 1.
-        block_ptr: int64 array of length n_blocks+1; block b owns
+        block_slots: slot index per block; uint8 up to 255, then uint16,
+            int32 and int64.
+        block_ptr: array of length n_blocks+1; block b owns
             ``cats[block_ptr[b]:block_ptr[b+1]]``, so its size is
-            ``np.diff(block_ptr)[b]``.
+            ``np.diff(block_ptr)[b]``; int32 while |Omega| <= 2**31 - 1,
+            else int64.
         cats: category indices, concatenated per block; uint8 up to 255,
             then uint16, int32 and int64.
     """
@@ -106,8 +112,8 @@ class CandidateSets:
 
     def __init__(self, block_users, block_slots, block_ptr, cats):
         self.block_users = _narrowest(block_users, BLOCK_DTYPES)
-        self.block_slots = _narrowest(block_slots, BLOCK_DTYPES)
-        self.block_ptr = np.ascontiguousarray(block_ptr, dtype=np.int64)
+        self.block_slots = _narrowest(block_slots, CAT_DTYPES)
+        self.block_ptr = _narrowest(block_ptr, BLOCK_DTYPES)
         self.cats = _narrowest(cats, CAT_DTYPES)
         self._csr_cache: tuple = (None,)  # (dims, indptr, cols) once built
         self._check_structure()
@@ -124,14 +130,16 @@ class CandidateSets:
         if nb:
             if self.block_users.min() < 0 or self.block_slots.min() < 0:
                 raise ValueError("negative user or slot index")
-            # strict (user, slot) ordering also rules out duplicate blocks
-            du = np.diff(self.block_users)
-            dj = np.diff(self.block_slots)
-            ordered = (du > 0) | ((du == 0) & (dj > 0))
+            # strict (user, slot) ordering also rules out duplicate blocks;
+            # comparisons, not np.diff, which wraps on unsigned slots
+            users, slots = self.block_users, self.block_slots
+            same_user = users[1:] == users[:-1]
+            ordered = (users[1:] > users[:-1]) | (same_user & (slots[1:] > slots[:-1]))
             if not ordered.all():
                 b = int(np.argmin(ordered))
-                pair = (int(self.block_users[b + 1]), int(self.block_slots[b + 1]))
-                fault = "is given twice" if du[b] == dj[b] == 0 else "is out of order"
+                pair = (int(users[b + 1]), int(slots[b + 1]))
+                fault = "is given twice" if same_user[b] and slots[b + 1] == slots[b] \
+                    else "is out of order"
                 raise ValueError(f"blocks must be strictly sorted by (user, slot): {pair} {fault}")
         if len(self.cats):
             cats = self.cats

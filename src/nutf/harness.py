@@ -143,7 +143,7 @@ def generate(cfg: SynthConfig) -> tuple[CandidateSets, GroundTruth, ProblemDims]
     # once and shared with the ground truth, never copied
     n_obs = n * k_slots
     cat_dtype = narrowest_dtype(CAT_DTYPES, 0, c - 1)
-    obs_slots = np.empty(n_obs, dtype=narrowest_dtype(BLOCK_DTYPES, 0, t - 1))
+    obs_slots = np.empty(n_obs, dtype=narrowest_dtype(CAT_DTYPES, 0, t - 1))
     true_cats = np.empty(n_obs, dtype=cat_dtype)
     cats = np.empty((n_obs, n_cand), dtype=cat_dtype)
 
@@ -177,7 +177,8 @@ def generate(cfg: SynthConfig) -> tuple[CandidateSets, GroundTruth, ProblemDims]
     run_chunks(draw_users, [*range(0, n, users_per_chunk), n])
 
     obs_users = np.repeat(np.arange(n, dtype=narrowest_dtype(BLOCK_DTYPES, 0, n - 1)), k_slots)
-    ptr = np.arange(0, (n_obs + 1) * n_cand, n_cand, dtype=np.int64)
+    ptr = np.arange(0, (n_obs + 1) * n_cand, n_cand,
+                    dtype=narrowest_dtype(BLOCK_DTYPES, 0, n_obs * n_cand))
     omega = CandidateSets(obs_users, obs_slots, ptr, cats.ravel())
     truth = GroundTruth(obs_users, obs_slots, true_cats, user_classes)
     return omega, truth, dims

@@ -10,20 +10,22 @@ matrix, so the cost per pass stays O(|Omega| * r) plus the O(rows * r^2)
 QR. The solver reads the completion on the support chunk by chunk.
 
 The QR runs CholeskyQR2 (Fukaya et al., 2014): two passes of an r x r
-Gram, its Cholesky factor and one panel product. The first product
-writes a spare panel and the second runs in place there, so the input B
-stays untouched. It is accurate while the panel's condition number
-stays below about 1e8 (Yamamoto et al., ETNA 2015). Past that, or on a
-rank-deficient or non-finite panel, the QR falls back to Householder
-reflections (LAPACK) on B and fills deficient columns.
+Gram, its Cholesky factor and one panel product, both products in place
+on B, so Q takes B's panel. It is accurate while the panel's condition
+number stays below about 1e8 (Yamamoto et al., ETNA 2015). Past that, or
+on a rank-deficient or non-finite panel, the QR falls back to
+Householder reflections (LAPACK) on B and fills deficient columns. When
+CholeskyQR2 gives up after its first product has written B, B is
+rebuilt first, from the short-side operand that made it.
 
 Subspace iteration needs only a fixed workspace of long-side panels
 (max(N, T*C) x r; Halko, Martinsson & Tropp, 2011), and every pass
-reuses the same ones: B, which ``X @ v`` writes in the normal
-orientation (``X^T @ v``, the transposed orientation's, returns a new
-panel), and two panels the QR writes in turn, the new basis and the one
-before it, which the principal angle compares. The given start basis is
-never written.
+reuses the same two: the basis Q, and the basis from two passes back,
+over which the pass writes B = A (A^T Q) and then, in place, its new Q;
+the principal angle compares the two. (``X^T @ v``, the transposed
+orientation's B, adds its chunks' partial sums into a new panel and
+copies it there.) A warm call's start basis is the panel two passes
+back from its second pass on, so the caller's ``start`` is written over.
 
 Both sparse products, the QR's panel products and its Grams, and the
 Gram of the principal angle run in chunks on nutf's pool
@@ -93,10 +95,10 @@ def _sparse_products(x: BlockSparseMatrix, rank: int) -> tuple[Callable, Callabl
     view (its transpose) over slices of x's layout and values, built once
     and copying nothing, and the chunks run on
     :func:`nutf.parallel.run_chunks`. ``X @ v`` writes each chunk's rows
-    of the output (``out`` when given), so its bits are scipy's serial
-    product's; ``X^T @ v`` adds the chunks' partial products in chunk
-    order (:func:`nutf.parallel.sum_blocks`). One chunk gives scipy's
-    plain products.
+    of the output, so its bits are scipy's serial product's; ``X^T @ v``
+    adds the chunks' partial products in chunk order
+    (:func:`nutf.parallel.sum_blocks`). Either writes ``out`` when given,
+    else a new panel. One chunk gives scipy's plain products.
     """
     dims = x.dims
     indptr, indices = x.support.csr_structure(dims)
@@ -120,9 +122,13 @@ def _sparse_products(x: BlockSparseMatrix, rank: int) -> tuple[Callable, Callabl
         run_chunks(chunk_rows, each_chunk)
         return out
 
-    def adjoint_product(v: np.ndarray) -> np.ndarray:
+    def adjoint_product(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         v = np.ascontiguousarray(v)
-        return sum_blocks(lambda i, _: chunks_t[i] @ v[bounds[i]:bounds[i + 1]], each_chunk, 1)
+        total = sum_blocks(lambda i, _: chunks_t[i] @ v[bounds[i]:bounds[i + 1]], each_chunk, 1)
+        if out is None:
+            return total
+        out[...] = total
+        return out
 
     return product, adjoint_product
 
@@ -160,48 +166,53 @@ def _deficient(diag: np.ndarray, n: int) -> np.ndarray:
     return np.nonzero(diag <= tol)[0]
 
 
-def _cholesky_qr2(b: np.ndarray, out: np.ndarray) -> bool:
-    """Whether CholeskyQR2 wrote b's orthonormal factor into out; False leaves b,
-    untouched, to Householder.
+def _cholesky_qr2(q: np.ndarray) -> tuple[bool, bool]:
+    """CholeskyQR2 in place: whether q now holds its own orthonormal factor,
+    and whether q was written.
 
-    Two passes of G = Q^T Q, R = chol(G)^T, Q <- Q inv(R), from Q = b: the
-    first product writes out, the second runs in place. False when a Gram
-    is non-finite (b holds a NaN or an inf, or its Gram overflows), a
-    Cholesky fails, the diagonal of R2 R1 has a column the Householder
-    path would call deficient, or max|Q^T Q - I| > _CHOLQR_TOL.
+    Two passes of G = Q^T Q, R = chol(G)^T, Q <- Q inv(R), each product
+    over q itself. It gives up when a Gram is non-finite (q holds a NaN or
+    an inf, or its Gram overflows), a Cholesky fails, the diagonal of
+    R2 R1 has a column the Householder path would call deficient, or
+    max|Q^T Q - I| > _CHOLQR_TOL; q is then unwritten only if the first
+    Gram or Cholesky failed.
     """
-    n, r = b.shape
-    q, diag = b, np.ones(r)
+    n, r = q.shape
+    diag = np.ones(r)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(2):
+        for written in (False, True):
             g = gram(q, q)
             if not np.all(np.isfinite(g)):
-                return False
+                return False, written
             try:
                 rr = np.linalg.cholesky(g).T
             except np.linalg.LinAlgError:
-                return False
-            q = _panel_product(q, np.linalg.inv(rr), out)
+                return False, written
+            _panel_product(q, np.linalg.inv(rr), q)
             diag *= rr.diagonal()
         if len(_deficient(diag, n)):
-            return False
+            return False, True
         # written so that a NaN error also rejects
-        return bool(np.abs(gram(q, q) - np.eye(r)).max() <= _CHOLQR_TOL)
+        return bool(np.abs(gram(q, q) - np.eye(r)).max() <= _CHOLQR_TOL), True
 
 
 def reduced_qr(b: np.ndarray, fill_rng: np.random.Generator,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """Orthonormal factor of the reduced QR of a tall matrix, written into
-    ``out`` (a new panel when None; never b itself) and returned.
+               rebuild: Callable[[np.ndarray], object] | None = None) -> np.ndarray:
+    """Orthonormal factor of the reduced QR of a tall matrix.
+
+    Without ``rebuild``, b is left as it is and the factor is a new panel.
+    With it, the factor is written over b, a C-contiguous float64 panel,
+    and returned; ``rebuild(b)`` must write b's entries back into b, which
+    CholeskyQR2 has overwritten when it gives up after its first product.
 
     Runs CholeskyQR2 first, which draws nothing from ``fill_rng``. When
     it gives up (see :func:`_cholesky_qr2`; from a condition number of
     about 1e9 on, or on a non-finite or rank-deficient b), Householder
-    reflections (LAPACK) take over, so orthonormality holds to ~1e-14
-    regardless of conditioning. There, non-finite input raises
-    NumericalError, and columns whose R diagonal is numerically zero
-    carry no information about range(b); they are replaced by Gaussian
-    directions from ``fill_rng``, re-orthonormalized against the
+    reflections (LAPACK) take over on b's entries, so orthonormality
+    holds to ~1e-14 regardless of conditioning. There, non-finite input
+    raises NumericalError, and columns whose R diagonal is numerically
+    zero carry no information about range(b); they are replaced by
+    Gaussian directions from ``fill_rng``, re-orthonormalized against the
     remaining columns, so the output always has exactly b.shape[1]
     orthonormal columns. Column signs follow a fixed convention (first
     largest-magnitude entry positive) to remove the QR sign ambiguity.
@@ -212,13 +223,19 @@ def reduced_qr(b: np.ndarray, fill_rng: np.random.Generator,
     n, r = b.shape
     if not 1 <= r <= n:
         raise ValueError(f"need n >= r >= 1, got {n} x {r}")
-    if out is None:
-        out = np.empty((n, r))
-    if _cholesky_qr2(b, out):
+    if rebuild is None:
+        out = b.copy()
+        rebuild = partial(np.copyto, src=b)
+    else:
+        out = b
+    done, written = _cholesky_qr2(out)
+    if done:
         return _fix_column_signs(out)
-    if not np.all(np.isfinite(b)):
+    if written:
+        rebuild(out)
+    if not np.all(np.isfinite(out)):
         raise NumericalError("non-finite entries in QR input")
-    q, rr = np.linalg.qr(b, mode="reduced")
+    q, rr = np.linalg.qr(out, mode="reduced")
     deficient = _deficient(np.abs(np.diag(rr)), n)
     if len(deficient):
         keep = np.setdiff1d(np.arange(r), deficient)
@@ -261,6 +278,9 @@ def sparse_lowrank_approx(
       stop at the first whose new Q is within the module's subspace
       tolerance of the one before (the sine of the largest principal
       angle between them), after 1 to max(1, cfg.power_iters) passes.
+      From its second pass on, a pass writes over ``start`` (a C-contiguous
+      writable float64 one; any other is copied first), so the model's
+      ``q`` may be ``start``'s panel.
 
     Returns the model; the seconds spent in its steps, ``spmm`` (the
     sparse products, including the CSR views of x) and ``qr`` (with the
@@ -277,45 +297,49 @@ def sparse_lowrank_approx(
             raise ValueError(f"start basis has shape {start.shape}, expected {shape}")
         if not np.all(np.isfinite(start)):
             raise ValueError("start basis has non-finite entries")
+        start = np.require(start, np.float64, ("C", "W"))
     fill_rng = np.random.Generator(np.random.Philox(key=cfg.seed ^ _FILL_SALT))
 
     seconds = {"spmm": 0.0, "qr": 0.0}
     t0 = time.perf_counter()
     product, adjoint_product = _sparse_products(x, cfg.rank)
-    # the operator A is X, or X^T when dims.transposed. X @ v writes every
-    # pass's B into one panel; X^T @ v returns its first chunk's partial sum.
-    if dims.transposed:
-        a_times, a_t_times = adjoint_product, product
-    else:
-        a_times = partial(product, out=np.empty((dims.n_users, cfg.rank)))
-        a_t_times = adjoint_product
+    # the operator A is X, or X^T when dims.transposed
+    a_times, a_t_times = (adjoint_product, product) if dims.transposed \
+        else (product, adjoint_product)
+    seconds["spmm"] += time.perf_counter() - t0
+
+    def basis(w: np.ndarray, panel: np.ndarray | None) -> np.ndarray:
+        """The orthonormal factor of B = A w, written over ``panel`` (a new
+        one when None); a QR that gives up after writing B rebuilds it from w."""
+        t0 = time.perf_counter()
+        b = a_times(w, panel)
+        t1 = time.perf_counter()
+        q = reduced_qr(b, fill_rng, rebuild=partial(a_times, w))
+        seconds["spmm"] += t1 - t0
+        seconds["qr"] += time.perf_counter() - t1
+        return q
+
     if start is None:
         rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-        b = a_times(rng.standard_normal((min_side, cfg.rank)))
-        seconds["spmm"] += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        q = reduced_qr(b, fill_rng)
-        seconds["qr"] += time.perf_counter() - t0
+        q = basis(rng.standard_normal((min_side, cfg.rank)), None)
         max_passes = cfg.power_iters
     else:
-        seconds["spmm"] += time.perf_counter() - t0
         q, max_passes = start, max(1, cfg.power_iters)
-    passes, angle, spare = 0, None, None
+    passes, angle, q_prev = 0, None, None
     while passes < max_passes:
         t0 = time.perf_counter()
-        b = a_times(a_t_times(q))
-        t1 = time.perf_counter()
-        q_prev, q = q, reduced_qr(b, fill_rng, out=spare)
+        w = a_t_times(q)
+        seconds["spmm"] += time.perf_counter() - t0
+        # the new basis takes the panel of the one from two passes back
+        q_prev, q = q, basis(w, q_prev)
         passes += 1
+        t0 = time.perf_counter()
         # a cold call runs all its passes, so only its last angle is read
         if start is not None or passes == max_passes:
             angle = _principal_sine(q_prev, q)
-        seconds["spmm"] += t1 - t0
-        seconds["qr"] += time.perf_counter() - t1
+        seconds["qr"] += time.perf_counter() - t0
         if start is not None and angle <= _SUBSPACE_TOL:
             break
-        # the next QR writes over this pass's old basis, unless that is start
-        spare = None if q_prev is start else q_prev
     t0 = time.perf_counter()
     c = np.ascontiguousarray(a_t_times(q).T)
     seconds["spmm"] += time.perf_counter() - t0

@@ -11,6 +11,7 @@ and takes the iteration's sums, so Y is never stored whole.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -131,6 +132,7 @@ def _support_pass(
     support, dims = x.support, x.dims
     _, cols = support.csr_structure(dims)
     users, ptr, values = support.block_users, support.block_ptr, x.values
+    needle = ptr.dtype.type
     cuts = dot_blocks(len(values))
     n_dots = len(cuts) - 1
     # per dot block: ||X+ - Y||^2, ||Y||^2 and ||X+ - X||^2 on its entries
@@ -140,9 +142,10 @@ def _support_pass(
 
     def chunk(k0: int, k1: int) -> None:
         lo, hi = cuts[k0], cuts[k1]
-        # blocks b0 to b1 - 1 meet entries [lo, hi) and span [s, e)
-        b0 = int(np.searchsorted(ptr, lo, side="right")) - 1
-        b1 = int(np.searchsorted(ptr, hi))
+        # blocks b0 to b1 - 1 meet entries [lo, hi) and span [s, e); needles of
+        # ptr's dtype, or numpy converts all of ptr on every search
+        b0 = int(np.searchsorted(ptr, needle(lo), side="right")) - 1
+        b1 = int(np.searchsorted(ptr, needle(hi)))
         s, e = int(ptr[b0]), int(ptr[b1])
         local_ptr = ptr[b0:b1 + 1] - s
         y = np.empty(e - s)
@@ -159,7 +162,7 @@ def _support_pass(
             dots[k] = gap @ gap, y_k @ y_k, step @ step
         # the dots above are the last read of X on these entries
         values[lo:hi] = projected[lo - s:hi - s]
-        owned = int(np.searchsorted(ptr, lo)) - b0
+        owned = int(np.searchsorted(ptr, needle(lo))) - b0
         errors[k0] = np.abs(sums[owned:] - 1.0).max(initial=0.0)
 
     run_chunks(chunk, [*range(0, n_dots, _PASS_BLOCKS), n_dots])
@@ -193,10 +196,13 @@ def fit(
 
     The trace holds one :class:`SolverTrace` record per completed
     iteration, and ``on_iteration(iter, x, model, objective)`` is invoked
-    after each (instrumentation, e.g. feasibility audits). Its x is the
-    live iterate, which the next iteration overwrites: copy
-    ``x.values`` to keep it. Each iteration writes X+ over X, and the
-    first X is fit's own, so no caller's array is written.
+    after each (instrumentation, e.g. feasibility audits). Its x and its
+    model's basis are live iterates, which the next iteration overwrites:
+    copy ``x.values`` or ``model.q`` to keep them. Each iteration writes
+    X+ over X, and from its second subspace pass on, the new basis over
+    a panel of the previous one (see
+    :func:`nutf.linalg.sparse_lowrank_approx`). The first X is fit's own,
+    so no caller's array is written.
     """
     t0 = time.perf_counter()
     x = init_x(omega, dims)
@@ -229,6 +235,16 @@ def fit(
     return x, model, trace
 
 
+def _category(entry) -> int:
+    """A restrict entry as an int; a bool, a float or any other non-integer raises."""
+    if not isinstance(entry, bool):
+        try:
+            return operator.index(entry)
+        except TypeError:
+            pass
+    raise ValueError(f"restrict entry {entry!r} is not an integer")
+
+
 def predict_topk(
     model: LowRankModel,
     i: int,
@@ -239,7 +255,8 @@ def predict_topk(
     """Top-k categories for user i at slot j, highest score first.
 
     Scores every category of the slot through the completion and keeps
-    only ``restrict`` when given; ties are broken by ascending category
+    only ``restrict`` when given, whose entries must be integers (a bool
+    or a float raises ValueError); ties are broken by ascending category
     index so evaluation metrics are deterministic.
     """
     dims = model.dims
@@ -250,11 +267,13 @@ def predict_topk(
     if restrict is None:
         cats = np.arange(dims.n_categories, dtype=np.int64)
     else:
-        cats = np.unique(np.asarray(list(restrict), dtype=np.int64))
-        if len(cats) == 0:
+        entries = [_category(c) for c in restrict]
+        if not entries:
             raise ValueError("restrict set is empty")
-        if cats[0] < 0 or cats[-1] >= dims.n_categories:
+        # checked as Python ints, so an entry past int64 is out of range too
+        if min(entries) < 0 or max(entries) >= dims.n_categories:
             raise ValueError("restrict contains out-of-range categories")
+        cats = np.unique(np.array(entries, dtype=np.int64))
     if not 1 <= k_top <= len(cats):
         raise ValueError(f"k_top {k_top} out of range [1, {len(cats)}]")
     scores = model.slot_scores(i, j)[cats]

@@ -192,8 +192,34 @@ class TestNarrowIndices:
         by_user = CandidateSets.from_blocks([(0, 0, [0]), (top, 0, [0])])
         by_slot = CandidateSets.from_blocks([(0, 0, [0]), (0, top, [0])])
         assert by_user.block_users.dtype == by_slot.block_slots.dtype == dtype
-        assert by_user.block_slots.dtype == by_slot.block_users.dtype == np.int32
+        # the other index is 0: users stay int32, slots narrow to uint8
+        assert by_user.block_slots.dtype == np.uint8 and by_slot.block_users.dtype == np.int32
         assert by_user.block_users.tolist() == by_slot.block_slots.tolist() == [0, top]
+
+    @pytest.mark.parametrize("top,dtype", [
+        (255, np.uint8), (256, np.uint16), (65535, np.uint16), (65536, np.int32),
+    ])
+    def test_slots_take_the_narrowest_dtype(self, top, dtype):
+        omega = CandidateSets.from_blocks([(0, 0, [0]), (0, top, [1]), (1, top - 1, [2])])
+        assert omega.block_slots.dtype == dtype
+        assert omega.block_slots.tolist() == [0, top, top - 1]
+
+    def test_block_ptr_int32_while_omega_fits(self):
+        assert core.narrowest_dtype(core.BLOCK_DTYPES, 0, 2**31 - 1) == np.int32
+        assert core.narrowest_dtype(core.BLOCK_DTYPES, 0, 2**31) == np.int64
+        omega = CandidateSets.from_blocks([(0, 0, [0, 1]), (0, 3, [2])])
+        assert omega.block_ptr.dtype == np.int32 and omega.block_ptr.tolist() == [0, 2, 3]
+
+    @pytest.mark.parametrize("slots,fault", [([3, 1], "is out of order"),
+                                             ([3, 3], "is given twice")])
+    def test_unsigned_slot_order_by_comparison(self, slots, fault):
+        # np.diff of uint8 [3, 1] wraps to 254, which would read as increasing
+        slots = np.array([0, *slots], dtype=np.uint8)
+        with pytest.raises(ValueError, match=f"\\(1, {slots[2]}\\) {fault}"):
+            CandidateSets(np.array([0, 1, 1], dtype=np.int32), slots, [0, 1, 2, 3],
+                          np.zeros(3, dtype=np.uint8))
+        assert CandidateSets([0, 1, 2], slots, [0, 1, 2, 3], [0, 0, 0]).block_slots.dtype \
+            == np.uint8
 
     def test_decreasing_uint8_block_rejected(self):
         # np.diff of [3, 1] wraps to 254 in uint8
@@ -227,13 +253,14 @@ class TestNarrowIndices:
 
     def test_support_and_layout_byte_budget(self):
         """The support plus its cached layout: 1 byte of category and 4 of
-        column per entry, 16 bytes per block (user, slot, pointer) plus
-        block_ptr's closing entry, and a 4-byte indptr per row and one more."""
+        column per entry, 9 bytes per block (4 of user, 1 of slot, 4 of
+        pointer) plus block_ptr's closing entry, and a 4-byte indptr per row
+        and one more."""
         omega, _, dims = generate(SynthConfig(2000, 30, 50, n_classes=4, seed=3))
         layout = omega.csr_structure(dims)
         support = (omega.block_users, omega.block_slots, omega.block_ptr, omega.cats)
         used = sum(a.nbytes for a in (*support, *layout))
-        budget = 5 * omega.total_size + 16 * omega.n_blocks + 8 + 4 * (dims.n_users + 1)
+        budget = 5 * omega.total_size + 9 * omega.n_blocks + 4 + 4 * (dims.n_users + 1)
         assert used <= budget
 
     @pytest.mark.parametrize("dims", [ProblemDims(7, 4, 3), ProblemDims(5, 9, 300)])

@@ -139,10 +139,15 @@ class TestGenerateMatchesSerialOracle:
 class TestNarrowArrays:
     def test_generate_stores_narrow_indices_shared_with_truth(self):
         omega, truth, _ = generate(SynthConfig(50, 10, 6, n_classes=3, seed=7))
-        assert omega.block_users.dtype == omega.block_slots.dtype == np.int32
-        assert omega.cats.dtype == truth.true_cats.dtype == np.uint8
+        assert omega.block_users.dtype == omega.block_ptr.dtype == np.int32
+        assert omega.block_slots.dtype == omega.cats.dtype == truth.true_cats.dtype == np.uint8
         assert truth.obs_users is omega.block_users
         assert truth.obs_slots is omega.block_slots
+
+    def test_wide_slots_take_uint16(self):
+        omega, truth, _ = generate(SynthConfig(30, 300, 5, n_classes=2, seed=4))
+        assert omega.block_slots.dtype == np.uint16 and truth.obs_slots is omega.block_slots
+        assert int(omega.block_slots.max()) > 255
 
     def test_wide_categories_take_uint16(self):
         omega, truth, _ = generate(SynthConfig(40, 4, 300, n_classes=2,
@@ -256,7 +261,7 @@ class TestReplaceBlocksWithFull:
         }[which]
         out = replace_blocks_with_full(omega, dims, block_ids)
         ptr, cats = self._loop_oracle(omega, dims.n_categories, block_ids)
-        assert out.block_ptr.tobytes() == ptr.astype(np.int64).tobytes()
+        assert out.block_ptr.dtype == np.int32 and out.block_ptr.tolist() == ptr.tolist()
         assert out.cats.astype(np.int64).tobytes() == cats.astype(np.int64).tobytes()
         assert out.block_users.tobytes() == omega.block_users.tobytes()
         assert out.block_slots.tobytes() == omega.block_slots.tobytes()

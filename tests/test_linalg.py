@@ -322,15 +322,16 @@ class TestReducedQr:
         q = reduced_qr(np.array([[-1.0], [1.0], [0.0]]), fill_rng())
         assert q[0, 0] > 0 and q[1, 0] < 0
 
-    def test_out_holds_the_factor_on_both_paths(self, householder_calls):
+    def test_factor_over_b_on_both_paths(self, householder_calls):
         rng = np.random.default_rng(28)
         col = rng.standard_normal((40, 1))
         for b in (rng.standard_normal((40, 5)), np.hstack([col, 2 * col, -col])):
             before = b.tobytes()
-            out = np.full(b.shape, np.nan)
-            q = reduced_qr(b, fill_rng(5), out=out)
-            assert q is out and q.tobytes() == reduced_qr(b, fill_rng(5)).tobytes()
+            expected = reduced_qr(b, fill_rng(5))
             assert b.tobytes() == before
+            panel = b.copy()
+            q = reduced_qr(panel, fill_rng(5), rebuild=lambda p: np.copyto(p, b))
+            assert q is panel and q.tobytes() == expected.tobytes()
         assert householder_calls == [1, 1]  # the rank-1 panel, twice
 
     def test_householder_after_the_first_product_sees_b(self, householder_calls,
@@ -339,11 +340,21 @@ class TestReducedQr:
         before = b.tobytes()
         expected = householder_qr_reference(b.copy(), fill_rng(5))
         householder_calls.clear()
-        out = np.empty_like(b)
-        q = reduced_qr(b, fill_rng(5), out=out)
-        # the first product wrote out before the second Cholesky failed
-        assert second_cholesky_fails == [1, 1] and householder_calls == [1]
-        assert q is out and q.tobytes() == expected.tobytes()
+        rebuilt = []
+
+        def rebuild(panel):
+            # the first product wrote the panel before the second Cholesky failed
+            assert panel.tobytes() != before
+            panel[...] = np.frombuffer(before).reshape(panel.shape)
+            rebuilt.append(1)
+
+        panel = b.copy()
+        q = reduced_qr(panel, fill_rng(5), rebuild=rebuild)
+        assert second_cholesky_fails == [1, 1] and householder_calls == [1] and rebuilt == [1]
+        assert q is panel and q.tobytes() == expected.tobytes()
+        # without rebuild, b is not written and the factor is the same
+        second_cholesky_fails.clear()
+        assert reduced_qr(b, fill_rng(5)).tobytes() == expected.tobytes()
         assert b.tobytes() == before
 
     def test_wide_matrix_rejected(self):
@@ -514,10 +525,11 @@ class TestWarmStart:
         rng = np.random.default_rng(16)
         x, _ = gapped_instance(rng)
         start, _ = np.linalg.qr(rng.standard_normal((30, 4)))
+        # each call writes over its start, so each gets a copy
         m1, y1, *_ = lowrank_on_support(x, SolverConfig(rank=4, power_iters=5, seed=1),
-                                           start=start)
+                                           start=start.copy())
         m2, y2, *_ = lowrank_on_support(x, SolverConfig(rank=4, power_iters=5, seed=2),
-                                           start=start)
+                                           start=start.copy())
         assert m1.q.tobytes() == m2.q.tobytes()
         assert y1.tobytes() == y2.tobytes()
 
@@ -704,25 +716,30 @@ class TestOneChunkPath:
         assert cold.q.tobytes() == ref_cold.q.tobytes()
         assert cold.c.tobytes() == ref_cold.c.tobytes()
         assert y_cold.tobytes() == y_ref.tobytes()
-        warm, y_warm, *_ = lowrank_on_support(x, cfg, start=cold.q)
+        # the call writes over its start, so it gets a copy
+        warm, y_warm, *_ = lowrank_on_support(x, cfg, start=cold.q.copy())
         ref_warm, y_ref = serial_lowrank_reference(x, cfg, start=cold.q)
         assert warm.q.tobytes() == ref_warm.q.tobytes()
         assert y_warm.tobytes() == y_ref.tobytes()
 
 
 class TestReusedPanels:
-    """sparse_lowrank_approx writes its long-side panels into a fixed set of
-    buffers: the bytes of conftest.allocating_lowrank_approx, which allocates
-    every panel anew."""
+    """sparse_lowrank_approx writes its long-side panels into two buffers, the
+    basis and the one from two passes back (a warm call's start among them):
+    the bytes of conftest.allocating_lowrank_approx, which allocates every
+    panel anew."""
 
     @staticmethod
     def assert_bytes_equal(x, cfg, start=None):
-        model, _, passes, angle = sparse_lowrank_approx(x, cfg, start=start)
+        """The call gets a copy of ``start``, which it writes over; returns
+        (model, passes, that copy)."""
+        given = None if start is None else start.copy()
+        model, _, passes, angle = sparse_lowrank_approx(x, cfg, start=given)
         ref, ref_passes, ref_angle = allocating_lowrank_approx(x, cfg, start=start)
         assert model.q.tobytes() == ref.q.tobytes()
         assert model.c.tobytes() == ref.c.tobytes()
         assert (passes, angle) == (ref_passes, ref_angle)
-        return model, passes
+        return model, passes, given
 
     @pytest.mark.parametrize("dims", [ProblemDims(600, 8, 6), ProblemDims(60, 12, 10)])
     def test_bytes_equal_allocating_loop(self, fresh_pools, monkeypatch, dims):
@@ -730,16 +747,17 @@ class TestReusedPanels:
         monkeypatch.setattr(linalg, "_SPMM_CHUNK", 64)
         monkeypatch.setattr(parallel, "GEMM_SERIAL", 8 * 4 * 4)
         x = random_x(28, dims)
-        _, passes = self.assert_bytes_equal(x, SolverConfig(rank=4, power_iters=3, seed=6))
+        _, passes, _ = self.assert_bytes_equal(x, SolverConfig(rank=4, power_iters=3, seed=6))
         assert passes == 3
         # a basis one pass from cold: the warm call runs enough passes to reuse its panels
-        rough, _ = self.assert_bytes_equal(x, SolverConfig(rank=4, power_iters=1, seed=6))
-        start = rough.q.copy()
-        warm, passes = self.assert_bytes_equal(x, SolverConfig(rank=4, power_iters=8, seed=6),
-                                               start=start)
+        rough, *_ = self.assert_bytes_equal(x, SolverConfig(rank=4, power_iters=1, seed=6))
+        warm, passes, given = self.assert_bytes_equal(
+            x, SolverConfig(rank=4, power_iters=8, seed=6), start=rough.q)
         assert passes >= 3
-        # start is never written
-        assert start.tobytes() == rough.q.tobytes() and not np.shares_memory(warm.q, start)
+        # the second pass wrote over start, and the last basis is in start's
+        # panel after an even number of passes
+        assert given.tobytes() != rough.q.tobytes()
+        assert np.shares_memory(warm.q, given) == (passes % 2 == 0)
 
     def test_householder_after_the_first_product_gets_b(self, fresh_pools, monkeypatch,
                                                          householder_calls,
@@ -748,16 +766,17 @@ class TestReusedPanels:
         monkeypatch.setattr(parallel, "GEMM_SERIAL", 8 * 4 * 4)
         x = random_x(29, ProblemDims(600, 8, 6))
         cfg = SolverConfig(rank=4, power_iters=3, seed=7)
-        cold, _ = self.assert_bytes_equal(x, cfg)
+        cold, *_ = self.assert_bytes_equal(x, cfg)
         self.assert_bytes_equal(x, cfg, start=cold.q)
         # every QR of both runs fell back after its first product
         assert len(householder_calls) == len(second_cholesky_fails) // 2 > 0
 
-    def test_call_holds_fewer_than_four_and_a_half_panels(self, monkeypatch):
-        """One call's traced peak stays below 4.5 long-side panels, cold and warm:
-        B, the new basis and the one before it, and the sparse products' chunk
-        scratch. A new B and two new QR panels on every pass, as the allocating
-        loop makes them, break this."""
+    def test_call_holds_two_panels_plus_scratch(self, monkeypatch):
+        """One call's traced peak stays below 3.5 long-side panels cold and 2.5
+        warm: the basis and the panel two passes back, in which B and then the
+        new basis are written, and the sparse products' chunk scratch; a warm
+        call writes over its start from its second pass on. A new B or a QR
+        result beside B, or a warm call that leaves its start alone, breaks this."""
         omega, _, dims = generate(SynthConfig(20000, 50, 20, seed=3))
         assert not dims.transposed
         x = BlockSparseMatrix(dims, omega, np.random.default_rng(3).random(omega.total_size))
@@ -766,12 +785,12 @@ class TestReusedPanels:
         panel = max(dims.n_users, dims.n_cols) * cfg.rank * 8
         monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
         start = None
-        for _ in ("cold", "warm"):
+        for bound in (3.5, 2.5):  # cold, then warm
             tracemalloc.start()  # numpy reports its buffers to tracemalloc
             try:
                 model, _, passes, _ = sparse_lowrank_approx(x, cfg, start=start)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert passes >= 2 and peak < 4.5 * panel
+            assert passes >= 2 and peak < bound * panel
             start = model.q

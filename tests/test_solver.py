@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -143,6 +144,20 @@ class TestFit:
         assert np.array_equal(x.values, np.ones(4))
         for vals in seen:
             assert np.array_equal(vals, np.ones(4))
+
+    def test_on_iteration_model_holds_the_live_basis(self):
+        """From its second subspace pass on, each iteration writes over the
+        previous iteration's basis, so the model handed to on_iteration holds
+        a live iterate: a copy of model.q keeps it."""
+        omega, _, dims = generate(SynthConfig(300, 12, 9, n_classes=3, seed=5))
+        seen = []
+        _, model, trace = fit(omega, dims, SolverConfig(rank=3, outer_iters=3, tol=0.0, seed=2),
+                              on_iteration=lambda it, x, m, obj: seen.append((m.q, m.q.copy())))
+        assert trace.records[1]["passes"] >= 2
+        (first, kept), *_, (last, last_kept) = seen
+        assert first.tobytes() != kept.tobytes()
+        # the returned model is the last one handed over, and nothing follows it
+        assert model.q is last and last.tobytes() == last_kept.tobytes()
 
     def test_feasible_after_every_iteration(self):
         omega, dims = planted_instance(3, n=10, t=5, c=4, classes=3, p_single=0.3)
@@ -312,6 +327,35 @@ class TestSupportPass:
         with pytest.raises(NumericalError, match="non-finite"):
             solver._support_pass(x, bad)
 
+    @pytest.mark.parametrize("instance", ["uniform", "mixed"])
+    def test_same_bytes_with_an_int64_block_ptr(self, fresh_pools, monkeypatch, instance):
+        """The pass searches block_ptr with needles of its dtype, so an int32
+        block_ptr (the support's, while |Omega| < 2**31) is never converted
+        whole, and gives the bytes of an int64 one."""
+        monkeypatch.setattr(core, "DOT_SERIAL", 999)
+        monkeypatch.setattr(solver, "_PASS_BLOCKS", 1)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+        x, model = self.inputs(instance)
+        support = x.support
+        wide = CandidateSets(support.block_users, support.block_slots, support.block_ptr,
+                             support.cats)
+        wide.block_ptr = support.block_ptr.astype(np.int64)
+        x_wide = BlockSparseMatrix(x.dims, wide, x.values.copy())
+        searches = []
+        searchsorted = np.searchsorted
+
+        def recording(a, v, *args, **kwargs):
+            searches.append((a.dtype, np.asarray(v).dtype))
+            return searchsorted(a, v, *args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", recording)
+        narrow_out = solver._support_pass(x, model)
+        wide_out = solver._support_pass(x_wide, model)
+        assert support.block_ptr.dtype == np.int32
+        assert len(searches) > 6 and all(a == v for a, v in searches)
+        assert narrow_out[0].values.tobytes() == wide_out[0].values.tobytes()
+        assert narrow_out[1:] == wide_out[1:]
+
     def test_fit_keeps_two_support_vectors(self, monkeypatch):
         """While fit runs, X and X+ are the only vectors as long as the support
         alive at once: the traced peak stays below the layout plus 2.5 of them.
@@ -466,10 +510,18 @@ class TestPredictTopk:
 
     def test_restrict_validated(self):
         model, _, _ = self._one_hot_model()
-        with pytest.raises(ValueError):
-            predict_topk(model, 0, 0, 1, restrict=[5])
+        for bad in ([5], [-1], [0, 2**64]):
+            with pytest.raises(ValueError, match="out-of-range"):
+                predict_topk(model, 0, 0, 1, restrict=bad)
         with pytest.raises(ValueError):
             predict_topk(model, 0, 0, 1, restrict=[])
+        # a float or a bool is not truncated or read as 0 or 1, but named
+        for bad in (2.9, 1.0, np.float64(2.0), True, np.True_, "1", None):
+            with pytest.raises(ValueError, match=re.escape(f"restrict entry {bad!r} is not")):
+                predict_topk(model, 0, 0, 1, restrict=[0, bad])
+        # integers of any integer type are taken
+        for good in ([np.uint8(2), 0], np.array([2, 0], dtype=np.int16), range(3)):
+            assert predict_topk(model, 0, 0, 1, restrict=good).tolist() == [2]
 
     def test_k_bounds(self):
         model, _, _ = self._one_hot_model()
