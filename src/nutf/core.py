@@ -9,6 +9,7 @@ rest are zero by representation.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -31,6 +32,17 @@ _DOT_BLOCKS = 16
 _ORTHONORMAL_TOL = 1e-8
 
 
+def as_int(value, name: str) -> int:
+    """``value`` as an int; a bool, a float or any other non-integer raises
+    ValueError naming ``name``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} {value!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class ProblemDims:
     """Problem sizes: N users, T time slots, C location categories. They
@@ -42,10 +54,10 @@ class ProblemDims:
 
     def __post_init__(self) -> None:
         for name in ("n_users", "n_slots", "n_categories"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v <= 0:
+            v = as_int(getattr(self, name), name)
+            if v <= 0:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
-            object.__setattr__(self, name, int(v))
+            object.__setattr__(self, name, v)
         if self.n_slots > _I64_MAX // self.n_categories:
             raise ValueError("n_slots * n_categories overflows 64-bit column indices")
 
@@ -70,11 +82,15 @@ def narrowest_dtype(dtypes: Sequence[type], lo: int, hi: int) -> type:
     return dtypes[-1]
 
 
-def _narrowest(values, dtypes: Sequence[type]) -> np.ndarray:
+def _narrowest(values, dtypes: Sequence[type], name: str) -> np.ndarray:
     """``values`` as a contiguous array of the narrowest of ``dtypes`` that
-    holds them; a copy only when that dtype differs."""
+    holds them; a copy only when that dtype differs. A non-empty ``values``
+    whose dtype is not integer (a float or a bool one) raises ValueError
+    naming ``name``."""
     arr = np.asarray(values)
     if arr.dtype.kind not in "iu":
+        if arr.size:
+            raise ValueError(f"{name} must hold integers, got dtype {arr.dtype}")
         arr = arr.astype(np.int64)
     lo, hi = (int(arr.min()), int(arr.max())) if arr.size else (0, 0)
     return np.ascontiguousarray(arr, dtype=narrowest_dtype(dtypes, lo, hi))
@@ -111,10 +127,10 @@ class CandidateSets:
     __slots__ = ("block_users", "block_slots", "block_ptr", "cats", "_csr_cache")
 
     def __init__(self, block_users, block_slots, block_ptr, cats):
-        self.block_users = _narrowest(block_users, BLOCK_DTYPES)
-        self.block_slots = _narrowest(block_slots, CAT_DTYPES)
-        self.block_ptr = _narrowest(block_ptr, BLOCK_DTYPES)
-        self.cats = _narrowest(cats, CAT_DTYPES)
+        self.block_users = _narrowest(block_users, BLOCK_DTYPES, "block_users")
+        self.block_slots = _narrowest(block_slots, CAT_DTYPES, "block_slots")
+        self.block_ptr = _narrowest(block_ptr, BLOCK_DTYPES, "block_ptr")
+        self.cats = _narrowest(cats, CAT_DTYPES, "cats")
         self._csr_cache: tuple = (None,)  # (dims, indptr, cols) once built
         self._check_structure()
 
@@ -250,13 +266,18 @@ class BlockSparseMatrix:
 class LowRankModel:
     """Rank-r completion Y = Q @ C with orthonormal Q, 1 <= r <= min(N, T*C).
 
-    Q is max(N, T*C) x r and C is r x min(N, T*C), the shapes the solver
-    produces. When ``dims.transposed`` (N < T*C) the solve ran on the
-    transposed unfolding and Y = (Q @ C)^T; otherwise Y = Q @ C.
+    The model holds two arrays: Q, C-contiguous and max(N, T*C) x r, and
+    one C-contiguous short-side factor, min(N, T*C) x r, whose transposed
+    view is C (r x min(N, T*C)). A ``c`` that is the transpose of a
+    C-contiguous float64 array, as the solver passes, is taken without a
+    copy; any other is copied once. When ``dims.transposed`` (N < T*C) the
+    solve ran on the transposed unfolding and Y = (Q @ C)^T; otherwise
+    Y = Q @ C.
 
     Either way Y = user_factor @ col_factor^T, with user_factor N x r and
-    col_factor (T*C) x r. Readers of Y go through these two views (or the
-    methods below), so they need not know the orientation.
+    col_factor (T*C) x r: Q and the short-side factor, by orientation.
+    Readers of Y go through these two (or the methods below), so they need
+    not know the orientation.
     """
 
     dims: ProblemDims
@@ -267,7 +288,8 @@ class LowRankModel:
 
     def __post_init__(self) -> None:
         self.q = np.ascontiguousarray(self.q, dtype=np.float64)
-        self.c = np.ascontiguousarray(self.c, dtype=np.float64)
+        short = np.ascontiguousarray(np.transpose(self.c), dtype=np.float64)
+        self.c = short.T
         short_side, long_side = sorted((self.dims.n_users, self.dims.n_cols))
         if self.q.ndim != 2 or self.q.shape[0] != long_side:
             raise ValueError(f"q must be {long_side} x r, got {self.q.shape}")
@@ -275,9 +297,8 @@ class LowRankModel:
             raise ValueError(f"rank {self.rank} outside [1, min(N, T*C) = {short_side}]")
         if self.c.shape != (self.rank, short_side):
             raise ValueError(f"c must be {self.rank} x {short_side}, got {self.c.shape}")
-        # C is on the shorter side, so this copy is O(min(N, T*C) * r)
-        c_t = np.ascontiguousarray(self.c.T)
-        self.user_factor, self.col_factor = (c_t, self.q) if self.dims.transposed else (self.q, c_t)
+        self.user_factor, self.col_factor = (short, self.q) if self.dims.transposed \
+            else (self.q, short)
 
     @property
     def rank(self) -> int:

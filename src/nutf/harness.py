@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (BLOCK_DTYPES, CAT_DTYPES, CandidateSets, LowRankModel, ProblemDims,
+from .core import (BLOCK_DTYPES, CAT_DTYPES, CandidateSets, LowRankModel, ProblemDims, as_int,
                    narrowest_dtype)
 from .parallel import run_chunks
 
@@ -45,6 +45,8 @@ class SynthConfig:
 
     def __post_init__(self) -> None:
         dims = ProblemDims(self.n_users, self.n_slots, self.n_categories)
+        for name in ("n_classes", "candidates_per_update", "seed"):
+            as_int(getattr(self, name), name)
         if not 1 <= self.n_classes <= self.n_users:
             raise ValueError("n_classes must be in [1, n_users]")
         if not 1 <= self.candidates_per_update <= self.n_categories:

@@ -269,7 +269,9 @@ def sparse_lowrank_approx(
 
     Runs subspace iteration on A, x's unfolding, transposed when
     dims.transposed (N < T*C) so that the test matrix and C sit on the
-    shorter side. Each pass is B = A (A^T Q), Q = QR(B); finally C = Q^T A.
+    shorter side. Each pass is B = A (A^T Q), Q = QR(B); finally C = Q^T A,
+    whose transpose A^T Q, min(N, T*C) x r, becomes the model's short-side
+    factor as it is, and C its transposed view.
 
     - Cold (``start`` is None): Q = QR(A R) for a Gaussian R drawn from
       cfg.seed, then exactly cfg.power_iters passes.
@@ -341,6 +343,6 @@ def sparse_lowrank_approx(
         if start is not None and angle <= _SUBSPACE_TOL:
             break
     t0 = time.perf_counter()
-    c = np.ascontiguousarray(a_t_times(q).T)
+    c = a_t_times(q).T
     seconds["spmm"] += time.perf_counter() - t0
     return LowRankModel(dims, q=q, c=c), seconds, passes, angle

@@ -11,7 +11,6 @@ and takes the iteration's sums, so Y is never stored whole.
 
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -23,6 +22,7 @@ from .core import (
     CandidateSets,
     LowRankModel,
     ProblemDims,
+    as_int,
     completion_values,
     dot_blocks,
     gap_from_support,
@@ -55,6 +55,8 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("rank", "outer_iters", "power_iters", "seed"):
+            as_int(getattr(self, name), name)
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
         if self.outer_iters < 1:
@@ -107,11 +109,11 @@ def init_x(omega: CandidateSets, dims: ProblemDims) -> BlockSparseMatrix:
 def _support_pass(
     x: BlockSparseMatrix,
     model: LowRankModel,
-) -> tuple[BlockSparseMatrix, float, float, float]:
+) -> tuple[float, float, float]:
     """The X half-step and the iteration's sums, in one pass over the support.
 
     Writes X+, the completion Y's candidate blocks projected onto the
-    simplex, over x's values, and returns x; the objective ||X+ - Y||_F^2
+    simplex, over x's values, and returns the objective ||X+ - Y||_F^2
     over the full matrix; ||X+ - X||; and X+'s max |block sum - 1|, whose
     sums :func:`nutf.simplex.project_into` returns with the projection. A
     non-finite value of Y raises NumericalError and leaves x partly
@@ -169,7 +171,7 @@ def _support_pass(
     # cumsum adds in block order, the order of nutf.parallel.sum_blocks
     on_support, y_on, squares = np.cumsum(dots, axis=0)[-1].tolist()
     objective = gap_from_support(model, on_support, y_on)
-    return x, objective, float(np.sqrt(squares)), float(errors.max())
+    return objective, float(np.sqrt(squares)), float(errors.max())
 
 
 def _relative_change(prev: float, cur: float) -> float:
@@ -216,7 +218,7 @@ def fit(
         )
         start = model.q
         t1 = time.perf_counter()
-        x, objective, x_delta, sum_error = _support_pass(x, model)
+        objective, x_delta, sum_error = _support_pass(x, model)
         t2 = time.perf_counter()
         q_error = model.orthonormality_error()
         t3 = time.perf_counter()
@@ -235,16 +237,6 @@ def fit(
     return x, model, trace
 
 
-def _category(entry) -> int:
-    """A restrict entry as an int; a bool, a float or any other non-integer raises."""
-    if not isinstance(entry, bool):
-        try:
-            return operator.index(entry)
-        except TypeError:
-            pass
-    raise ValueError(f"restrict entry {entry!r} is not an integer")
-
-
 def predict_topk(
     model: LowRankModel,
     i: int,
@@ -255,11 +247,13 @@ def predict_topk(
     """Top-k categories for user i at slot j, highest score first.
 
     Scores every category of the slot through the completion and keeps
-    only ``restrict`` when given, whose entries must be integers (a bool
-    or a float raises ValueError); ties are broken by ascending category
-    index so evaluation metrics are deterministic.
+    only ``restrict`` when given. ``i``, ``j`` and the entries of
+    ``restrict`` must be integers (a bool or a float raises ValueError);
+    ties are broken by ascending category index so evaluation metrics are
+    deterministic.
     """
     dims = model.dims
+    i, j = as_int(i, "user index"), as_int(j, "slot index")
     if not 0 <= i < dims.n_users:
         raise ValueError(f"user index {i} out of range [0, {dims.n_users})")
     if not 0 <= j < dims.n_slots:
@@ -267,7 +261,7 @@ def predict_topk(
     if restrict is None:
         cats = np.arange(dims.n_categories, dtype=np.int64)
     else:
-        entries = [_category(c) for c in restrict]
+        entries = [as_int(c, "restrict entry") for c in restrict]
         if not entries:
             raise ValueError("restrict set is empty")
         # checked as Python ints, so an entry past int64 is out of range too

@@ -176,7 +176,8 @@ def serial_support_pass(x: BlockSparseMatrix, model: LowRankModel):
     """The X half-step as one whole-vector sweep per step: Y on the support,
     its finiteness check, the projection, the objective, the change in X and
     the block-sum audit. The byte-level oracle for nutf.solver._support_pass;
-    returns the same (X+, objective, ||X+ - X||, max |block sum - 1|)."""
+    returns X+, a new matrix, and the pass's (objective, ||X+ - X||,
+    max |block sum - 1|)."""
     y = model_support_values(model, x.support)
     if not np.all(np.isfinite(y)):
         raise NumericalError("non-finite completion values")
@@ -374,6 +375,23 @@ def random_model(rng, dims, rank):
     short_side, long_side = sorted((dims.n_users, dims.n_cols))
     q, _ = np.linalg.qr(rng.standard_normal((long_side, rank)))
     return LowRankModel(dims, q=q, c=rng.standard_normal((rank, short_side)))
+
+
+def assert_one_short_side_factor(model: LowRankModel) -> None:
+    """The model holds Q and one C-contiguous min(N, T*C) x r array, the
+    short-side factor (user_factor when transposed, else col_factor), whose
+    buffer ``model.c``, its transposed view, is a view of; no other array
+    of the model has that shape."""
+    dims, rank = model.dims, model.rank
+    short, long_side = (model.user_factor, model.col_factor) if dims.transposed \
+        else (model.col_factor, model.user_factor)
+    assert long_side is model.q
+    assert short.flags.c_contiguous and short.shape == (min(dims.n_users, dims.n_cols), rank)
+    buffer = short if short.base is None else short.base
+    assert model.c.base is buffer and buffer.nbytes == short.nbytes
+    assert model.c.ctypes.data == short.ctypes.data and model.c.T.strides == short.strides
+    arrays = [a for a in vars(model).values() if isinstance(a, np.ndarray)]
+    assert all(a is model.q or a.base is buffer or a is buffer for a in arrays)
 
 
 def zero_model(dims):

@@ -13,9 +13,9 @@ from nutf.core import (
     model_support_values,
 )
 
-from conftest import (block_dict, block_items, block_sizes, block_sum_error, dense_completion,
-                      entry_rows, exact_model, full_support, random_model, random_omega, to_csr,
-                      to_dense)
+from conftest import (assert_one_short_side_factor, block_dict, block_items, block_sizes,
+                      block_sum_error, dense_completion, entry_rows, exact_model, full_support,
+                      random_model, random_omega, to_csr, to_dense)
 
 
 class TestProblemDims:
@@ -110,6 +110,23 @@ class TestCandidateSets:
     def test_rejects_negative_indices(self):
         with pytest.raises(ValueError):
             CandidateSets.from_blocks([(-1, 0, [0])])
+
+    # each was once cast with astype(int64): users [0], slots [1], cats [0, 1]
+    @pytest.mark.parametrize("name,arrays", [
+        ("block_users", ([0.7], [1], [0, 2], [0, 1])),
+        ("block_slots", ([0], [1.9], [0, 2], [0, 1])),
+        ("block_ptr", ([0], [1], [0.0, 2.0], [0, 1])),
+        ("cats", ([0], [1], [0, 2], [0.2, 1.5])),
+        ("cats", ([0], [1], [0, 1], [True])),
+        ("block_users", (np.array([False]), [1], [0, 1], [0])),
+    ])
+    def test_rejects_non_integer_arrays(self, name, arrays):
+        with pytest.raises(ValueError, match=f"{name} must hold integers, got dtype"):
+            CandidateSets(*arrays)
+
+    def test_empty_arrays_of_any_dtype(self):
+        omega = CandidateSets([], np.empty(0, dtype=bool), [0], np.array([]))
+        assert omega.n_blocks == omega.total_size == 0
 
     def test_dims_validation(self, small_omega):
         small_omega.validate_dims(ProblemDims(5, 4, 3))
@@ -462,6 +479,26 @@ class TestLowRankModel:
         for i in range(0, len(slots), 97):
             assert np.allclose(scores[i], model.slot_scores(int(users[i]), int(slots[i])),
                                rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dims", [ProblemDims(3, 2, 4), ProblemDims(9, 2, 2)])
+    def test_c_is_the_transposed_view_of_one_short_side_factor(self, dims):
+        rng = np.random.default_rng(5)
+        short_side, long_side = sorted((dims.n_users, dims.n_cols))
+        q, _ = np.linalg.qr(rng.standard_normal((long_side, 2)))
+        s = rng.standard_normal((short_side, 2))
+        model = LowRankModel(dims, q=q, c=s.T)  # taken with no copy
+        assert model.c.base is s
+        assert (model.user_factor if dims.transposed else model.col_factor).base is s
+        assert_one_short_side_factor(model)
+        # a C-contiguous c, or one of another dtype, is copied once
+        for c in (s.T.copy(), s.T.astype(np.float32)):
+            model = LowRankModel(dims, q=q, c=c)
+            short = model.user_factor if dims.transposed else model.col_factor
+            assert model.c.base is short and not np.shares_memory(short, c)
+            assert_one_short_side_factor(model)
+        # writes through c reach the factor that scores read
+        model.c[0, 0] = 7.0
+        assert short[0, 0] == 7.0
 
     def test_shape_validation(self, small_dims):
         # small_dims has N=5 < T*C=12, so Q is 12 x r and C is r x 5

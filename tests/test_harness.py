@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -34,6 +35,15 @@ class TestSynthConfig:
             SynthConfig(10, 5, 4, slot_density=1.5)
         with pytest.raises(ValueError):
             SynthConfig(10, 100, 4, slot_density=0.001)  # rounds to 0 slots
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_classes", True), ("n_classes", 2.0), ("candidates_per_update", 1.5),
+        ("seed", 1.5), ("seed", False),
+    ])
+    def test_non_integer_counts_and_seed_rejected(self, field, value):
+        with pytest.raises(ValueError, match=re.escape(f"{field} {value!r} is not an integer")):
+            SynthConfig(10, 5, 4, **{field: value})
+        SynthConfig(10, 5, 4, **{field: np.int64(2)})
 
     def test_slots_per_user_rounding(self):
         assert SynthConfig(10, 100, 5, slot_density=0.2).slots_per_user == 20

@@ -390,6 +390,24 @@ class TestJsonl:
         with pytest.raises(ValueError, match=r"omega\.jsonl line 2: .* int64 range"):
             read_candidate_sets_jsonl(path)
 
+    # each was once cast to int64: (0, 2.9, 1) wrote "j":2
+    @pytest.mark.parametrize("pairs", [
+        [(0, 2.9, 1)], [(0, 2.0, 1)], np.array([[0, 2, 1]], dtype=np.float64),
+        [(True, False, True)], np.ones((1, 3), dtype=bool),
+    ])
+    def test_pairs_non_integer_rejected(self, tmp_path, pairs):
+        path = tmp_path / "pairs.jsonl"
+        with pytest.raises(ValueError, match="pairs must hold integer indices"):
+            write_pairs_jsonl(path, pairs)
+        assert not path.exists()
+
+    def test_pairs_empty_and_narrow_integers(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        write_pairs_jsonl(path, [])
+        assert path.read_bytes() == b""
+        write_pairs_jsonl(path, np.array([[1, 2, 3]], dtype=np.uint8))
+        assert read_pairs_jsonl(path) == [(1, 2, 3)]
+
     def test_pairs_round_trip(self, tmp_path):
         pairs = [(0, 1, 2), (3, 4, 5)]
         path = tmp_path / "pairs.jsonl"

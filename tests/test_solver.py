@@ -19,7 +19,7 @@ from nutf.core import BlockSparseMatrix, CandidateSets, LowRankModel, ProblemDim
 from nutf.harness import SynthConfig, generate
 from nutf.linalg import NumericalError, sparse_lowrank_approx
 from nutf.simplex import project_blocks
-from nutf.serialize import write_trace_jsonl
+from nutf.serialize import load_model, save_model, write_trace_jsonl
 from nutf.solver import (
     SolverConfig,
     fit,
@@ -28,6 +28,7 @@ from nutf.solver import (
 )
 
 from conftest import (
+    assert_one_short_side_factor,
     block_dict,
     block_items,
     block_sum_error,
@@ -72,6 +73,17 @@ class TestSolverConfig:
             SolverConfig(rank=1, tol=-1.0)
         with pytest.raises(ValueError):
             SolverConfig(rank=1, power_iters=-1)
+
+    @pytest.mark.parametrize("field,value", [
+        ("rank", 2.5), ("rank", True), ("outer_iters", 3.0), ("power_iters", False),
+        ("seed", 1.5), ("seed", np.True_), ("seed", "1"),
+    ])
+    def test_non_integer_counts_and_seed_rejected(self, field, value):
+        kwargs = {"rank": 1, field: value}
+        with pytest.raises(ValueError, match=re.escape(f"{field} {value!r} is not an integer")):
+            SolverConfig(**kwargs)
+        # integers of any integer type are taken
+        SolverConfig(**{**kwargs, field: np.int64(2)})
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
     def test_non_finite_tol_rejected(self, tol):
@@ -234,6 +246,20 @@ class TestFit:
         assert model.c.tobytes() == cold.c.tobytes()
         assert column(trace, "passes") == [4]
 
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_model_keeps_one_short_side_factor(self, tmp_path, transposed):
+        """The solve's A^T Q becomes the model's short-side factor as it is,
+        and a loaded model copies the file's C once into its own."""
+        omega, dims = planted_instance(5, n=8 if transposed else 40, t=5, c=4, classes=3)
+        assert dims.transposed == transposed
+        _, model, _ = fit(omega, dims, SolverConfig(rank=3, outer_iters=3, tol=0.0))
+        assert_one_short_side_factor(model)
+        save_model(tmp_path / "model.nutf", model)
+        loaded = load_model(tmp_path / "model.nutf")
+        assert_one_short_side_factor(loaded)
+        assert loaded.c.base is (loaded.user_factor if transposed else loaded.col_factor)
+        assert loaded.c.tobytes() == model.c.tobytes()
+
     def test_rank_error_propagates(self):
         omega = CandidateSets.from_blocks([(0, 0, [0])])
         dims = ProblemDims(1, 1, 2)
@@ -309,11 +335,12 @@ class TestSupportPass:
         monkeypatch.setattr(parallel, "_usable_cpus", lambda: workers)
         # the pass writes X+ over x, so the reference gets its own copy of X
         x_ref = BlockSparseMatrix(x.dims, x.support, x.values.copy())
-        new_x, objective, delta, sum_error = solver._support_pass(x, model)
+        values = x.values
+        objective, delta, sum_error = solver._support_pass(x, model)
         ref_x, ref_objective, ref_delta, ref_sum_error = serial_support_pass(x_ref, model)
-        assert new_x.values.tobytes() == ref_x.values.tobytes()
+        assert x.values is values and x.values.tobytes() == ref_x.values.tobytes()
         assert (objective, delta, sum_error) == (ref_objective, ref_delta, ref_sum_error)
-        assert sum_error <= 1e-12 and new_x.support is x.support
+        assert sum_error <= 1e-12
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_non_finite_completion_raises(self, fresh_pools, monkeypatch, workers):
@@ -353,8 +380,8 @@ class TestSupportPass:
         wide_out = solver._support_pass(x_wide, model)
         assert support.block_ptr.dtype == np.int32
         assert len(searches) > 6 and all(a == v for a, v in searches)
-        assert narrow_out[0].values.tobytes() == wide_out[0].values.tobytes()
-        assert narrow_out[1:] == wide_out[1:]
+        assert x.values.tobytes() == x_wide.values.tobytes()
+        assert narrow_out == wide_out
 
     def test_fit_keeps_two_support_vectors(self, monkeypatch):
         """While fit runs, X and X+ are the only vectors as long as the support
@@ -510,7 +537,7 @@ class TestPredictTopk:
 
     def test_restrict_validated(self):
         model, _, _ = self._one_hot_model()
-        for bad in ([5], [-1], [0, 2**64]):
+        for bad in ([5], [3], [-1], [0, 2**64]):  # C = 3
             with pytest.raises(ValueError, match="out-of-range"):
                 predict_topk(model, 0, 0, 1, restrict=bad)
         with pytest.raises(ValueError):
@@ -548,6 +575,13 @@ class TestPredictTopk:
             predict_topk(model, 4, 0, 1)
         with pytest.raises(ValueError):
             predict_topk(model, 0, 2, 1)
+        # a float or a bool user or slot is named, not an IndexError
+        for bad in (2.5, 1.0, True, np.float64(0.0), "1", None):
+            with pytest.raises(ValueError, match=re.escape(f"user index {bad!r} is not")):
+                predict_topk(model, bad, 0, 1)
+            with pytest.raises(ValueError, match=re.escape(f"slot index {bad!r} is not")):
+                predict_topk(model, 0, bad, 1)
+        assert predict_topk(model, np.int64(0), np.uint8(0), 1).tolist() == [2]
 
 
 def multi_chunk_instance(seed, n=5000, t=8, c=6):
