@@ -171,15 +171,20 @@ class CandidateSets:
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[tuple[int, int, Sequence[int]]]) -> "CandidateSets":
-        """Build from (user, slot, categories) triples, in any order."""
+        """Build from (user, slot, categories) triples, in any order.
+
+        The indices reach the constructor in the dtype numpy gives them, so
+        users, slots or categories that numpy stores as floats or bools
+        raise ValueError instead of being truncated or read as 0 or 1 (a
+        float among ints makes the array float; a bool among ints does
+        not make it bool).
+        """
         triples = sorted(blocks, key=lambda b: (b[0], b[1]))
-        users = np.fromiter((b[0] for b in triples), dtype=np.int64, count=len(triples))
-        slots = np.fromiter((b[1] for b in triples), dtype=np.int64, count=len(triples))
-        cat_arrays = [np.asarray(sorted(b[2]), dtype=np.int64) for b in triples]
-        sizes = np.fromiter((len(c) for c in cat_arrays), dtype=np.int64, count=len(cat_arrays))
+        users = np.array([b[0] for b in triples])
+        slots = np.array([b[1] for b in triples])
+        cats = np.array([k for b in triples for k in sorted(b[2])])
         ptr = np.zeros(len(triples) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=ptr[1:])
-        cats = np.concatenate(cat_arrays) if cat_arrays else np.empty(0, dtype=np.int64)
+        np.cumsum([len(b[2]) for b in triples], out=ptr[1:])
         return cls(users, slots, ptr, cats)
 
     # -- basic accessors ------------------------------------------------

@@ -72,7 +72,8 @@ class GroundTruth:
     Observation arrays are aligned with the generated CandidateSets block
     order (sorted by user, then slot); from :func:`generate` they are the
     candidate sets' own narrow user and slot arrays, and the true
-    categories share the dtype of their categories.
+    categories share the dtype of their categories. :meth:`pairs` stacks
+    them in their promoted dtype, which :func:`score_topk` reads in place.
     """
 
     obs_users: np.ndarray
@@ -82,10 +83,11 @@ class GroundTruth:
 
     def pairs(self) -> np.ndarray:
         """The (user, slot, true category) triples in observation order, as
-        one C-contiguous (n, 3) int64 array that score_topk and
-        serialize.write_pairs_jsonl take without conversion."""
-        return np.stack((self.obs_users, self.obs_slots, self.true_cats), axis=1,
-                        dtype=np.int64)
+        one C-contiguous (n, 3) array in the promoted dtype of the three
+        observation arrays: int32 for every :func:`generate` output below
+        2**31 users, 12 bytes per pair. score_topk and
+        serialize.write_pairs_jsonl read any integer (n, 3) array in place."""
+        return np.stack((self.obs_users, self.obs_slots, self.true_cats), axis=1)
 
 
 @dataclass
@@ -194,21 +196,22 @@ def score_topk(
     """Top-k accuracy of the model on (user, slot, true category) pairs.
 
     ``validation`` is a sequence of triples or an aligned (n, 3) integer
-    array; an int64 array, such as :meth:`GroundTruth.pairs` returns, is
-    read in place with no conversion. Equivalent to calling predict_topk
-    per pair with k = k_max and checking membership of the truth among the
-    first k predictions, with the same tie rule (equal scores rank by
-    ascending category index).
+    array; an array of any integer dtype, such as :meth:`GroundTruth.pairs`
+    returns, is read in place with no conversion: its three columns are
+    views. Equivalent to calling predict_topk per pair with k = k_max and
+    checking membership of the truth among the first k predictions, with
+    the same tie rule (equal scores rank by ascending category index).
     The pairs are grouped by slot and scored with one matrix product per
     slot (:meth:`LowRankModel.slot_scores`), so the scores agree with
     predict_topk's up to rounding; the report does not depend on the
     order of the pairs.
     Chunks of about ``_OBS_CHUNK`` scores run on
     :func:`nutf.parallel.run_chunks`, each writing its own slice of the
-    ranks; a call of one chunk runs inline. Every product stays within
-    :func:`nutf.parallel.row_blocks`' blocks, so BLAS makes no threaded
-    call, and the report is the same for any CPU count and BLAS thread
-    count.
+    ranks, which are below C and kept in the narrowest dtype that holds
+    them (uint8 up to 256 categories); a call of one chunk runs inline.
+    Every product stays within :func:`nutf.parallel.row_blocks`' blocks, so
+    BLAS makes no threaded call, and the report is the same for any CPU
+    count and BLAS thread count.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -217,7 +220,7 @@ def score_topk(
             raise ValueError(f"validation array must be (n, 3), got {validation.shape}")
         if not np.issubdtype(validation.dtype, np.integer):
             raise ValueError(f"validation array must hold integers, got {validation.dtype}")
-        triples = validation.astype(np.int64, copy=False)
+        triples = validation
     else:
         triples = np.fromiter(itertools.chain.from_iterable(validation), np.int64,
                               count=3 * len(validation)).reshape(-1, 3)
@@ -235,15 +238,14 @@ def score_topk(
     if truths.min() < 0 or truths.max() >= c:
         raise ValueError("validation category out of range")
 
-    # ranks are kept in slot order; the accuracies do not depend on it. A
-    # stable argsort of 8- or 16-bit keys is a radix sort, of int64 a timsort;
-    # both give the one stable permutation.
-    keys = slots
-    if dims.n_slots <= 1 << 16:
-        keys = slots.astype(np.uint8 if dims.n_slots <= 1 << 8 else np.uint16)
-    order = np.argsort(keys, kind="stable")
+    # ranks are kept in slot order; the accuracies do not depend on it. The
+    # keys are the slots in their narrowest dtype: a stable argsort of 8- or
+    # 16-bit keys is a radix sort, of wider ones a timsort, and both give the
+    # one stable permutation. The keys are freed once sorted.
+    order = np.argsort(slots.astype(narrowest_dtype(CAT_DTYPES, 0, dims.n_slots - 1)),
+                       kind="stable")
     n = len(order)
-    ranks = np.empty(n, dtype=np.int64)
+    ranks = np.empty(n, dtype=narrowest_dtype(CAT_DTYPES, 0, c - 1))
     chunk = max(1, _OBS_CHUNK // c)
     cat_range = np.arange(c, dtype=np.int64)
 

@@ -275,12 +275,12 @@ def write_pairs_jsonl(path, pairs) -> None:
 
     ``pairs`` is a sequence of triples or an (n, 3) integer array; each line
     is what ``json.dumps`` writes for the record with separators (",", ":").
-    A float or a bool index raises ValueError, so none is truncated.
+    An array of any integer dtype is read in place: ``tolist`` gives Python
+    ints. A float or a bool index raises ValueError, so none is truncated.
     """
     rows = np.asarray(pairs)
     if rows.size and rows.dtype.kind not in "iu":
         raise ValueError(f"pairs must hold integer indices, got dtype {rows.dtype}")
-    rows = rows.astype(np.int64, copy=False)
     if rows.size and (rows.ndim != 2 or rows.shape[1] != 3):
         raise ValueError(f"pairs must be (user, slot, category) triples, got shape {rows.shape}")
     with open(path, "w", encoding="utf-8") as fh:

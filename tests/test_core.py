@@ -124,6 +124,23 @@ class TestCandidateSets:
         with pytest.raises(ValueError, match=f"{name} must hold integers, got dtype"):
             CandidateSets(*arrays)
 
+    # from_blocks once cast with int64: users [0], slots [1], cats [0, 1]; and user 1, cat 1
+    @pytest.mark.parametrize("name,blocks", [
+        ("block_users", [(0.7, 1.9, [0.2, 1.5])]),
+        ("block_users", [(True, 0, [True])]),
+        ("block_slots", [(0, 1.9, [0, 1])]),
+        ("cats", [(0, 1, [0.2, 1.5])]),
+        ("cats", [(0, 0, [True])]),
+    ])
+    def test_from_blocks_rejects_non_integer_indices(self, name, blocks):
+        with pytest.raises(ValueError, match=f"{name} must hold integers, got dtype"):
+            CandidateSets.from_blocks(blocks)
+
+    def test_from_blocks_takes_numpy_integers(self):
+        omega = CandidateSets.from_blocks([(np.int64(2), np.uint16(300), np.array([4, 1])),
+                                           (np.int32(0), 7, [np.uint8(3)])])
+        assert block_dict(omega) == {(0, 7): [3], (2, 300): [1, 4]}
+
     def test_empty_arrays_of_any_dtype(self):
         omega = CandidateSets([], np.empty(0, dtype=bool), [0], np.array([]))
         assert omega.n_blocks == omega.total_size == 0

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,10 +168,14 @@ class TestNarrowArrays:
 
 
 class TestPairs:
-    def test_columnar_int64(self):
-        _, truth, _ = generate(SynthConfig(50, 10, 6, n_classes=3, seed=7))
+    @pytest.mark.parametrize("cfg", [SynthConfig(50, 10, 6, n_classes=3, seed=7),
+                                     SynthConfig(20, 300, 6, n_classes=3, seed=7)],
+                             ids=["uint8 slots", "uint16 slots"])
+    def test_columnar_promoted_dtype(self, cfg):
+        _, truth, _ = generate(cfg)
         pairs = truth.pairs()
-        assert pairs.dtype == np.int64
+        assert pairs.dtype == np.result_type(truth.obs_users, truth.obs_slots, truth.true_cats)
+        assert pairs.dtype == np.int32
         assert pairs.shape == (len(truth.obs_users), 3)
         assert pairs.flags.c_contiguous
         assert np.array_equal(pairs, np.column_stack(
@@ -181,10 +186,35 @@ class TestPairs:
         _, truth, dims = generate(cfg)
         pairs = truth.pairs()
         model = random_model(np.random.default_rng(9), dims, 3)
-        rep = score_topk(model, pairs, 4)
         rep_list = score_topk(model, [tuple(p) for p in pairs.tolist()], 4)
-        assert np.array_equal(rep.accuracies, rep_list.accuracies)
-        assert rep.n_pairs == rep_list.n_pairs == len(pairs)
+        for dtype in (np.int64, np.int32, np.uint8):
+            rep = score_topk(model, pairs.astype(dtype), 4)
+            assert np.array_equal(rep.accuracies, rep_list.accuracies)
+            assert rep.n_pairs == rep_list.n_pairs == len(pairs)
+
+    def test_score_topk_holds_under_12_bytes_per_pair(self, monkeypatch):
+        """An int32 (n, 3) array is read in place, and the slot keys, the
+        order and the uint8 ranks are all score_topk keeps per pair: each
+        added pair costs at most 12 bytes of traced peak. The difference of
+        two sizes cancels the chunks' fixed scratch. An int64 copy of the
+        pairs, or int64 ranks, breaks this."""
+        dims = ProblemDims(1000, 50, 20)
+        model = random_model(np.random.default_rng(12), dims, 3)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+        peaks = []
+        for n in (100_000, 500_000):
+            rng = np.random.default_rng(n)
+            pairs = np.stack([rng.integers(0, size, n, dtype=np.int32)
+                              for size in (dims.n_users, dims.n_slots, dims.n_categories)],
+                             axis=1)
+            tracemalloc.start()  # numpy reports its buffers to tracemalloc
+            try:
+                score_topk(model, pairs, 5)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] <= 12 * 400_000
 
 
 class TestMaskValidation:
@@ -418,6 +448,17 @@ class TestScoreTopk:
             rep_array = score_topk(model, np.array(pairs, dtype=dtype), 4)
             assert np.array_equal(rep.accuracies, rep_array.accuracies)
             assert rep.n_pairs == rep_array.n_pairs
+
+    # C = 256 keeps the ranks in uint8, where rank < 256 holds for all; 257 in uint16
+    @pytest.mark.parametrize("dims", [ProblemDims(6, 3, 256), ProblemDims(6, 3, 257)])
+    def test_every_rank_below_c_at_narrow_dtype_edges(self, dims):
+        rng = np.random.default_rng(13)
+        model = random_model(rng, dims, 3)
+        pairs = self._shuffled_pairs(rng, dims, 30)
+        c = dims.n_categories
+        rep = score_topk(model, pairs, c)
+        assert np.array_equal(rep.accuracies, self._predict_loop_report(model, pairs, c))
+        assert rep.accuracies[-1] == 1.0
 
     @pytest.mark.parametrize("bad", [
         np.zeros((4, 2), dtype=np.int64),

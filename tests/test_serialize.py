@@ -422,16 +422,21 @@ class TestJsonl:
                        for u, j, cat in pairs).encode("utf-8")
 
     @pytest.mark.parametrize("form", ["tuples", "lists", "np.int64 tuples", "int64 array",
-                                      "int32 array", "empty list"])
+                                      "int32 array", "uint8 array", "uint16 array",
+                                      "empty list"])
     def test_pairs_bytes_match_json_dumps(self, tmp_path, form):
         top = 2 ** 63 - 1
         triples = [(0, 0, 0), (top, 1, 2), (3, top, top), (12, 0, 7)]
+        # unsigned arrays are written in place, with no int64 copy
+        narrow = [(0, 0, 0), (255, 1, 2), (3, 255, 255), (12, 0, 7)]
         pairs = {
             "tuples": triples,
             "lists": [list(p) for p in triples],
             "np.int64 tuples": [tuple(np.int64(v) for v in p) for p in triples],
             "int64 array": np.array(triples, dtype=np.int64),
             "int32 array": np.array([(0, 0, 0), (2 ** 31 - 1, 5, 9)], dtype=np.int32),
+            "uint8 array": np.array(narrow, dtype=np.uint8),
+            "uint16 array": np.array(narrow, dtype=np.uint16),
             "empty list": [],
         }[form]
         path = tmp_path / "pairs.jsonl"
