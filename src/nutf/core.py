@@ -9,6 +9,7 @@ rest are zero by representation.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -82,17 +83,54 @@ def narrowest_dtype(dtypes: Sequence[type], lo: int, hi: int) -> type:
     return dtypes[-1]
 
 
-def _narrowest(values, dtypes: Sequence[type], name: str) -> np.ndarray:
-    """``values`` as a contiguous array of the narrowest of ``dtypes`` that
-    holds them; a copy only when that dtype differs. A non-empty ``values``
-    whose dtype is not integer (a float or a bool one) raises ValueError
-    naming ``name``."""
+def index_array(values, name: str, pairs: bool = False) -> np.ndarray:
+    """``values`` as an integer array, itself when it is one; an empty one
+    is int64. A float, bool, string or object dtype (numpy's for an int past
+    64 bits), and a sequence that holds a bool (numpy reads ``[1, True]`` as
+    int64), raise ValueError naming ``name``. With ``pairs`` the array must
+    be (n, 3): (user, slot, category) triples. Nothing is range-checked."""
     arr = np.asarray(values)
+    if not arr.size:
+        arr = arr.astype(np.int64).reshape((0, 3) if pairs else 0)
     if arr.dtype.kind not in "iu":
-        if arr.size:
-            raise ValueError(f"{name} must hold integers, got dtype {arr.dtype}")
-        arr = arr.astype(np.int64)
+        raise ValueError(f"{name} must hold integers, got dtype {arr.dtype}")
+    if pairs and (arr.ndim != 2 or arr.shape[1] != 3):
+        raise ValueError(f"{name} must be (n, 3) triples, got shape {arr.shape}")
+    if not isinstance(values, np.ndarray) and arr.size:
+        flat = itertools.chain.from_iterable(values) if arr.ndim == 2 else values
+        if not {bool, np.bool_}.isdisjoint(map(type, flat)):
+            raise ValueError(f"{name} must hold integers, got a bool")
+    return arr
+
+
+def check_range(field: str, values, bound: int) -> None:
+    """Raise ValueError naming ``field`` and an offending value unless every
+    index lies in [0, bound). ``values`` is an integer array, an int or a
+    list of ints; its extremes are compared as Python ints, so none wraps."""
+    if isinstance(values, np.ndarray):
+        values = (int(values.min()), int(values.max())) if values.size else ()
+    elif not isinstance(values, (list, tuple)):
+        values = (values,)
+    lo, hi = min(values, default=0), max(values, default=0)
+    if lo < 0 or hi >= bound:
+        raise ValueError(f"{field} {lo if lo < 0 else hi} out of range [0, {bound})")
+
+
+def check_indices(dims: ProblemDims, users=(), slots=(), cats=()) -> None:
+    """:func:`check_range` of user, slot and category indices against the
+    [0, N), [0, T) and [0, C) of ``dims``."""
+    check_range("user index", users, dims.n_users)
+    check_range("slot index", slots, dims.n_slots)
+    check_range("category index", cats, dims.n_categories)
+
+
+def _narrowest(values, dtypes: Sequence[type], name: str) -> np.ndarray:
+    """``values``, an :func:`index_array` in [0, 2**63), as a contiguous
+    array of the narrowest of ``dtypes`` that holds them; a copy only when
+    that dtype differs."""
+    arr = index_array(values, name)
     lo, hi = (int(arr.min()), int(arr.max())) if arr.size else (0, 0)
+    check_range(name, (lo, hi), _I64_MAX + 1)
     return np.ascontiguousarray(arr, dtype=narrowest_dtype(dtypes, lo, hi))
 
 
@@ -144,8 +182,6 @@ class CandidateSets:
         if not np.all(ptr[1:] > ptr[:-1]):
             raise ValueError("empty candidate sets are not representable; drop the block")
         if nb:
-            if self.block_users.min() < 0 or self.block_slots.min() < 0:
-                raise ValueError("negative user or slot index")
             # strict (user, slot) ordering also rules out duplicate blocks;
             # comparisons, not np.diff, which wraps on unsigned slots
             users, slots = self.block_users, self.block_slots
@@ -157,12 +193,8 @@ class CandidateSets:
                 fault = "is given twice" if same_user[b] and slots[b + 1] == slots[b] \
                     else "is out of order"
                 raise ValueError(f"blocks must be strictly sorted by (user, slot): {pair} {fault}")
-        if len(self.cats):
-            cats = self.cats
-            if cats.min() < 0:
-                raise ValueError("negative category index")
             # a comparison, not np.diff, which wraps on unsigned cats
-            increasing = cats[1:] > cats[:-1]
+            increasing = self.cats[1:] > self.cats[:-1]
             increasing[ptr[1:-1] - 1] = True  # pairs that cross into the next block
             if not increasing.all():
                 raise ValueError("category indices within a block must be strictly increasing")
@@ -171,21 +203,17 @@ class CandidateSets:
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[tuple[int, int, Sequence[int]]]) -> "CandidateSets":
-        """Build from (user, slot, categories) triples, in any order.
-
-        The indices reach the constructor in the dtype numpy gives them, so
-        users, slots or categories that numpy stores as floats or bools
-        raise ValueError instead of being truncated or read as 0 or 1 (a
-        float among ints makes the array float; a bool among ints does
-        not make it bool).
-        """
-        triples = sorted(blocks, key=lambda b: (b[0], b[1]))
-        users = np.array([b[0] for b in triples])
-        slots = np.array([b[1] for b in triples])
-        cats = np.array([k for b in triples for k in sorted(b[2])])
-        ptr = np.zeros(len(triples) + 1, dtype=np.int64)
-        np.cumsum([len(b[2]) for b in triples], out=ptr[1:])
-        return cls(users, slots, ptr, cats)
+        """Build from (user, slot, categories) triples, in any order. Each
+        index list passes :func:`index_array` before anything is sorted."""
+        blocks = list(blocks)
+        users = index_array([b[0] for b in blocks], "block_users")
+        slots = index_array([b[1] for b in blocks], "block_slots")
+        cats = index_array([k for b in blocks for k in b[2]], "cats")
+        sizes = np.array([len(b[2]) for b in blocks], dtype=np.int64)
+        order = np.lexsort((slots, users))  # stable, as is the sort of each block's cats
+        ptr = np.concatenate(([0], np.cumsum(sizes[order])))
+        by_block = np.repeat(np.argsort(order), sizes)  # each entry's block in the new order
+        return cls(users[order], slots[order], ptr, cats[np.lexsort((cats, by_block))])
 
     # -- basic accessors ------------------------------------------------
 
@@ -199,19 +227,10 @@ class CandidateSets:
         return len(self.cats)
 
     def validate_dims(self, dims: ProblemDims) -> None:
-        """Raise ValueError if an index falls outside dims.
-
-        Free for the dims of the cached layout, which were checked when it
-        was built.
-        """
-        if self._csr_cache[0] == dims or not self.n_blocks:
-            return
-        if int(self.block_users.max()) >= dims.n_users:
-            raise ValueError("user index exceeds n_users")
-        if int(self.block_slots.max()) >= dims.n_slots:
-            raise ValueError("slot index exceeds n_slots")
-        if int(self.cats.max()) >= dims.n_categories:
-            raise ValueError("category index exceeds n_categories")
+        """:func:`check_indices` of every index against dims; free for the
+        dims of the cached layout, which were checked when it was built."""
+        if self._csr_cache[0] != dims:
+            check_indices(dims, self.block_users, self.block_slots, self.cats)
 
     # -- flattened views ------------------------------------------------
 

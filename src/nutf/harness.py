@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (BLOCK_DTYPES, CAT_DTYPES, CandidateSets, LowRankModel, ProblemDims, as_int,
-                   narrowest_dtype)
+                   check_indices, index_array, narrowest_dtype)
 from .parallel import run_chunks
 
 # score_topk scores its pairs in chunks of about this many (pair, category) scores
@@ -98,6 +98,10 @@ class EvalReport:
     n_pairs: int
 
     def accuracy_at(self, k: int) -> float:
+        """Top-k accuracy; k must be an integer in [1, k_max]."""
+        k = as_int(k, "k")
+        if not 1 <= k <= len(self.accuracies):
+            raise ValueError(f"k {k} out of range [1, {len(self.accuracies)}]")
         return float(self.accuracies[k - 1])
 
     def to_dict(self) -> dict:
@@ -195,10 +199,12 @@ def score_topk(
 ) -> EvalReport:
     """Top-k accuracy of the model on (user, slot, true category) pairs.
 
-    ``validation`` is a sequence of triples or an aligned (n, 3) integer
-    array; an array of any integer dtype, such as :meth:`GroundTruth.pairs`
-    returns, is read in place with no conversion: its three columns are
-    views. Equivalent to calling predict_topk per pair with k = k_max and
+    ``validation`` is an (n, 3) :func:`nutf.core.index_array`, read in place
+    (its three columns are views) as :meth:`GroundTruth.pairs` and
+    :func:`nutf.serialize.read_pairs_jsonl` return it, or a sequence of
+    triples, converted by ``np.fromiter``: fast, but it truncates a float
+    (an open fault, ROADMAP item 2). Indices are range-checked.
+    Equivalent to calling predict_topk per pair with k = k_max and
     checking membership of the truth among the first k predictions, with
     the same tie rule (equal scores rank by ascending category index).
     The pairs are grouped by slot and scored with one matrix product per
@@ -213,30 +219,21 @@ def score_topk(
     BLAS makes no threaded call, and the report is the same for any CPU
     count and BLAS thread count.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    if isinstance(validation, np.ndarray):
-        if validation.ndim != 2 or validation.shape[1] != 3:
-            raise ValueError(f"validation array must be (n, 3), got {validation.shape}")
-        if not np.issubdtype(validation.dtype, np.integer):
-            raise ValueError(f"validation array must hold integers, got {validation.dtype}")
-        triples = validation
-    else:
-        triples = np.fromiter(itertools.chain.from_iterable(validation), np.int64,
-                              count=3 * len(validation)).reshape(-1, 3)
+    dims = model.dims
+    k_max, c = as_int(k_max, "k_max"), dims.n_categories
+    if not 1 <= k_max <= c:
+        raise ValueError(f"k_max {k_max} out of range [1, {c}]")
+    if not isinstance(validation, np.ndarray):
+        try:
+            validation = np.fromiter(itertools.chain.from_iterable(validation), np.int64,
+                                     count=3 * len(validation)).reshape(-1, 3)
+        except (OverflowError, TypeError) as exc:  # an int past int64, a None
+            raise ValueError(f"validation pairs: {exc}") from None
+    triples = index_array(validation, "validation array", pairs=True)
     if len(triples) == 0:
         raise ValueError("validation list is empty")
-    dims = model.dims
-    c = dims.n_categories
-    if k_max > c:
-        raise ValueError("k_max exceeds the category count")
     users, slots, truths = triples.T
-    if users.min() < 0 or users.max() >= dims.n_users:
-        raise ValueError("validation user index out of range")
-    if slots.min() < 0 or slots.max() >= dims.n_slots:
-        raise ValueError("validation slot index out of range")
-    if truths.min() < 0 or truths.max() >= c:
-        raise ValueError("validation category out of range")
+    check_indices(dims, users, slots, truths)
 
     # ranks are kept in slot order; the accuracies do not depend on it. The
     # keys are the slots in their narrowest dtype: a stable argsort of 8- or

@@ -19,7 +19,8 @@ from typing import BinaryIO, Iterator
 
 import numpy as np
 
-from .core import BlockSparseMatrix, CandidateSets, LowRankModel, ProblemDims
+from .core import (BlockSparseMatrix, CandidateSets, LowRankModel, ProblemDims, check_range,
+                   index_array)
 
 MAGIC = b"NUTF"
 FORMAT_VERSION = 1
@@ -273,23 +274,24 @@ def read_index_maps(path) -> dict:
 def write_pairs_jsonl(path, pairs) -> None:
     """(user, slot, category) triples: {"u": ..., "j": ..., "cat": ...}.
 
-    ``pairs`` is a sequence of triples or an (n, 3) integer array; each line
-    is what ``json.dumps`` writes for the record with separators (",", ":").
-    An array of any integer dtype is read in place: ``tolist`` gives Python
-    ints. A float or a bool index raises ValueError, so none is truncated.
+    ``pairs`` is an :func:`nutf.core.index_array` of triples, read in place
+    when an integer array, with every index in [0, 2**63), as
+    :func:`read_pairs_jsonl` reads it; else ValueError, and nothing is
+    written. Each line is what ``json.dumps`` writes for the record with
+    separators (",", ":").
     """
-    rows = np.asarray(pairs)
-    if rows.size and rows.dtype.kind not in "iu":
-        raise ValueError(f"pairs must hold integer indices, got dtype {rows.dtype}")
-    if rows.size and (rows.ndim != 2 or rows.shape[1] != 3):
-        raise ValueError(f"pairs must be (user, slot, category) triples, got shape {rows.shape}")
+    rows = index_array(pairs, "pairs", pairs=True)
+    check_range("pairs index", rows, 2 ** 63)
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(f'{{"u":{u},"j":{j},"cat":{cat}}}\n' for u, j, cat in rows.tolist())
 
 
-def read_pairs_jsonl(path) -> list[tuple[int, int, int]]:
-    return _read_jsonl(path, lambda rec: (
+def read_pairs_jsonl(path) -> np.ndarray:
+    """The triples as one (n, 3) int64 array, (0, 3) for no records; each
+    value is checked to be a JSON integer in [0, 2**63), so none changes."""
+    pairs = _read_jsonl(path, lambda rec: (
         _json_index(rec, "u"), _json_index(rec, "j"), _json_index(rec, "cat")))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 3)
 
 
 def write_trace_jsonl(path, trace, zero_seconds: bool = False) -> None:

@@ -23,6 +23,7 @@ from .core import (
     LowRankModel,
     ProblemDims,
     as_int,
+    check_indices,
     completion_values,
     dot_blocks,
     gap_from_support,
@@ -247,27 +248,18 @@ def predict_topk(
     """Top-k categories for user i at slot j, highest score first.
 
     Scores every category of the slot through the completion and keeps
-    only ``restrict`` when given. ``i``, ``j`` and the entries of
-    ``restrict`` must be integers (a bool or a float raises ValueError);
-    ties are broken by ascending category index so evaluation metrics are
-    deterministic.
+    only ``restrict`` when given. ``i``, ``j``, ``k_top`` and the entries of
+    ``restrict`` must be integers, and all but k_top within the dims
+    (:func:`nutf.core.check_indices`), else ValueError; ties are broken by
+    ascending category index so evaluation metrics are deterministic.
     """
-    dims = model.dims
-    i, j = as_int(i, "user index"), as_int(j, "slot index")
-    if not 0 <= i < dims.n_users:
-        raise ValueError(f"user index {i} out of range [0, {dims.n_users})")
-    if not 0 <= j < dims.n_slots:
-        raise ValueError(f"slot index {j} out of range [0, {dims.n_slots})")
-    if restrict is None:
-        cats = np.arange(dims.n_categories, dtype=np.int64)
-    else:
-        entries = [as_int(c, "restrict entry") for c in restrict]
-        if not entries:
-            raise ValueError("restrict set is empty")
-        # checked as Python ints, so an entry past int64 is out of range too
-        if min(entries) < 0 or max(entries) >= dims.n_categories:
-            raise ValueError("restrict contains out-of-range categories")
-        cats = np.unique(np.array(entries, dtype=np.int64))
+    i, j, k_top = as_int(i, "user index"), as_int(j, "slot index"), as_int(k_top, "k_top")
+    entries = None if restrict is None else [as_int(c, "restrict entry") for c in restrict]
+    if entries == []:
+        raise ValueError("restrict set is empty")
+    check_indices(model.dims, i, j, entries or ())
+    cats = np.arange(model.dims.n_categories, dtype=np.int64) if entries is None \
+        else np.unique(np.array(entries, dtype=np.int64))
     if not 1 <= k_top <= len(cats):
         raise ValueError(f"k_top {k_top} out of range [1, {len(cats)}]")
     scores = model.slot_scores(i, j)[cats]

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nutf import core, parallel, simplex
-from nutf.harness import SynthConfig, generate
+from nutf.harness import EvalReport, SynthConfig, generate, score_topk
+from nutf.serialize import write_pairs_jsonl
+from nutf.solver import SolverConfig, predict_topk
 from nutf.core import (
     BlockSparseMatrix,
     CandidateSets,
@@ -263,7 +265,7 @@ class TestNarrowIndices:
                           [0, 1, 3], cats)
 
     def test_negative_index_rejected_not_wrapped(self):
-        with pytest.raises(ValueError, match="negative category"):
+        with pytest.raises(ValueError, match="cats -1 out of range"):
             CandidateSets([0], [0], [0, 2], np.array([-1, 3], dtype=np.int64))
 
     def test_validate_dims_on_empty_and_uint8_supports(self):
@@ -623,3 +625,57 @@ class TestFrobeniusGap:
         assert frobenius_gap(x, model, ys) == pytest.approx(oracle, abs=1e-12)
         with pytest.raises(ValueError):
             frobenius_gap(x, model, ys[:-1])
+
+
+# One bad value of each kind. An entry point's out-of-range value is its own;
+# 2**64 is tried wherever a Python int reaches the check.
+BAD_KINDS = {"float": 2.5, "bool": True, "string": "1", "numpy float": np.float64(1.0),
+             "negative": -1, "2**64": 2 ** 64}
+
+
+def bad_index_table(tmp_path):
+    """entry point -> (the name its message gives, call with one bad value,
+    its out-of-range value, the kinds it is fed)."""
+    dims = ProblemDims(4, 3, 3)
+    model = random_model(np.random.default_rng(0), dims, 2)
+    report = EvalReport(accuracies=np.array([0.5, 0.75, 1.0]), n_pairs=4)
+    every = (*BAD_KINDS, "out of range")
+    return {
+        "ProblemDims": ("n_slots", lambda v: ProblemDims(2, v, 3), 0, every),
+        "SolverConfig": ("rank", lambda v: SolverConfig(rank=v), 0,
+                         tuple(k for k in every if k != "2**64")),
+        "SynthConfig": ("n_classes", lambda v: SynthConfig(10, 5, 4, n_classes=v), 11, every),
+        "CandidateSets": ("cats", lambda v: CandidateSets([0], [0], [0, 1], np.array([v])),
+                          np.uint64(2 ** 63), every),
+        "from_blocks users": ("block_users", lambda v: CandidateSets.from_blocks(
+            [(0, 0, [0]), (v, 1, [2])]), np.uint64(2 ** 63), every),
+        "from_blocks cats": ("cats", lambda v: CandidateSets.from_blocks([(0, 0, [3, v])]),
+                             np.uint64(2 ** 63), every),
+        "predict_topk i": ("user index", lambda v: predict_topk(model, v, 0, 1), 4, every),
+        "predict_topk j": ("slot index", lambda v: predict_topk(model, 0, v, 1), 3, every),
+        "predict_topk k_top": ("k_top", lambda v: predict_topk(model, 0, 0, v), 4, every),
+        "predict_topk restrict": ("restrict entry", lambda v: predict_topk(
+            model, 0, 0, 1, restrict=[0, v]), 3, every),
+        "score_topk pairs": ("validation", lambda v: score_topk(model, np.array([[v, v, v]]), 1),
+                             4, every),
+        # a list of pairs goes through np.fromiter, which truncates a float
+        # (ROADMAP item 2); the range checks and int64 overflow still hold
+        "score_topk pair list": ("validation", lambda v: score_topk(model, [(v, v, v)], 1), 4,
+                                 ("negative", "out of range", "2**64")),
+        "score_topk k_max": ("k_max", lambda v: score_topk(model, [(0, 0, 0)], v), 4, every),
+        "write_pairs_jsonl": ("pairs", lambda v: write_pairs_jsonl(
+            tmp_path / "pairs.jsonl", [(0, v, 0)]), np.uint64(2 ** 63), every),
+        "accuracy_at": ("k", report.accuracy_at, 4, every),
+    }
+
+
+@pytest.mark.parametrize("entry,kind", [
+    (entry, kind) for entry, (_, _, _, kinds) in bad_index_table(None).items() for kind in kinds])
+def test_bad_index_raises_value_error_naming_it(tmp_path, entry, kind):
+    name, call, out_of_range, _ = bad_index_table(tmp_path)[entry]
+    value = out_of_range if kind == "out of range" else BAD_KINDS[kind]
+    with pytest.raises(ValueError) as exc:
+        call(value)
+    message = str(exc.value)
+    assert name in message or repr(value) in message, message
+    assert not (tmp_path / "pairs.jsonl").exists()

@@ -479,6 +479,17 @@ class TestScoreTopk:
         with pytest.raises(ValueError):
             score_topk(model, np.empty((0, 3), dtype=np.int64), 3)
 
+    def test_k_max_and_accuracy_at_take_integers_in_range(self):
+        model, validation = self._ranked_model()
+        for bad in (2.5, True):  # once a TypeError from a slice, and top-1
+            with pytest.raises(ValueError, match=re.escape(f"k_max {bad!r} is not an integer")):
+                score_topk(model, validation, bad)
+        rep = harness.EvalReport(accuracies=np.array([0.5, 0.75, 1.0]), n_pairs=4)
+        assert [rep.accuracy_at(k) for k in (1, 2, 3)] == [0.5, 0.75, 1.0]
+        for k in (0, -1, 4):  # 0 and -1 once read accuracies[-1] and [-2]
+            with pytest.raises(ValueError, match=re.escape(f"k {k} out of range [1, 3]")):
+                rep.accuracy_at(k)
+
     def test_report_serialization(self):
         model, validation = self._ranked_model()
         rep = score_topk(model, validation, 3)

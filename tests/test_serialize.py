@@ -395,9 +395,9 @@ class TestJsonl:
         [(0, 2.9, 1)], [(0, 2.0, 1)], np.array([[0, 2, 1]], dtype=np.float64),
         [(True, False, True)], np.ones((1, 3), dtype=bool),
     ])
-    def test_pairs_non_integer_rejected(self, tmp_path, pairs):
+    def test_write_pairs_non_integer_rejected(self, tmp_path, pairs):
         path = tmp_path / "pairs.jsonl"
-        with pytest.raises(ValueError, match="pairs must hold integer indices"):
+        with pytest.raises(ValueError, match="pairs must hold integers"):
             write_pairs_jsonl(path, pairs)
         assert not path.exists()
 
@@ -405,14 +405,16 @@ class TestJsonl:
         path = tmp_path / "pairs.jsonl"
         write_pairs_jsonl(path, [])
         assert path.read_bytes() == b""
+        empty = read_pairs_jsonl(path)
+        assert empty.shape == (0, 3) and empty.dtype == np.int64
         write_pairs_jsonl(path, np.array([[1, 2, 3]], dtype=np.uint8))
-        assert read_pairs_jsonl(path) == [(1, 2, 3)]
+        assert read_pairs_jsonl(path).tolist() == [[1, 2, 3]]
 
     def test_pairs_round_trip(self, tmp_path):
         pairs = [(0, 1, 2), (3, 4, 5)]
         path = tmp_path / "pairs.jsonl"
         write_pairs_jsonl(path, pairs)
-        assert read_pairs_jsonl(path) == pairs
+        assert read_pairs_jsonl(path).tolist() == [list(p) for p in pairs]
 
     @staticmethod
     def _dumps_lines(pairs) -> bytes:
@@ -442,7 +444,7 @@ class TestJsonl:
         path = tmp_path / "pairs.jsonl"
         write_pairs_jsonl(path, pairs)
         assert path.read_bytes() == self._dumps_lines(pairs)
-        assert read_pairs_jsonl(path) == [tuple(int(v) for v in p) for p in pairs]
+        assert read_pairs_jsonl(path).tolist() == [[int(v) for v in p] for p in pairs]
 
     def test_pairs_not_triples_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="triples"):

@@ -538,7 +538,8 @@ class TestPredictTopk:
     def test_restrict_validated(self):
         model, _, _ = self._one_hot_model()
         for bad in ([5], [3], [-1], [0, 2**64]):  # C = 3
-            with pytest.raises(ValueError, match="out-of-range"):
+            with pytest.raises(ValueError, match=rf"category index {max(bad, key=abs)} out of "
+                                                 r"range \[0, 3\)"):
                 predict_topk(model, 0, 0, 1, restrict=bad)
         with pytest.raises(ValueError):
             predict_topk(model, 0, 0, 1, restrict=[])
@@ -556,6 +557,9 @@ class TestPredictTopk:
             predict_topk(model, 0, 0, 0)
         with pytest.raises(ValueError):
             predict_topk(model, 0, 0, 4)  # C = 3
+        for bad in (2.5, True):  # once a TypeError from a slice, and top-1
+            with pytest.raises(ValueError, match=re.escape(f"k_top {bad!r} is not an integer")):
+                predict_topk(model, 0, 0, bad)
 
     def test_descending_scores(self):
         rng = np.random.default_rng(13)
